@@ -235,17 +235,16 @@ def _run_lift_q(problem: dict, args) -> CommandOutcome:
 
     if result is None:
         inv = extract_invariants(twist.twisted, twist.twisted_prime)
-        if inv is not None:
-            g = math.gcd(inv.A_p, inv.B_q)
-            diagnostics.append(
-                _diag(
-                    "congruence system",
-                    f"congruence insoluble mod {g}: "
-                    f"{(inv.k_p.residue - inv.a_p.residue) % inv.A_p} (mod {inv.A_p}) against "
-                    f"{(inv.k_q.residue - inv.b_q.residue) % inv.B_q} (mod {inv.B_q})",
-                    False,
-                )
+        g = math.gcd(inv.A_p, inv.B_q)
+        diagnostics.append(
+            _diag(
+                "congruence system",
+                f"congruence insoluble mod {g}: "
+                f"{(inv.k_p.residue - inv.a_p.residue) % inv.A_p} (mod {inv.A_p}) against "
+                f"{(inv.k_q.residue - inv.b_q.residue) % inv.B_q} (mod {inv.B_q})",
+                False,
             )
+        )
         return CommandOutcome("not liftable", 1, None, diagnostics)
 
     diagnostics.append(
@@ -452,7 +451,7 @@ def _run_counting_bound(problem: dict, args) -> CommandOutcome:
 
 
 def _run_hasse(problem: dict, args) -> CommandOutcome:
-    precision = args.precision or problem.get("precision", 64)
+    precision = problem.get("precision", 64)
     rep = hasse_invariant_check(
         problem["p"], problem["q"], precision, problem.get("weight")
     )
@@ -466,7 +465,7 @@ def _run_hasse(problem: dict, args) -> CommandOutcome:
 
 
 def _run_weight24(problem: dict, args) -> CommandOutcome:
-    precision = args.precision or problem.get("precision", 64)
+    precision = problem.get("precision", 64)
     rep = weight24_example(precision)
     diagnostics = [
         _diag(name, str(check), check.congruent) for name, check in rep.congruences
@@ -637,7 +636,12 @@ def main(argv=None) -> int:
     parser.add_argument("problem", help="path to a problem JSON file")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--precision", type=int, default=None)
+    parser.add_argument(
+        "--precision",
+        type=int,
+        default=None,
+        help="replace the problem's precision (hasse-invariant, weight24-example)",
+    )
     parser.add_argument(
         "--oracle",
         action="store_true",
@@ -665,8 +669,16 @@ def main(argv=None) -> int:
         _emit(error_report("parse", str(exc)), args.json)
         return 2
 
+    schema = _load_schema(args.command)
+    if (
+        args.precision is not None
+        and isinstance(problem, dict)
+        and "precision" in schema["properties"]
+    ):
+        # the override replaces the file's value and meets the same schema
+        problem["precision"] = args.precision
     try:
-        jsonschema.validate(problem, _load_schema(args.command))
+        jsonschema.validate(problem, schema)
     except jsonschema.ValidationError as exc:
         _emit(error_report("schema", exc.message), args.json)
         return 2

@@ -2,8 +2,12 @@
 
 Coefficients are either Fraction or QuadElem (elements a + b*sqrt(D) with a
 fixed positive nonsquare D); the two domains never mix silently, promotion
-is explicit.  Ring operations truncate to the shorter precision and weight
-tags add under multiplication.
+is explicit.  A series stores them as integer numerators over one shared
+denominator (two numerator tuples, rational and sqrt(D) parts, over Q(sqrt
+D)) and multiplies by Kronecker substitution: each numerator tuple is
+packed into one Python int, so a single bigint product does the O(n^2)
+work.  Ring operations truncate to the shorter precision and weight tags
+add under multiplication.
 
 The congruence layer reduces coefficients through a chosen prime above a
 split rational prime (the root r with r^2 = D picks the prime) and checks
@@ -14,6 +18,7 @@ bound (weight/12 at level one) that would make the truncated check a proof.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,8 +52,7 @@ class QuadElem:
     disc: int
 
     def __post_init__(self):
-        if self.disc <= 0 or math.isqrt(self.disc) ** 2 == self.disc:
-            raise ValueError("disc must be a positive nonsquare integer")
+        _check_disc(self.disc)
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
@@ -91,32 +95,69 @@ class QuadElem:
         return f"{self.a} + {self.b}*sqrt({self.disc})"
 
 
-def _zero_like(sample):
-    if isinstance(sample, QuadElem):
-        return QuadElem(Fraction(0), Fraction(0), sample.disc)
-    return Fraction(0)
+def _pack(xs, width: int) -> int:
+    """sum xs[i] * 2^(8*width*i) for signed ints xs, in linear time.
+
+    Each slot is written in two's complement; a negative slot then reads as
+    xs[i] + 2^(8*width), so the borrow it owes the slot above is taken back
+    in one subtraction.
+    """
+    raw = b"".join(x.to_bytes(width, "little", signed=True) for x in xs)
+    borrows = bytearray(len(raw))
+    borrows[::width] = bytes(x < 0 for x in xs)
+    borrow = int.from_bytes(borrows, "little") << 8 * width
+    return int.from_bytes(raw, "little") - borrow
 
 
-def _one_like(sample):
-    if isinstance(sample, QuadElem):
-        return QuadElem(Fraction(1), Fraction(0), sample.disc)
-    return Fraction(1)
+def _unpack(value: int, n: int, width: int) -> tuple[int, ...]:
+    """The low n slots of value, each known to lie in [-h, h) with
+    h = 2^(8*width - 1).  Adding h to every slot makes them all
+    nonnegative, so the slots separate without carries."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    size = n * width
+    raw = ((value + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return tuple(
+        int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)
+    )
+
+
+def _kron(x, y) -> tuple[int, ...]:
+    """The first n coefficients of the product of two length-n integer
+    polynomials, by Kronecker substitution: pack each into one int, do one
+    bigint multiply, unpack.  A product coefficient is a sum of at most n
+    terms, so a slot at least one bit wider than the bit length of
+    n*max|x|*max|y| holds it with its sign."""
+    n = len(x)
+    bound = n * max(map(abs, x)) * max(map(abs, y))
+    if not bound:
+        return (0,) * n
+    width = (bound.bit_length() + 8) // 8
+    px = _pack(x, width)
+    py = px if y is x else _pack(y, width)
+    return _unpack(px * py, n, width)
+
+
+def _check_disc(disc: int) -> None:
+    if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+        raise ValueError("disc must be a positive nonsquare integer")
 
 
 class QExpansion:
     """Truncated power series in q with exact coefficients and a weight tag.
 
-    coeffs[n] is the q^n coefficient; precision = number of known
-    coefficients.  The coefficient domain (rational, or one fixed quadratic
-    field) is validated at construction.
+    The q^n coefficient is (_a[n] + _b[n]*sqrt(disc)) / _den over one fixed
+    quadratic field, or _a[n] / _den with _b None over Q: integer tuples
+    over one positive denominator, in lowest terms (the gcd of _den and
+    every numerator is 1), so equal series are stored alike.  coeffs and
+    series[n] give the coefficients as Fraction or QuadElem; precision is
+    the number of known coefficients.
     """
 
-    __slots__ = ("coeffs", "weight")
+    __slots__ = ("_a", "_b", "_den", "disc", "weight")
 
     def __init__(self, coeffs, weight: int | None = None):
-        coeffs = tuple(
-            Fraction(c) if isinstance(c, int) else c for c in coeffs
-        )
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least one coefficient")
         disc = None
@@ -126,29 +167,71 @@ class QExpansion:
                     disc = c.disc
                 elif disc != c.disc:
                     raise ValueError("mixed quadratic fields in one series")
-            elif not isinstance(c, Fraction):
+            elif not isinstance(c, (int, Fraction)):
                 raise TypeError(f"unsupported coefficient type {type(c)!r}")
-        if disc is not None and any(isinstance(c, Fraction) for c in coeffs):
+        if disc is not None and not all(isinstance(c, QuadElem) for c in coeffs):
             raise ValueError("rational and quadratic coefficients cannot mix")
-        self.coeffs = coeffs
+        rat = coeffs if disc is None else tuple(c.a for c in coeffs)
+        irr = () if disc is None else tuple(c.b for c in coeffs)
+        den = math.lcm(*(x.denominator for x in rat + irr))
+
+        def lift(part):
+            return tuple(x.numerator * (den // x.denominator) for x in part)
+
+        self._set(lift(rat), None if disc is None else lift(irr), den, disc, weight)
+
+    def _set(self, a, b, den: int, disc: int | None, weight: int | None) -> None:
+        if den != 1:
+            g = math.gcd(den, *a, *(b or ()))
+            if g != 1:
+                den //= g
+                a = [x // g for x in a]
+                b = None if b is None else [x // g for x in b]
+        self._a = tuple(a)
+        self._b = None if b is None else tuple(b)
+        self._den = den
+        self.disc = disc
         self.weight = weight
+
+    @classmethod
+    def _make(cls, a, b, den: int, disc: int | None, weight: int | None) -> "QExpansion":
+        """The series with numerators a (and sqrt(disc) parts b) over den > 0."""
+        series = object.__new__(cls)
+        series._set(a, b, den, disc, weight)
+        return series
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs)
+        return len(self._a)
 
     @property
-    def disc(self) -> int | None:
-        c = self.coeffs[0]
-        return c.disc if isinstance(c, QuadElem) else None
+    def coeffs(self) -> tuple:
+        """The coefficients as Fraction (or QuadElem) objects, built on access."""
+        den = self._den
+        if self._b is None:
+            if den == 1:
+                return tuple(map(Fraction, self._a))
+            return tuple(Fraction(x, den) for x in self._a)
+        return tuple(
+            QuadElem(Fraction(x, den), Fraction(y, den), self.disc)
+            for x, y in zip(self._a, self._b)
+        )
 
-    def __getitem__(self, n: int):
-        return self.coeffs[n]
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return self.coeffs[n]
+        den = self._den
+        if self._b is None:
+            return Fraction(self._a[n], den)
+        return QuadElem(Fraction(self._a[n], den), Fraction(self._b[n], den), self.disc)
 
     def truncate(self, precision: int) -> "QExpansion":
         if precision > self.precision:
             raise ValueError("cannot extend a truncated series")
-        return QExpansion(self.coeffs[:precision], self.weight)
+        if not self._a[:precision]:
+            raise ValueError("a series needs at least one coefficient")
+        b = None if self._b is None else self._b[:precision]
+        return self._make(self._a[:precision], b, self._den, self.disc, self.weight)
 
     def _common(self, other: "QExpansion") -> int:
         if self.disc != other.disc:
@@ -163,59 +246,97 @@ class QExpansion:
             return w1
         return None
 
-    def __add__(self, other: "QExpansion") -> "QExpansion":
+    def _combine(self, other: "QExpansion", op) -> "QExpansion":
+        """self op other for op in (add, sub), over the lcm of the denominators."""
         n = self._common(other)
-        return QExpansion(
-            tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+
+        def part(x, y):
+            return tuple(op(u * s, v * t) for u, v in zip(x[:n], y[:n]))
+
+        return self._make(
+            part(self._a, other._a),
+            None if self._b is None else part(self._b, other._b),
+            den,
+            self.disc,
             self._merge_add_weight(self.weight, other.weight),
         )
 
+    def __add__(self, other: "QExpansion") -> "QExpansion":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "QExpansion") -> "QExpansion":
-        n = self._common(other)
-        return QExpansion(
-            tuple(a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
-            self._merge_add_weight(self.weight, other.weight),
-        )
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadElem)):
             return self.scale(other)
         n = self._common(other)
-        zero = _zero_like(self.coeffs[0])
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if isinstance(a, Fraction) and a == 0:
-                continue
-            if isinstance(a, QuadElem) and a.is_zero():
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                out[i + j] = out[i + j] + a * b
         w = (
             self.weight + other.weight
             if self.weight is not None and other.weight is not None
             else None
         )
-        return QExpansion(tuple(out), w)
+        den = self._den * other._den
+        a1 = self._a[:n]
+        a2 = a1 if other is self else other._a[:n]
+        if self._b is None:
+            return self._make(_kron(a1, a2), None, den, None, w)
+        # (a1 + b1 s)(a2 + b2 s) with s^2 = disc, from three products
+        b1 = self._b[:n]
+        b2 = b1 if other is self else other._b[:n]
+        s1 = tuple(map(operator.add, a1, b1))
+        s2 = s1 if other is self else tuple(map(operator.add, a2, b2))
+        aa, bb, ss = _kron(a1, a2), _kron(b1, b2), _kron(s1, s2)
+        disc = self.disc
+        return self._make(
+            [x + disc * y for x, y in zip(aa, bb)],
+            [z - x - y for x, y, z in zip(aa, bb, ss)],
+            den,
+            disc,
+            w,
+        )
 
     def scale(self, c) -> "QExpansion":
-        if isinstance(c, int):
-            c = Fraction(c)
-        if isinstance(c, QuadElem) and self.disc is None:
-            raise ValueError("promote the series with to_quadratic first")
-        if isinstance(c, Fraction) and self.disc is not None:
-            c = QuadElem(c, Fraction(0), self.disc)
-        return QExpansion(tuple(c * a for a in self.coeffs), self.weight)
+        a, b, disc = self._a, self._b, self.disc
+        if isinstance(c, QuadElem):
+            if disc is None:
+                raise ValueError("promote the series with to_quadratic first")
+            if c.disc != disc:
+                raise ValueError("mixed quadratic fields")
+            cden = math.lcm(c.a.denominator, c.b.denominator)
+            ca = c.a.numerator * (cden // c.a.denominator)
+            cb = c.b.numerator * (cden // c.b.denominator)
+            return self._make(
+                [ca * x + cb * disc * y for x, y in zip(a, b)],
+                [ca * y + cb * x for x, y in zip(a, b)],
+                self._den * cden,
+                disc,
+                self.weight,
+            )
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"unsupported scalar type {type(c)!r}")
+        c = Fraction(c)
+        num = c.numerator
+        return self._make(
+            [num * x for x in a],
+            None if b is None else [num * y for y in b],
+            self._den * c.denominator,
+            disc,
+            self.weight,
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QExpansion":
         if e < 0:
             raise ValueError("negative powers are not supported")
-        one = _one_like(self.coeffs[0])
-        zero = _zero_like(self.coeffs[0])
+        n = self.precision
         w = 0 if self.weight is not None else None
-        out = QExpansion((one,) + (zero,) * (self.precision - 1), w)
+        out = self._make(
+            (1,) + (0,) * (n - 1), None if self._b is None else (0,) * n, 1, self.disc, w
+        )
         base = self
         while e:
             if e & 1:
@@ -226,14 +347,12 @@ class QExpansion:
         return out
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QExpansion)
-            and self.coeffs == other.coeffs
-            and self.weight == other.weight
-        )
+        return isinstance(other, QExpansion) and (
+            self._a, self._b, self._den, self.disc, self.weight
+        ) == (other._a, other._b, other._den, other.disc, other.weight)
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:4])
+        head = ", ".join(str(self[n]) for n in range(min(4, self.precision)))
         return f"QExpansion([{head}, ...], precision={self.precision}, weight={self.weight})"
 
 
@@ -243,15 +362,16 @@ def to_quadratic(series: QExpansion, disc: int) -> QExpansion:
         if series.disc != disc:
             raise ValueError("series already lives in a different field")
         return series
-    return QExpansion(
-        tuple(QuadElem(c, Fraction(0), disc) for c in series.coeffs), series.weight
+    _check_disc(disc)
+    return QExpansion._make(
+        series._a, (0,) * series.precision, series._den, disc, series.weight
     )
 
 
-def _divisor_power_sums(k: int, precision: int) -> list[Fraction]:
-    sums = [Fraction(0)] * precision
+def _divisor_power_sums(k: int, precision: int) -> list[int]:
+    sums = [0] * precision
     for d in range(1, precision):
-        dk = Fraction(d**k)
+        dk = d**k
         for n in range(d, precision, d):
             sums[n] += dk
     return sums
@@ -262,10 +382,12 @@ def eisenstein(k: int, precision: int = DEFAULT_PRECISION) -> QExpansion:
     1 - (2k/B_k) * sum sigma_{k-1}(n) q^n, with exact rational coefficients."""
     if k % 2 or k < 2:
         raise ValueError("the weight must be even and at least 2")
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
     factor = Fraction(-2 * k) / bernoulli(k)
+    num, den = factor.numerator, factor.denominator
     sums = _divisor_power_sums(k - 1, precision)
-    coeffs = [Fraction(1)] + [factor * sums[n] for n in range(1, precision)]
-    return QExpansion(tuple(coeffs), weight=k)
+    return QExpansion._make([den] + [num * s for s in sums[1:]], None, den, None, k)
 
 
 def delta(precision: int = DEFAULT_PRECISION) -> QExpansion:
@@ -274,21 +396,22 @@ def delta(precision: int = DEFAULT_PRECISION) -> QExpansion:
     The eta factor is expanded by the pentagonal number series, then raised
     to the 24th power by repeated squaring.
     """
-    eta = [Fraction(0)] * precision
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
+    eta = [0] * precision
     j = 0
     while True:
         done = True
         for jj in (j, -j) if j else (0,):
             e = jj * (3 * jj - 1) // 2
             if e < precision:
-                eta[e] += Fraction(-1 if jj % 2 else 1)
+                eta[e] += -1 if jj % 2 else 1
                 done = False
         if done:
             break
         j += 1
-    eta24 = QExpansion(tuple(eta)) ** 24
-    coeffs = (Fraction(0),) + eta24.coeffs[: precision - 1]
-    return QExpansion(coeffs, weight=12)
+    eta24 = QExpansion._make(eta, None, 1, None, None) ** 24
+    return QExpansion._make((0,) + eta24._a[: precision - 1], None, eta24._den, None, 12)
 
 
 @dataclass(frozen=True)
@@ -344,14 +467,27 @@ def reduce_series(series: QExpansion, ideal, bound: int) -> tuple[int, ...]:
         raise ValueError(
             f"series precision {series.precision} is below the bound {bound}"
         )
+    m = max(bound + 1, 0)
+    nums = series._a[:m]
     if isinstance(ideal, SplitPrimeIdeal):
-        return tuple(ideal.reduce(series[n]) for n in range(bound + 1))
-    ell = int(ideal)
-    out = []
-    for n in range(bound + 1):
-        c = series[n]
-        if isinstance(c, QuadElem):
+        ell = ideal.ell
+        if series.disc is not None and m:
+            if series.disc != ideal.disc:
+                raise ValueError("element from a different field")
+            # sqrt(disc) -> root
+            nums = [x + y * ideal.root for x, y in zip(nums, series._b)]
+    else:
+        ell = int(ideal)
+        if series.disc is not None and m:
             raise ValueError("quadratic coefficients need a SplitPrimeIdeal")
+    den = series._den
+    if den % ell:
+        inv = pow(den, -1, ell)
+        return tuple(x * inv % ell for x in nums)
+    # ell divides the shared denominator, not necessarily each coefficient's
+    out = []
+    for x in nums:
+        c = Fraction(x, den)
         if c.denominator % ell == 0:
             raise ValueError(f"denominator not invertible modulo {ell}")
         out.append(c.numerator * pow(c.denominator, -1, ell) % ell)
@@ -442,14 +578,15 @@ def hasse_invariant_check(
         raise ValueError("the primes must be distinct")
     if weight is None:
         weight = math.lcm(p - 1, q - 1)
+    if precision < 2:
+        raise ValueError("precision must be at least 2")
     series = eisenstein(weight, precision)
     pq = p * q
-    offending = None
-    for n in range(1, precision):
-        c = series[n]
-        if c.numerator % pq or math.gcd(c.denominator, pq) != 1:
-            offending = n
-            break
+    # a_1 = -2k/B_k in lowest terms carries the whole shared denominator, so
+    # a denominator sharing a prime with pq fails at q^1; otherwise it is a
+    # unit mod pq and a_n = 0 mod pq exactly when pq divides its numerator
+    nums, unit = series._a, math.gcd(series._den, pq) == 1
+    offending = next((n for n in range(1, precision) if not unit or nums[n] % pq), None)
     return HasseReport(p, q, weight, precision, offending is None, offending)
 
 

@@ -4,6 +4,7 @@ from contextlib import redirect_stdout
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from heckelift.cli import main
 
@@ -110,6 +111,25 @@ class TestExitCodes:
         with redirect_stdout(buf):
             code = main(["lift-q", str(tmp_path / "absent.json"), "--json"])
         assert code == 2
+
+    @pytest.mark.parametrize("precision", ["-3", "0", "1"])
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            ("hasse-invariant", {"version": 1, "p": 5, "q": 7, "precision": 30}),
+            ("weight24-example", {"version": 1, "precision": 12}),
+        ],
+    )
+    def test_precision_override_meets_schema(self, tmp_path, command, problem, precision):
+        code, report = run_json(tmp_path, command, problem, "--precision", precision)
+        assert code == 2
+        assert report["error"]["type"] == "schema"
+
+    def test_precision_override_replaces_file_value(self, tmp_path):
+        problem = {"version": 1, "p": 5, "q": 7, "precision": 30}
+        code, report = run_json(tmp_path, "hasse-invariant", problem, "--precision", "12")
+        assert code == 0
+        assert report["diagnostics"][0]["detail"] == "E_12 = 1 mod 35 to q^11: pass"
 
     def test_text_mode_error_rendering(self, tmp_path):
         problem = dict(NORM_CUBE, surprise=1)

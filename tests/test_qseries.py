@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelift.qseries import (
     QExpansion,
@@ -10,6 +14,7 @@ from heckelift.qseries import (
     delta,
     eisenstein,
     hasse_invariant_check,
+    reduce_series,
     split_roots,
     sturm_congruence,
     to_quadratic,
@@ -36,6 +41,95 @@ def naive_delta(precision):
                 acc[i + j] += out[i] * P[j]
         out = acc
     return [Fraction(0)] + out[: precision - 1]
+
+
+def schoolbook(x, y):
+    """Independent oracle: the truncated product of two coefficient lists,
+    term by term."""
+    n = min(len(x), len(y))
+    out = [x[0] * 0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = out[i + j] + x[i] * y[j]
+    return tuple(out)
+
+
+# integers from tiny to a few hundred bits, so slot widths vary
+ints = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-(2**200), 2**200)
+)
+rationals = st.builds(Fraction, ints, st.integers(1, 60))
+rational_lists = st.one_of(
+    st.lists(rationals, min_size=1, max_size=24),
+    st.lists(ints, min_size=1, max_size=24),
+    st.integers(1, 24).map(lambda n: [0] * n),
+)
+quad_lists = st.lists(
+    st.builds(QuadElem, rationals, rationals, st.just(5)), min_size=1, max_size=16
+)
+
+
+class TestKroneckerProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_lists, rational_lists)
+    def test_rational_against_schoolbook(self, x, y):
+        prod = QExpansion(x) * QExpansion(y)
+        expect = schoolbook([Fraction(c) for c in x], [Fraction(c) for c in y])
+        assert prod.coeffs == expect
+        assert prod == QExpansion(expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quad_lists, quad_lists)
+    def test_quadratic_against_schoolbook(self, x, y):
+        prod = QExpansion(x) * QExpansion(y)
+        assert prod.coeffs == schoolbook(x, y)
+        assert prod == QExpansion(schoolbook(x, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_lists, st.integers(0, 6))
+    def test_power_against_repeated_product(self, x, e):
+        series = QExpansion(x, weight=2)
+        one = QExpansion([1] + [0] * (len(x) - 1), weight=0)
+        expect = reduce(lambda acc, _: acc * series, range(e), one)
+        assert series**e == expect
+        assert (series**e).coeffs == reduce(
+            lambda acc, _: schoolbook(acc, [Fraction(c) for c in x]), range(e), one.coeffs
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(quad_lists, st.integers(0, 4))
+    def test_quadratic_power(self, x, e):
+        series = QExpansion(x)
+        one = (QuadElem(1, 0, 5),) + (QuadElem(0, 0, 5),) * (len(x) - 1)
+        expect = reduce(lambda acc, _: schoolbook(acc, x), range(e), one)
+        assert (series**e).coeffs == expect
+
+    def test_slot_width_at_the_bound(self):
+        # all terms of one sign make the last coefficient n * m^2 exactly,
+        # the bound the slot width is sized from
+        for m in (1, 127, 128, 255, 256, 2**63 - 1, 2**63):
+            for n in (1, 2, 7, 8, 9):
+                for sx, sy in ((1, 1), (1, -1), (-1, -1)):
+                    x, y = [Fraction(sx * m)] * n, [Fraction(sy * m)] * n
+                    prod = QExpansion(x) * QExpansion(y)
+                    assert prod.coeffs == schoolbook(x, y)
+
+    def test_square_of_self(self):
+        x = QExpansion([3, -1, Fraction(1, 7), 0, -(2**90)])
+        assert (x * x).coeffs == schoolbook(x.coeffs, x.coeffs)
+
+    def test_lowest_terms(self):
+        series = QExpansion([Fraction(1, 3), Fraction(2, 3)]) * 3
+        assert series == QExpansion([1, 2])
+        half = QExpansion([Fraction(1, 2), Fraction(3, 3)])
+        assert QExpansion([Fraction(2, 4), 1]) == half
+        assert QExpansion([0, 0]).scale(Fraction(1, 7)) == QExpansion([0, 0])
+
+    def test_rejects_unsupported_coefficients(self):
+        with pytest.raises(TypeError):
+            QExpansion([1, 0.5])
+        with pytest.raises(ValueError):
+            QExpansion([])
 
 
 class TestQExpansionArithmetic:
@@ -92,6 +186,11 @@ class TestEisenstein:
         with pytest.raises(ValueError):
             eisenstein(3, 10)
 
+    @pytest.mark.parametrize("precision", [-3, 0])
+    def test_rejects_empty_precision(self, precision):
+        with pytest.raises(ValueError):
+            eisenstein(4, precision)
+
     def test_denominators_clear_uniformly(self):
         for k in (2, 4, 6, 8, 10, 12, 14, 16):
             series = eisenstein(k, 40)
@@ -116,14 +215,31 @@ class TestDelta:
     def test_weight(self):
         assert delta(4).weight == 12
 
+    @pytest.mark.parametrize("precision", [-3, 0])
+    def test_rejects_empty_precision(self, precision):
+        with pytest.raises(ValueError):
+            delta(precision)
+
+    def test_tau_multiplicative_to_1024(self):
+        tau = delta(1024).coeffs
+        n = len(tau)
+        assert tau[1] == 1 and all(c.denominator == 1 for c in tau)
+        for m in range(2, n):
+            for k in range(m + 1, (n - 1) // m + 1):
+                if math.gcd(m, k) == 1:
+                    assert tau[m * k] == tau[m] * tau[k]
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            assert tau[p * p] == tau[p] ** 2 - p**11
+
 
 class TestDiscriminantIdentity:
     def test_e4_cubed_minus_e6_squared(self):
-        prec = 60
-        e4, e6, d = eisenstein(4, prec), eisenstein(6, prec), delta(prec)
-        lhs = e4**3 - e6**2
-        rhs = d.scale(1728)
-        assert lhs.coeffs == rhs.coeffs
+        for prec in (60, 1001):
+            e4, e6, d = eisenstein(4, prec), eisenstein(6, prec), delta(prec)
+            lhs = e4**3 - e6**2
+            rhs = d.scale(1728)
+            assert lhs.coeffs == rhs.coeffs
+            assert lhs.precision == prec and lhs.weight == 12 and lhs[1] == 1728
 
 
 class TestSplitPrimeIdeal:
@@ -154,6 +270,37 @@ class TestSplitPrimeIdeal:
         ideal = SplitPrimeIdeal(5, 2, 144169)
         with pytest.raises(ValueError):
             ideal.reduce(QuadElem(Fraction(1, 5), 0, 144169))
+
+
+class TestReduceSeries:
+    def test_matches_coefficientwise_reduction(self):
+        rng = random.Random(7)
+        ideal = SplitPrimeIdeal(7, 2, 144169)
+        for _ in range(20):
+            series = QExpansion(
+                [
+                    QuadElem(
+                        Fraction(rng.randrange(-99, 99), rng.choice([1, 2, 3, 9])),
+                        Fraction(rng.randrange(-99, 99), rng.choice([1, 4, 5])),
+                        144169,
+                    )
+                    for _ in range(12)
+                ]
+            )
+            assert reduce_series(series, ideal, 11) == tuple(
+                ideal.reduce(series[n]) for n in range(12)
+            )
+
+    def test_ell_divides_the_shared_denominator(self):
+        # only the coefficients up to the bound need invertible denominators
+        series = QExpansion([1, Fraction(1, 5)])
+        ideal = SplitPrimeIdeal(5, 2, 144169)
+        assert reduce_series(series, 5, 0) == (1,)
+        assert reduce_series(to_quadratic(series, 144169), ideal, 0) == (1,)
+        with pytest.raises(ValueError):
+            reduce_series(series, 5, 1)
+        with pytest.raises(ValueError):
+            reduce_series(to_quadratic(series, 144169), ideal, 1)
 
 
 class TestSturmCongruence:
@@ -200,11 +347,21 @@ class TestHasseInvariant:
         rep = hasse_invariant_check(5, 7, 50, weight=14)
         assert not rep.ok and rep.first_offending == 1
 
+    def test_denominator_shares_a_prime(self):
+        # E_12 has denominator 691, so it is not 1 mod 5 * 691
+        rep = hasse_invariant_check(5, 691, 20, weight=12)
+        assert not rep.ok and rep.first_offending == 1
+
     def test_guards(self):
         with pytest.raises(ValueError):
             hasse_invariant_check(2, 7)
         with pytest.raises(ValueError):
             hasse_invariant_check(5, 5)
+
+    @pytest.mark.parametrize("precision", [-3, 0, 1])
+    def test_rejects_vacuous_precision(self, precision):
+        with pytest.raises(ValueError):
+            hasse_invariant_check(5, 7, precision)
 
 
 @pytest.fixture(scope="module")
