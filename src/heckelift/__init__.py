@@ -33,7 +33,6 @@ from .heckeq import (
     conductor_bound,
     decide_prop_q,
     extract_invariants,
-    restrict_to_inertia,
     twist_to_unramified,
 )
 from .heckequad import (

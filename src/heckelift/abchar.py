@@ -18,6 +18,7 @@ from typing import Iterator
 from .exactnum import (
     QmodZ,
     euler_phi,
+    glue_pq,
     is_prime,
     primitive_root,
     valuation,
@@ -35,7 +36,8 @@ __all__ = [
     "bezout_combine",
     "character_conductor",
     "enumerate_characters",
-    "raise_unit_level",
+    "at_unit_level",
+    "on_common_unit_group",
     "unit_dlog",
 ]
 
@@ -203,13 +205,10 @@ def simultaneous_artin_lift(
         raise ValueError("characters live on different groups")
     images = []
     for t, t2 in zip(tau.base.images, tau_prime.base.images):
-        t_q = t.part_at(q)
-        t_rest = t - t_q
-        t2_p = t2.part_at(p)
-        t2_rest = t2 - t2_p
-        if t_rest != t2_rest:
+        z = glue_pq(t, p, t2, q)
+        if z is None:
             return None
-        images.append(t2_p + t_q + t_rest)
+        images.append(z)
     return GroupCharacter(tau.group, tuple(images))
 
 
@@ -293,19 +292,49 @@ def unit_dlog(generator: int, target: int, modulus: int) -> int:
     raise ValueError(f"{target} is not a power of {generator} modulo {modulus}")
 
 
-def raise_unit_level(eps: GroupCharacter, exponent: int) -> GroupCharacter:
-    """Pull a character of (Z/ell^c)^* back to (Z/ell^a)^*, a = exponent >= c."""
+def _unit_level(eps: GroupCharacter, ell: int) -> int:
+    """The c of a character presented on (Z/ell^c)^*; c = 0 is the trivial group."""
     if eps.group.rank == 0:
-        raise ValueError("cannot raise a character on the trivial group without a prime")
+        return 0
     label = eps.group.labels[0]
-    if eps.group.rank != 1 or not isinstance(label, UnitLabel):
-        raise ValueError("level raising needs a labelled (Z/ell^a)^* presentation")
-    if exponent < label.exponent:
-        raise ValueError("target exponent must not be smaller")
-    if exponent == label.exponent:
+    if eps.group.rank != 1 or not isinstance(label, UnitLabel) or label.prime != ell:
+        raise ValueError(f"needs a labelled (Z/{ell}^c)* presentation")
+    return label.exponent
+
+
+def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacter:
+    """A character of (Z/ell^c)^* presented on (Z/ell^exponent)^*.
+
+    c = 0 means the trivial group.  The character is pulled back when
+    exponent >= c, and pushed down only when its conductor divides
+    ell^exponent.  Either way the new generator's image is the old image
+    times the discrete log of the new generator modulo ell^c.
+    """
+    c = _unit_level(eps, ell)
+    if exponent == c:
         return eps
-    big = unit_group(label.prime, exponent)
-    big_label: UnitLabel = big.labels[0]  # type: ignore[assignment]
-    small_mod = label.prime**label.exponent
-    e = unit_dlog(label.generator, big_label.generator % small_mod, small_mod)
-    return GroupCharacter(big, (e * eps.images[0],))
+    target = unit_group(ell, exponent)
+    if eps.is_trivial():
+        return GroupCharacter.trivial(target)
+    conductor = character_conductor(eps)
+    if conductor > ell**exponent:
+        raise ValueError(
+            f"a character of conductor {conductor} does not factor through "
+            f"(Z/{ell}^{exponent})*"
+        )
+    modulus = ell**c
+    source_gen = eps.group.labels[0].generator
+    e = unit_dlog(source_gen, target.labels[0].generator % modulus, modulus)
+    return GroupCharacter(target, (e * eps.images[0],))
+
+
+def on_common_unit_group(
+    ell: int, a: ModCharacter, b: ModCharacter
+) -> tuple[ModCharacter, ModCharacter]:
+    """Two characters of unit groups at ell, both pulled back to the least
+    common (Z/ell^c)^* with c >= 1."""
+    level = max(1, _unit_level(a.base, ell), _unit_level(b.base, ell))
+    return (
+        ModCharacter(at_unit_level(a.base, ell, level), a.residue_char),
+        ModCharacter(at_unit_level(b.base, ell, level), b.residue_char),
+    )

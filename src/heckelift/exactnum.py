@@ -18,6 +18,7 @@ __all__ = [
     "QmodZ",
     "Congruence",
     "crt_pair",
+    "glue_pq",
     "prime_to_part",
     "discrete_log",
     "kronecker_symbol",
@@ -188,15 +189,6 @@ class QmodZ:
     def part_prime_to(self, ell: int) -> "QmodZ":
         return self - self.part_at(ell)
 
-    def part_prime_to_all(self, primes) -> "QmodZ":
-        x = self
-        for ell in primes:
-            x = x.part_prime_to(ell)
-        return x
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QmodZ)
@@ -212,6 +204,21 @@ class QmodZ:
 
     def __repr__(self) -> str:
         return f"QmodZ({self.num}, {self.den})"
+
+
+def glue_pq(x: QmodZ, p: int, y: QmodZ, q: int) -> QmodZ | None:
+    """The z in Q/Z whose prime-to-p part is x and whose prime-to-q part is
+    y, or None when there is none.
+
+    x must have no p-part and y no q-part.  Then z exists exactly when x and
+    y agree away from p and q, and it is unique: the p-part of y, the q-part
+    of x and their common prime-to-pq part.
+    """
+    x_q = x.part_at(q)
+    y_p = y.part_at(p)
+    if x - x_q != y - y_p:
+        return None
+    return y + x_q
 
 
 @dataclass(frozen=True)

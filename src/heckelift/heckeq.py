@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .abchar import (
     GroupCharacter,
     ModCharacter,
+    at_unit_level,
     character_conductor,
     enumerate_characters,
-    raise_unit_level,
+    on_common_unit_group,
     simultaneous_artin_lift,
-    unit_dlog,
     unit_group,
 )
 from .exactnum import (
@@ -46,7 +47,6 @@ __all__ = [
     "NecessityReport",
     "TwistResult",
     "PropQResult",
-    "restrict_to_inertia",
     "extract_invariants",
     "check_necessary",
     "twist_to_unramified",
@@ -140,26 +140,12 @@ class GlobalCharQ:
 
     def with_modulus(self, modulus: int) -> "GlobalCharQ":
         """Re-present relative to another modulus.  Raising a level pulls the
-        component back; lowering is legal only below the conductor."""
+        component back; lowering is legal only down to the conductor."""
         fac = _validate_odd_modulus(modulus)
-        images: dict[int, QmodZ] = {}
-        for ell, img in self.images:
-            a_old = self.prime_exponent(ell)
-            a_new = fac.get(ell, 0)
-            if a_new > a_old:
-                images[ell] = raise_unit_level(
-                    GroupCharacter(unit_group(ell, a_old), (img,)), a_new
-                ).images[0]
-            elif a_new < a_old:
-                old = GroupCharacter(unit_group(ell, a_old), (img,))
-                if character_conductor(old) > ell**a_new:
-                    raise ValueError(f"modulus {modulus} too small at {ell}")
-                g_old = unit_group(ell, a_old).labels[0].generator
-                g_new = unit_group(ell, a_new).labels[0].generator
-                e = unit_dlog(g_old, g_new % ell**a_old, ell**a_old)
-                images[ell] = e * img
-            else:
-                images[ell] = img
+        images = {
+            ell: at_unit_level(self.component(ell).base, ell, fac.get(ell, 0)).images[0]
+            for ell, _ in self.images
+        }
         return GlobalCharQ.from_images(self.residue_char, modulus, images)
 
     def __mul__(self, other: "GlobalCharQ") -> "GlobalCharQ":
@@ -198,10 +184,6 @@ def theta_power(residue_char: int, k: int, exponent: int = 1) -> GlobalCharQ:
     on (Z/residue_char^exponent)^*."""
     p = residue_char
     return GlobalCharQ.from_images(p, p**exponent, {p: QmodZ(k, p - 1)})
-
-
-def restrict_to_inertia(rho: GlobalCharQ, ell: int) -> ModCharacter:
-    return rho.component(ell)
 
 
 @dataclass(frozen=True)
@@ -315,28 +297,28 @@ class NecessityReport:
         return tuple(ell for ell, ok in self.per_prime if not ok)
 
 
-def _component_at_level(chi: GlobalCharQ, ell: int, a: int) -> ModCharacter:
-    comp = chi.component(ell)
-    if comp.group.rank == 0 and a > 0:
-        return ModCharacter(GroupCharacter.trivial(unit_group(ell, a)), chi.residue_char)
-    if a > chi.prime_exponent(ell):
-        return ModCharacter(raise_unit_level(comp.base, a), chi.residue_char)
-    return comp
+def _outside_lifts(
+    rho: GlobalCharQ, rho_prime: GlobalCharQ, p: int, q: int
+) -> Iterator[tuple[int, ModCharacter, ModCharacter, GroupCharacter | None]]:
+    """(ell, tau, tau', lift) for each prime ell of either modulus away from
+    p and q: the two inertia restrictions on a common unit group and their
+    simultaneous Artin lift, None when there is none."""
+    for ell in sorted(set(rho.support()) | set(rho_prime.support())):
+        if ell in (p, q):
+            continue
+        tau, tau2 = on_common_unit_group(ell, rho.component(ell), rho_prime.component(ell))
+        yield ell, tau, tau2, simultaneous_artin_lift(tau, tau2)
 
 
 def check_necessary(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> NecessityReport:
     """At every prime away from p and q, the two inertia restrictions must
     simultaneously lift; reports the verdict prime by prime."""
     p, q = _require_pair(rho, rho_prime)
-    results = []
-    for ell in sorted(set(rho.support()) | set(rho_prime.support())):
-        if ell in (p, q):
-            continue
-        a = max(rho.prime_exponent(ell), rho_prime.prime_exponent(ell))
-        tau = _component_at_level(rho, ell, a)
-        tau2 = _component_at_level(rho_prime, ell, a)
-        results.append((ell, simultaneous_artin_lift(tau, tau2) is not None))
-    return NecessityReport(tuple(results), all(ok for _, ok in results))
+    results = tuple(
+        (ell, lifted is not None)
+        for ell, _, _, lifted in _outside_lifts(rho, rho_prime, p, q)
+    )
+    return NecessityReport(results, all(ok for _, ok in results))
 
 
 @dataclass(frozen=True)
@@ -351,13 +333,7 @@ def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult
     mod-p and mod-q reductions absorb all outside ramification of the pair."""
     p, q = _require_pair(rho, rho_prime)
     eps_parts: dict[int, GroupCharacter] = {}
-    for ell in sorted(set(rho.support()) | set(rho_prime.support())):
-        if ell in (p, q):
-            continue
-        a = max(rho.prime_exponent(ell), rho_prime.prime_exponent(ell))
-        tau = _component_at_level(rho, ell, a)
-        tau2 = _component_at_level(rho_prime, ell, a)
-        lifted = simultaneous_artin_lift(tau, tau2)
+    for ell, tau, tau2, lifted in _outside_lifts(rho, rho_prime, p, q):
         if lifted is None:
             raise ValueError(f"pair admits no simultaneous lift at the prime {ell}")
         if not lifted.is_trivial():
@@ -498,20 +474,12 @@ def brute_force_oracle_q(
     thetas_p = [QmodZ(k, p - 1) for k in ks]
     thetas_q = [QmodZ(k, q - 1) for k in ks]
     for eps in enumerate_characters(grp_p):
-        e = (
-            raise_unit_level(eps, lvl_p).images[0]
-            if lvl_p > alpha_max
-            else eps.images[0]
-        )
+        e = at_unit_level(eps, p, lvl_p).images[0]
         e_mod_q = e.part_prime_to(q)
         if e_mod_q != target[2]:
             continue
         for eps_prime in enumerate_characters(grp_q):
-            e2 = (
-                raise_unit_level(eps_prime, lvl_q).images[0]
-                if lvl_q > beta_max
-                else eps_prime.images[0]
-            )
+            e2 = at_unit_level(eps_prime, q, lvl_q).images[0]
             if e2.part_prime_to(p) != target[1]:
                 continue
             for i, k in enumerate(ks):

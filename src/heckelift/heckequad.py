@@ -229,10 +229,6 @@ class CriterionReport:
         return self.certificate is not None
 
 
-def _place_label(place: Place) -> str:
-    return place.name
-
-
 def _certificate_local_char(
     place: Place, tame_power: int, psi: GroupCharacter | None
 ) -> GroupCharacter:
@@ -308,7 +304,7 @@ def criterion_decide(
             for entry, place, xi in zip(entries, places, xis):
                 eps = _certificate_local_char(place, entry.k - xi, entry.psi)
                 if not eps.is_trivial():
-                    local_chars.append((_place_label(place), eps))
+                    local_chars.append((place.name, eps))
                 wild_order = entry.psi.order() if entry.psi is not None else 1
                 tame_nontrivial = (entry.k - xi) % (place.residue_size - 1) != 0
                 if wild_order > 1:

@@ -23,13 +23,13 @@ from functools import lru_cache
 from .abchar import (
     GroupCharacter,
     ModCharacter,
-    raise_unit_level,
+    on_common_unit_group,
     reduce_mod,
     simultaneous_artin_lift,
     unit_dlog,
     unit_group,
 )
-from .exactnum import Congruence, QmodZ, crt_pair, is_prime, primitive_root
+from .exactnum import Congruence, QmodZ, crt_pair, glue_pq, is_prime, primitive_root
 
 __all__ = [
     "AlgebraicFrobValue",
@@ -179,10 +179,8 @@ class UnipotentRamified:
 LocalGaloisDatum = UnramifiedSemisimple | TamePrincipal | UnipotentRamified
 
 
-def _trivial_mod_char(ell: int, residue_char: int, exponent: int = 1) -> ModCharacter:
-    return ModCharacter(
-        GroupCharacter.trivial(unit_group(ell, exponent)), residue_char
-    )
+def _trivial_mod_char(ell: int, residue_char: int) -> ModCharacter:
+    return ModCharacter(GroupCharacter.trivial(unit_group(ell, 1)), residue_char)
 
 
 def wd_reduce(param: WDParam, ell: int, target: int) -> LocalGaloisDatum:
@@ -245,15 +243,14 @@ def _simultaneous_value(
     ell: int, target_p: QmodZ, p: int, target_q: QmodZ, q: int
 ) -> AlgebraicFrobValue | None:
     """An algebraic value zeta * ell^w whose reductions mod p and mod q hit
-    the two targets, if one exists."""
+    the two targets, if one exists.  Both targets are reductions (values of
+    value_mod), so target_p has no p-part and target_q no q-part."""
     L_p = residue_address(ell, p)
     L_q = residue_address(ell, q)
     for w in range(_value_search_bound(p, q)):
-        x = target_p - w * L_p
-        y = target_q - w * L_q
-        if x.part_prime_to_all((p, q)) != y.part_prime_to_all((p, q)):
+        zeta = glue_pq(target_p - w * L_p, p, target_q - w * L_q, q)
+        if zeta is None:
             continue
-        zeta = y.part_at(p) + x.part_at(q) + x.part_prime_to_all((p, q))
         value = AlgebraicFrobValue(zeta, w)
         if value.value_mod(ell, p) == target_p and value.value_mod(ell, q) == target_q:
             return value
@@ -273,7 +270,7 @@ def _match_steinberg(
 
     if isinstance(other, UnipotentRamified):
         inert = simultaneous_artin_lift(
-            *_on_common_group(
+            *on_common_unit_group(
                 ell, unipotent.frob_char_inertial, other.frob_char_inertial
             )
         )
@@ -291,7 +288,7 @@ def _match_steinberg(
         # must die mod q, and the eigenvalue ratio must reduce from ell^(+-1)
         trivial_q = _trivial_mod_char(ell, q)
         inert = simultaneous_artin_lift(
-            *_on_common_group(ell, unipotent.frob_char_inertial, trivial_q)
+            *on_common_unit_group(ell, unipotent.frob_char_inertial, trivial_q)
         )
         if inert is None:
             return None, "twist character is not trivialisable mod the unramified side"
@@ -316,7 +313,7 @@ def _match_steinberg(
             "nonzero monodromy reduces with equal diagonal inertial characters",
         )
     inert = simultaneous_artin_lift(
-        *_on_common_group(ell, unipotent.frob_char_inertial, other.inertials[0])
+        *on_common_unit_group(ell, unipotent.frob_char_inertial, other.inertials[0])
     )
     if inert is None:
         return None, "twist characters do not lift simultaneously"
@@ -337,23 +334,6 @@ def _match_steinberg(
     return None, "no algebraic twist value matches both sides"
 
 
-def _group_exponent(chi: ModCharacter) -> int:
-    return chi.group.labels[0].exponent if chi.group.rank else 0
-
-
-def _on_common_group(ell: int, a: ModCharacter, b: ModCharacter):
-    lvl = max(1, _group_exponent(a), _group_exponent(b))
-    return _at_level(ell, a, lvl), _at_level(ell, b, lvl)
-
-
-def _at_level(ell: int, chi: ModCharacter, lvl: int) -> ModCharacter:
-    if chi.group.rank == 0:
-        return _trivial_mod_char(ell, chi.residue_char, lvl)
-    if _group_exponent(chi) == lvl:
-        return chi
-    return ModCharacter(raise_unit_level(chi.base, lvl), chi.residue_char)
-
-
 def _match_principal(
     a: TamePrincipal, b: TamePrincipal
 ) -> tuple[WDParam | None, str | None]:
@@ -366,7 +346,7 @@ def _match_principal(
         ok = True
         for i in range(2):
             lifted = simultaneous_artin_lift(
-                *_on_common_group(ell, a.inertials[i], b.inertials[perm[i]])
+                *on_common_unit_group(ell, a.inertials[i], b.inertials[perm[i]])
             )
             if lifted is None:
                 ok = False
@@ -421,7 +401,7 @@ def _match_tame_against_ratio(
     trivial = _trivial_mod_char(ell, cq)
     inerts = []
     for chi in tame.inertials:
-        lifted = simultaneous_artin_lift(*_on_common_group(ell, chi, trivial))
+        lifted = simultaneous_artin_lift(*on_common_unit_group(ell, chi, trivial))
         if lifted is None:
             return (
                 None,
@@ -528,9 +508,14 @@ class Remark2Report:
 
 def remark2_check(ell: int, p: int, q: int) -> Remark2Report:
     """The pair (nontrivial unipotent inertia mod p, unramified mod q with
-    eigenvalue ratio -ell): under the hypotheses ell != +-1 mod p and mod q
-    it admits no common parameter, yet its restriction to the unramified
-    quadratic extension does.
+    eigenvalue ratio -ell), and its restriction to the unramified quadratic
+    extension, where a common parameter exists.
+
+    The hypotheses ell != +-1 mod p and mod q do not by themselves rule out
+    a common parameter for the pair.  Nonzero monodromy needs the ratio
+    ell^(+-1) mod q, and -ell = ell^-1 mod q exactly when ell^2 = -1 mod q.
+    Then the Steinberg parameter fits and the counterexample is not
+    confirmed, as at (ell, p, q) = (5, 7, 13).
     """
     for r in (ell, p, q):
         if r == 2 or not is_prime(r):

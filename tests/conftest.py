@@ -1,0 +1,83 @@
+"""Helpers shared by the test modules, offered as fixtures: the abelian
+groups of small order, and the exhaustive check of simultaneous Artin
+lifting against enumeration."""
+
+import itertools
+
+import pytest
+
+from heckelift.abchar import (
+    FinAbGroup,
+    GroupCharacter,
+    ModCharacter,
+    enumerate_characters,
+    simultaneous_artin_lift,
+)
+from heckelift.exactnum import QmodZ, factorize, prime_to_part
+
+
+def _partitions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        for rest in _partitions(n - first):
+            if not rest or first >= rest[0]:
+                yield (first,) + rest
+
+
+def _abelian_groups(max_order):
+    for n in range(2, max_order + 1):
+        per_prime = [
+            [tuple(prime**k for k in part) for part in _partitions(e)]
+            for prime, e in sorted(factorize(n).items())
+        ]
+        for combo in itertools.product(*per_prime):
+            yield tuple(sorted(itertools.chain.from_iterable(combo)))
+
+
+def _mod_characters(orders, ell):
+    # every mod-ell character, through its canonical prime-to-ell representative
+    group = FinAbGroup(orders)
+    return [
+        ModCharacter(GroupCharacter(group, imgs), ell)
+        for imgs in itertools.product(
+            *(
+                [QmodZ(k, prime_to_part(d, ell)) for k in range(prime_to_part(d, ell))]
+                for d in orders
+            )
+        )
+    ]
+
+
+def _artin_lift_sweep(p, q, max_order):
+    pairs = 0
+    for orders in _abelian_groups(max_order):
+        table = {}
+        for eps in enumerate_characters(FinAbGroup(orders)):
+            key = (eps.part_prime_to(p).images, eps.part_prime_to(q).images)
+            assert key not in table, "lift must be unique"
+            table[key] = eps
+        tau_primes = _mod_characters(orders, q)
+        for tau in _mod_characters(orders, p):
+            for tau_prime in tau_primes:
+                expected = table.get((tau.base.images, tau_prime.base.images))
+                assert simultaneous_artin_lift(tau, tau_prime) == expected
+                pairs += 1
+    return pairs
+
+
+@pytest.fixture
+def all_abelian_groups():
+    """all_abelian_groups(max_order) yields every isomorphism type of abelian
+    group of order 2..max_order, as a sorted tuple of primary cyclic orders."""
+    return _abelian_groups
+
+
+@pytest.fixture
+def artin_lift_sweep():
+    """artin_lift_sweep(p, q, max_order) checks simultaneous_artin_lift
+    against the table of all characters, reduced mod p and mod q, on every
+    abelian group of order at most max_order, over every pair of mod-p and
+    mod-q characters; it returns the number of pairs checked."""
+    return _artin_lift_sweep

@@ -1,51 +1,26 @@
-import itertools
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelift.abchar import (
     FinAbGroup,
     GroupCharacter,
     ModCharacter,
     UnitLabel,
+    at_unit_level,
     bezout_combine,
     character_conductor,
     enumerate_characters,
-    raise_unit_level,
+    on_common_unit_group,
     reduce_mod,
     simultaneous_artin_lift,
     unit_dlog,
     unit_group,
 )
-from heckelift.exactnum import QmodZ, prime_to_part
+from heckelift.exactnum import QmodZ
 
 
 def char(group, *pairs):
     return GroupCharacter(group, tuple(QmodZ(n, d) for n, d in pairs))
-
-
-def all_abelian_groups(max_order):
-    """Every isomorphism type of abelian group of order 2..max_order, as a
-    tuple of primary cyclic orders."""
-
-    def partitions(n):
-        if n == 0:
-            yield ()
-            return
-        for first in range(n, 0, -1):
-            for rest in partitions(n - first):
-                if not rest or first >= rest[0]:
-                    yield (first,) + rest
-
-    from heckelift.exactnum import factorize
-
-    for n in range(2, max_order + 1):
-        fac = factorize(n)
-        per_prime = []
-        for p, e in sorted(fac.items()):
-            per_prime.append([tuple(p**k for k in part) for part in partitions(e)])
-        for combo in itertools.product(*per_prime):
-            orders = tuple(sorted(itertools.chain.from_iterable(combo)))
-            yield orders
 
 
 class TestGroupCharacter:
@@ -98,7 +73,7 @@ class TestReduceMod:
                     if eps.order() % ell != 0:
                         assert red.base == eps
 
-    def test_order_multiplicativity(self):
+    def test_order_multiplicativity(self, all_abelian_groups):
         # killed ell-part times surviving order recovers the full order,
         # exhaustively over all groups of order <= 200
         for orders in all_abelian_groups(200):
@@ -143,39 +118,9 @@ class TestSimultaneousArtinLift:
         with pytest.raises(ValueError):
             simultaneous_artin_lift(t, t2)
 
-    def test_exhaustive_agreement_3_7(self):
+    def test_exhaustive_agreement_3_7(self, artin_lift_sweep):
         # remaining (p, q) pair; (3,5) and (5,7) run in the acceptance suite
-        p, q = 3, 7
-        for orders in all_abelian_groups(200):
-            g = FinAbGroup(orders)
-            table = {}
-            for eps in enumerate_characters(g):
-                key = (eps.part_prime_to(p).images, eps.part_prime_to(q).images)
-                assert key not in table, "lift must be unique"
-                table[key] = eps
-            taus = [
-                ModCharacter(GroupCharacter(g, imgs), p)
-                for imgs in itertools.product(
-                    *(
-                        [QmodZ(k, prime_to_part(d, p)) for k in range(prime_to_part(d, p))]
-                        for d in orders
-                    )
-                )
-            ]
-            tau2s = [
-                ModCharacter(GroupCharacter(g, imgs), q)
-                for imgs in itertools.product(
-                    *(
-                        [QmodZ(k, prime_to_part(d, q)) for k in range(prime_to_part(d, q))]
-                        for d in orders
-                    )
-                )
-            ]
-            for tau in taus:
-                for tau2 in tau2s:
-                    expected = table.get((tau.base.images, tau2.base.images))
-                    got = simultaneous_artin_lift(tau, tau2)
-                    assert got == expected
+        artin_lift_sweep(3, 7, 200)
 
 
 class TestBezoutCombine:
@@ -201,7 +146,7 @@ class TestBezoutCombine:
         with pytest.raises(ValueError):
             bezout_combine(t, t, 5, 1, 5, 2)
 
-    def test_round_trip_all_small_groups(self):
+    def test_round_trip_all_small_groups(self, all_abelian_groups):
         p, alpha, q, beta = 3, 1, 5, 1
         for orders in all_abelian_groups(200):
             g = FinAbGroup(orders)
@@ -273,7 +218,7 @@ class TestUnitGroups:
     def test_raise_unit_level(self):
         small = unit_group(5, 1)
         eps = char(small, (1, 4))
-        big = raise_unit_level(eps, 2)
+        big = at_unit_level(eps, 5, 2)
         assert big.group == unit_group(5, 2)
         # restriction back: evaluating the big character on elements that
         # reduce to the small generator agrees with the small character
@@ -284,3 +229,72 @@ class TestUnitGroups:
         # the pullback kills the kernel of (Z/25)^* -> (Z/5)^*
         kernel_exp = 4  # index of the order-5 kernel element g^4
         assert (5 * (kernel_exp * big.images[0])).is_zero()
+
+
+@st.composite
+def unit_characters(draw):
+    """(ell, c, eps) with eps a character of (Z/ell^c)^*, c = 0 allowed."""
+    ell = draw(st.sampled_from([3, 5, 7]))
+    c = draw(st.integers(0, 2))
+    group = unit_group(ell, c)
+    if c == 0:
+        return ell, c, GroupCharacter.trivial(group)
+    order = group.orders[0]
+    return ell, c, char(group, (draw(st.integers(0, order - 1)), order))
+
+
+class TestAtUnitLevel:
+    @given(unit_characters(), st.integers(0, 2))
+    def test_raise_then_lower_round_trip(self, drawn, extra):
+        ell, c, eps = drawn
+        raised = at_unit_level(eps, ell, c + extra)
+        assert raised.group == unit_group(ell, c + extra)
+        assert character_conductor(raised) == character_conductor(eps)
+        assert at_unit_level(raised, ell, c) == eps
+
+    @settings(deadline=None)
+    @given(unit_characters(), st.integers(0, 2))
+    def test_pullback_agrees_on_every_unit(self, drawn, extra):
+        # raised(g^k) = eps(g^k mod ell^c) for the generator g mod ell^(c + extra)
+        ell, c, eps = drawn
+        raised = at_unit_level(eps, ell, c + extra)
+        if not raised.group.rank:
+            return
+        g = raised.group.labels[0].generator
+        for k in range(raised.group.orders[0]):
+            u = pow(g, k, ell ** (c + extra))
+            expected = QmodZ(0, 1)
+            if c:
+                e = unit_dlog(eps.group.labels[0].generator, u % ell**c, ell**c)
+                expected = e * eps.images[0]
+            assert k * raised.images[0] == expected
+
+    @given(st.sampled_from([3, 5, 7]), st.integers(0, 3))
+    def test_trivial_group_input(self, ell, exponent):
+        trivial = GroupCharacter.trivial(unit_group(ell, 0))
+        moved = at_unit_level(trivial, ell, exponent)
+        assert moved == GroupCharacter.trivial(unit_group(ell, exponent))
+        assert at_unit_level(moved, ell, 0) == trivial
+
+    @given(unit_characters(), st.integers(0, 2))
+    def test_lowering_below_the_conductor_fails(self, drawn, exponent):
+        ell, c, eps = drawn
+        if character_conductor(eps) > ell**exponent:
+            with pytest.raises(ValueError):
+                at_unit_level(eps, ell, exponent)
+        else:
+            # pushing down to the conductor and pulling back is the identity
+            assert at_unit_level(at_unit_level(eps, ell, exponent), ell, c) == eps
+
+    def test_rejects_another_prime(self):
+        with pytest.raises(ValueError):
+            at_unit_level(char(unit_group(5, 1), (1, 4)), 7, 2)
+
+    def test_on_common_unit_group(self):
+        a = ModCharacter(char(unit_group(5, 2), (5, 20)), 3)
+        b = ModCharacter(GroupCharacter.trivial(unit_group(5, 0)), 7)
+        a2, b2 = on_common_unit_group(5, a, b)
+        assert a2 == a
+        assert b2 == ModCharacter(GroupCharacter.trivial(unit_group(5, 2)), 7)
+        a3, b3 = on_common_unit_group(5, b, b)
+        assert a3.group == b3.group == unit_group(5, 1)

@@ -4,21 +4,18 @@ Each test implements one acceptance criterion at its stated tolerance and
 prints one pass line (run with -s to see them).
 """
 
-import itertools
 import math
 import random
 import time
 from fractions import Fraction
 
 from heckelift.abchar import (
-    FinAbGroup,
     GroupCharacter,
     ModCharacter,
     enumerate_characters,
-    simultaneous_artin_lift,
     unit_group,
 )
-from heckelift.exactnum import QmodZ, factorize, is_prime, prime_to_part
+from heckelift.exactnum import QmodZ, is_prime
 from heckelift.heckeq import (
     GlobalCharQ,
     brute_force_oracle_q,
@@ -107,68 +104,10 @@ def test_criterion_2_round_trip_5_7():
     print("ACCEPTANCE 2 PASS: 500/500 random triples at (5, 7) round-trip")
 
 
-def _all_abelian_groups(max_order):
-    def partitions(n):
-        if n == 0:
-            yield ()
-            return
-        for first in range(n, 0, -1):
-            for rest in partitions(n - first):
-                if not rest or first >= rest[0]:
-                    yield (first,) + rest
-
-    for n in range(2, max_order + 1):
-        per_prime = []
-        for prime, e in sorted(factorize(n).items()):
-            per_prime.append(
-                [tuple(prime**k for k in part) for part in partitions(e)]
-            )
-        for combo in itertools.product(*per_prime):
-            yield tuple(sorted(itertools.chain.from_iterable(combo)))
-
-
-def _artin_lift_sweep(p, q, max_order):
-    groups = pairs = 0
-    for orders in _all_abelian_groups(max_order):
-        group = FinAbGroup(orders)
-        table = {}
-        for eps in enumerate_characters(group):
-            key = (eps.part_prime_to(p).images, eps.part_prime_to(q).images)
-            assert key not in table, "lift uniqueness violated"
-            table[key] = eps
-        taus = [
-            ModCharacter(GroupCharacter(group, imgs), p)
-            for imgs in itertools.product(
-                *(
-                    [QmodZ(k, prime_to_part(d, p)) for k in range(prime_to_part(d, p))]
-                    for d in orders
-                )
-            )
-        ]
-        tau_primes = [
-            ModCharacter(GroupCharacter(group, imgs), q)
-            for imgs in itertools.product(
-                *(
-                    [QmodZ(k, prime_to_part(d, q)) for k in range(prime_to_part(d, q))]
-                    for d in orders
-                )
-            )
-        ]
-        for tau in taus:
-            for tau_prime in tau_primes:
-                expected = table.get((tau.base.images, tau_prime.base.images))
-                got = simultaneous_artin_lift(tau, tau_prime)
-                assert got == expected
-                pairs += 1
-        groups += 1
-    return groups, pairs
-
-
-def test_criterion_3_artin_lift_exhaustive():
+def test_criterion_3_artin_lift_exhaustive(artin_lift_sweep):
     total_pairs = 0
     for p, q in ((3, 5), (5, 7)):
-        groups, pairs = _artin_lift_sweep(p, q, 200)
-        total_pairs += pairs
+        total_pairs += artin_lift_sweep(p, q, 200)
     print(
         f"ACCEPTANCE 3 PASS: lifting agrees with exhaustive enumeration on "
         f"every abelian group of order <= 200 for (3,5) and (5,7) "

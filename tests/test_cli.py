@@ -352,6 +352,16 @@ class TestLocalCompat:
         assert report["certificate"]["shape"] == "principal-series"
 
 
+class TestRemark2Check:
+    def test_order_four_boundary_case(self, tmp_path):
+        # 5^2 = -1 mod 13: the hypotheses hold, yet a Steinberg parameter fits
+        problem = {"version": 1, "ell": 5, "p": 7, "q": 13}
+        code, report = run_json(tmp_path, "remark2-check", problem)
+        assert code == 1
+        assert report["verdict"] == "no obstruction"
+        assert [d["ok"] for d in report["diagnostics"]] == [True, True, False, True]
+
+
 class TestTextOutput:
     def test_explain_renders_conditions(self, tmp_path):
         code, out = run_cli(

@@ -12,6 +12,7 @@ from heckelift.exactnum import (
     discrete_log,
     euler_phi,
     factorize,
+    glue_pq,
     is_prime,
     kronecker_symbol,
     prime_to_part,
@@ -75,6 +76,31 @@ class TestQmodZ:
     def test_scalar_multiple(self):
         assert 3 * QmodZ(1, 12) == QmodZ(1, 4)
         assert -1 * QmodZ(1, 5) == QmodZ(4, 5)
+
+
+class TestGluePq:
+    @given(
+        st.integers(1, 360),
+        st.integers(0, 359),
+        st.integers(0, 359),
+        st.booleans(),
+        st.sampled_from([(2, 3), (3, 2), (3, 5), (5, 7), (7, 3)]),
+    )
+    def test_matches_brute_force(self, n, a, b, one_source, pq):
+        # x and y drawn from one z half the time, so that a glue exists
+        p, q = pq
+        x = QmodZ(a, n).part_prime_to(p)
+        y = QmodZ(a if one_source else b, n).part_prime_to(q)
+        # a glue has order dividing lcm(x.den, y.den), which divides n
+        found = [
+            z
+            for z in (QmodZ(k, n) for k in range(n))
+            if z.part_prime_to(p) == x and z.part_prime_to(q) == y
+        ]
+        assert len(found) <= 1
+        assert glue_pq(x, p, y, q) == (found[0] if found else None)
+        if one_source:
+            assert found
 
 
 def self_val(n, p):

@@ -1,0 +1,53 @@
+"""The --json report of every sample problem in demos/problems/, run under
+the command it targets, must match its stored copy in tests/golden/ byte
+for byte.  The lift-q samples are also stored with --oracle, which runs the
+brute-force search as well."""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from heckelift.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "demos" / "problems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# sample -> (command it targets, exit code)
+TARGETS = {
+    "artin_lift": ("artin-lift", 0),
+    "class_group_1155": ("class-group", 0),
+    "counting_1155": ("counting-bound", 0),
+    "hasse_5_7": ("hasse-invariant", 0),
+    "lift_norm_cube": ("lift-q", 0),
+    "lift_parity_clash": ("lift-q", 1),
+    "lift_with_twist": ("lift-q", 0),
+    "local_compat_minus_ell": ("local-compat", 1),
+    "quadratic_trivial_pair": ("lift-quadratic", 0),
+    "remark2_3_5_7": ("remark2-check", 0),
+    "weight24": ("weight24-example", 0),
+    "weight_crt": ("weight-crt", 0),
+}
+
+CASES = [(stem, *target, "", ("--json",)) for stem, target in TARGETS.items()] + [
+    (stem, *target, ".oracle", ("--json", "--oracle"))
+    for stem, target in TARGETS.items()
+    if target[0] == "lift-q"
+]
+
+
+def test_every_sample_problem_has_a_target():
+    assert sorted(TARGETS) == sorted(path.stem for path in PROBLEMS.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "stem, command, exit_code, suffix, flags", CASES, ids=[c[0] + c[3] for c in CASES]
+)
+def test_report_matches_golden(stem, command, exit_code, suffix, flags):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([command, str(PROBLEMS / f"{stem}.json"), *flags])
+    assert code == exit_code
+    assert buf.getvalue() == (GOLDEN / f"{stem}{suffix}.json").read_text()

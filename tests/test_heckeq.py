@@ -17,7 +17,6 @@ from heckelift.heckeq import (
     decide_prop_q,
     extract_invariants,
     hecke_reductions,
-    restrict_to_inertia,
     theta_power,
     twist_to_unramified,
 )
@@ -63,16 +62,16 @@ class TestGlobalCharQ:
 class TestRestrictToInertia:
     def test_unramified_component_is_trivial(self):
         rho = gchar(3, 35, **{"5": "1/4"})
-        assert restrict_to_inertia(rho, 7).is_trivial()
+        assert rho.component(7).is_trivial()
 
     def test_cyclotomic_square(self):
         rho = theta_power(5, 2)
-        comp = restrict_to_inertia(rho, 5)
+        comp = rho.component(5)
         assert comp.base.images[0] == QmodZ(2, 4)
 
     def test_component_projection(self):
         rho = gchar(3, 175, **{"5": "1/20", "7": "1/2"})
-        comp = restrict_to_inertia(rho, 5)
+        comp = rho.component(5)
         assert comp.group == unit_group(5, 2)
         assert comp.base.images[0] == QmodZ(1, 20)
 

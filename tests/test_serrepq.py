@@ -326,7 +326,18 @@ class TestRemark2:
         rep = remark2_check(5, 7, 13)  # 5^2 = 25 = -1 mod 13
         assert rep.hypotheses_hold
         assert rep.compat.compatible
+        assert rep.compat.witness_kind == "steinberg"
         assert not rep.counterexample_confirmed
+
+    def test_joint_parameter_exactly_when_ell_squared_is_minus_one(self):
+        primes = [r for r in range(3, 30) if is_prime(r)]
+        for ell in primes:
+            for p in primes:
+                for q in primes:
+                    if len({ell, p, q}) == 3:
+                        rep = remark2_check(ell, p, q)
+                        assert rep.compat.compatible == (ell * ell % q == q - 1)
+                        assert rep.base_change_compatible
 
     def test_guards(self):
         with pytest.raises(ValueError):
