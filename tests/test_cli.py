@@ -1,7 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -111,6 +116,46 @@ class TestExitCodes:
         with redirect_stdout(buf):
             code = main(["lift-q", str(tmp_path / "absent.json"), "--json"])
         assert code == 2
+
+    def test_huge_discriminant_fails_fast(self, tmp_path):
+        # the bound is checked before |D| is factorised by trial division
+        start = time.perf_counter()
+        code, report = run_json(
+            tmp_path, "class-group", {"version": 1, "D": -1000000000000000003}
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert report["error"]["type"] == "precondition"
+        assert "class-group bound 10000000" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "name, broken",
+        [
+            # wrong Bezout coefficients break the discriminant of a composite
+            ("xgcd", "lambda a, b: (1, 0, 0)"),
+            # no primary factors: the invariant factors miss h
+            ("valuation", "lambda n, p: 0"),
+        ],
+    )
+    def test_class_group_checks_survive_optimize(self, tmp_path, name, broken):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"version": 1, "D": -1155}))
+        script = (
+            "import sys\n"
+            "from heckelift import cli, heckequad\n"
+            f"heckequad.{name} = {broken}\n"
+            f"sys.exit(cli.main(['class-group', {str(path)!r}, '--json']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 3, done.stderr
+        assert json.loads(done.stdout)["error"]["type"] == "internal"
 
     @pytest.mark.parametrize("precision", ["-3", "0", "1"])
     @pytest.mark.parametrize(

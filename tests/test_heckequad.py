@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelift.abchar import FinAbGroup, GroupCharacter
-from heckelift.exactnum import QmodZ
+from heckelift.exactnum import QmodZ, factorize
 from heckelift.heckequad import (
     SIGMA,
     SIGMA_BAR,
@@ -16,10 +17,114 @@ from heckelift.heckequad import (
     splitting_data,
     xi_values,
 )
-from heckelift.heckequad import _compose, _principal_form, _reduce_form
+from heckelift.heckequad import (
+    _compose,
+    _order,
+    _power,
+    _principal_form,
+    _reduce_form,
+)
 
 
 K1155 = ImagQuadField(-1155)
+
+
+def _is_fundamental(D):
+    try:
+        ImagQuadField(D)
+    except ValueError:
+        return False
+    return True
+
+
+def _fundamental_discriminants(bound):
+    """Every fundamental D with -bound <= D < -4."""
+    return [D for D in range(-5, -bound - 1, -1) if _is_fundamental(D)]
+
+
+def _is_reduced(form):
+    a, b, c = form
+    return -a < b <= a <= c and not (a == c and b < 0)
+
+
+def _orders_step_by_step(forms, D):
+    """The order of each form by composing one step at a time, about h^2
+    compositions in all: the reference for _order."""
+    identity = _principal_form(D)
+    orders = {}
+    for f in forms:
+        e, acc = 1, f
+        while acc != identity:
+            acc = _compose(acc, f, D)
+            e += 1
+        orders[f] = e
+    return orders
+
+
+def _primes_up_to(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def _kronecker_prime(D, p):
+    """(D|p) for a prime p: Euler's criterion, and D mod 8 at p = 2."""
+    if D % p == 0:
+        return 0
+    if p == 2:
+        return 1 if D % 8 in (1, 7) else -1
+    return 1 if pow(D, (p - 1) // 2, p) == 1 else -1
+
+
+_SWAP_SIGN = bytes.maketrans(b"\x01\x02", b"\x02\x01")
+
+
+def _class_number_formula(D, primes):
+    """h(D) = (2 - (D|2))^-1 * sum of (D|a) over 0 < a < |D|/2, for a
+    fundamental D < -4.
+
+    (D|a) is completely multiplicative in a, so it is built on [0, n] from
+    its values at the primes, held as bytes (1 for +1, 2 for -1): a prime
+    with (D|p) = -1 swaps the sign on the multiples of each power of p, one
+    with (D|p) = 0 zeroes its multiples.  The slices run in C, where a
+    symbol per a would be a Python loop over every a."""
+    n = (-D - 1) // 2
+    chi = bytearray([0]) + bytearray([1]) * n
+    for p in primes:
+        if p > n:
+            break
+        s = _kronecker_prime(D, p)
+        if s == 0:
+            chi[p::p] = bytes(len(range(p, n + 1, p)))
+        elif s == -1:
+            pk = p
+            while pk <= n:
+                chi[pk::pk] = chi[pk::pk].translate(_SWAP_SIGN)
+                pk *= p
+    total, denominator = chi.count(1) - chi.count(2), 2 - _kronecker_prime(D, 2)
+    assert total % denominator == 0
+    return total // denominator
+
+
+@st.composite
+def _form_triples(draw):
+    """A fundamental D with -D <= 10^5 and three of its reduced forms; half
+    the time the second's leading coefficient shares a factor with the
+    first's, so that pairs with gcd(a1, a2) > 1 are drawn often."""
+    D = -draw(st.integers(5, 10**5))
+    while not _is_fundamental(D):
+        D -= 1
+    forms = class_group(D).forms
+    f1 = draw(st.sampled_from(forms))
+    sharing = [f for f in forms if math.gcd(f[0], f1[0]) > 1]
+    if sharing and draw(st.booleans()):
+        f2 = draw(st.sampled_from(sharing))
+    else:
+        f2 = draw(st.sampled_from(forms))
+    return D, forms, f1, f2, draw(st.sampled_from(forms))
 
 
 class TestImagQuadField:
@@ -269,11 +374,62 @@ class TestClassGroup:
         with pytest.raises(ValueError):
             class_group(-100003, bound=10**4)
 
+    def test_large_cyclic(self):
+        grp = class_group(-999983)
+        assert grp.h == 1171
+        assert grp.invariant_factors == (1171,)
+        assert grp.exponent == 1171
+
+    def test_orders_match_step_by_step_composition(self):
+        for D in _fundamental_discriminants(3000):
+            grp = class_group(D)
+            ref = _orders_step_by_step(grp.forms, D)
+            primes = factorize(grp.h)
+            assert {f: _order(f, grp.h, primes, D) for f in grp.forms} == ref, D
+            assert grp.exponent == math.lcm(*ref.values()), D
+            # an abelian group is fixed by its number of solutions of x^m = 1
+            # for each m | h, which is prod gcd(m, d) over invariant factors d
+            for m in range(1, grp.h + 1):
+                if grp.h % m == 0:
+                    solutions = sum(1 for e in ref.values() if m % e == 0)
+                    expected = math.prod(
+                        math.gcd(m, d) for d in grp.invariant_factors
+                    )
+                    assert solutions == expected, (D, m)
+
+    def test_class_number_formula_and_genus_theory(self):
+        # independent of forms: Dirichlet's class number formula, and the
+        # 2-rank omega(D) - 1 of genus theory
+        primes = _primes_up_to(5000)
+        fields = _fundamental_discriminants(10**4)
+        assert len(fields) == 3041
+        for D in fields:
+            grp = class_group(D)
+            assert grp.h == _class_number_formula(D, primes), D
+            two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
+            assert two_rank == len(factorize(-D)) - 1, D
+
     def test_reduction_is_canonical(self):
         # disc(12, 11, 3) = -23: composing with the identity reduces in place
         assert _compose((12, 11, 3), _principal_form(-23), -23) == _reduce_form(
             12, 11, 3
         )
+
+
+class TestCompositionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_form_triples())
+    def test_group_law_on_reduced_forms(self, case):
+        D, forms, f1, f2, f3 = case
+        f12 = _compose(f1, f2, D)
+        a, b, c = f12
+        assert b * b - 4 * a * c == D
+        assert _is_reduced(f12) and f12 in forms
+        assert f12 == _compose(f2, f1, D)
+        assert _compose(f12, f3, D) == _compose(f1, _compose(f2, f3, D), D)
+        # (a, -b, c) is the inverse class: here gcd(a1, a2, s) = a1
+        assert _compose(f1, (f1[0], -f1[1], f1[2]), D) == _principal_form(D)
+        assert _power(f1, len(forms), D) == _principal_form(D)
 
 
 class TestCountingBound:
