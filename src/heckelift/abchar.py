@@ -278,7 +278,8 @@ def unit_group(ell: int, exponent: int) -> FinAbGroup:
         return FinAbGroup(())
     modulus = ell**exponent
     g = primitive_root(modulus)
-    return FinAbGroup((euler_phi(modulus),), (UnitLabel(ell, exponent, g),))
+    order = (ell - 1) * ell ** (exponent - 1)
+    return FinAbGroup((order,), (UnitLabel(ell, exponent, g),))
 
 
 def unit_dlog(generator: int, target: int, modulus: int) -> int:

@@ -3,8 +3,8 @@ reports out.
 
 Exit codes: 0 when the mathematical answer is positive (liftable,
 compatible, pass), 1 when it is negative (a valid answer, not an error),
-2 for invalid input, 3 for an internal assertion failure or an oracle
-mismatch under --oracle.
+2 for invalid input, 3 for an internal failure (a failed internal check or
+any other exception) or an oracle mismatch under --oracle.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .heckequad import (
     ImagQuadField,
     PlaceLocal,
     QuadLocalData,
+    check_class_group_bound,
     class_group,
     counting_bound,
     criterion_decide,
@@ -430,6 +431,9 @@ def _run_class_group(problem: dict, args) -> CommandOutcome:
 
 
 def _run_counting_bound(problem: dict, args) -> CommandOutcome:
+    # counting needs the class group, so its bound is checked before the
+    # field's discriminant test factorises D
+    check_class_group_bound(problem["D"])
     rep = counting_bound(ImagQuadField(problem["D"]), problem["p"], problem["q"])
     detail = (
         f"alpha^2 h = {rep.lift_bound} "
@@ -665,7 +669,8 @@ def main(argv=None) -> int:
 
     try:
         problem = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's stack
         _emit(error_report("parse", str(exc)), args.json)
         return 2
 
@@ -690,6 +695,10 @@ def main(argv=None) -> int:
         return 2
     except AssertionError as exc:
         _emit(error_report("internal", str(exc)), args.json)
+        return 3
+    except Exception as exc:
+        # any other escape is a bug, not an answer: exit 1 means "no"
+        _emit(error_report("internal", f"{type(exc).__name__}: {exc}"), args.json)
         return 3
 
     report = {

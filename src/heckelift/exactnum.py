@@ -26,6 +26,7 @@ __all__ = [
     "xgcd",
     "inv_mod",
     "is_prime",
+    "PRIME_TEST_BOUND",
     "factorize",
     "euler_phi",
     "valuation",
@@ -55,18 +56,56 @@ def inv_mod(a: int, m: int) -> int:
     return x % m
 
 
+# (bound, k): the first k primes as Miller-Rabin bases decide every n below
+# bound; each bound is the least strong pseudoprime to those k bases
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
+PRIME_TEST_BOUND = _MR_BOUNDS[-1][0]
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n below PRIME_TEST_BOUND (about 3.3e24):
+    trial division by the bases, then strong probable-prime tests to as many
+    of them as the size of n requires.  n >= PRIME_TEST_BOUND raises
+    ValueError."""
     if n < 2:
         return False
-    if n < 4:
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} exceeds the primality-test bound {PRIME_TEST_BOUND}")
+    if math.gcd(n, _MR_BASES_PRODUCT) != 1:
+        return n in _MR_BASES
+    if n < 43 * 43:  # a composite prime to the bases is at least 43^2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            break
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -300,6 +339,7 @@ def bernoulli(k: int, max_index: int = 100) -> Fraction:
     return _bernoulli_even(k // 2)
 
 
+@lru_cache(maxsize=1 << 12)
 def primitive_root(m: int) -> int:
     """Smallest primitive root modulo an odd prime power m."""
     fac = factorize(m)

@@ -16,7 +16,7 @@ eps * eps' * Nm^k together with an internal re-verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .abchar import (
@@ -60,12 +60,25 @@ __all__ = [
 ORACLE_BOUND = 10**7
 
 
-def _validate_odd_modulus(modulus: int) -> dict[int, int]:
+def _validate_odd_modulus(modulus: int) -> None:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if modulus % 2 == 0:
         raise ValueError("only odd moduli are supported (2 never ramifies here)")
-    return factorize(modulus)
+
+
+def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
+    """factorize(modulus) for a valid odd modulus, dividing out the primes
+    among known first so that trial division sees only the rest."""
+    _validate_odd_modulus(modulus)
+    fac: dict[int, int] = {}
+    rest = modulus
+    for ell in known:
+        if ell > 1 and rest % ell == 0 and is_prime(ell):
+            fac[ell] = valuation(rest, ell)
+            rest //= ell ** fac[ell]
+    fac.update(factorize(rest))
+    return dict(sorted(fac.items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +93,16 @@ class GlobalCharQ:
     residue_char: int
     modulus: int
     images: tuple[tuple[int, QmodZ], ...]
+    # the factorisation of modulus, {prime: exponent} in increasing order
+    factors: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not is_prime(self.residue_char) or self.residue_char == 2:
             raise ValueError("residue characteristic must be an odd prime")
-        fac = _validate_odd_modulus(self.modulus)
+        fac = _factor_modulus(
+            self.modulus, [self.residue_char] + [ell for ell, _ in self.images]
+        )
+        object.__setattr__(self, "factors", fac)
         seen: dict[int, QmodZ] = {}
         for ell, img in self.images:
             if ell not in fac:
@@ -114,7 +132,7 @@ class GlobalCharQ:
         return cls(residue_char, modulus, ())
 
     def prime_exponent(self, ell: int) -> int:
-        return valuation(self.modulus, ell) if self.modulus % ell == 0 else 0
+        return self.factors.get(ell, 0)
 
     def image_at(self, ell: int) -> QmodZ:
         for p, img in self.images:
@@ -123,7 +141,7 @@ class GlobalCharQ:
         return QmodZ(0, 1)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(factorize(self.modulus)))
+        return tuple(self.factors)
 
     def ramified_primes(self) -> tuple[int, ...]:
         return tuple(ell for ell, _ in self.images)
@@ -141,9 +159,11 @@ class GlobalCharQ:
     def with_modulus(self, modulus: int) -> "GlobalCharQ":
         """Re-present relative to another modulus.  Raising a level pulls the
         component back; lowering is legal only down to the conductor."""
-        fac = _validate_odd_modulus(modulus)
+        _validate_odd_modulus(modulus)
         images = {
-            ell: at_unit_level(self.component(ell).base, ell, fac.get(ell, 0)).images[0]
+            ell: at_unit_level(
+                self.component(ell).base, ell, valuation(modulus, ell)
+            ).images[0]
             for ell, _ in self.images
         }
         return GlobalCharQ.from_images(self.residue_char, modulus, images)
@@ -154,7 +174,7 @@ class GlobalCharQ:
         modulus = math.lcm(self.modulus, other.modulus)
         a = self.with_modulus(modulus)
         b = other.with_modulus(modulus)
-        images = {ell: a.image_at(ell) + b.image_at(ell) for ell in factorize(modulus)}
+        images = {ell: a.image_at(ell) + b.image_at(ell) for ell in a.factors}
         return GlobalCharQ.from_images(self.residue_char, modulus, images)
 
     def inverse(self) -> "GlobalCharQ":
@@ -202,13 +222,17 @@ class LocalInvariantsQ:
     psi_q: GroupCharacter
 
     def __post_init__(self):
-        assert self.A_p == prime_to_part(self.p - 1, self.q)
-        assert self.B_q == prime_to_part(self.q - 1, self.p)
-        assert self.a_p.modulus == self.A_p and self.b_q.modulus == self.B_q
-        if self.psi_prime_p.order() != 1:
-            assert set(factorize(self.psi_prime_p.order())) == {self.p}
-        if self.psi_q.order() != 1:
-            assert set(factorize(self.psi_q.order())) == {self.q}
+        if self.A_p != prime_to_part(self.p - 1, self.q):
+            raise AssertionError(f"A_p = {self.A_p} is not the prime-to-q part of p - 1")
+        if self.B_q != prime_to_part(self.q - 1, self.p):
+            raise AssertionError(f"B_q = {self.B_q} is not the prime-to-p part of q - 1")
+        if self.a_p.modulus != self.A_p:
+            raise AssertionError(f"a_p is taken modulo {self.a_p.modulus}, not A_p")
+        if self.b_q.modulus != self.B_q:
+            raise AssertionError(f"b_q is taken modulo {self.b_q.modulus}, not B_q")
+        for ell, psi in ((self.p, self.psi_prime_p), (self.q, self.psi_q)):
+            if psi.order() != ell ** valuation(psi.order(), ell):
+                raise AssertionError(f"wild part at {ell} has order {psi.order()}")
 
 
 @dataclass(frozen=True)
@@ -263,7 +287,8 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
 
     # rho at its own prime is tame: a power of the cyclotomic character
     k_p_val = discrete_log(rho.image_at(p), QmodZ(1, p - 1))
-    assert k_p_val is not None, "mod-p character is automatically tame at p"
+    if k_p_val is None:
+        raise AssertionError("mod-p character is automatically tame at p")
 
     # rho' at p: the p-primary component is the wild part, the rest gives a_p
     y = rho_prime.image_at(p)
@@ -272,7 +297,8 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
     a_p = _tame_exponent(y.part_prime_to(p), p, q)
 
     k_q_val = discrete_log(rho_prime.image_at(q), QmodZ(1, q - 1))
-    assert k_q_val is not None
+    if k_q_val is None:
+        raise AssertionError("mod-q character is automatically tame at q")
 
     y2 = rho.image_at(q)
     beta = max(1, rho.prime_exponent(q))
@@ -338,8 +364,10 @@ def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult
             raise ValueError(f"pair admits no simultaneous lift at the prime {ell}")
         if not lifted.is_trivial():
             eps_parts[ell] = lifted
-            assert lifted.part_prime_to(p).images == tau.base.images
-            assert lifted.part_prime_to(q).images == tau2.base.images
+            if lifted.part_prime_to(p).images != tau.base.images:
+                raise AssertionError(f"twist at {ell} does not reduce to rho mod {p}")
+            if lifted.part_prime_to(q).images != tau2.base.images:
+                raise AssertionError(f"twist at {ell} does not reduce to rho' mod {q}")
 
     def strip(chi: GlobalCharQ) -> GlobalCharQ:
         modulus = 1
@@ -427,7 +455,8 @@ def decide_prop_q(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> PropQResult | Non
     eps_prime = _certificate_char(q, beta, inv.k_q.residue - k0, inv.psi_q)
 
     red_p, red_q = hecke_reductions(eps, eps_prime, k0, p, q)
-    assert red_p == rho and red_q == rho_prime, "certificate failed re-verification"
+    if red_p != rho or red_q != rho_prime:
+        raise AssertionError("certificate failed re-verification")
 
     cert = HeckeCertificate(
         infinity_type=(("id", k0),),

@@ -16,7 +16,6 @@ search across the two characteristics leans on that freedom.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +28,15 @@ from .abchar import (
     unit_dlog,
     unit_group,
 )
-from .exactnum import Congruence, QmodZ, crt_pair, glue_pq, is_prime, primitive_root
+from .exactnum import (
+    Congruence,
+    QmodZ,
+    crt_pair,
+    discrete_log,
+    glue_pq,
+    is_prime,
+    primitive_root,
+)
 
 __all__ = [
     "AlgebraicFrobValue",
@@ -235,26 +242,36 @@ class CompatReport:
     alternatives: tuple[str, ...] = ()
 
 
-def _value_search_bound(p: int, q: int) -> int:
-    return math.lcm(p - 1, q - 1)
-
-
 def _simultaneous_value(
     ell: int, target_p: QmodZ, p: int, target_q: QmodZ, q: int
 ) -> AlgebraicFrobValue | None:
-    """An algebraic value zeta * ell^w whose reductions mod p and mod q hit
-    the two targets, if one exists.  Both targets are reductions (values of
-    value_mod), so target_p has no p-part and target_q no q-part."""
+    """The algebraic value zeta * ell^w of least weight w >= 0 whose
+    reductions mod p and mod q hit the two targets, if one exists.
+
+    Write L_r for residue_address(ell, r) and pi for the prime-to-pq part
+    in Q/Z.  A target_p with a p-part, or a target_q with a q-part, is hit
+    by no reduction.  Otherwise zeta exists at w exactly when
+    target_p - w*L_p and target_q - w*L_q agree away from p and q, that is
+    when w * pi(L_p - L_q) = pi(target_p - target_q); the least such w is
+    a discrete log and is below lcm(p-1, q-1).  zeta glues the two.
+    """
+    if not target_p.part_at(p).is_zero() or not target_q.part_at(q).is_zero():
+        return None
     L_p = residue_address(ell, p)
     L_q = residue_address(ell, q)
-    for w in range(_value_search_bound(p, q)):
-        zeta = glue_pq(target_p - w * L_p, p, target_q - w * L_q, q)
-        if zeta is None:
-            continue
+
+    def pi(x: QmodZ) -> QmodZ:
+        return x - x.part_at(p) - x.part_at(q)
+
+    w = discrete_log(pi(target_p - target_q), pi(L_p - L_q))
+    if w is None:
+        return None
+    zeta = glue_pq(target_p - w * L_p, p, target_q - w * L_q, q)
+    if zeta is not None:
         value = AlgebraicFrobValue(zeta, w)
         if value.value_mod(ell, p) == target_p and value.value_mod(ell, q) == target_q:
             return value
-    return None
+    raise AssertionError(f"weight {w} does not reduce to both targets at {ell}")
 
 
 def _match_steinberg(

@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from heckelift import cli
 from heckelift.cli import main
 
 
@@ -92,12 +93,13 @@ class TestLiftQ:
 class TestExitCodes:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = main(["lift-q", str(path), "--json"])
-        assert code == 2
-        assert json.loads(buf.getvalue())["error"]["type"] == "parse"
+        for text in ["{not json", "[" * 100_000]:
+            path.write_text(text)
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(["lift-q", str(path), "--json"])
+            assert code == 2
+            assert json.loads(buf.getvalue())["error"]["type"] == "parse"
 
     def test_unknown_field_rejected(self, tmp_path):
         problem = dict(NORM_CUBE, surprise=1)
@@ -119,14 +121,16 @@ class TestExitCodes:
 
     def test_huge_discriminant_fails_fast(self, tmp_path):
         # the bound is checked before |D| is factorised by trial division
-        start = time.perf_counter()
-        code, report = run_json(
-            tmp_path, "class-group", {"version": 1, "D": -1000000000000000003}
-        )
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert report["error"]["type"] == "precondition"
-        assert "class-group bound 10000000" in report["error"]["message"]
+        for command, problem in [
+            ("class-group", {"version": 1, "D": -1000000000000000003}),
+            ("counting-bound", {"version": 1, "D": -1000000000000000003, "p": 17, "q": 19}),
+        ]:
+            start = time.perf_counter()
+            code, report = run_json(tmp_path, command, problem)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2
+            assert report["error"]["type"] == "precondition"
+            assert "class-group bound 10000000" in report["error"]["message"]
 
     @pytest.mark.parametrize(
         "name, broken",
@@ -156,6 +160,45 @@ class TestExitCodes:
         )
         assert done.returncode == 3, done.stderr
         assert json.loads(done.stdout)["error"]["type"] == "internal"
+
+    def test_certificate_check_survives_optimize(self, tmp_path):
+        # reductions that miss the pair must fail the certificate re-check
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(NORM_CUBE))
+        script = (
+            "import sys\n"
+            "from heckelift import cli, heckeq\n"
+            "heckeq.hecke_reductions = lambda eps, eps_prime, k, p, q: (\n"
+            "    heckeq.GlobalCharQ.trivial(p), heckeq.GlobalCharQ.trivial(q))\n"
+            f"sys.exit(cli.main(['lift-q', {str(path)!r}, '--json']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 3, done.stderr
+        error = json.loads(done.stdout)["error"]
+        assert error == {
+            "type": "internal",
+            "message": "certificate failed re-verification",
+        }
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (lambda: 1 // 0, "ZeroDivisionError: integer division or modulo by zero"),
+            (lambda: {}["D"], "KeyError: 'D'"),
+        ],
+    )
+    def test_any_exception_is_internal(self, tmp_path, monkeypatch, broken, message):
+        monkeypatch.setitem(cli.HANDLERS, "class-group", lambda problem, args: broken())
+        code, report = run_json(tmp_path, "class-group", {"version": 1, "D": -1155})
+        assert code == 3
+        assert report["error"] == {"type": "internal", "message": message}
 
     @pytest.mark.parametrize("precision", ["-3", "0", "1"])
     @pytest.mark.parametrize(
@@ -310,6 +353,35 @@ class TestArtinLift:
         assert code == 1
 
 
+    def test_huge_prime_decided_fast(self, tmp_path):
+        problem = {
+            "version": 1,
+            "p": 5,
+            "q": 10**18 + 3,
+            "group": [21],
+            "tau": ["1/21"],
+            "tau_prime": ["15/21"],
+        }
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "artin-lift", problem)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert report["verdict"] == "not liftable"
+
+    def test_prime_above_the_test_bound_rejected(self, tmp_path):
+        problem = {
+            "version": 1,
+            "p": 5,
+            "q": 10**25 + 13,
+            "group": [21],
+            "tau": ["1/21"],
+            "tau_prime": ["15/21"],
+        }
+        code, report = run_json(tmp_path, "artin-lift", problem)
+        assert code == 2
+        assert "primality-test bound" in report["error"]["message"]
+
+
 class TestQuadratic:
     def test_paper_shape_accepts(self, tmp_path):
         problem = {
@@ -395,6 +467,25 @@ class TestLocalCompat:
         code, report = run_json(tmp_path, "local-compat", problem)
         assert code == 0
         assert report["certificate"]["shape"] == "principal-series"
+
+
+    def test_incompatible_ratios_at_large_primes_fail_fast(self, tmp_path):
+        problem = {
+            "version": 1,
+            "ell": 3,
+            "p": 1009,
+            "q": 1013,
+            "datum": {"type": "unramified", "ratio": {"zeta": "1/5", "weight": 0}},
+            "datum_prime": {
+                "type": "unramified",
+                "ratio": {"zeta": "1/7", "weight": 0},
+            },
+        }
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "local-compat", problem)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert report["verdict"] == "incompatible"
 
 
 class TestRemark2Check:

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckelift.exactnum import (
+    _MR_BASES,
+    _MR_BOUNDS,
+    PRIME_TEST_BOUND,
     Congruence,
     QmodZ,
     bernoulli,
@@ -217,6 +220,72 @@ class TestBernoulli:
 
     def test_denominator_matches_von_staudt(self):
         assert bernoulli(12).denominator == 2730  # product of p with (p-1) | 12
+
+
+def is_strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+class TestIsPrime:
+    def test_agrees_with_sieve(self):
+        n = 300_000
+        sieve = bytearray([1]) * n
+        sieve[0] = sieve[1] = 0
+        for i in range(2, math.isqrt(n) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(range(i * i, n, i)))
+        assert [m for m in range(n) if is_prime(m)] == [
+            m for m in range(n) if sieve[m]
+        ]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,
+            1373653,
+            25326001,
+            3215031751,
+            3825123056546413051,
+            318665857834031151167461,
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_each_bound_fools_the_bases_used_below_it(self):
+        # every bound is a composite that passes the strong test to all the
+        # bases used below it, so none of the bounds can be raised
+        factors = {
+            2047: (23, 89),
+            1373653: (829, 1657),
+            25326001: (2251, 11251),
+            3215031751: (151, 751, 28351),
+            2152302898747: (6763, 10627, 29947),
+            3474749660383: (1303, 16927, 157543),
+            341550071728321: (10670053, 32010157),
+            3825123056546413051: (149491, 747451, 34233211),
+            318665857834031151167461: (399165290221, 798330580441),
+            3317044064679887385961981: (1287836182261, 2575672364521),
+        }
+        assert [bound for bound, _ in _MR_BOUNDS] == list(factors)
+        for bound, k in _MR_BOUNDS:
+            assert math.prod(factors[bound]) == bound
+            assert all(is_strong_probable_prime(bound, a) for a in _MR_BASES[:k])
+
+    def test_large_primes(self):
+        assert is_prime(10**18 + 3)
+        assert is_prime(2**61 - 1)
+        assert not is_prime((2**31 - 1) * (10**9 + 7))
+
+    def test_rejects_numbers_above_the_bound(self):
+        assert not is_prime(PRIME_TEST_BOUND - 1)  # divisible by 3
+        with pytest.raises(ValueError, match=str(PRIME_TEST_BOUND)):
+            is_prime(PRIME_TEST_BOUND)
 
 
 class TestHelpers:

@@ -2,13 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelift.abchar import (
     GroupCharacter,
     enumerate_characters,
     unit_group,
 )
-from heckelift.exactnum import Congruence, QmodZ
+from heckelift.exactnum import Congruence, QmodZ, factorize
 from heckelift.heckeq import (
     GlobalCharQ,
     brute_force_oracle_q,
@@ -57,6 +58,59 @@ class TestGlobalCharQ:
         assert prod.image_at(5) == QmodZ(1, 2)
         assert prod.image_at(7) == QmodZ(1, 2)
         assert (a * a.inverse()) == GlobalCharQ.trivial(3)
+
+
+SMALL_ODD_PRIMES = [3, 5, 7, 11, 13]
+
+
+@st.composite
+def pairs_with_common_outside_images(draw):
+    """(rho mod p, rho' mod q) whose images are one drawn image per prime
+    reduced mod p and mod q, so the pair twists to unramified; a modulus
+    may also carry primes without an image (23, 29 * 31, or its own p)."""
+    p, q = draw(st.lists(st.sampled_from(SMALL_ODD_PRIMES), min_size=2, max_size=2, unique=True))
+    exponents = draw(
+        st.dictionaries(st.sampled_from(SMALL_ODD_PRIMES + [17]), st.integers(1, 2), max_size=3)
+    )
+    common = {}
+    for ell, a in exponents.items():
+        phi = (ell - 1) * ell ** (a - 1)
+        if draw(st.booleans()):
+            common[ell] = QmodZ(draw(st.integers(0, phi - 1)), phi)
+    pair = []
+    for r in (p, q):
+        modulus = math.prod(ell**a for ell, a in exponents.items())
+        modulus *= draw(st.sampled_from([1, r, 23, 29 * 31]))
+        images = {ell: z.part_prime_to(r) for ell, z in common.items()}
+        pair.append(GlobalCharQ.from_images(r, modulus, images))
+    return tuple(pair)
+
+
+def assert_factors_stored(chi):
+    assert chi.factors == factorize(chi.modulus)
+    assert chi.support() == tuple(sorted(factorize(chi.modulus)))
+
+
+class TestStoredFactorisation:
+    @settings(max_examples=100, deadline=None)
+    @given(pairs_with_common_outside_images())
+    def test_equals_factorize_through_every_construction(self, pair):
+        rho, rho_prime = pair
+        p = rho.residue_char
+        assert_factors_stored(rho)
+        assert_factors_stored(rho_prime)
+        raised = rho.with_modulus(rho.modulus * rho_prime.modulus)
+        assert_factors_stored(raised)
+        assert raised == rho
+        for other in (rho, theta_power(p, 1), raised.inverse()):
+            assert_factors_stored(rho * other)
+        tw = twist_to_unramified(rho, rho_prime)
+        assert_factors_stored(tw.twisted)
+        assert_factors_stored(tw.twisted_prime)
+
+    def test_prime_exponent(self):
+        rho = gchar(5, 3 * 5**2 * 7**3, **{"5": "1/4"})
+        assert [rho.prime_exponent(ell) for ell in (3, 5, 7, 11)] == [1, 2, 3, 0]
 
 
 class TestRestrictToInertia:

@@ -1,4 +1,8 @@
+import math
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelift.abchar import (
     GroupCharacter,
@@ -7,8 +11,9 @@ from heckelift.abchar import (
     reduce_mod,
     unit_group,
 )
-from heckelift.exactnum import Congruence, QmodZ, is_prime
+from heckelift.exactnum import Congruence, QmodZ, glue_pq, is_prime
 from heckelift.serrepq import (
+    _simultaneous_value,
     AlgebraicFrobValue,
     QuasiChar,
     Reducible,
@@ -124,6 +129,78 @@ class TestWdReduce:
                         assert expected.is_trivial()
                     else:
                         assert got.inertials[0].base == expected.base
+
+
+def scan_simultaneous_value(ell, target_p, p, target_q, q):
+    """The reference weight search: the first w < lcm(p-1, q-1) at which
+    the two targets glue and both reductions hit them."""
+    L_p = residue_address(ell, p)
+    L_q = residue_address(ell, q)
+    for w in range(math.lcm(p - 1, q - 1)):
+        zeta = glue_pq(target_p - w * L_p, p, target_q - w * L_q, q)
+        if zeta is None:
+            continue
+        value = AlgebraicFrobValue(zeta, w)
+        if value.value_mod(ell, p) == target_p and value.value_mod(ell, q) == target_q:
+            return value
+    return None
+
+
+ODD_PRIMES_BELOW_110 = [r for r in range(3, 110) if is_prime(r)]
+# small primes often divide r - 1 for another r, which gives L_r a q-part
+odd_primes = st.one_of(
+    st.sampled_from([3, 5, 7, 13]), st.sampled_from(ODD_PRIMES_BELOW_110)
+)
+
+frob_values = st.builds(
+    AlgebraicFrobValue,
+    st.builds(QmodZ, st.integers(0, 239), st.integers(1, 240)),
+    st.integers(-4, 4),
+)
+
+
+class TestSimultaneousValue:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(odd_primes, min_size=3, max_size=3, unique=True),
+        st.sampled_from(["one value", "two values", "stray part", "arbitrary"]),
+        frob_values,
+        frob_values,
+    )
+    def test_matches_the_weight_scan(self, primes, kind, a, b):
+        ell, p, q = primes
+        if kind == "stray part":
+            # a p-part mod p, or a q-part mod q, is no reduction's value
+            target_p = a.value_mod(ell, p) + QmodZ(b.weight % 2, p)
+            target_q = a.value_mod(ell, q) + QmodZ(b.weight // 2 % 2, q)
+        elif kind == "arbitrary":
+            target_p, target_q = a.zeta, b.zeta
+        else:
+            target_p = a.value_mod(ell, p)
+            target_q = (a if kind == "one value" else b).value_mod(ell, q)
+        got = _simultaneous_value(ell, target_p, p, target_q, q)
+        assert got == scan_simultaneous_value(ell, target_p, p, target_q, q)
+        if kind == "one value":
+            assert got is not None and got.weight <= a.weight % math.lcm(p - 1, q - 1)
+
+    def test_large_primes(self):
+        value = AlgebraicFrobValue(QmodZ(1, 15), 12345)
+        start = time.perf_counter()
+        got = _simultaneous_value(
+            3, value.value_mod(3, 10007), 10007, value.value_mod(3, 10009), 10009
+        )
+        assert time.perf_counter() - start < 1.0
+        assert got.value_mod(3, 10007) == value.value_mod(3, 10007)
+        assert got.value_mod(3, 10009) == value.value_mod(3, 10009)
+        assert got.weight < math.lcm(10006, 10008)
+
+    def test_incompatible_ratios_at_large_primes_fail_fast(self):
+        # no weight below lcm(1008, 1012) = 255024 fits; trying each takes seconds
+        start = time.perf_counter()
+        rep = local_compat(unramified(3, 1009, 1, 5, 0), unramified(3, 1013, 1, 7, 0))
+        assert time.perf_counter() - start < 1.0
+        assert not rep.compatible
+        assert rep.reason == "eigenvalue ratios admit no common algebraic value"
 
 
 class TestLocalCompat:
