@@ -15,52 +15,19 @@ import json
 import math
 import sys
 from importlib import resources
-
-import jsonschema
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .abchar import (
-    FinAbGroup,
-    GroupCharacter,
-    ModCharacter,
-    character_conductor,
-    enumerate_characters,
-    reduce_mod,
-    simultaneous_artin_lift,
-    unit_group,
-)
-from .exactnum import Congruence, QmodZ, factorize, valuation
-from .heckeq import (
-    GlobalCharQ,
-    HeckeCertificate,
-    brute_force_oracle_q,
-    check_necessary,
-    conductor_bound,
-    decide_prop_q,
-    extract_invariants,
-    twist_to_unramified,
-)
-from .heckequad import (
-    ImagQuadField,
-    PlaceLocal,
-    QuadLocalData,
-    check_class_group_bound,
-    class_group,
-    counting_bound,
-    criterion_decide,
-    splitting_data,
-)
-from .qseries import hasse_invariant_check, weight24_example
-from .serrepq import (
-    AlgebraicFrobValue,
-    Steinberg,
-    TamePrincipal,
-    UnipotentRamified,
-    UnramifiedSemisimple,
-    local_compat,
-    remark2_check,
-    weight_crt,
-)
+from .schema import ValidationError, validate
+
+# The library modules are imported inside the handlers that use them, so
+# one command loads only its own share of the package; these names serve
+# the annotations alone.
+if TYPE_CHECKING:
+    from .abchar import GroupCharacter
+    from .exactnum import QmodZ
+    from .heckeq import GlobalCharQ, HeckeCertificate
+    from .serrepq import AlgebraicFrobValue
 
 COMMANDS = (
     "lift-q",
@@ -121,6 +88,8 @@ def _frob_json(value: AlgebraicFrobValue) -> dict:
 
 
 def _witness_json(param) -> dict:
+    from .serrepq import Steinberg
+
     if isinstance(param, Steinberg):
         return {
             "shape": "steinberg",
@@ -144,15 +113,25 @@ def _witness_json(param) -> dict:
 
 
 def _parse_character(payload: dict, residue_char: int) -> GlobalCharQ:
+    from .exactnum import QmodZ
+    from .heckeq import GlobalCharQ
+
     images = {int(k): QmodZ.from_str(v) for k, v in payload["images"].items()}
     return GlobalCharQ.from_images(residue_char, payload["modulus"], images)
 
 
 def _parse_frob(payload: dict) -> AlgebraicFrobValue:
+    from .exactnum import QmodZ
+    from .serrepq import AlgebraicFrobValue
+
     return AlgebraicFrobValue(QmodZ.from_str(payload["zeta"]), payload["weight"])
 
 
 def _parse_datum(payload: dict, ell: int, residue_char: int):
+    from .abchar import GroupCharacter, ModCharacter, unit_group
+    from .exactnum import QmodZ
+    from .serrepq import TamePrincipal, UnipotentRamified, UnramifiedSemisimple
+
     kind = payload["type"]
     if kind == "unramified":
         return UnramifiedSemisimple(ell, residue_char, _parse_frob(payload["ratio"]))
@@ -188,6 +167,16 @@ class CommandOutcome:
 
 
 def _run_lift_q(problem: dict, args) -> CommandOutcome:
+    from .abchar import character_conductor
+    from .heckeq import (
+        HeckeCertificate,
+        brute_force_oracle_q,
+        check_necessary,
+        decide_prop_q,
+        extract_invariants,
+        twist_to_unramified,
+    )
+
     p, q = problem["p"], problem["q"]
     rho = _parse_character(problem["rho"], p)
     rho_prime = _parse_character(problem["rho_prime"], q)
@@ -269,6 +258,16 @@ def _run_lift_q(problem: dict, args) -> CommandOutcome:
 
 
 def _run_artin_lift(problem: dict, args) -> CommandOutcome:
+    from .abchar import (
+        FinAbGroup,
+        GroupCharacter,
+        ModCharacter,
+        enumerate_characters,
+        reduce_mod,
+        simultaneous_artin_lift,
+    )
+    from .exactnum import QmodZ
+
     group = FinAbGroup(tuple(problem["group"]))
     tau = ModCharacter(
         GroupCharacter(group, tuple(QmodZ.from_str(s) for s in problem["tau"])),
@@ -313,6 +312,8 @@ def _run_artin_lift(problem: dict, args) -> CommandOutcome:
 
 
 def _run_necc_check(problem: dict, args) -> CommandOutcome:
+    from .heckeq import check_necessary
+
     rho = _parse_character(problem["rho"], problem["p"])
     rho_prime = _parse_character(problem["rho_prime"], problem["q"])
     rep = check_necessary(rho, rho_prime)
@@ -330,6 +331,9 @@ def _run_necc_check(problem: dict, args) -> CommandOutcome:
 
 
 def _run_conductor_bound(problem: dict, args) -> CommandOutcome:
+    from .exactnum import factorize
+    from .heckeq import conductor_bound
+
     rho = _parse_character(problem["rho"], problem["p"])
     rho_prime = _parse_character(problem["rho_prime"], problem["q"])
     bound = conductor_bound(rho, rho_prime)
@@ -342,6 +346,16 @@ def _run_conductor_bound(problem: dict, args) -> CommandOutcome:
 
 
 def _run_lift_quadratic(problem: dict, args) -> CommandOutcome:
+    from .abchar import FinAbGroup, GroupCharacter
+    from .exactnum import QmodZ, valuation
+    from .heckequad import (
+        ImagQuadField,
+        PlaceLocal,
+        QuadLocalData,
+        criterion_decide,
+        splitting_data,
+    )
+
     K = ImagQuadField(problem["D"])
     p, q = problem["p"], problem["q"]
     data_p, data_q = splitting_data(K, p, q)
@@ -408,6 +422,8 @@ def _run_lift_quadratic(problem: dict, args) -> CommandOutcome:
 
 
 def _run_class_group(problem: dict, args) -> CommandOutcome:
+    from .heckequad import class_group
+
     grp = class_group(problem["D"])
     cert = {
         "class_number": grp.h,
@@ -431,6 +447,8 @@ def _run_class_group(problem: dict, args) -> CommandOutcome:
 
 
 def _run_counting_bound(problem: dict, args) -> CommandOutcome:
+    from .heckequad import ImagQuadField, check_class_group_bound, counting_bound
+
     # counting needs the class group, so its bound is checked before the
     # field's discriminant test factorises D
     check_class_group_bound(problem["D"])
@@ -455,6 +473,8 @@ def _run_counting_bound(problem: dict, args) -> CommandOutcome:
 
 
 def _run_hasse(problem: dict, args) -> CommandOutcome:
+    from .qseries import hasse_invariant_check
+
     precision = problem.get("precision", 64)
     rep = hasse_invariant_check(
         problem["p"], problem["q"], precision, problem.get("weight")
@@ -469,6 +489,8 @@ def _run_hasse(problem: dict, args) -> CommandOutcome:
 
 
 def _run_weight24(problem: dict, args) -> CommandOutcome:
+    from .qseries import weight24_example
+
     precision = problem.get("precision", 64)
     rep = weight24_example(precision)
     diagnostics = [
@@ -509,6 +531,9 @@ def _run_weight24(problem: dict, args) -> CommandOutcome:
 
 
 def _run_weight_crt(problem: dict, args) -> CommandOutcome:
+    from .exactnum import Congruence
+    from .serrepq import weight_crt
+
     p, q = problem["p"], problem["q"]
     res = weight_crt(
         Congruence(problem["k_rho"], p - 1), Congruence(problem["k_rho_prime"], q - 1)
@@ -540,6 +565,8 @@ def _run_weight_crt(problem: dict, args) -> CommandOutcome:
 
 
 def _run_local_compat(problem: dict, args) -> CommandOutcome:
+    from .serrepq import local_compat
+
     ell, p, q = problem["ell"], problem["p"], problem["q"]
     datum = _parse_datum(problem["datum"], ell, p)
     datum_prime = _parse_datum(problem["datum_prime"], ell, q)
@@ -560,6 +587,8 @@ def _run_local_compat(problem: dict, args) -> CommandOutcome:
 
 
 def _run_remark2(problem: dict, args) -> CommandOutcome:
+    from .serrepq import remark2_check
+
     rep = remark2_check(problem["ell"], problem["p"], problem["q"])
     diagnostics = [_diag(name, "holds" if ok else "fails", ok) for name, ok in rep.hypothesis_detail]
     if rep.compat is not None:
@@ -683,8 +712,8 @@ def main(argv=None) -> int:
         # the override replaces the file's value and meets the same schema
         problem["precision"] = args.precision
     try:
-        jsonschema.validate(problem, schema)
-    except jsonschema.ValidationError as exc:
+        validate(problem, schema)
+    except ValidationError as exc:
         _emit(error_report("schema", exc.message), args.json)
         return 2
 

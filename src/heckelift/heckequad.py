@@ -56,11 +56,17 @@ __all__ = [
     "class_group",
     "check_class_group_bound",
     "counting_bound",
+    "DISCRIMINANT_BOUND",
 ]
 
 # largest |D| class_group accepts; the slowest fields below it take about
 # 0.8 s (measurements in class_group's docstring)
 CLASS_GROUP_BOUND = 10**7
+
+# largest |D| ImagQuadField accepts: its fundamental-discriminant test
+# factorises |D| by trial division, which takes 0.05 s for a prime |D| near
+# 10^12 and grows like sqrt|D| (Intel Xeon, Python 3.11.7)
+DISCRIMINANT_BOUND = 10**12
 
 SIGMA = "sigma"
 SIGMA_BAR = "sigmabar"
@@ -82,6 +88,10 @@ class ImagQuadField:
             raise ValueError("discriminant must be negative")
         if D >= -4:
             raise ValueError("fields with extra roots of unity are not supported")
+        if -D > DISCRIMINANT_BOUND:
+            raise ValueError(
+                f"|D| = {-D} exceeds the discriminant bound {DISCRIMINANT_BOUND}"
+            )
         r = D % 4
         if r == 1:
             if not _is_squarefree(D):

@@ -85,7 +85,7 @@ def weight_crt(
 # Algebraic Frobenius data
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def residue_address(u: int, r: int) -> QmodZ:
     """The image of the unit u in the fixed Q/Z coordinates of F_r^*: the
     canonical generator (least primitive root) maps to 1/(r-1)."""

@@ -13,6 +13,7 @@ import pytest
 
 from heckelift import cli
 from heckelift.cli import main
+from test_golden import PROBLEMS
 
 
 def run_cli(tmp_path, command, problem, *flags):
@@ -121,16 +122,66 @@ class TestExitCodes:
 
     def test_huge_discriminant_fails_fast(self, tmp_path):
         # the bound is checked before |D| is factorised by trial division
-        for command, problem in [
-            ("class-group", {"version": 1, "D": -1000000000000000003}),
-            ("counting-bound", {"version": 1, "D": -1000000000000000003, "p": 17, "q": 19}),
+        D = -1000000000000000003
+        for command, problem, bound in [
+            ("class-group", {"version": 1, "D": D}, "class-group bound 10000000"),
+            (
+                "counting-bound",
+                {"version": 1, "D": D, "p": 17, "q": 19},
+                "class-group bound 10000000",
+            ),
+            (
+                "lift-quadratic",
+                {
+                    "version": 1,
+                    "D": D,
+                    "p": 17,
+                    "q": 19,
+                    "infinity_type": [0, 0],
+                    "above_p": [{"k": 0, "a": 0}],
+                    "above_q": [{"k": 0, "b": 0}],
+                },
+                "discriminant bound 1000000000000",
+            ),
         ]:
             start = time.perf_counter()
             code, report = run_json(tmp_path, command, problem)
             assert time.perf_counter() - start < 1.0
             assert code == 2
             assert report["error"]["type"] == "precondition"
-            assert "class-group bound 10000000" in report["error"]["message"]
+            assert bound in report["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["float", "bool"])
+    @pytest.mark.parametrize(
+        "command, sample, path",
+        [
+            ("lift-q", "lift_norm_cube", ("p",)),
+            ("lift-quadratic", "quadratic_trivial_pair", ("D",)),
+            ("artin-lift", "artin_lift", ("group", 0)),
+            ("necc-check", "lift_norm_cube", ("rho", "modulus")),
+            ("conductor-bound", "lift_with_twist", ("rho_prime", "modulus")),
+            ("class-group", "class_group_1155", ("D",)),
+            ("counting-bound", "counting_1155", ("q",)),
+            ("hasse-invariant", "hasse_5_7", ("p",)),
+            ("weight24-example", "weight24", ("precision",)),
+            ("weight-crt", "weight_crt", ("k_rho",)),
+            ("local-compat", "local_compat_minus_ell", ("ell",)),
+            ("remark2-check", "remark2_3_5_7", ("q",)),
+        ],
+    )
+    def test_integer_fields_reject_floats_and_bools(
+        self, tmp_path, command, sample, path, value
+    ):
+        # JSON Schema counts 5.0 as an integer; the handlers need ints
+        problem = json.loads((PROBLEMS / f"{sample}.json").read_text())
+        node = problem
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = float(node[path[-1]]) if value == "float" else True
+        code, report = run_json(tmp_path, command, problem)
+        assert code == 2
+        assert report["error"]["type"] == "schema"
+        assert report["error"]["message"] == f"{node[path[-1]]!r} is not of type 'integer'"
 
     @pytest.mark.parametrize(
         "name, broken",
@@ -523,3 +574,69 @@ class TestTextOutput:
         )
         assert code == 0
         assert "non-liftable pair exists" in out
+
+
+def _fresh_python(script: str) -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# every name the package re-exported when it imported all of its modules
+PACKAGE_NAMES = [
+    "Congruence", "QmodZ", "bernoulli", "crt_pair", "discrete_log",
+    "kronecker_symbol", "prime_to_part", "FinAbGroup", "GroupCharacter",
+    "ModCharacter", "bezout_combine", "character_conductor",
+    "enumerate_characters", "reduce_mod", "simultaneous_artin_lift",
+    "unit_group", "GlobalCharQ", "HeckeCertificate", "LocalInvariantsQ",
+    "brute_force_oracle_q", "check_necessary", "conductor_bound",
+    "decide_prop_q", "extract_invariants", "twist_to_unramified",
+    "IdealClassGroup", "ImagQuadField", "PlaceLocal", "QuadLocalData",
+    "class_group", "counting_bound", "criterion_decide", "splitting_data",
+    "xi_values", "QExpansion", "QuadElem", "SplitPrimeIdeal", "delta",
+    "eisenstein", "hasse_invariant_check", "sturm_congruence",
+    "weight24_example", "AlgebraicFrobValue", "Reducible", "Steinberg",
+    "local_compat", "remark2_check", "wd_reduce", "weight_crt",
+]  # fmt: skip
+
+
+class TestColdStart:
+    def _loaded(self, script: str) -> set:
+        out = _fresh_python(script + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
+        return set(json.loads(out.splitlines()[-1]))
+
+    def test_importing_the_cli_loads_no_library_module(self):
+        loaded = self._loaded("import heckelift.cli")
+        assert "jsonschema" not in loaded
+        assert {m for m in loaded if m.startswith("heckelift")} == {
+            "heckelift",
+            "heckelift.cli",
+            "heckelift.schema",
+        }
+
+    def test_a_command_loads_only_its_modules(self):
+        problem = PROBLEMS / "weight_crt.json"
+        loaded = self._loaded(
+            "import contextlib, io\n"
+            "from heckelift import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['weight-crt', {str(problem)!r}, '--json']) == 0\n"
+        )
+        assert {"heckelift.serrepq", "heckelift.abchar", "heckelift.exactnum"} <= loaded
+        unused = {"jsonschema", "heckelift.heckeq", "heckelift.heckequad", "heckelift.qseries"}
+        assert not unused & loaded
+
+    def test_every_package_name_still_resolves(self):
+        # in a fresh process, so that each name is resolved lazily
+        _fresh_python(f"from heckelift import {', '.join(PACKAGE_NAMES)}")
+        import heckelift
+
+        assert sorted(heckelift.__all__) == sorted(PACKAGE_NAMES)
+        assert set(PACKAGE_NAMES) <= set(dir(heckelift))
