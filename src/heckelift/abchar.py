@@ -1,11 +1,17 @@
 """Characters of finite abelian groups valued in Q/Z.
 
-A group is presented as a direct product of cyclic factors, optionally
-labelled (unit groups carry a label recording the prime power and the
-canonical generator).  A mod-ell character is stored through its
-canonical complex representative: the unique representative whose order
-is prime to ell.  With that convention, reduction mod ell is exact group
-theory: it kills the ell-primary part of every generator image.
+A group is presented as a direct product of cyclic factors Z/d_1 x ... x
+Z/d_r, optionally labelled (unit groups carry a label recording the prime
+power and the canonical generator).  A character is stored as integers
+k_i mod d_i: generator i goes to k_i/d_i in Q/Z.  Its ell-primary part is
+k_i * e(d_i, ell), where the CRT idempotent e(d, ell) is 1 modulo the
+ell-part of d and 0 modulo the rest, and its prime-to-ell part is
+k_i * (1 - e(d_i, ell)).
+
+A mod-ell character is stored through its canonical complex
+representative: the unique representative whose order is prime to ell.
+With that convention, reduction mod ell is exact group theory: it kills
+the ell-primary part of every generator image.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from .exactnum import (
     QmodZ,
+    _crt_idempotent,
     euler_phi,
     glue_pq,
     is_prime,
@@ -94,59 +102,81 @@ class FinAbGroup:
 
 @dataclass(frozen=True)
 class GroupCharacter:
-    """Homomorphism from a FinAbGroup to Q/Z, given by generator images."""
+    """Homomorphism from a FinAbGroup to Q/Z, stored as exponents: the
+    generator of order d_i goes to exps[i]/d_i, with 0 <= exps[i] < d_i.
+
+    The constructor takes the generator images as QmodZ values and the
+    images property gives them back; the operations work on the exponents.
+    """
 
     group: FinAbGroup
-    images: tuple[QmodZ, ...]
+    exps: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.images) != self.group.rank:
+    def __init__(self, group: FinAbGroup, images: tuple[QmodZ, ...]):
+        if len(images) != group.rank:
             raise ValueError("one image per generator required")
-        for d, x in zip(self.group.orders, self.images):
-            if not (d * x).is_zero():
+        for d, x in zip(group.orders, images):
+            if d % x.den:
                 raise ValueError(f"image {x} is not killed by generator order {d}")
+        exps = tuple(x.num * (d // x.den) for d, x in zip(group.orders, images))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "exps", exps)
+
+    @classmethod
+    def _make(cls, group: FinAbGroup, exps: tuple[int, ...]) -> "GroupCharacter":
+        """The character with exponents exps, each already reduced mod d_i."""
+        eps = object.__new__(cls)
+        object.__setattr__(eps, "group", group)
+        object.__setattr__(eps, "exps", exps)
+        return eps
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "GroupCharacter":
-        return cls(group, tuple(QmodZ(0, 1) for _ in group.orders))
+        return cls._make(group, (0,) * group.rank)
+
+    @property
+    def images(self) -> tuple[QmodZ, ...]:
+        return tuple(map(QmodZ, self.exps, self.group.orders))
 
     def order(self) -> int:
-        return math.lcm(1, *(x.den for x in self.images))
+        return math.lcm(1, *(d // math.gcd(k, d) for k, d in zip(self.exps, self.group.orders)))
 
     def is_trivial(self) -> bool:
-        return all(x.is_zero() for x in self.images)
+        return not any(self.exps)
+
+    def _scaled(self, factors) -> "GroupCharacter":
+        # exponent k_i times factors[i], reduced mod d_i
+        return self._make(
+            self.group, tuple(k * f % d for k, f, d in zip(self.exps, factors, self.group.orders))
+        )
 
     def __mul__(self, other: "GroupCharacter") -> "GroupCharacter":
-        self._require_same_group(other)
-        return GroupCharacter(
-            self.group, tuple(a + b for a, b in zip(self.images, other.images))
+        if self.group != other.group:
+            raise ValueError("characters live on different groups")
+        return self._make(
+            self.group,
+            tuple((k + j) % d for k, j, d in zip(self.exps, other.exps, self.group.orders)),
         )
 
     def inverse(self) -> "GroupCharacter":
-        return GroupCharacter(self.group, tuple(-a for a in self.images))
+        return self**-1
 
-    def __pow__(self, k: int) -> "GroupCharacter":
-        return GroupCharacter(self.group, tuple(k * a for a in self.images))
+    def __pow__(self, n: int) -> "GroupCharacter":
+        return self._scaled(itertools.repeat(n))
 
     def evaluate(self, exponents: tuple[int, ...]) -> QmodZ:
         if len(exponents) != self.group.rank:
             raise ValueError("one exponent per generator required")
-        out = QmodZ(0, 1)
-        for e, x in zip(exponents, self.images):
-            out = out + e * x
-        return out
-
-    def part_prime_to(self, ell: int) -> "GroupCharacter":
-        return GroupCharacter(
-            self.group, tuple(x.part_prime_to(ell) for x in self.images)
-        )
+        m = math.lcm(*self.group.orders)
+        terms = zip(exponents, self.exps, self.group.orders)
+        return QmodZ(sum(e * k * (m // d) for e, k, d in terms), m)
 
     def part_at(self, ell: int) -> "GroupCharacter":
-        return GroupCharacter(self.group, tuple(x.part_at(ell) for x in self.images))
+        """The ell-primary part: exponent k_i times the idempotent e(d_i, ell)."""
+        return self._scaled(_crt_idempotent(d, ell) for d in self.group.orders)
 
-    def _require_same_group(self, other: "GroupCharacter") -> None:
-        if self.group != other.group:
-            raise ValueError("characters live on different groups")
+    def part_prime_to(self, ell: int) -> "GroupCharacter":
+        return self._scaled(1 - _crt_idempotent(d, ell) for d in self.group.orders)
 
 
 @dataclass(frozen=True)
@@ -201,15 +231,16 @@ def simultaneous_artin_lift(
     q = tau_prime.residue_char
     if p == q:
         raise ValueError("the two residue characteristics must differ")
-    if tau.group != tau_prime.group:
+    group = tau.base.group
+    if group != tau_prime.base.group:
         raise ValueError("characters live on different groups")
-    images = []
-    for t, t2 in zip(tau.base.images, tau_prime.base.images):
-        z = glue_pq(t, p, t2, q)
+    exps = []
+    for x, y, d in zip(tau.base.exps, tau_prime.base.exps, group.orders):
+        z = glue_pq(x, p, y, q, d)
         if z is None:
             return None
-        images.append(z)
-    return GroupCharacter(tau.group, tuple(images))
+        exps.append(z)
+    return GroupCharacter._make(group, tuple(exps))
 
 
 def bezout_combine(
@@ -256,15 +287,14 @@ def enumerate_characters(
             f"character group of size {group.num_characters()} exceeds bound {bound}"
         )
     for ks in itertools.product(*(range(d) for d in group.orders)):
-        yield GroupCharacter(
-            group, tuple(QmodZ(k, d) for k, d in zip(ks, group.orders))
-        )
+        yield GroupCharacter._make(group, ks)
 
 
 # ---------------------------------------------------------------------------
 # Unit-group presentations
 
 
+@lru_cache(maxsize=1 << 12)
 def unit_group(ell: int, exponent: int) -> FinAbGroup:
     """(Z/ell^exponent)^* for an odd prime ell, as a labelled cyclic group.
 
@@ -326,7 +356,9 @@ def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacte
     modulus = ell**c
     source_gen = eps.group.labels[0].generator
     e = unit_dlog(source_gen, target.labels[0].generator % modulus, modulus)
-    return GroupCharacter(target, (e * eps.images[0],))
+    # e*k/d has order dividing the new order d2, so e*k*d2/d is an integer
+    (k,), (d,), (d2,) = eps.exps, eps.group.orders, target.orders
+    return GroupCharacter._make(target, (e * k * d2 // d % d2,))
 
 
 def on_common_unit_group(

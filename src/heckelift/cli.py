@@ -90,24 +90,12 @@ def _frob_json(value: AlgebraicFrobValue) -> dict:
 def _witness_json(param) -> dict:
     from .serrepq import Steinberg
 
-    if isinstance(param, Steinberg):
-        return {
-            "shape": "steinberg",
-            "characters": [
-                {
-                    "inertial": _char_json(param.eps.inertial),
-                    "frobenius": _frob_json(param.eps.frob),
-                }
-            ],
-        }
+    steinberg = isinstance(param, Steinberg)
     return {
-        "shape": "principal-series",
+        "shape": "steinberg" if steinberg else "principal-series",
         "characters": [
-            {
-                "inertial": _char_json(eps.inertial),
-                "frobenius": _frob_json(eps.frob),
-            }
-            for eps in (param.eps1, param.eps2)
+            {"inertial": _char_json(eps.inertial), "frobenius": _frob_json(eps.frob)}
+            for eps in ((param.eps,) if steinberg else (param.eps1, param.eps2))
         ],
     }
 
@@ -132,26 +120,20 @@ def _parse_datum(payload: dict, ell: int, residue_char: int):
     from .exactnum import QmodZ
     from .serrepq import TamePrincipal, UnipotentRamified, UnramifiedSemisimple
 
+    def inertial_char(exponent: int, image: str):
+        grp = unit_group(ell, exponent)
+        return ModCharacter(GroupCharacter(grp, (QmodZ.from_str(image),)), residue_char)
+
     kind = payload["type"]
     if kind == "unramified":
         return UnramifiedSemisimple(ell, residue_char, _parse_frob(payload["ratio"]))
     if kind == "unipotent":
-        inertial = payload.get("inertial")
-        if inertial is None:
-            chi = ModCharacter(
-                GroupCharacter.trivial(unit_group(ell, 1)), residue_char
-            )
-        else:
-            grp = unit_group(ell, inertial["modulus_exponent"])
-            chi = ModCharacter(
-                GroupCharacter(grp, (QmodZ.from_str(inertial["image"]),)),
-                residue_char,
-            )
+        # no inertial entry: the trivial character of (Z/ell)^*
+        inertial = payload.get("inertial", {"modulus_exponent": 1, "image": "0"})
+        chi = inertial_char(inertial["modulus_exponent"], inertial["image"])
         return UnipotentRamified(ell, residue_char, chi, _parse_frob(payload["frobenius"]))
-    grp = unit_group(ell, payload["modulus_exponent"])
     inertials = tuple(
-        ModCharacter(GroupCharacter(grp, (QmodZ.from_str(img),)), residue_char)
-        for img in payload["inertial"]
+        inertial_char(payload["modulus_exponent"], img) for img in payload["inertial"]
     )
     frobs = tuple(_parse_frob(f) for f in payload["frobenius"])
     return TamePrincipal(ell, residue_char, inertials, frobs)
@@ -269,13 +251,9 @@ def _run_artin_lift(problem: dict, args) -> CommandOutcome:
     from .exactnum import QmodZ
 
     group = FinAbGroup(tuple(problem["group"]))
-    tau = ModCharacter(
-        GroupCharacter(group, tuple(QmodZ.from_str(s) for s in problem["tau"])),
-        problem["p"],
-    )
-    tau_prime = ModCharacter(
-        GroupCharacter(group, tuple(QmodZ.from_str(s) for s in problem["tau_prime"])),
-        problem["q"],
+    tau, tau_prime = (
+        ModCharacter(GroupCharacter(group, tuple(map(QmodZ.from_str, problem[key]))), problem[r])
+        for key, r in (("tau", "p"), ("tau_prime", "q"))
     )
     lifted = simultaneous_artin_lift(tau, tau_prime)
     if args.oracle:
@@ -367,9 +345,7 @@ def _run_lift_quadratic(problem: dict, args) -> CommandOutcome:
             if order == 1:
                 psi = None
             else:
-                if valuation(order, data.prime) == 0 or order != data.prime ** valuation(
-                    order, data.prime
-                ):
+                if order != data.prime ** valuation(order, data.prime):
                     raise ValueError(
                         f"psi_order {order} is not a power of {data.prime}"
                     )
@@ -377,14 +353,11 @@ def _run_lift_quadratic(problem: dict, args) -> CommandOutcome:
             out.append(PlaceLocal(entry["k"], entry[other_key], psi))
         return tuple(out)
 
-    if len(problem["above_p"]) != len(data_p.places):
-        raise ValueError(
-            f"expected {len(data_p.places)} entries above {p}, got {len(problem['above_p'])}"
-        )
-    if len(problem["above_q"]) != len(data_q.places):
-        raise ValueError(
-            f"expected {len(data_q.places)} entries above {q}, got {len(problem['above_q'])}"
-        )
+    for key, data in (("above_p", data_p), ("above_q", data_q)):
+        if len(problem[key]) != len(data.places):
+            raise ValueError(
+                f"expected {len(data.places)} entries above {data.prime}, got {len(problem[key])}"
+            )
     local = QuadLocalData(
         places(problem["above_p"], data_p, "a"), places(problem["above_q"], data_q, "b")
     )
@@ -698,7 +671,9 @@ def main(argv=None) -> int:
 
     try:
         problem = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON (JSONDecodeError) or an integer literal
+        # past the interpreter's int-string conversion limit;
         # RecursionError: nesting deeper than the interpreter's stack
         _emit(error_report("parse", str(exc)), args.json)
         return 2

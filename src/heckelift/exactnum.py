@@ -154,22 +154,12 @@ def prime_to_part(n: int, ell: int) -> int:
 
 
 @lru_cache(maxsize=1 << 18)
-def _primary_split(num: int, den: int, ell: int) -> tuple[int, int]:
-    # ell-primary component of num/den in Q/Z, returned as (num', ell^v)
-    v = 0
-    m = 1
-    rest = den
-    while rest % ell == 0:
-        rest //= ell
-        m *= ell
-        v += 1
-    if v == 0:
-        return 0, 1
-    # num/den = num*(u*m + w*rest)/den with u*m + w*rest = 1
-    _, _, w = xgcd(m, rest)
-    n2 = (num * w) % m
-    g = math.gcd(n2, m)
-    return n2 // g, m // g
+def _crt_idempotent(d: int, ell: int) -> int:
+    """The e in [0, d) with e = 1 modulo the ell-part of d and e = 0 modulo
+    the rest of d.  Multiplying by e projects Z/d onto its ell-primary
+    component, and by 1 - e onto the prime-to-ell component."""
+    rest = prime_to_part(d, ell)
+    return rest * pow(rest, -1, d // rest)  # the inverse mod 1 is 0
 
 
 class QmodZ:
@@ -222,11 +212,10 @@ class QmodZ:
 
     def part_at(self, ell: int) -> "QmodZ":
         """The ell-primary component (the unique part of ell-power order)."""
-        n, d = _primary_split(self.num, self.den, ell)
-        return QmodZ(n, d)
+        return QmodZ(self.num * _crt_idempotent(self.den, ell), self.den)
 
     def part_prime_to(self, ell: int) -> "QmodZ":
-        return self - self.part_at(ell)
+        return QmodZ(self.num * (1 - _crt_idempotent(self.den, ell)), self.den)
 
     def __eq__(self, other) -> bool:
         return (
@@ -245,19 +234,25 @@ class QmodZ:
         return f"QmodZ({self.num}, {self.den})"
 
 
-def glue_pq(x: QmodZ, p: int, y: QmodZ, q: int) -> QmodZ | None:
-    """The z in Q/Z whose prime-to-p part is x and whose prime-to-q part is
-    y, or None when there is none.
+def glue_pq(x, p: int, y, q: int, d: int | None = None):
+    """The z whose prime-to-p part is x and whose prime-to-q part is y, or
+    None when there is none.  x, y and z are residues mod d standing for
+    x/d, y/d and z/d in Q/Z; with d omitted they are QmodZ values, carried
+    onto the lcm of their denominators.
 
-    x must have no p-part and y no q-part.  Then z exists exactly when x and
-    y agree away from p and q, and it is unique: the p-part of y, the q-part
-    of x and their common prime-to-pq part.
+    x must have no p-part and y no q-part.  With e_p and e_q the CRT
+    idempotents of p and q mod d, z exists exactly when x and y agree away
+    from p and q, (1 - e_p - e_q)(x - y) = 0, and it is unique: the p-part
+    of y plus the prime-to-p part of x, e_p*y + (1 - e_p)*x.
     """
-    x_q = x.part_at(q)
-    y_p = y.part_at(p)
-    if x - x_q != y - y_p:
+    if d is None:
+        d = math.lcm(x.den, y.den)
+        z = glue_pq(x.num * (d // x.den), p, y.num * (d // y.den), q, d)
+        return None if z is None else QmodZ(z, d)
+    e_p = _crt_idempotent(d, p)
+    if (1 - e_p - _crt_idempotent(d, q)) * (x - y) % d:
         return None
-    return y + x_q
+    return (e_p * y + (1 - e_p) * x) % d
 
 
 @dataclass(frozen=True)

@@ -285,33 +285,21 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
     """Read off the four congruence invariants of the pair at p and at q."""
     p, q = _require_support_pq(rho, rho_prime)
 
-    # rho at its own prime is tame: a power of the cyclotomic character
-    k_p_val = discrete_log(rho.image_at(p), QmodZ(1, p - 1))
-    if k_p_val is None:
-        raise AssertionError("mod-p character is automatically tame at p")
+    def at(ell: int, own: GlobalCharQ, other_char: GlobalCharQ, other: int):
+        # own at its prime is tame: a power of the cyclotomic character
+        k = discrete_log(own.image_at(ell), QmodZ(1, ell - 1))
+        if k is None:
+            raise AssertionError(f"mod-{ell} character is automatically tame at {ell}")
+        # the other character at ell: the ell-primary component is the wild
+        # part, the rest gives its tame exponent
+        y = other_char.image_at(ell)
+        grp = unit_group(ell, max(1, other_char.prime_exponent(ell)))
+        psi = GroupCharacter(grp, (y.part_at(ell),))
+        tame = _tame_exponent(y.part_prime_to(ell), ell, other)
+        return Congruence(k, ell - 1), tame, prime_to_part(ell - 1, other), psi
 
-    # rho' at p: the p-primary component is the wild part, the rest gives a_p
-    y = rho_prime.image_at(p)
-    alpha = max(1, rho_prime.prime_exponent(p))
-    psi_prime_p = GroupCharacter(unit_group(p, alpha), (y.part_at(p),))
-    a_p = _tame_exponent(y.part_prime_to(p), p, q)
-
-    k_q_val = discrete_log(rho_prime.image_at(q), QmodZ(1, q - 1))
-    if k_q_val is None:
-        raise AssertionError("mod-q character is automatically tame at q")
-
-    y2 = rho.image_at(q)
-    beta = max(1, rho.prime_exponent(q))
-    psi_q = GroupCharacter(unit_group(q, beta), (y2.part_at(q),))
-    b_q = _tame_exponent(y2.part_prime_to(q), q, p)
-
-    return LocalInvariantsQ(
-        p=p, q=q,
-        k_p=Congruence(k_p_val, p - 1), a_p=a_p,
-        A_p=prime_to_part(p - 1, q), psi_prime_p=psi_prime_p,
-        k_q=Congruence(k_q_val, q - 1), b_q=b_q,
-        B_q=prime_to_part(q - 1, p), psi_q=psi_q,
-    )
+    # (k_p, a_p, A_p, psi_prime_p) and (k_q, b_q, B_q, psi_q)
+    return LocalInvariantsQ(p, q, *at(p, rho, rho_prime, q), *at(q, rho_prime, rho, p))
 
 
 @dataclass(frozen=True)
@@ -364,19 +352,15 @@ def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult
             raise ValueError(f"pair admits no simultaneous lift at the prime {ell}")
         if not lifted.is_trivial():
             eps_parts[ell] = lifted
-            if lifted.part_prime_to(p).images != tau.base.images:
+            if lifted.part_prime_to(p) != tau.base:
                 raise AssertionError(f"twist at {ell} does not reduce to rho mod {p}")
-            if lifted.part_prime_to(q).images != tau2.base.images:
+            if lifted.part_prime_to(q) != tau2.base:
                 raise AssertionError(f"twist at {ell} does not reduce to rho' mod {q}")
 
     def strip(chi: GlobalCharQ) -> GlobalCharQ:
-        modulus = 1
-        images = {}
-        for ell in (p, q):
-            a = chi.prime_exponent(ell)
-            if a:
-                modulus *= ell**a
-                images[ell] = chi.image_at(ell)
+        # the components at p and q alone, on the p- and q-parts of the modulus
+        modulus = p ** chi.prime_exponent(p) * q ** chi.prime_exponent(q)
+        images = {ell: img for ell, img in chi.images if ell in (p, q)}
         return GlobalCharQ.from_images(chi.residue_char, modulus, images)
 
     return TwistResult(tuple(sorted(eps_parts.items())), strip(rho), strip(rho_prime))
@@ -398,13 +382,11 @@ class PropQResult:
     invariants: LocalInvariantsQ
 
 
-def _certificate_char(
-    ell: int, exponent: int, tame_power: int, wild: GroupCharacter
-) -> GroupCharacter:
-    """tame-character^tame_power times the wild character on (Z/ell^exponent)^*."""
+def _tame(ell: int, exponent: int) -> GroupCharacter:
+    """The cyclotomic character mod ell on (Z/ell^exponent)^*: the canonical
+    generator goes to 1/(ell-1)."""
     grp = unit_group(ell, exponent)
-    wild_img = wild.images[0] if wild.group.rank else QmodZ(0, 1)
-    return GroupCharacter(grp, (QmodZ(tame_power, ell - 1) + wild_img,))
+    return GroupCharacter._make(grp, (grp.orders[0] // (ell - 1),))
 
 
 def hecke_reductions(
@@ -418,18 +400,13 @@ def hecke_reductions(
     """
     alpha = eps.group.labels[0].exponent if eps.group.rank else 1
     beta = eps_prime.group.labels[0].exponent if eps_prime.group.rank else 1
-    modulus = p**alpha * q**beta
-    e_img = eps.images[0] if eps.group.rank else QmodZ(0, 1)
-    e2_img = eps_prime.images[0] if eps_prime.group.rank else QmodZ(0, 1)
-    mod_p = GlobalCharQ.from_images(
-        p, modulus,
-        {p: (e_img + QmodZ(k, p - 1)).part_prime_to(p), q: e2_img.part_prime_to(p)},
-    )
-    mod_q = GlobalCharQ.from_images(
-        q, modulus,
-        {p: e_img.part_prime_to(q), q: (e2_img + QmodZ(k, q - 1)).part_prime_to(q)},
-    )
-    return mod_p, mod_q
+    e, e2 = at_unit_level(eps, p, alpha), at_unit_level(eps_prime, q, beta)
+
+    def reduction(r: int, at_p: GroupCharacter, at_q: GroupCharacter) -> GlobalCharQ:
+        images = {p: at_p.part_prime_to(r).images[0], q: at_q.part_prime_to(r).images[0]}
+        return GlobalCharQ.from_images(r, p**alpha * q**beta, images)
+
+    return reduction(p, e * _tame(p, alpha) ** k, e2), reduction(q, e, e2 * _tame(q, beta) ** k)
 
 
 def decide_prop_q(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> PropQResult | None:
@@ -451,8 +428,9 @@ def decide_prop_q(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> PropQResult | Non
 
     alpha = max(1, rho_prime.prime_exponent(p))
     beta = max(1, rho.prime_exponent(q))
-    eps = _certificate_char(p, alpha, inv.k_p.residue - k0, inv.psi_prime_p)
-    eps_prime = _certificate_char(q, beta, inv.k_q.residue - k0, inv.psi_q)
+    # tame character to the power k_p - k0 times the wild part, at p and at q
+    eps = _tame(p, alpha) ** (inv.k_p.residue - k0) * inv.psi_prime_p
+    eps_prime = _tame(q, beta) ** (inv.k_q.residue - k0) * inv.psi_q
 
     red_p, red_q = hecke_reductions(eps, eps_prime, k0, p, q)
     if red_p != rho or red_q != rho_prime:
@@ -498,23 +476,20 @@ def brute_force_oracle_q(
     big = p**lvl_p * q**lvl_q
     r1 = rho.with_modulus(math.lcm(rho.modulus, big))
     r2 = rho_prime.with_modulus(math.lcm(rho_prime.modulus, big))
-    target = (r1.image_at(p), r1.image_at(q), r2.image_at(p), r2.image_at(q))
+    target = tuple(r.component(ell).base for r in (r1, r2) for ell in (p, q))
 
-    thetas_p = [QmodZ(k, p - 1) for k in ks]
-    thetas_q = [QmodZ(k, q - 1) for k in ks]
+    # the norm's k-th power at p and at q, for each k
+    thetas = [(k, _tame(p, lvl_p) ** k, _tame(q, lvl_q) ** k) for k in ks]
     for eps in enumerate_characters(grp_p):
-        e = at_unit_level(eps, p, lvl_p).images[0]
-        e_mod_q = e.part_prime_to(q)
-        if e_mod_q != target[2]:
+        e = at_unit_level(eps, p, lvl_p)
+        if e.part_prime_to(q) != target[2]:
             continue
         for eps_prime in enumerate_characters(grp_q):
-            e2 = at_unit_level(eps_prime, q, lvl_q).images[0]
+            e2 = at_unit_level(eps_prime, q, lvl_q)
             if e2.part_prime_to(p) != target[1]:
                 continue
-            for i, k in enumerate(ks):
-                if (
-                    (e + thetas_p[i]).part_prime_to(p) == target[0]
-                    and (e2 + thetas_q[i]).part_prime_to(q) == target[3]
-                ):
+            for k, theta_p, theta_q in thetas:
+                at_p = (e * theta_p).part_prime_to(p)
+                if at_p == target[0] and (e2 * theta_q).part_prime_to(q) == target[3]:
                     return eps, eps_prime, k
     return None

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from .abchar import FinAbGroup, GroupCharacter
 from .exactnum import (
-    QmodZ,
     factorize,
     is_prime,
     kronecker_symbol,
@@ -251,12 +250,12 @@ def _certificate_local_char(
     tame_order = place.residue_size - 1
     orders: tuple[int, ...] = (tame_order,)
     labels: tuple[object, ...] = (f"k({place.name})^* tame",)
-    images: tuple[QmodZ, ...] = (QmodZ(tame_power, tame_order),)
+    exps: tuple[int, ...] = (tame_power % tame_order,)
     if psi is not None and not psi.is_trivial():
         orders += psi.group.orders
         labels += tuple(f"{place.name} wild {i}" for i in range(psi.group.rank))
-        images += psi.images
-    return GroupCharacter(FinAbGroup(orders, labels), images)
+        exps += psi.exps
+    return GroupCharacter._make(FinAbGroup(orders, labels), exps)
 
 
 def criterion_decide(

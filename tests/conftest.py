@@ -55,13 +55,13 @@ def _artin_lift_sweep(p, q, max_order):
     for orders in _abelian_groups(max_order):
         table = {}
         for eps in enumerate_characters(FinAbGroup(orders)):
-            key = (eps.part_prime_to(p).images, eps.part_prime_to(q).images)
+            key = (eps.part_prime_to(p).exps, eps.part_prime_to(q).exps)
             assert key not in table, "lift must be unique"
             table[key] = eps
         tau_primes = _mod_characters(orders, q)
         for tau in _mod_characters(orders, p):
             for tau_prime in tau_primes:
-                expected = table.get((tau.base.images, tau_prime.base.images))
+                expected = table.get((tau.base.exps, tau_prime.base.exps))
                 assert simultaneous_artin_lift(tau, tau_prime) == expected
                 pairs += 1
     return pairs

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +49,55 @@ class TestGroupCharacter:
         x = char(g, (1, 4), (1, 6))
         assert x.evaluate((2, 3)) == QmodZ(0, 1)
         assert x.evaluate((1, 2)) == QmodZ(1, 4) + QmodZ(2, 6)
+
+
+@st.composite
+def groups_with_images(draw, count=1):
+    """A group of rank at most 3 with cyclic orders at most 200, and count
+    tuples of valid generator images."""
+    orders = tuple(draw(st.lists(st.integers(2, 200), max_size=3)))
+    images = [
+        tuple(QmodZ(draw(st.integers(0, d - 1)), d) for d in orders)
+        for _ in range(count)
+    ]
+    return (FinAbGroup(orders), *images)
+
+
+class TestExponentStorage:
+    """The exponent storage against the same operations done in Q/Z on the
+    generator images."""
+
+    @given(groups_with_images())
+    def test_images_round_trip(self, drawn):
+        g, imgs = drawn
+        eps = GroupCharacter(g, imgs)
+        assert eps.images == imgs
+        assert all(0 <= k < d for k, d in zip(eps.exps, g.orders))
+
+    @given(groups_with_images(count=2), st.integers(-300, 300))
+    def test_group_law(self, drawn, n):
+        g, a, b = drawn
+        x, y = GroupCharacter(g, a), GroupCharacter(g, b)
+        assert (x * y).images == tuple(s + t for s, t in zip(a, b))
+        assert x.inverse().images == tuple(-s for s in a)
+        assert (x**n).images == tuple(n * s for s in a)
+
+    @given(groups_with_images(), st.sampled_from([2, 3, 5, 7, 11, 13]))
+    def test_parts_and_order(self, drawn, ell):
+        g, imgs = drawn
+        eps = GroupCharacter(g, imgs)
+        assert eps.part_at(ell).images == tuple(s.part_at(ell) for s in imgs)
+        assert eps.part_prime_to(ell).images == tuple(s.part_prime_to(ell) for s in imgs)
+        assert eps.order() == math.lcm(1, *(s.den for s in imgs))
+        assert eps.is_trivial() == all(s.is_zero() for s in imgs)
+
+    @given(groups_with_images(), st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+    def test_evaluate(self, drawn, es):
+        g, imgs = drawn
+        want = QmodZ(0, 1)
+        for e, s in zip(es, imgs):
+            want = want + e * s
+        assert GroupCharacter(g, imgs).evaluate(tuple(es[: g.rank])) == want
 
 
 class TestReduceMod:

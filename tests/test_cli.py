@@ -94,7 +94,9 @@ class TestLiftQ:
 class TestExitCodes:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        for text in ["{not json", "[" * 100_000]:
+        # the last is an integer literal past the int-string conversion limit
+        huge = '{"version": 1, "D": -' + "1" * 5000 + "}"
+        for text in ["{not json", "[" * 100_000, huge]:
             path.write_text(text)
             buf = io.StringIO()
             with redirect_stdout(buf):
@@ -150,6 +152,26 @@ class TestExitCodes:
             assert code == 2
             assert report["error"]["type"] == "precondition"
             assert bound in report["error"]["message"]
+
+    @pytest.mark.parametrize("override", [False, True])
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            ("hasse-invariant", {"version": 1, "p": 5, "q": 7}),
+            ("weight24-example", {"version": 1}),
+        ],
+    )
+    def test_huge_precision_fails_fast(self, tmp_path, command, problem, override):
+        # from the file or from --precision, the bound is checked before any series is built
+        flags = ("--precision", "1000000") if override else ()
+        if not override:
+            problem = dict(problem, precision=1000000)
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, command, problem, *flags)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert report["error"]["type"] == "precondition"
+        assert "precision bound 4096" in report["error"]["message"]
 
     @pytest.mark.parametrize("value", ["float", "bool"])
     @pytest.mark.parametrize(

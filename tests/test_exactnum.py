@@ -20,6 +20,7 @@ from heckelift.exactnum import (
     kronecker_symbol,
     prime_to_part,
     primitive_root,
+    xgcd,
 )
 
 qmodz = st.builds(QmodZ, st.integers(-400, 400), st.integers(1, 120))
@@ -76,6 +77,18 @@ class TestQmodZ:
         assert a.den == ell ** (a.den and self_val(a.den, ell))
         assert b.den % ell != 0
 
+    @given(qmodz, st.sampled_from([2, 3, 5, 7, 11]))
+    def test_part_at_matches_the_xgcd_split(self, x, ell):
+        # the ell-primary part by the Bezout split of the denominator into
+        # its ell-part m and the rest: num/den = num*(u*m + w*rest)/den
+        m, rest = 1, x.den
+        while rest % ell == 0:
+            rest //= ell
+            m *= ell
+        _, _, w = xgcd(m, rest)
+        assert x.part_at(ell) == QmodZ(x.num * w, m)
+        assert x.part_prime_to(ell) == x - QmodZ(x.num * w, m)
+
     def test_scalar_multiple(self):
         assert 3 * QmodZ(1, 12) == QmodZ(1, 4)
         assert -1 * QmodZ(1, 5) == QmodZ(4, 5)
@@ -102,6 +115,9 @@ class TestGluePq:
         ]
         assert len(found) <= 1
         assert glue_pq(x, p, y, q) == (found[0] if found else None)
+        # the same glue on residues mod n
+        z = glue_pq(x.num * (n // x.den), p, y.num * (n // y.den), q, n)
+        assert (None if z is None else QmodZ(z, n)) == (found[0] if found else None)
         if one_source:
             assert found
 

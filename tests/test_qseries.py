@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelift.qseries import (
+    PRECISION_BOUND,
     QExpansion,
     QuadElem,
     SplitPrimeIdeal,
@@ -230,6 +231,21 @@ class TestDelta:
                     assert tau[m * k] == tau[m] * tau[k]
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             assert tau[p * p] == tau[p] ** 2 - p**11
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: eisenstein(12, n),
+        delta,
+        lambda n: hasse_invariant_check(5, 7, n),
+        weight24_example,
+    ],
+    ids=["eisenstein", "delta", "hasse_invariant_check", "weight24_example"],
+)
+def test_precision_bound(build):
+    with pytest.raises(ValueError, match=f"precision bound {PRECISION_BOUND}"):
+        build(PRECISION_BOUND + 1)
 
 
 class TestDiscriminantIdentity:
