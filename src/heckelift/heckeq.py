@@ -25,7 +25,6 @@ from .abchar import (
     at_unit_level,
     character_conductor,
     enumerate_characters,
-    on_common_unit_group,
     simultaneous_artin_lift,
     unit_group,
 )
@@ -60,17 +59,13 @@ __all__ = [
 ORACLE_BOUND = 10**7
 
 
-def _validate_odd_modulus(modulus: int) -> None:
+def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
+    """factorize(modulus) for a positive odd modulus, dividing out the primes
+    among known first so that trial division sees only the rest."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if modulus % 2 == 0:
         raise ValueError("only odd moduli are supported (2 never ramifies here)")
-
-
-def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
-    """factorize(modulus) for a valid odd modulus, dividing out the primes
-    among known first so that trial division sees only the rest."""
-    _validate_odd_modulus(modulus)
     fac: dict[int, int] = {}
     rest = modulus
     for ell in known:
@@ -78,124 +73,137 @@ def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
             fac[ell] = valuation(rest, ell)
             rest //= ell ** fac[ell]
     fac.update(factorize(rest))
-    return dict(sorted(fac.items()))
+    return fac
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GlobalCharQ:
     """A mod-ell character of G_Q with ramification support dividing modulus.
 
-    images maps each prime of the modulus to the Q/Z image of the canonical
-    generator (least primitive root) of its (Z/ell'^a)^* component; primes
-    with trivial component are omitted.
+    factors is the factorisation {prime: exponent} of the modulus; inertia
+    maps each ramified prime ell to the restriction to inertia there, a
+    nontrivial character of unit_group(ell, factors[ell]) of order prime to
+    the residue characteristic.  Both are in increasing order of the prime.
+    images lists the Q/Z image of each canonical generator (least primitive
+    root mod ell^a).  from_images and trivial check their input; operations
+    build from checked parts through _make.
     """
 
     residue_char: int
     modulus: int
-    images: tuple[tuple[int, QmodZ], ...]
-    # the factorisation of modulus, {prime: exponent} in increasing order
-    factors: dict[int, int] = field(init=False, repr=False)
+    factors: dict[int, int] = field(repr=False)
+    inertia: dict[int, GroupCharacter]
 
-    def __post_init__(self):
-        if not is_prime(self.residue_char) or self.residue_char == 2:
-            raise ValueError("residue characteristic must be an odd prime")
-        fac = _factor_modulus(
-            self.modulus, [self.residue_char] + [ell for ell, _ in self.images]
+    @classmethod
+    def _make(cls, residue_char: int, factors: dict, inertia: dict) -> "GlobalCharQ":
+        """The character with these parts, already checked; trivial entries of
+        inertia are dropped."""
+        chi = object.__new__(cls)
+        vars(chi).update(
+            residue_char=residue_char,
+            modulus=math.prod(ell**a for ell, a in factors.items()),
+            factors=dict(sorted(factors.items())),
+            inertia={ell: eps for ell, eps in sorted(inertia.items()) if not eps.is_trivial()},
         )
-        object.__setattr__(self, "factors", fac)
-        seen: dict[int, QmodZ] = {}
-        for ell, img in self.images:
-            if ell not in fac:
-                raise ValueError(f"prime {ell} does not divide the modulus")
-            if ell in seen:
-                raise ValueError(f"duplicate image for prime {ell}")
-            grp = unit_group(ell, fac[ell])
-            if not (grp.orders[0] * img).is_zero():
-                raise ValueError(f"image at {ell} is not killed by the unit group order")
-            if img.den % self.residue_char == 0:
-                raise ValueError(
-                    f"image at {ell} has order divisible by {self.residue_char}; "
-                    "a mod-ell character takes values of prime-to-ell order"
-                )
-            if not img.is_zero():
-                seen[ell] = img
-        object.__setattr__(self, "images", tuple(sorted(seen.items())))
+        return chi
 
     @classmethod
     def from_images(
         cls, residue_char: int, modulus: int, images: dict[int, QmodZ]
     ) -> "GlobalCharQ":
-        return cls(residue_char, modulus, tuple(sorted(images.items())))
+        if not is_prime(residue_char) or residue_char == 2:
+            raise ValueError("residue characteristic must be an odd prime")
+        factors = _factor_modulus(modulus, [residue_char, *images])
+        inertia = {}
+        for ell, img in sorted(images.items()):
+            if ell not in factors:
+                raise ValueError(f"prime {ell} does not divide the modulus")
+            grp = unit_group(ell, factors[ell])
+            if grp.orders[0] % img.den:
+                raise ValueError(f"image at {ell} is not killed by the unit group order")
+            if img.den % residue_char == 0:
+                raise ValueError(
+                    f"image at {ell} has order divisible by {residue_char}; "
+                    "a mod-ell character takes values of prime-to-ell order"
+                )
+            inertia[ell] = GroupCharacter(grp, (img,))
+        return cls._make(residue_char, factors, inertia)
 
     @classmethod
     def trivial(cls, residue_char: int, modulus: int = 1) -> "GlobalCharQ":
-        return cls(residue_char, modulus, ())
+        return cls.from_images(residue_char, modulus, {})
+
+    @property
+    def images(self) -> tuple[tuple[int, QmodZ], ...]:
+        return tuple((ell, eps.images[0]) for ell, eps in self.inertia.items())
 
     def prime_exponent(self, ell: int) -> int:
         return self.factors.get(ell, 0)
 
     def image_at(self, ell: int) -> QmodZ:
-        for p, img in self.images:
-            if p == ell:
-                return img
-        return QmodZ(0, 1)
+        eps = self.inertia.get(ell)
+        return QmodZ(0, 1) if eps is None else eps.images[0]
 
     def support(self) -> tuple[int, ...]:
         return tuple(self.factors)
 
     def ramified_primes(self) -> tuple[int, ...]:
-        return tuple(ell for ell, _ in self.images)
+        return tuple(self.inertia)
+
+    def _at_level(self, ell: int, exponent: int) -> GroupCharacter:
+        # the restriction to inertia at ell, presented on (Z/ell^exponent)^*
+        eps = self.inertia.get(ell)
+        if eps is None:
+            return GroupCharacter.trivial(unit_group(ell, exponent))
+        return at_unit_level(eps, ell, exponent)
+
+    def _on_common_levels(self, other: "GlobalCharQ", skip: tuple = ()) -> Iterator[tuple]:
+        """(ell, c, self at ell, other at ell) for each prime ell of either
+        modulus not in skip, in increasing order: the two restrictions to
+        inertia at ell, both on (Z/ell^c)^* with c the larger exponent."""
+        for ell in sorted(self.factors.keys() | other.factors.keys()):
+            if ell not in skip:
+                c = max(self.prime_exponent(ell), other.prime_exponent(ell))
+                yield ell, c, self._at_level(ell, c), other._at_level(ell, c)
 
     def component(self, ell: int) -> ModCharacter:
         """Restriction to inertia at ell as a character of (Z/ell^a)^*."""
-        a = self.prime_exponent(ell)
-        grp = unit_group(ell, a)
-        if a == 0:
-            return ModCharacter(GroupCharacter.trivial(grp), self.residue_char)
-        return ModCharacter(
-            GroupCharacter(grp, (self.image_at(ell),)), self.residue_char
-        )
+        return ModCharacter(self._at_level(ell, self.prime_exponent(ell)), self.residue_char)
 
     def with_modulus(self, modulus: int) -> "GlobalCharQ":
         """Re-present relative to another modulus.  Raising a level pulls the
         component back; lowering is legal only down to the conductor."""
-        _validate_odd_modulus(modulus)
-        images = {
-            ell: at_unit_level(
-                self.component(ell).base, ell, valuation(modulus, ell)
-            ).images[0]
-            for ell, _ in self.images
+        factors = _factor_modulus(modulus, [self.residue_char, *self.inertia])
+        inertia = {
+            ell: at_unit_level(eps, ell, factors.get(ell, 0))
+            for ell, eps in self.inertia.items()
         }
-        return GlobalCharQ.from_images(self.residue_char, modulus, images)
+        return GlobalCharQ._make(self.residue_char, factors, inertia)
 
     def __mul__(self, other: "GlobalCharQ") -> "GlobalCharQ":
         if other.residue_char != self.residue_char:
             raise ValueError("mismatched residue characteristics")
-        modulus = math.lcm(self.modulus, other.modulus)
-        a = self.with_modulus(modulus)
-        b = other.with_modulus(modulus)
-        images = {ell: a.image_at(ell) + b.image_at(ell) for ell in a.factors}
-        return GlobalCharQ.from_images(self.residue_char, modulus, images)
+        factors, inertia = {}, {}
+        for ell, c, x, y in self._on_common_levels(other):
+            factors[ell] = c
+            inertia[ell] = x * y
+        return GlobalCharQ._make(self.residue_char, factors, inertia)
 
     def inverse(self) -> "GlobalCharQ":
-        return GlobalCharQ(
-            self.residue_char,
-            self.modulus,
-            tuple((ell, -img) for ell, img in self.images),
-        )
+        inertia = {ell: eps.inverse() for ell, eps in self.inertia.items()}
+        return GlobalCharQ._make(self.residue_char, self.factors, inertia)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GlobalCharQ):
             return NotImplemented
-        if self.residue_char != other.residue_char:
-            return False
-        modulus = math.lcm(self.modulus, other.modulus)
-        return self.with_modulus(modulus).images == other.with_modulus(modulus).images
+        return self.residue_char == other.residue_char and all(
+            x == y for _, _, x, y in self._on_common_levels(other)
+        )
 
     def __hash__(self):
-        # level-invariant: raising preserves prime set and image orders
+        # level-invariant: raising preserves prime set and character orders
         return hash(
-            (self.residue_char, tuple((ell, img.den) for ell, img in self.images))
+            (self.residue_char, tuple((ell, eps.order()) for ell, eps in self.inertia.items()))
         )
 
 
@@ -245,10 +253,7 @@ class HeckeCertificate:
     conductor: int | None
 
     def local_char(self, key: str) -> GroupCharacter | None:
-        for k, eps in self.local_chars:
-            if k == key:
-                return eps
-        return None
+        return dict(self.local_chars).get(key)
 
 
 def _require_pair(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> tuple[int, int]:
@@ -292,11 +297,9 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
             raise AssertionError(f"mod-{ell} character is automatically tame at {ell}")
         # the other character at ell: the ell-primary component is the wild
         # part, the rest gives its tame exponent
-        y = other_char.image_at(ell)
-        grp = unit_group(ell, max(1, other_char.prime_exponent(ell)))
-        psi = GroupCharacter(grp, (y.part_at(ell),))
-        tame = _tame_exponent(y.part_prime_to(ell), ell, other)
-        return Congruence(k, ell - 1), tame, prime_to_part(ell - 1, other), psi
+        y = other_char._at_level(ell, max(1, other_char.prime_exponent(ell)))
+        tame = _tame_exponent(y.part_prime_to(ell).images[0], ell, other)
+        return Congruence(k, ell - 1), tame, prime_to_part(ell - 1, other), y.part_at(ell)
 
     # (k_p, a_p, A_p, psi_prime_p) and (k_q, b_q, B_q, psi_q)
     return LocalInvariantsQ(p, q, *at(p, rho, rho_prime, q), *at(q, rho_prime, rho, p))
@@ -317,10 +320,8 @@ def _outside_lifts(
     """(ell, tau, tau', lift) for each prime ell of either modulus away from
     p and q: the two inertia restrictions on a common unit group and their
     simultaneous Artin lift, None when there is none."""
-    for ell in sorted(set(rho.support()) | set(rho_prime.support())):
-        if ell in (p, q):
-            continue
-        tau, tau2 = on_common_unit_group(ell, rho.component(ell), rho_prime.component(ell))
+    for ell, _, x, y in rho._on_common_levels(rho_prime, skip=(p, q)):
+        tau, tau2 = ModCharacter(x, p), ModCharacter(y, q)
         yield ell, tau, tau2, simultaneous_artin_lift(tau, tau2)
 
 
@@ -359,9 +360,9 @@ def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult
 
     def strip(chi: GlobalCharQ) -> GlobalCharQ:
         # the components at p and q alone, on the p- and q-parts of the modulus
-        modulus = p ** chi.prime_exponent(p) * q ** chi.prime_exponent(q)
-        images = {ell: img for ell, img in chi.images if ell in (p, q)}
-        return GlobalCharQ.from_images(chi.residue_char, modulus, images)
+        factors = {ell: a for ell, a in chi.factors.items() if ell in (p, q)}
+        inertia = {ell: eps for ell, eps in chi.inertia.items() if ell in factors}
+        return GlobalCharQ._make(chi.residue_char, factors, inertia)
 
     return TwistResult(tuple(sorted(eps_parts.items())), strip(rho), strip(rho_prime))
 
@@ -403,8 +404,8 @@ def hecke_reductions(
     e, e2 = at_unit_level(eps, p, alpha), at_unit_level(eps_prime, q, beta)
 
     def reduction(r: int, at_p: GroupCharacter, at_q: GroupCharacter) -> GlobalCharQ:
-        images = {p: at_p.part_prime_to(r).images[0], q: at_q.part_prime_to(r).images[0]}
-        return GlobalCharQ.from_images(r, p**alpha * q**beta, images)
+        parts = {p: at_p.part_prime_to(r), q: at_q.part_prime_to(r)}
+        return GlobalCharQ._make(r, {p: alpha, q: beta}, parts)
 
     return reduction(p, e * _tame(p, alpha) ** k, e2), reduction(q, e, e2 * _tame(q, beta) ** k)
 
@@ -463,23 +464,21 @@ def brute_force_oracle_q(
     p, q = _require_support_pq(rho, rho_prime)
     if alpha_max < 1 or beta_max < 1:
         raise ValueError("search exponents must be >= 1")
-    ks = list(k_range)
     grp_p = unit_group(p, alpha_max)
     grp_q = unit_group(q, beta_max)
-    total = grp_p.num_characters() * grp_q.num_characters() * len(ks)
+    total = grp_p.num_characters() * grp_q.num_characters() * len(k_range)
     if total > ORACLE_BOUND:
-        raise ValueError(f"search region of size {total} exceeds {ORACLE_BOUND}")
+        raise ValueError(f"search region of size {total} exceeds the oracle bound {ORACLE_BOUND}")
 
     # compare everything at the level of the search region
     lvl_p = max(alpha_max, rho.prime_exponent(p), rho_prime.prime_exponent(p))
     lvl_q = max(beta_max, rho.prime_exponent(q), rho_prime.prime_exponent(q))
-    big = p**lvl_p * q**lvl_q
-    r1 = rho.with_modulus(math.lcm(rho.modulus, big))
-    r2 = rho_prime.with_modulus(math.lcm(rho_prime.modulus, big))
-    target = tuple(r.component(ell).base for r in (r1, r2) for ell in (p, q))
+    target = tuple(
+        r._at_level(ell, lvl) for r in (rho, rho_prime) for ell, lvl in ((p, lvl_p), (q, lvl_q))
+    )
 
     # the norm's k-th power at p and at q, for each k
-    thetas = [(k, _tame(p, lvl_p) ** k, _tame(q, lvl_q) ** k) for k in ks]
+    thetas = [(k, _tame(p, lvl_p) ** k, _tame(q, lvl_q) ** k) for k in k_range]
     for eps in enumerate_characters(grp_p):
         e = at_unit_level(eps, p, lvl_p)
         if e.part_prime_to(q) != target[2]:

@@ -153,6 +153,17 @@ class TestExitCodes:
             assert report["error"]["type"] == "precondition"
             assert bound in report["error"]["message"]
 
+    def test_huge_oracle_region_fails_fast(self, tmp_path):
+        # lcm(p - 1, q - 1) is about 5 * 10^9: the k range is sized, not listed
+        trivial = {"modulus": 1, "images": {}}
+        problem = {"version": 1, "p": 100003, "q": 100019, "rho": trivial, "rho_prime": trivial}
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "lift-q", problem, "--oracle")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert report["error"]["type"] == "precondition"
+        assert "oracle bound 10000000" in report["error"]["message"]
+
     @pytest.mark.parametrize("override", [False, True])
     @pytest.mark.parametrize(
         "command, problem",

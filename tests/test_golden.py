@@ -4,6 +4,10 @@ for byte.  The lift-q samples are also stored with --oracle, which runs the
 brute-force search as well."""
 
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -51,3 +55,35 @@ def test_report_matches_golden(stem, command, exit_code, suffix, flags):
         code = main([command, str(PROBLEMS / f"{stem}.json"), *flags])
     assert code == exit_code
     assert buf.getvalue() == (GOLDEN / f"{stem}{suffix}.json").read_text()
+
+
+def test_reports_match_golden_under_optimize_without_jsonschema():
+    # the CLI must need no jsonschema, and its checks must raise, not assert
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "sys.modules['jsonschema'] = None  # importing it now raises ImportError\n"
+        "from heckelift.cli import main\n"
+        "runs = []\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    out = io.StringIO()\n"
+        "    with redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    runs.append([code, out.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    argvs = [[command, str(PROBLEMS / f"{stem}.json"), *flags] for stem, command, _, _, flags in CASES]
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(done.stdout)
+    assert len(runs) == len(CASES)
+    for (stem, _, exit_code, suffix, _), (code, out) in zip(CASES, runs):
+        assert code == exit_code, stem + suffix
+        assert out == (GOLDEN / f"{stem}{suffix}.json").read_text(), stem + suffix

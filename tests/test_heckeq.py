@@ -89,6 +89,12 @@ def pairs_with_common_outside_images(draw):
 def assert_factors_stored(chi):
     assert chi.factors == factorize(chi.modulus)
     assert chi.support() == tuple(sorted(factorize(chi.modulus)))
+    # the stored parts are exactly what the validator builds from the images
+    rebuilt = GlobalCharQ.from_images(chi.residue_char, chi.modulus, dict(chi.images))
+    assert list(chi.factors.items()) == list(rebuilt.factors.items())
+    assert list(chi.inertia.items()) == list(rebuilt.inertia.items())
+    assert chi == rebuilt and hash(chi) == hash(rebuilt)
+    assert not any(eps.is_trivial() for eps in chi.inertia.values())
 
 
 class TestStoredFactorisation:
@@ -107,6 +113,11 @@ class TestStoredFactorisation:
         tw = twist_to_unramified(rho, rho_prime)
         assert_factors_stored(tw.twisted)
         assert_factors_stored(tw.twisted_prime)
+        q = rho_prime.residue_char
+        eps, eps_prime = rho_prime.component(p).base, rho.component(q).base
+        for k in (0, 1, p * q):
+            for red in hecke_reductions(eps, eps_prime, k, p, q):
+                assert_factors_stored(red)
 
     def test_prime_exponent(self):
         rho = gchar(5, 3 * 5**2 * 7**3, **{"5": "1/4"})
@@ -328,10 +339,12 @@ class TestBruteForceOracle:
         )
 
     def test_region_bound(self):
-        with pytest.raises(ValueError):
-            brute_force_oracle_q(
-                GlobalCharQ.trivial(5), GlobalCharQ.trivial(7), 5, 5, range(10**6)
-            )
+        # the region is sized before k_range is walked
+        for k_range in (range(10**6), range(10**12)):
+            with pytest.raises(ValueError, match="oracle bound 10000000"):
+                brute_force_oracle_q(
+                    GlobalCharQ.trivial(5), GlobalCharQ.trivial(7), 5, 5, k_range
+                )
 
     def test_agrees_with_decide_on_wild_pair(self):
         rho = theta_power(3, 1)
