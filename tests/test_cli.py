@@ -467,6 +467,25 @@ class TestArtinLift:
 
 
 class TestQuadratic:
+    def test_huge_wild_order_decided_fast(self, tmp_path):
+        # 10^18 + 9 splits in Q(sqrt(-1155)); the wild order is checked as a
+        # power of p without factorising it
+        p = 10**18 + 9
+        problem = {
+            "version": 1,
+            "D": -1155,
+            "p": p,
+            "q": 19,
+            "infinity_type": [0, 0],
+            "above_p": [{"k": 0, "a": 0, "psi_order": p}, {"k": 0, "a": 0}],
+            "above_q": [{"k": 0, "b": 0}, {"k": 0, "b": 0}],
+        }
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "lift-quadratic", problem)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert report["verdict"] == "liftable"
+
     def test_paper_shape_accepts(self, tmp_path):
         problem = {
             "version": 1,

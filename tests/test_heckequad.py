@@ -19,8 +19,7 @@ from heckelift.heckequad import (
 )
 from heckelift.heckequad import (
     _compose,
-    _order,
-    _power,
+    _orders,
     _principal_form,
     _reduce_form,
 )
@@ -49,7 +48,7 @@ def _is_reduced(form):
 
 def _orders_step_by_step(forms, D):
     """The order of each form by composing one step at a time, about h^2
-    compositions in all: the reference for _order."""
+    compositions in all: the reference for _orders."""
     identity = _principal_form(D)
     orders = {}
     for f in forms:
@@ -59,6 +58,19 @@ def _orders_step_by_step(forms, D):
             e += 1
         orders[f] = e
     return orders
+
+
+def _power(f, n, D):
+    """f^n for n >= 0 by binary powering: a reference for the group law that
+    shares no walk with _orders."""
+    result, base = _principal_form(D), f
+    while n:
+        if n & 1:
+            result = _compose(result, base, D)
+        n >>= 1
+        if n:
+            base = _compose(base, base, D)
+    return result
 
 
 def _primes_up_to(n):
@@ -384,8 +396,7 @@ class TestClassGroup:
         for D in _fundamental_discriminants(3000):
             grp = class_group(D)
             ref = _orders_step_by_step(grp.forms, D)
-            primes = factorize(grp.h)
-            assert {f: _order(f, grp.h, primes, D) for f in grp.forms} == ref, D
+            assert _orders(grp.forms, D) == ref, D
             assert grp.exponent == math.lcm(*ref.values()), D
             # an abelian group is fixed by its number of solutions of x^m = 1
             # for each m | h, which is prod gcd(m, d) over invariant factors d
@@ -408,6 +419,18 @@ class TestClassGroup:
             assert grp.h == _class_number_formula(D, primes), D
             two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
             assert two_rank == len(factorize(-D)) - 1, D
+
+    def test_high_two_rank(self):
+        # D = -3*5*7*11*13*17: six ramified primes give 2-rank 5, where the
+        # cyclic subgroups overlap most
+        D = -255255
+        grp = class_group(D)
+        assert grp.h == 256
+        assert grp.invariant_factors == (2, 2, 2, 2, 16)
+        assert grp.exponent == 16
+        assert grp.h == _class_number_formula(D, _primes_up_to(-D // 2))
+        two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
+        assert two_rank == len(factorize(-D)) - 1
 
     def test_reduction_is_canonical(self):
         # disc(12, 11, 3) = -23: composing with the identity reduces in place
