@@ -277,15 +277,12 @@ def character_conductor(eps: GroupCharacter) -> int:
     return label.prime ** (1 + valuation(n, label.prime))
 
 
-def enumerate_characters(
-    group: FinAbGroup, bound: int = CHARACTER_ENUM_BOUND
-) -> Iterator[GroupCharacter]:
+def enumerate_characters(group: FinAbGroup) -> Iterator[GroupCharacter]:
     """Every character of the group exactly once, in lexicographic order of
-    the generator images (as multiples of 1/d_i)."""
-    if group.num_characters() > bound:
-        raise ValueError(
-            f"character group of size {group.num_characters()} exceeds bound {bound}"
-        )
+    the generator images (as multiples of 1/d_i); at most CHARACTER_ENUM_BOUND."""
+    size = group.num_characters()
+    if size > CHARACTER_ENUM_BOUND:
+        raise ValueError(f"character group of size {size} exceeds bound {CHARACTER_ENUM_BOUND}")
     for ks in itertools.product(*(range(d) for d in group.orders)):
         yield GroupCharacter._make(group, ks)
 
@@ -338,8 +335,9 @@ def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacte
 
     c = 0 means the trivial group.  The character is pulled back when
     exponent >= c, and pushed down only when its conductor divides
-    ell^exponent.  Either way the new generator's image is the old image
-    times the discrete log of the new generator modulo ell^c.
+    ell^exponent.  Either way it factors through the lower of the two
+    levels, so the new generator's image is the old image times the
+    discrete log of the new generator modulo ell^min(c, exponent).
     """
     c = _unit_level(eps, ell)
     if exponent == c:
@@ -353,7 +351,7 @@ def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacte
             f"a character of conductor {conductor} does not factor through "
             f"(Z/{ell}^{exponent})*"
         )
-    modulus = ell**c
+    modulus = ell ** min(c, exponent)
     source_gen = eps.group.labels[0].generator
     e = unit_dlog(source_gen, target.labels[0].generator % modulus, modulus)
     # e*k/d has order dividing the new order d2, so e*k*d2/d is an integer

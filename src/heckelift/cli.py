@@ -446,9 +446,9 @@ def _run_counting_bound(problem: dict, args) -> CommandOutcome:
 
 
 def _run_hasse(problem: dict, args) -> CommandOutcome:
-    from .qseries import hasse_invariant_check
+    from .qseries import DEFAULT_PRECISION, hasse_invariant_check
 
-    precision = problem.get("precision", 64)
+    precision = problem.get("precision", DEFAULT_PRECISION)
     rep = hasse_invariant_check(
         problem["p"], problem["q"], precision, problem.get("weight")
     )
@@ -462,9 +462,9 @@ def _run_hasse(problem: dict, args) -> CommandOutcome:
 
 
 def _run_weight24(problem: dict, args) -> CommandOutcome:
-    from .qseries import weight24_example
+    from .qseries import DEFAULT_PRECISION, weight24_example
 
-    precision = problem.get("precision", 64)
+    precision = problem.get("precision", DEFAULT_PRECISION)
     rep = weight24_example(precision)
     diagnostics = [
         _diag(name, str(check), check.congruent) for name, check in rep.congruences

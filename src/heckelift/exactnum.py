@@ -23,6 +23,7 @@ __all__ = [
     "discrete_log",
     "kronecker_symbol",
     "bernoulli",
+    "BERNOULLI_BOUND",
     "xgcd",
     "inv_mod",
     "is_prime",
@@ -312,6 +313,10 @@ def kronecker_symbol(D: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+# largest index bernoulli accepts: Eisenstein series are built up to weight 100
+BERNOULLI_BOUND = 100
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_even(m: int) -> Fraction:
     # B_{2m} by the binomial recurrence sum_{r<=n} C(n+1,r) B_r = 0, skipping
@@ -325,12 +330,12 @@ def _bernoulli_even(m: int) -> Fraction:
     return -s / (n + 1)
 
 
-def bernoulli(k: int, max_index: int = 100) -> Fraction:
-    """The k-th Bernoulli number for even k >= 2, as an exact rational."""
+def bernoulli(k: int) -> Fraction:
+    """The k-th Bernoulli number for even 2 <= k <= BERNOULLI_BOUND, exactly."""
     if k % 2 != 0 or k < 2:
         raise ValueError("only even k >= 2 are supported")
-    if k > max_index:
-        raise ValueError(f"k = {k} exceeds the configured bound {max_index}")
+    if k > BERNOULLI_BOUND:
+        raise ValueError(f"k = {k} exceeds the Bernoulli bound {BERNOULLI_BOUND}")
     return _bernoulli_even(k // 2)
 
 

@@ -6,7 +6,9 @@ component per odd prime power.  The restriction to inertia at ell is the
 ell-component.  The cyclotomic character mod p is normalised to be the
 identity character of (Z/p)^*: under the fixed Q/Z identification it sends
 the canonical generator to 1/(p-1), and its prime-to-p lift is the same
-character read in Q/Z.
+character read in Q/Z.  On (Z/p^a)^* it is reduction mod p, the pull-back of
+that character: the canonical generator g goes to log(g mod p)/(p-1), which
+is 1/(p-1) only when g is also a primitive root mod p^2 (not at p = 40487).
 
 The pipeline: extract the local exponents of a pair (rho mod p, rho' mod q),
 solve one congruence system, and assemble the witness character
@@ -32,7 +34,6 @@ from .exactnum import (
     Congruence,
     QmodZ,
     crt_pair,
-    discrete_log,
     factorize,
     is_prime,
     prime_to_part,
@@ -209,9 +210,10 @@ class GlobalCharQ:
 
 def theta_power(residue_char: int, k: int, exponent: int = 1) -> GlobalCharQ:
     """The k-th power of the cyclotomic character mod residue_char, presented
-    on (Z/residue_char^exponent)^*."""
+    on (Z/residue_char^exponent)^*, where it is reduction mod residue_char
+    followed by the k-th power of the identity character of (Z/p)^*."""
     p = residue_char
-    return GlobalCharQ.from_images(p, p**exponent, {p: QmodZ(k, p - 1)})
+    return GlobalCharQ.from_images(p, p, {p: QmodZ(k, p - 1)}).with_modulus(p**exponent)
 
 
 @dataclass(frozen=True)
@@ -274,32 +276,22 @@ def _require_support_pq(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> tuple[int, 
     return p, q
 
 
-def _tame_exponent(t: QmodZ, p: int, other: int) -> Congruence:
-    """Write the prime-to-other tame value t (denominator dividing p-1) as the
-    mod-other reduction of a power of the standard tame character; the power
-    is well defined modulo the prime-to-other part of p-1."""
-    pm1 = p - 1
-    A = prime_to_part(pm1, other)
-    if A % t.den != 0:
-        raise ValueError(f"tame value {t} is incompatible with modulus {A}")
-    c = t.num * (A // t.den)
-    return Congruence(c * (pm1 // A) % A, A)
-
-
 def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvariantsQ:
     """Read off the four congruence invariants of the pair at p and at q."""
     p, q = _require_support_pq(rho, rho_prime)
 
     def at(ell: int, own: GlobalCharQ, other_char: GlobalCharQ, other: int):
-        # own at its prime is tame: a power of the cyclotomic character
-        k = discrete_log(own.image_at(ell), QmodZ(1, ell - 1))
-        if k is None:
-            raise AssertionError(f"mod-{ell} character is automatically tame at {ell}")
+        # own at its prime is tame: theta^k, read on (Z/ell)^*, where theta
+        # sends the canonical generator to 1/(ell-1)
+        k = own._at_level(ell, 1).exps[0]
         # the other character at ell: the ell-primary component is the wild
-        # part, the rest gives its tame exponent
+        # part, the rest is theta^j of order prime to other, so j is mod A
         y = other_char._at_level(ell, max(1, other_char.prime_exponent(ell)))
-        tame = _tame_exponent(y.part_prime_to(ell).images[0], ell, other)
-        return Congruence(k, ell - 1), tame, prime_to_part(ell - 1, other), y.part_at(ell)
+        j = at_unit_level(y.part_prime_to(ell), ell, 1).exps[0]
+        A = prime_to_part(ell - 1, other)
+        if j % ((ell - 1) // A):
+            raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")
+        return Congruence(k, ell - 1), Congruence(j, A), A, y.part_at(ell)
 
     # (k_p, a_p, A_p, psi_prime_p) and (k_q, b_q, B_q, psi_q)
     return LocalInvariantsQ(p, q, *at(p, rho, rho_prime, q), *at(q, rho_prime, rho, p))
@@ -384,10 +376,10 @@ class PropQResult:
 
 
 def _tame(ell: int, exponent: int) -> GroupCharacter:
-    """The cyclotomic character mod ell on (Z/ell^exponent)^*: the canonical
-    generator goes to 1/(ell-1)."""
-    grp = unit_group(ell, exponent)
-    return GroupCharacter._make(grp, (grp.orders[0] // (ell - 1),))
+    """The cyclotomic character mod ell on (Z/ell^exponent)^*: reduction mod
+    ell, pulled back from the identity character of (Z/ell)^*, which sends
+    the canonical generator to 1/(ell-1)."""
+    return at_unit_level(GroupCharacter._make(unit_group(ell, 1), (1,)), ell, exponent)
 
 
 def hecke_reductions(

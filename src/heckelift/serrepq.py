@@ -180,7 +180,6 @@ class UnipotentRamified:
     residue_char: int
     frob_char_inertial: ModCharacter
     frob_char_value: AlgebraicFrobValue
-    unipotent: bool = True
 
 
 LocalGaloisDatum = UnramifiedSemisimple | TamePrincipal | UnipotentRamified

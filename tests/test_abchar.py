@@ -250,7 +250,7 @@ class TestEnumerateCharacters:
 
     def test_bound(self):
         with pytest.raises(ValueError):
-            list(enumerate_characters(FinAbGroup((1009, 1013)), bound=10**4))
+            list(enumerate_characters(FinAbGroup((1009, 1013))))
 
 
 class TestUnitGroups:

@@ -51,6 +51,26 @@ PARITY_CLASH = {
     "rho_prime": {"modulus": 7, "images": {"7": "2/6"}},
 }
 
+# 40487 is the one prime below 10^5 whose least primitive root (5) is not a
+# primitive root mod 40487^2 (there it is 10), so the cyclotomic character on
+# (Z/40487^2)^* does not send the canonical generator to 1/40486
+THETA_40487_WILD = {
+    "version": 1,
+    "p": 40487,
+    "q": 3,
+    "rho": {"modulus": 40487, "images": {"40487": "1/40486"}},
+    "rho_prime": {"modulus": 3 * 40487**2, "images": {"3": "1/2", "40487": "1/40487"}},
+}
+
+# rho is theta on (Z/40487^2)^*: 17305 = log_5 10 mod 40486
+THETA_40487_LEVEL_2 = {
+    "version": 1,
+    "p": 40487,
+    "q": 283403,
+    "rho": {"modulus": 40487**2, "images": {"40487": "17305/40486"}},
+    "rho_prime": {"modulus": 283403, "images": {"283403": "1/283402"}},
+}
+
 
 class TestLiftQ:
     def test_norm_cube(self, tmp_path):
@@ -89,6 +109,17 @@ class TestLiftQ:
         assert code == 0
         assert any(d["label"] == "twist at 11" for d in report["diagnostics"])
         assert "11" in report["certificate"]["local_characters"]
+
+    @pytest.mark.parametrize("problem", [THETA_40487_WILD, THETA_40487_LEVEL_2])
+    def test_cyclotomic_character_above_level_one(self, tmp_path, problem):
+        # both pairs are the norm, whatever level presents theta
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "lift-q", problem)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert report["verdict"] == "liftable"
+        assert report["certificate"]["infinity_type"] == [["id", 1]]
+        assert any("k = 1 (mod" in d["detail"] for d in report["diagnostics"])
 
 
 class TestExitCodes:
@@ -302,6 +333,14 @@ class TestExitCodes:
         code, report = run_json(tmp_path, "hasse-invariant", problem, "--precision", "12")
         assert code == 0
         assert report["diagnostics"][0]["detail"] == "E_12 = 1 mod 35 to q^11: pass"
+
+    def test_hasse_weight_past_the_bernoulli_bound(self, tmp_path):
+        # lcm(16, 18) = 144: decided by divisibility, no Bernoulli number needed
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "hasse-invariant", {"version": 1, "p": 17, "q": 19})
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert report["diagnostics"][0]["detail"] == "E_144 = 1 mod 323 to q^63: pass"
 
     def test_text_mode_error_rendering(self, tmp_path):
         problem = dict(NORM_CUBE, surprise=1)

@@ -222,7 +222,7 @@ class TestBernoulli:
             bernoulli(3)
         with pytest.raises(ValueError):
             bernoulli(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Bernoulli bound 100"):
             bernoulli(102)
 
     def test_von_staudt_clausen(self):

@@ -1,17 +1,20 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelift.abchar import (
     GroupCharacter,
+    at_unit_level,
     enumerate_characters,
     unit_group,
 )
 from heckelift.exactnum import Congruence, QmodZ, factorize
 from heckelift.heckeq import (
     GlobalCharQ,
+    _tame,
     brute_force_oracle_q,
     check_necessary,
     conductor_bound,
@@ -139,6 +142,30 @@ class TestRestrictToInertia:
         comp = rho.component(5)
         assert comp.group == unit_group(5, 2)
         assert comp.base.images[0] == QmodZ(1, 20)
+
+
+class TestCyclotomicCharacter:
+    # 40487 is the one prime below 10^5 whose least primitive root (5) is
+    # not the least primitive root mod 40487^2 (10)
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 101, 10007, 40487])
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_reduction_mod_ell_at_every_level(self, ell, a):
+        theta = _tame(ell, a)
+        assert theta == at_unit_level(_tame(ell, 1), ell, a)
+        # theta(g) = m/(ell-1) says g = g_1^m mod ell, with g and g_1 the
+        # canonical generators mod ell^a and mod ell
+        (k,), (d,) = theta.exps, theta.group.orders
+        assert k * (ell - 1) % d == 0
+        g, g1 = theta.group.labels[0].generator, unit_group(ell, 1).labels[0].generator
+        assert pow(g1, k * (ell - 1) // d, ell) == g % ell
+        assert theta_power(ell, 5, a) == theta_power(ell, 5, 1)
+        assert theta_power(ell, 5, a).component(ell).base == theta**5
+
+    def test_push_down_walks_level_one(self):
+        start = time.perf_counter()
+        low = theta_power(40487, 1, 2).with_modulus(40487)
+        assert time.perf_counter() - start < 1.0
+        assert low.inertia[40487].exps == (1,)
 
 
 class TestExtractInvariants:
@@ -300,6 +327,9 @@ class TestDecidePropQ:
             red_p, red_q = hecke_reductions(eps, eps_prime, k, p, q)
             res = decide_prop_q(red_p, red_q)
             assert res is not None and res.k_class.contains(k)
+            # the verdict does not depend on the level that presents rho
+            padded = red_p.with_modulus(red_p.modulus * p)
+            assert decide_prop_q(padded, red_q).k_class == res.k_class
 
     def test_depends_only_on_inertial_data(self):
         # padding the declared modulus does not change the verdict

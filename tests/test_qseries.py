@@ -373,6 +373,25 @@ class TestHasseInvariant:
             hasse_invariant_check(2, 7)
         with pytest.raises(ValueError):
             hasse_invariant_check(5, 5)
+        for weight in (0, 13):
+            with pytest.raises(ValueError, match="the weight must be even and at least 2"):
+                hasse_invariant_check(5, 7, weight=weight)
+
+    def test_rule_agrees_with_series(self):
+        # the verdict from divisibility against the coefficients of E_k to q^63
+        primes = [ell for ell in range(3, 60) if all(ell % d for d in range(2, ell))]
+        for k in range(2, 101, 2):
+            coeffs = eisenstein(k, 64).coeffs
+            for i, p in enumerate(primes):
+                for q in primes[i + 1:]:
+                    pq = p * q
+                    offending = next(
+                        (n for n in range(1, 64)
+                         if coeffs[n].numerator % pq or math.gcd(coeffs[n].denominator, pq) > 1),
+                        None,
+                    )
+                    rep = hasse_invariant_check(p, q, 64, weight=k)
+                    assert (rep.ok, rep.first_offending) == (offending is None, offending)
 
     @pytest.mark.parametrize("precision", [-3, 0, 1])
     def test_rejects_vacuous_precision(self, precision):

@@ -79,7 +79,6 @@ class TestWdReduce:
         param = Steinberg(QuasiChar(GroupCharacter.trivial(unit_group(3, 1)), frob(0, 1, 0)))
         got = wd_reduce(param, 3, 5)
         assert isinstance(got, UnipotentRamified)
-        assert got.unipotent
         assert got.frob_char_value == frob(0, 1, 0)
 
     def test_reducible_unramified_order3_dies_mod_3(self):
