@@ -25,10 +25,10 @@ from typing import Iterator
 from .exactnum import (
     QmodZ,
     _crt_idempotent,
-    euler_phi,
     glue_pq,
     is_prime,
     primitive_root,
+    unit_dlog,
     valuation,
     xgcd,
 )
@@ -46,10 +46,12 @@ __all__ = [
     "enumerate_characters",
     "at_unit_level",
     "on_common_unit_group",
-    "unit_dlog",
 ]
 
 CHARACTER_ENUM_BOUND = 10**6
+# unit_group refuses a level ell^a that surely exceeds 2^200000; that is above
+# the CLI's 10^4300 integer-parse limit, so every modulus read from input passes
+UNIT_GROUP_BOUND = 1 << 200000
 
 
 @dataclass(frozen=True)
@@ -293,9 +295,12 @@ def enumerate_characters(group: FinAbGroup) -> Iterator[GroupCharacter]:
 
 @lru_cache(maxsize=1 << 12)
 def unit_group(ell: int, exponent: int) -> FinAbGroup:
-    """(Z/ell^exponent)^* for an odd prime ell, as a labelled cyclic group.
+    """(Z/ell^exponent)^* for an odd prime ell, as a cyclic group labelled
+    with its canonical generator, primitive_root(ell, exponent).
 
     exponent 0 gives the trivial group (used for unramified restrictions).
+    A level whose ell^exponent surely exceeds UNIT_GROUP_BOUND raises
+    ValueError before any power is formed.
     """
     if not is_prime(ell) or ell == 2:
         raise ValueError(f"{ell} must be an odd prime")
@@ -303,21 +308,11 @@ def unit_group(ell: int, exponent: int) -> FinAbGroup:
         raise ValueError("exponent must be >= 0")
     if exponent == 0:
         return FinAbGroup(())
-    modulus = ell**exponent
-    g = primitive_root(modulus)
+    if (ell.bit_length() - 1) * exponent >= UNIT_GROUP_BOUND.bit_length():
+        raise ValueError(f"{ell}^{exponent} exceeds UNIT_GROUP_BOUND = 2^200000")
+    g = primitive_root(ell, exponent)
     order = (ell - 1) * ell ** (exponent - 1)
     return FinAbGroup((order,), (UnitLabel(ell, exponent, g),))
-
-
-def unit_dlog(generator: int, target: int, modulus: int) -> int:
-    """Discrete log of target to the base generator in (Z/modulus)^*."""
-    x = 1 % modulus
-    target %= modulus
-    for e in range(euler_phi(modulus)):
-        if x == target:
-            return e
-        x = x * generator % modulus
-    raise ValueError(f"{target} is not a power of {generator} modulo {modulus}")
 
 
 def _unit_level(eps: GroupCharacter, ell: int) -> int:
@@ -337,7 +332,7 @@ def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacte
     exponent >= c, and pushed down only when its conductor divides
     ell^exponent.  Either way it factors through the lower of the two
     levels, so the new generator's image is the old image times the
-    discrete log of the new generator modulo ell^min(c, exponent).
+    discrete log of the new generator, taken in (Z/ell)^*.
     """
     c = _unit_level(eps, ell)
     if exponent == c:
@@ -351,9 +346,9 @@ def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacte
             f"a character of conductor {conductor} does not factor through "
             f"(Z/{ell}^{exponent})*"
         )
-    modulus = ell ** min(c, exponent)
-    source_gen = eps.group.labels[0].generator
-    e = unit_dlog(source_gen, target.labels[0].generator % modulus, modulus)
+    # eps factors through level min(c, exponent); above level 1 both canonical
+    # generators are the same g, so the log there is 1, and modulo ell it is 1 too
+    e = unit_dlog(eps.group.labels[0].generator, target.labels[0].generator, ell)
     # e*k/d has order dividing the new order d2, so e*k*d2/d is an integer
     (k,), (d,), (d2,) = eps.exps, eps.group.orders, target.orders
     return GroupCharacter._make(target, (e * k * d2 // d % d2,))

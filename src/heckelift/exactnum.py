@@ -3,6 +3,8 @@
 Residues in Q/Z (additive stand-ins for roots of unity), congruence
 classes and a two-congruence CRT solver, and the handful of
 multiplicative number theory helpers the rest of the library leans on.
+Unit groups (Z/ell^a)^* are known by their odd prime ell: `primitive_root`
+factors only ell - 1, and `unit_dlog` takes every discrete log in (Z/ell)^*.
 Everything is immutable after construction and safe to share between
 threads.
 """
@@ -25,13 +27,12 @@ __all__ = [
     "bernoulli",
     "BERNOULLI_BOUND",
     "xgcd",
-    "inv_mod",
     "is_prime",
     "PRIME_TEST_BOUND",
     "factorize",
-    "euler_phi",
     "valuation",
     "primitive_root",
+    "unit_dlog",
 ]
 
 
@@ -48,13 +49,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def inv_mod(a: int, m: int) -> int:
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return x % m
 
 
 # (bound, k): the first k primes as Miller-Rabin bases decide every n below
@@ -124,13 +118,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def valuation(n: int, p: int) -> int:
@@ -300,7 +287,7 @@ def discrete_log(target: QmodZ, base: QmodZ) -> int | None:
     if m % target.den != 0:
         return None
     t = target.num * (m // target.den)
-    return t * inv_mod(base.num, m) % m
+    return t * pow(base.num, -1, m) % m
 
 
 def kronecker_symbol(D: int, p: int) -> int:
@@ -340,16 +327,32 @@ def bernoulli(k: int) -> Fraction:
 
 
 @lru_cache(maxsize=1 << 12)
-def primitive_root(m: int) -> int:
-    """Smallest primitive root modulo an odd prime power m."""
-    fac = factorize(m)
-    if len(fac) != 1 or 2 in fac:
-        raise ValueError(f"{m} is not an odd prime power")
-    phi = euler_phi(m)
-    prime_divs = list(factorize(phi))
-    for g in range(2, m):
-        if math.gcd(g, m) != 1:
-            continue
-        if all(pow(g, phi // r, m) != 1 for r in prime_divs):
-            return g
-    raise AssertionError(f"no primitive root found modulo {m}")
+def primitive_root(ell: int, exponent: int = 1) -> int:
+    """Least primitive root modulo ell^exponent, for an odd prime ell.
+
+    Only ell - 1 is factored.  For exponent >= 2, g generates (Z/ell^a)^*
+    exactly when it generates (Z/ell)^* and g^(ell-1) != 1 mod ell^2
+    (Ireland & Rosen, GTM 84, ch. 4), so the least root is one g at every
+    level a >= 2."""
+    if ell == 2 or exponent < 1 or not is_prime(ell):
+        raise ValueError(f"needs an odd prime and an exponent >= 1, not {ell}^{exponent}")
+    prime_divs = list(factorize(ell - 1))
+    # g and g + ell cannot both fail the ell^2 test, so a root lies below 2*ell
+    for g in range(2, 2 * ell):
+        if g % ell and all(pow(g, (ell - 1) // r, ell) != 1 for r in prime_divs):
+            if exponent == 1 or pow(g, ell - 1, ell * ell) != 1:
+                return g
+    raise AssertionError(f"no primitive root found modulo {ell}^{exponent}")
+
+
+def unit_dlog(generator: int, target: int, ell: int) -> int:
+    """Discrete log of target to the base generator in (Z/ell)^*, ell prime:
+    the least e >= 0 with generator^e = target mod ell, by a walk over the
+    ell - 1 units."""
+    x = 1
+    target %= ell
+    for e in range(ell - 1):
+        if x == target:
+            return e
+        x = x * generator % ell
+    raise ValueError(f"{target} is not a power of {generator} modulo {ell}")

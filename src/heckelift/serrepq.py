@@ -25,7 +25,6 @@ from .abchar import (
     on_common_unit_group,
     reduce_mod,
     simultaneous_artin_lift,
-    unit_dlog,
     unit_group,
 )
 from .exactnum import (
@@ -36,6 +35,7 @@ from .exactnum import (
     glue_pq,
     is_prime,
     primitive_root,
+    unit_dlog,
 )
 
 __all__ = [
@@ -89,8 +89,7 @@ def weight_crt(
 def residue_address(u: int, r: int) -> QmodZ:
     """The image of the unit u in the fixed Q/Z coordinates of F_r^*: the
     canonical generator (least primitive root) maps to 1/(r-1)."""
-    g = primitive_root(r)
-    return QmodZ(unit_dlog(g, u % r, r), r - 1)
+    return QmodZ(unit_dlog(primitive_root(r), u, r), r - 1)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,34 @@ THETA_40487_LEVEL_2 = {
 }
 
 
+# rho and rho' both on (10^9+7)^2; (Z/ell^2)^* at ell near 10^9 needs its
+# primitive root from ell - 1 alone
+LARGE_PRIME_SQUARE = {
+    "version": 1,
+    "p": 5,
+    "q": 7,
+    "rho": {"modulus": (10**9 + 7) ** 2, "images": {"1000000007": "1/2"}},
+    "rho_prime": {"modulus": (10**9 + 7) ** 2, "images": {"1000000007": "1/2"}},
+}
+
+
+def unipotent_at_level(exponent):
+    """The Remark 2 pair at ell = 3 with a quadratic inertial character on
+    (Z/3^exponent)^*."""
+    return {
+        "version": 1,
+        "ell": 3,
+        "p": 5,
+        "q": 7,
+        "datum": {
+            "type": "unipotent",
+            "inertial": {"modulus_exponent": exponent, "image": "1/2"},
+            "frobenius": {"zeta": "0/1", "weight": 0},
+        },
+        "datum_prime": {"type": "unramified", "ratio": {"zeta": "1/2", "weight": 1}},
+    }
+
+
 class TestLiftQ:
     def test_norm_cube(self, tmp_path):
         code, report = run_json(tmp_path, "lift-q", NORM_CUBE)
@@ -120,6 +148,13 @@ class TestLiftQ:
         assert report["verdict"] == "liftable"
         assert report["certificate"]["infinity_type"] == [["id", 1]]
         assert any("k = 1 (mod" in d["detail"] for d in report["diagnostics"])
+
+    def test_square_of_a_large_prime(self, tmp_path):
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "lift-q", LARGE_PRIME_SQUARE)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert report["verdict"] == "liftable"
 
 
 class TestExitCodes:
@@ -628,6 +663,21 @@ class TestLocalCompat:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert report["verdict"] == "incompatible"
+
+    @pytest.mark.parametrize("exponent", [14000, 10**5])
+    def test_inertial_character_at_a_high_level(self, tmp_path, exponent):
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "local-compat", unipotent_at_level(exponent))
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert report["verdict"] == "incompatible"
+
+    def test_unit_group_above_the_bound_fails_fast(self, tmp_path):
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "local-compat", unipotent_at_level(10**9))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "UNIT_GROUP_BOUND" in report["error"]["message"]
 
 
 class TestRemark2Check:

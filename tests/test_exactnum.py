@@ -13,13 +13,13 @@ from heckelift.exactnum import (
     bernoulli,
     crt_pair,
     discrete_log,
-    euler_phi,
     factorize,
     glue_pq,
     is_prime,
     kronecker_symbol,
     prime_to_part,
     primitive_root,
+    unit_dlog,
     xgcd,
 )
 
@@ -309,20 +309,54 @@ class TestHelpers:
         assert factorize(1) == {}
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
 
-    def test_euler_phi(self):
-        assert euler_phi(1) == 1
-        assert euler_phi(25) == 20
-        assert euler_phi(49) == 42
-
     def test_primitive_root(self):
         assert primitive_root(5) == 2
-        assert primitive_root(25) == 2
+        assert primitive_root(5, 2) == 2
         assert primitive_root(7) == 3
-        assert primitive_root(9) == 2
-        g = primitive_root(49)
+        assert primitive_root(3, 2) == 2
+        g = primitive_root(7, 2)
         order = next(
             k for k in range(1, 43) if pow(g, k, 49) == 1
         )
         assert order == 42
-        with pytest.raises(ValueError):
-            primitive_root(8)
+        for bad in (2, 9):
+            with pytest.raises(ValueError):
+                primitive_root(bad)
+
+
+def element_order(g: int, m: int) -> int:
+    x, k = g % m, 1
+    while x != 1:
+        x, k = x * g % m, k + 1
+    return k
+
+
+def least_root_by_order(ell: int, exponent: int) -> int:
+    """Least g whose order in (Z/ell^exponent)^* is the group order."""
+    m = ell**exponent
+    phi = (ell - 1) * ell ** (exponent - 1)
+    return next(g for g in range(2, m) if g % ell and element_order(g, m) == phi)
+
+
+ODD_PRIMES_BELOW_3000 = [n for n in range(3, 3000, 2) if is_prime(n)]
+
+
+class TestPrimitiveRoot:
+    @pytest.mark.parametrize("exponent, bound", [(1, 3000), (2, 10**5), (3, 10**5)])
+    def test_agrees_with_brute_force(self, exponent, bound):
+        for ell in ODD_PRIMES_BELOW_3000:
+            if ell**exponent > bound:
+                break
+            assert primitive_root(ell, exponent) == least_root_by_order(ell, exponent)
+
+    def test_40487(self):
+        # the least primitive root mod 40487 is not one mod 40487^2
+        assert primitive_root(40487) == 5
+        assert primitive_root(40487, 2) == primitive_root(40487, 3) == 10
+
+
+class TestUnitDlog:
+    @given(st.sampled_from(ODD_PRIMES_BELOW_3000), st.integers(0, 10**6))
+    def test_unit_dlog_inverts_pow(self, ell, e):
+        g = primitive_root(ell)
+        assert unit_dlog(g, pow(g, e, ell), ell) == e % (ell - 1)
