@@ -25,7 +25,6 @@ _MODULE_EXPORTS = {
         "FinAbGroup",
         "GroupCharacter",
         "ModCharacter",
-        "bezout_combine",
         "character_conductor",
         "enumerate_characters",
         "reduce_mod",

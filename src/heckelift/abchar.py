@@ -30,7 +30,6 @@ from .exactnum import (
     primitive_root,
     unit_dlog,
     valuation,
-    xgcd,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "unit_group",
     "reduce_mod",
     "simultaneous_artin_lift",
-    "bezout_combine",
     "character_conductor",
     "enumerate_characters",
     "at_unit_level",
@@ -243,23 +241,6 @@ def simultaneous_artin_lift(
             return None
         exps.append(z)
     return GroupCharacter._make(group, tuple(exps))
-
-
-def bezout_combine(
-    eps_p_power: GroupCharacter,
-    eps_q_power: GroupCharacter,
-    p: int,
-    alpha: int,
-    q: int,
-    beta: int,
-) -> GroupCharacter:
-    """Recover eps from eps^(p^alpha) and eps^(q^beta) via a Bezout relation
-    a*p^alpha + b*q^beta = 1."""
-    m1, m2 = p**alpha, q**beta
-    g, a, b = xgcd(m1, m2)
-    if g != 1:
-        raise ValueError(f"p^alpha = {m1} and q^beta = {m2} are not coprime")
-    return (eps_p_power**a) * (eps_q_power**b)
 
 
 def character_conductor(eps: GroupCharacter) -> int:

@@ -11,7 +11,6 @@ from heckelift.abchar import (
     UNIT_GROUP_BOUND,
     UnitLabel,
     at_unit_level,
-    bezout_combine,
     character_conductor,
     enumerate_characters,
     on_common_unit_group,
@@ -183,41 +182,6 @@ class TestSimultaneousArtinLift:
     def test_exhaustive_agreement_3_7(self, artin_lift_sweep):
         # remaining (p, q) pair; (3,5) and (5,7) run in the acceptance suite
         artin_lift_sweep(3, 7, 200)
-
-
-class TestBezoutCombine:
-    def test_order_six_example(self):
-        g = FinAbGroup((6,))
-        eps = char(g, (1, 6))
-        got = bezout_combine(eps**5, eps**7, 5, 1, 7, 1)
-        assert got == eps
-
-    def test_trivial(self):
-        g = FinAbGroup((6,))
-        t = GroupCharacter.trivial(g)
-        assert bezout_combine(t, t, 5, 1, 7, 1).is_trivial()
-
-    def test_order_35(self):
-        g = FinAbGroup((35,))
-        eps = char(g, (2, 35))
-        assert bezout_combine(eps**5, eps**7, 5, 1, 7, 1) == eps
-
-    def test_guards_common_factor(self):
-        g = FinAbGroup((6,))
-        t = GroupCharacter.trivial(g)
-        with pytest.raises(ValueError):
-            bezout_combine(t, t, 5, 1, 5, 2)
-
-    def test_round_trip_all_small_groups(self, all_abelian_groups):
-        p, alpha, q, beta = 3, 1, 5, 1
-        for orders in all_abelian_groups(200):
-            g = FinAbGroup(orders)
-            n = g.num_characters()
-            step = max(1, n // 32)
-            for i, eps in enumerate(enumerate_characters(g)):
-                if i % step:
-                    continue
-                assert bezout_combine(eps**p, eps**q, p, alpha, q, beta) == eps
 
 
 class TestCharacterConductor:

@@ -734,7 +734,7 @@ def _fresh_python(script: str) -> str:
 PACKAGE_NAMES = [
     "Congruence", "QmodZ", "bernoulli", "crt_pair", "discrete_log",
     "kronecker_symbol", "prime_to_part", "FinAbGroup", "GroupCharacter",
-    "ModCharacter", "bezout_combine", "character_conductor",
+    "ModCharacter", "character_conductor",
     "enumerate_characters", "reduce_mod", "simultaneous_artin_lift",
     "unit_group", "GlobalCharQ", "HeckeCertificate", "LocalInvariantsQ",
     "brute_force_oracle_q", "check_necessary", "conductor_bound",

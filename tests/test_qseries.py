@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelift.exactnum import bernoulli
 from heckelift.qseries import (
     PRECISION_BOUND,
     QExpansion,
@@ -18,6 +19,7 @@ from heckelift.qseries import (
     reduce_series,
     split_roots,
     sturm_congruence,
+    _divisor_power_sums,
     to_quadratic,
     weight24_example,
 )
@@ -42,6 +44,42 @@ def naive_delta(precision):
                 acc[i + j] += out[i] * P[j]
         out = acc
     return [Fraction(0)] + out[: precision - 1]
+
+
+def pentagonal_delta(precision):
+    """Reference construction: eta by Euler's pentagonal number series,
+    its 24th power by QExpansion, then the shift by q."""
+    eta = [0] * precision
+    j = 0
+    while True:
+        done = True
+        for jj in (j, -j) if j else (0,):
+            e = jj * (3 * jj - 1) // 2
+            if e < precision:
+                eta[e] += -1 if jj % 2 else 1
+                done = False
+        if done:
+            break
+        j += 1
+    eta24 = QExpansion(eta) ** 24
+    return QExpansion([0] + list(eta24.coeffs[: precision - 1]), weight=12)
+
+
+def brute_sigma(k, n):
+    return sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+
+def count_products(monkeypatch):
+    """Count every QExpansion product from here on; returns the counter."""
+    calls = [0]
+    mul = QExpansion.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QExpansion, "__mul__", counted)
+    return calls
 
 
 def schoolbook(x, y):
@@ -172,6 +210,42 @@ class TestQExpansionArithmetic:
         e6 = eisenstein(6, 10)
         assert (e6**3).coeffs == (e6 * e6 * e6).coeffs
 
+    def test_first_power_is_the_series(self):
+        for series in (
+            eisenstein(4, 12),
+            QExpansion([Fraction(1, 3), 2, -5]),
+            QExpansion([QuadElem(1, Fraction(1, 2), 5), QuadElem(0, 3, 5)], weight=7),
+        ):
+            assert series**1 == series
+            assert (series**1).weight == series.weight
+
+
+class TestProductCounts:
+    """Binary powering from the leading bit: a square per bit below it and a
+    product by the base per set one, never a product by the series 1."""
+
+    def test_delta_takes_three_squarings(self, monkeypatch):
+        calls = count_products(monkeypatch)
+        for n in (1, 2, 64, 512):
+            before = calls[0]
+            delta(n)
+            assert calls[0] - before == 3
+
+    def test_e4_cubed_takes_two_products(self, monkeypatch):
+        e4 = eisenstein(4, 64)
+        calls = count_products(monkeypatch)
+        assert (e4**3).weight == 12
+        assert calls[0] == 2
+
+    def test_power_count(self, monkeypatch):
+        series = QExpansion([1, 2, 3])
+        calls = count_products(monkeypatch)
+        for e in range(40):
+            before = calls[0]
+            series**e
+            want = e.bit_length() + bin(e).count("1") - 2 if e else 0
+            assert calls[0] - before == want, e
+
 
 class TestEisenstein:
     def test_first_coefficients(self):
@@ -192,6 +266,14 @@ class TestEisenstein:
         with pytest.raises(ValueError):
             eisenstein(4, precision)
 
+    def test_every_coefficient_is_a1_times_sigma(self):
+        for k in range(2, 101, 2):
+            series = eisenstein(k, 200)
+            a1 = Fraction(-2 * k) / bernoulli(k)
+            assert series[0] == 1
+            for n in range(1, 200):
+                assert series[n] == a1 * brute_sigma(k - 1, n), (k, n)
+
     def test_denominators_clear_uniformly(self):
         for k in (2, 4, 6, 8, 10, 12, 14, 16):
             series = eisenstein(k, 40)
@@ -200,6 +282,14 @@ class TestEisenstein:
             factor = Fraction(-2 * k) / bernoulli(k)
             for n in range(1, 40):
                 assert factor.denominator % series[n].denominator == 0
+
+
+class TestDivisorPowerSums:
+    @pytest.mark.parametrize("k", [1, 3, 5, 11, 23, 99])
+    def test_against_brute_force(self, k):
+        assert _divisor_power_sums(k, 400) == [0] + [brute_sigma(k, m) for m in range(1, 400)]
+        assert _divisor_power_sums(k, 1) == [0]
+        assert _divisor_power_sums(k, 2) == [0, 1]
 
 
 class TestDelta:
@@ -215,6 +305,11 @@ class TestDelta:
 
     def test_weight(self):
         assert delta(4).weight == 12
+
+    @pytest.mark.parametrize("precision", [*range(1, 65), 512, 1024, PRECISION_BOUND])
+    def test_equals_pentagonal_construction(self, precision):
+        # n = 1, 2, 3 hold the first Jacobi terms 1, -3q, 5q^3 of eta^3
+        assert delta(precision) == pentagonal_delta(precision)
 
     @pytest.mark.parametrize("precision", [-3, 0])
     def test_rejects_empty_precision(self, precision):
