@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "QmodZ",
@@ -307,7 +310,10 @@ BERNOULLI_BOUND = 100
 @lru_cache(maxsize=None)
 def _bernoulli_even(m: int) -> Fraction:
     # B_{2m} by the binomial recurrence sum_{r<=n} C(n+1,r) B_r = 0, skipping
-    # the vanishing odd indices (B_1 = -1/2 enters once)
+    # the vanishing odd indices (B_1 = -1/2 enters once); fractions, which
+    # imports decimal, loads here since no other exactnum path needs it
+    from fractions import Fraction
+
     if m == 0:
         return Fraction(1)
     n = 2 * m

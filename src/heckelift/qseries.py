@@ -6,9 +6,13 @@ is explicit.  A series stores them as integer numerators over one shared
 denominator (two numerator tuples, rational and sqrt(D) parts, over Q(sqrt
 D)) and multiplies by Kronecker substitution: each numerator tuple is
 packed into one Python int, so a single bigint product does the O(n^2)
-work.  Ring operations truncate to the shorter precision and weight tags
-add under multiplication.  Delta is q times the eighth power of eta^3, which
-Jacobi's identity writes as a sparse series (Hardy & Wright, Thm. 357).
+work.  A slot of up to 8 bytes is rounded up to a machine word and packed
+and unpacked by one array conversion, with no Python work per
+coefficient; wider slots take the byte path, int.to_bytes and
+int.from_bytes per coefficient.  Ring operations truncate to the shorter
+precision and weight tags add under multiplication.  Delta is q times the
+eighth power of eta^3, which Jacobi's identity writes as a sparse series
+(Hardy & Wright, Thm. 357).
 
 The congruence layer reduces coefficients through a chosen prime above a
 split rational prime (the root r with r^2 = D picks the prime) and checks
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,8 +51,9 @@ __all__ = [
 DEFAULT_PRECISION = 64
 
 # largest precision the series constructors and checks accept: at the bound
-# weight24_example takes 0.37-0.5 s and delta 0.05 s, while weight24_example
-# takes 1.3-1.5 s at 8192 and 4.7 s at 16384 (Intel Xeon, Python 3.11.7)
+# weight24_example takes 0.4-0.5 s and delta 0.05-0.09 s, while
+# weight24_example takes 1.1-1.4 s at 8192 and 4.4-5.2 s at 16384 (Intel
+# Xeon, Python 3.11.7)
 PRECISION_BOUND = 4096
 
 
@@ -111,31 +118,65 @@ class QuadElem:
         return f"{self.a} + {self.b}*sqrt({self.disc})"
 
 
+# signed array typecodes by item size: the machine slots, 1, 2, 4 and 8 bytes
+_MACHINE = {array(code).itemsize: code for code in "bhilq"}
+# 1 for the top byte of a negative slot (0x80 and above), 0 otherwise
+_SIGN = bytes(b >> 7 for b in range(256))
+# array items are in native byte order; slots are little-endian
+_SWAP = sys.byteorder == "big"
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients of absolute value at most bound: one
+    bit more than its bit length, rounded up to a machine slot if one holds it."""
+    width = (bound.bit_length() + 8) // 8
+    return min((m for m in _MACHINE if m >= width), default=width)
+
+
 def _pack(xs, width: int) -> int:
     """sum xs[i] * 2^(8*width*i) for signed ints xs, in linear time.
 
-    Each slot is written in two's complement; a negative slot then reads as
-    xs[i] + 2^(8*width), so the borrow it owes the slot above is taken back
-    in one subtraction.
+    Each slot is written in two's complement: in a machine slot by one array
+    conversion, in a wider one by int.to_bytes per coefficient (the byte
+    path).  A negative slot then reads as xs[i] + 2^(8*width); the borrows
+    it owes the slots above are read off the top bytes and taken back in
+    one subtraction.
     """
-    raw = b"".join(x.to_bytes(width, "little", signed=True) for x in xs)
+    code = _MACHINE.get(width)
+    if code is None:
+        raw = b"".join(x.to_bytes(width, "little", signed=True) for x in xs)
+    else:
+        slots = array(code, xs)
+        if _SWAP:
+            slots.byteswap()
+        raw = slots.tobytes()
     borrows = bytearray(len(raw))
-    borrows[::width] = bytes(x < 0 for x in xs)
-    borrow = int.from_bytes(borrows, "little") << 8 * width
-    return int.from_bytes(raw, "little") - borrow
+    borrows[::width] = raw[width - 1 :: width].translate(_SIGN)
+    return int.from_bytes(raw, "little") - (int.from_bytes(borrows, "little") << 8 * width)
 
 
 def _unpack(value: int, n: int, width: int) -> tuple[int, ...]:
     """The low n slots of value, each known to lie in [-h, h) with
-    h = 2^(8*width - 1).  Adding h to every slot makes them all
-    nonnegative, so the slots separate without carries."""
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    h = 2^(8*width - 1).
+
+    Adding h to every slot makes them all nonnegative, so the slots
+    separate without carries; XOR with h then leaves each slot in two's
+    complement, read by one array conversion from machine slots and by
+    int.from_bytes per coefficient from wider ones (the byte path).
+    """
     size = n * width
-    raw = ((value + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    return tuple(
-        int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)
-    )
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (((value + bias) & ((1 << 8 * size) - 1)) ^ bias).to_bytes(size, "little")
+    code = _MACHINE.get(width)
+    if code is None:
+        return tuple(
+            int.from_bytes(raw[i : i + width], "little", signed=True)
+            for i in range(0, size, width)
+        )
+    slots = array(code, raw)
+    if _SWAP:
+        slots.byteswap()
+    return tuple(slots)
 
 
 def _kron(x, y) -> tuple[int, ...]:
@@ -143,12 +184,15 @@ def _kron(x, y) -> tuple[int, ...]:
     polynomials, by Kronecker substitution: pack each into one int, do one
     bigint multiply, unpack.  A product coefficient is a sum of at most n
     terms, so a slot at least one bit wider than the bit length of
-    n*max|x|*max|y| holds it with its sign."""
+    n*max|x|*max|y| holds it with its sign; up to 8 bytes the slot is a
+    machine word, so packing and unpacking do no Python work per
+    coefficient."""
     n = len(x)
-    bound = n * max(map(abs, x)) * max(map(abs, y))
+    mx = max(map(abs, x))
+    bound = n * mx * (mx if y is x else max(map(abs, y)))
     if not bound:
         return (0,) * n
-    width = (bound.bit_length() + 8) // 8
+    width = _slot_width(bound)
     px = _pack(x, width)
     py = px if y is x else _pack(y, width)
     return _unpack(px * py, n, width)
@@ -534,17 +578,26 @@ def sturm_congruence(f: QExpansion, g: QExpansion, ideal, bound: int) -> SturmRe
     max(weight)/12, the level-one index beyond which agreement of the
     truncations proves congruence of the forms.
     """
+    theoretical = _theoretical_bound(f, g, ideal)
+    rf, rg = reduce_series(f, ideal, bound), reduce_series(g, ideal, bound)
+    return _sturm_report(rf, rg, ideal, bound, theoretical)
+
+
+def _theoretical_bound(f: QExpansion, g: QExpansion, ideal) -> int | None:
+    """max(weight)/12 when both weight tags are present, after checking that
+    they agree modulo ell - 1; None otherwise."""
+    if f.weight is None or g.weight is None:
+        return None
     ell = ideal.ell if isinstance(ideal, SplitPrimeIdeal) else int(ideal)
-    theoretical = None
-    if f.weight is not None and g.weight is not None:
-        if (f.weight - g.weight) % (ell - 1):
-            raise ValueError(
-                f"weights {f.weight}, {g.weight} are incompatible modulo {ell - 1}"
-            )
-        theoretical = max(f.weight, g.weight) // 12
-    rf = reduce_series(f, ideal, bound)
-    rg = reduce_series(g, ideal, bound)
-    mismatch = next((n for n in range(bound + 1) if rf[n] != rg[n]), None)
+    if (f.weight - g.weight) % (ell - 1):
+        raise ValueError(f"weights {f.weight}, {g.weight} are incompatible modulo {ell - 1}")
+    return max(f.weight, g.weight) // 12
+
+
+def _sturm_report(rf, rg, ideal, bound: int, theoretical: int | None) -> SturmReport:
+    """The report on two series whose reductions through ideal to q^bound
+    are rf and rg."""
+    mismatch = next((n for n, (x, y) in enumerate(zip(rf, rg)) if x != y), None)
     return SturmReport(
         congruent=mismatch is None,
         first_mismatch=mismatch,
@@ -656,47 +709,54 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
     p7 = SplitPrimeIdeal(7, r7_small, D)
     bound = precision - 1
 
-    f_plus = build(alpha_plus)
-    f_minus = build(alpha_minus)
     dlt_q = to_quadratic(dlt, D)
-    plus_matches = sturm_congruence(dlt_q, f_plus, p7, bound).congruent
-    minus_matches = sturm_congruence(dlt_q, f_minus, p7, bound).congruent
+    forms = {"Delta": dlt_q, "f+": build(alpha_plus), "f-": build(alpha_minus)}
+    reductions = {}
+
+    def reduced(name: str, ideal: SplitPrimeIdeal) -> tuple[int, ...]:
+        """The named series reduced through ideal to q^bound, once per pair."""
+        if (name, ideal) not in reductions:
+            reductions[name, ideal] = reduce_series(forms[name], ideal, bound)
+        return reductions[name, ideal]
+
+    def delta_congruence(name: str, ideal: SplitPrimeIdeal) -> SturmReport:
+        theoretical = _theoretical_bound(dlt_q, forms[name], ideal)
+        rf, rg = reduced("Delta", ideal), reduced(name, ideal)
+        return _sturm_report(rf, rg, ideal, bound, theoretical)
+
+    plus_matches = reduced("f+", p7) == reduced("Delta", p7)
+    minus_matches = reduced("f-", p7) == reduced("Delta", p7)
     if plus_matches == minus_matches:
         raise AssertionError("exactly one weight-24 form must match Delta mod p7")
     if plus_matches:
         alpha, alpha_prime = alpha_plus, alpha_minus
-        f, f_prime = f_plus, f_minus
+        f, f_prime = "f+", "f-"
         labelling = "f carries alpha = (-13 + sqrt(144169))/2"
     else:
         alpha, alpha_prime = alpha_minus, alpha_plus
-        f, f_prime = f_minus, f_plus
+        f, f_prime = "f-", "f+"
         labelling = "f carries alpha = (-13 - sqrt(144169))/2"
     p7_conj = p7.conjugate()
 
     r5a, r5b = split_roots(D, 5)
     candidates = [SplitPrimeIdeal(5, r, D) for r in (r5a, r5b)]
-    matching = [
-        ideal
-        for ideal in candidates
-        if sturm_congruence(dlt_q, f, ideal, bound).congruent
-    ]
+    matching = [ideal for ideal in candidates if reduced(f, ideal) == reduced("Delta", ideal)]
     if len(matching) != 1:
         raise AssertionError("exactly one prime above 5 must satisfy Delta = f")
     p5 = matching[0]
     p5_conj = p5.conjugate()
 
     congruences = (
-        ("Delta = f mod p5", sturm_congruence(dlt_q, f, p5, bound)),
-        ("Delta = f mod p7", sturm_congruence(dlt_q, f, p7, bound)),
-        ("Delta = f' mod p5'", sturm_congruence(dlt_q, f_prime, p5_conj, bound)),
-        ("Delta = f' mod p7'", sturm_congruence(dlt_q, f_prime, p7_conj, bound)),
+        ("Delta = f mod p5", delta_congruence(f, p5)),
+        ("Delta = f mod p7", delta_congruence(f, p7)),
+        ("Delta = f' mod p5'", delta_congruence(f_prime, p5_conj)),
+        ("Delta = f' mod p7'", delta_congruence(f_prime, p7_conj)),
         (
             # f and f' are congruent mod 5 through the matched conjugate pair
             # of primes: both reduce to Delta
             "f mod p5 = f' mod p5'",
             SturmReport(
-                congruent=reduce_series(f, p5, bound)
-                == reduce_series(f_prime, p5_conj, bound),
+                congruent=reduced(f, p5) == reduced(f_prime, p5_conj),
                 first_mismatch=None,
                 bound=bound,
                 theoretical_bound=2,
@@ -721,13 +781,14 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
         congruences=congruences,
         q_is_one_mod_5=q_is_one,
         alpha_product=alpha_product,
+        # precision >= 10, so each row is the first ten residues
         residues=tuple(
-            (name, reduce_series(series, ideal, min(9, bound)))
-            for name, series, ideal in (
-                ("Delta mod p5", dlt_q, p5),
+            (label, reduced(name, ideal)[:10])
+            for label, name, ideal in (
+                ("Delta mod p5", "Delta", p5),
                 ("f mod p5", f, p5),
                 ("f' mod p5'", f_prime, p5_conj),
-                ("Delta mod p7", dlt_q, p7),
+                ("Delta mod p7", "Delta", p7),
                 ("f mod p7", f, p7),
                 ("f' mod p7'", f_prime, p7_conj),
             )

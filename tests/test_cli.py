@@ -774,6 +774,11 @@ class TestColdStart:
         unused = {"jsonschema", "heckelift.heckeq", "heckelift.heckequad", "heckelift.qseries"}
         assert not unused & loaded
 
+    def test_exactnum_loads_fractions_only_for_bernoulli(self):
+        assert not {"fractions", "decimal"} & self._loaded("import heckelift.exactnum")
+        loaded = self._loaded("from heckelift.exactnum import bernoulli\nbernoulli(12)")
+        assert "fractions" in loaded
+
     def test_every_package_name_still_resolves(self):
         # in a fresh process, so that each name is resolved lazily
         _fresh_python(f"from heckelift import {', '.join(PACKAGE_NAMES)}")

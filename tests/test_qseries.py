@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelift import qseries
 from heckelift.exactnum import bernoulli
 from heckelift.qseries import (
     PRECISION_BOUND,
@@ -20,6 +21,10 @@ from heckelift.qseries import (
     split_roots,
     sturm_congruence,
     _divisor_power_sums,
+    _kron,
+    _pack,
+    _slot_width,
+    _unpack,
     to_quadratic,
     weight24_example,
 )
@@ -106,6 +111,74 @@ rational_lists = st.one_of(
 quad_lists = st.lists(
     st.builds(QuadElem, rationals, rationals, st.just(5)), min_size=1, max_size=16
 )
+
+
+@st.composite
+def kron_operands(draw):
+    """Two integer lists of one length in 1..70 with mixed signs, whose
+    product bound n*max|x|*max|y| lies near 2^7, 2^15, 2^31 or 2^63, where
+    the slot width steps, or with entries up to 2^100 in slots far wider."""
+    n = draw(st.integers(1, 70))
+    top = draw(st.sampled_from([7, 15, 31, 63, None]))
+    if top is None:
+        mx, my = draw(st.integers(1, 2**100)), draw(st.integers(1, 2**100))
+    else:
+        mx = draw(st.integers(1, max(1, 2 ** (top // 2) // n)))
+        my = max(1, 2**top // (n * mx) + draw(st.integers(-1, 2)))
+
+    def side(m):
+        # one coefficient at the extreme, so that max|x| is m
+        xs = draw(st.lists(st.integers(-m, m), min_size=n, max_size=n))
+        xs[draw(st.integers(0, n - 1))] = draw(st.sampled_from([m, -m]))
+        return xs
+
+    return side(mx), side(my)
+
+
+class TestKroneckerSubstitution:
+    """_kron against the schoolbook product, and the slot codecs alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kron_operands())
+    def test_against_schoolbook(self, xy):
+        x, y = xy
+        assert _kron(x, y) == schoolbook(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kron_operands())
+    def test_squares(self, xy):
+        x = xy[0]
+        assert _kron(x, x) == schoolbook(x, list(x))
+
+    @pytest.mark.parametrize("n", [1, 2, 70])
+    def test_zero_operands(self, n):
+        zeros = [0] * n
+        assert _kron(zeros, zeros) == (0,) * n
+        assert _kron(zeros, [-5] * n) == (0,) * n
+        assert _kron([2**70] * n, zeros) == (0,) * n
+
+    def test_slot_widths(self):
+        # one bit more than the bound, rounded up to 1, 2, 4 or 8 bytes, and
+        # wider slots byte by byte
+        for bound, width in [(1, 1), (127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4),
+                             (2**31 - 1, 4), (2**31, 8), (2**63 - 1, 8), (2**63, 9),
+                             (2**71 - 1, 9), (2**71, 10), (2**127 - 1, 16)]:  # fmt: skip
+            assert _slot_width(bound) == width, bound
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_pack_unpack_round_trip(self, width):
+        half = 1 << (8 * width - 1)
+        rng = random.Random(width)
+        for n in (1, 2, 3, 70):
+            xs = [rng.choice([-half, half - 1, 0, -1, rng.randrange(-half, half)])
+                  for _ in range(n)]  # fmt: skip
+            packed = _pack(xs, width)
+            assert packed == sum(x << (8 * width * i) for i, x in enumerate(xs))
+            assert _unpack(packed, n, width) == tuple(xs)
+            # slots above the n kept ones, as a full product has, are ignored
+            for above in (1, -1, rng.randrange(-(2**200), 2**200)):
+                high = above << (8 * width * n)
+                assert _unpack(packed + high, n, width) == tuple(xs)
 
 
 class TestKroneckerProduct:
@@ -559,3 +632,19 @@ class TestWeight24Example:
     def test_precision_guard(self):
         with pytest.raises(ValueError):
             weight24_example(8)
+
+    def test_reduces_each_pair_once(self, monkeypatch):
+        reduced = []
+        original = qseries.reduce_series
+
+        def counted(series, ideal, bound):
+            # the series itself is kept, so that its id is not reused
+            reduced.append((series, id(series), ideal))
+            return original(series, ideal, bound)
+
+        monkeypatch.setattr(qseries, "reduce_series", counted)
+        for precision in (10, 64):
+            reduced.clear()
+            weight24_example(precision)
+            pairs = [(key, ideal) for _, key, ideal in reduced]
+            assert len(set(pairs)) == len(pairs)
