@@ -1,23 +1,25 @@
-"""Exact truncated q-expansions over Q and over a real quadratic field.
+"""Exact truncated q-expansions over Q.
 
-Coefficients are either Fraction or QuadElem (elements a + b*sqrt(D) with a
-fixed positive nonsquare D); the two domains never mix silently, promotion
-is explicit.  A series stores them as integer numerators over one shared
-denominator (two numerator tuples, rational and sqrt(D) parts, over Q(sqrt
-D)) and multiplies by Kronecker substitution: each numerator tuple is
-packed into one Python int, so a single bigint product does the O(n^2)
-work.  A slot of up to 8 bytes is rounded up to a machine word and packed
-and unpacked by one array conversion, with no Python work per
+A series stores its Fraction coefficients as integer numerators over one
+shared denominator and multiplies by Kronecker substitution: the numerator
+tuple is packed into one Python int, so a single bigint product does the
+O(n^2) work.  A slot of up to 8 bytes is rounded up to a machine word and
+packed and unpacked by one array conversion, with no Python work per
 coefficient; wider slots take the byte path, int.to_bytes and
 int.from_bytes per coefficient.  Ring operations truncate to the shorter
 precision and weight tags add under multiplication.  Delta is q times the
 eighth power of eta^3, which Jacobi's identity writes as a sparse series
 (Hardy & Wright, Thm. 357).
 
-The congruence layer reduces coefficients through a chosen prime above a
-split rational prime (the root r with r^2 = D picks the prime) and checks
+The congruence layer reduces series modulo a rational prime ell and checks
 coefficientwise agreement up to a stated bound, recording the theoretical
 bound (weight/12 at level one) that would make the truncated check a proof.
+Quadratic numbers a + b*sqrt(D) (QuadElem, with a fixed positive nonsquare
+D) appear only as scalars: a chosen prime P above a split ell (the root r
+with r^2 = D picks it) maps one to a + b*r mod ell, and on rational series
+reduction through P is reduction mod ell.  So the weight-24 eigenforms
+over Q(sqrt(144169)) are reduced from rational series and their
+coefficient alpha mod P.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "SplitPrimeIdeal",
     "eisenstein",
     "delta",
-    "to_quadratic",
     "reduce_series",
     "sturm_congruence",
     "hasse_invariant_check",
@@ -68,51 +69,18 @@ def _check_precision(precision: int, least: int) -> None:
 
 @dataclass(frozen=True)
 class QuadElem:
-    """a + b*sqrt(disc) with exact rational a, b and fixed positive nonsquare disc."""
+    """a + b*sqrt(disc) with exact rational a, b and fixed positive nonsquare
+    disc: a value that a SplitPrimeIdeal reduces, with no arithmetic."""
 
     a: Fraction
     b: Fraction
     disc: int
 
     def __post_init__(self):
-        _check_disc(self.disc)
+        if self.disc <= 0 or math.isqrt(self.disc) ** 2 == self.disc:
+            raise ValueError("disc must be a positive nonsquare integer")
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-
-    def _check(self, other: "QuadElem") -> None:
-        if self.disc != other.disc:
-            raise ValueError("mixed quadratic fields")
-
-    def __add__(self, other: "QuadElem") -> "QuadElem":
-        self._check(other)
-        return QuadElem(self.a + other.a, self.b + other.b, self.disc)
-
-    def __sub__(self, other: "QuadElem") -> "QuadElem":
-        self._check(other)
-        return QuadElem(self.a - other.a, self.b - other.b, self.disc)
-
-    def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.a, -self.b, self.disc)
-
-    def __mul__(self, other):
-        if isinstance(other, QuadElem):
-            self._check(other)
-            return QuadElem(
-                self.a * other.a + self.b * other.b * self.disc,
-                self.a * other.b + self.b * other.a,
-                self.disc,
-            )
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.a * other, self.b * other, self.disc)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.disc)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt({self.disc})"
@@ -198,66 +166,44 @@ def _kron(x, y) -> tuple[int, ...]:
     return _unpack(px * py, n, width)
 
 
-def _check_disc(disc: int) -> None:
-    if disc <= 0 or math.isqrt(disc) ** 2 == disc:
-        raise ValueError("disc must be a positive nonsquare integer")
-
-
 class QExpansion:
-    """Truncated power series in q with exact coefficients and a weight tag.
+    """Truncated power series in q with exact rational coefficients and a
+    weight tag.
 
-    The q^n coefficient is (_a[n] + _b[n]*sqrt(disc)) / _den over one fixed
-    quadratic field, or _a[n] / _den with _b None over Q: integer tuples
-    over one positive denominator, in lowest terms (the gcd of _den and
-    every numerator is 1), so equal series are stored alike.  coeffs and
-    series[n] give the coefficients as Fraction or QuadElem; precision is
-    the number of known coefficients.
+    The q^n coefficient is _a[n] / _den: integer numerators over one
+    positive denominator, in lowest terms (the gcd of _den and every
+    numerator is 1), so equal series are stored alike.  coeffs and
+    series[n] give the coefficients as Fraction objects; precision is the
+    number of known coefficients.
     """
 
-    __slots__ = ("_a", "_b", "_den", "disc", "weight")
+    __slots__ = ("_a", "_den", "weight")
 
     def __init__(self, coeffs, weight: int | None = None):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least one coefficient")
-        disc = None
         for c in coeffs:
-            if isinstance(c, QuadElem):
-                if disc is None:
-                    disc = c.disc
-                elif disc != c.disc:
-                    raise ValueError("mixed quadratic fields in one series")
-            elif not isinstance(c, (int, Fraction)):
+            if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"unsupported coefficient type {type(c)!r}")
-        if disc is not None and not all(isinstance(c, QuadElem) for c in coeffs):
-            raise ValueError("rational and quadratic coefficients cannot mix")
-        rat = coeffs if disc is None else tuple(c.a for c in coeffs)
-        irr = () if disc is None else tuple(c.b for c in coeffs)
-        den = math.lcm(*(x.denominator for x in rat + irr))
+        den = math.lcm(*(x.denominator for x in coeffs))
+        self._set([x.numerator * (den // x.denominator) for x in coeffs], den, weight)
 
-        def lift(part):
-            return tuple(x.numerator * (den // x.denominator) for x in part)
-
-        self._set(lift(rat), None if disc is None else lift(irr), den, disc, weight)
-
-    def _set(self, a, b, den: int, disc: int | None, weight: int | None) -> None:
+    def _set(self, a, den: int, weight: int | None) -> None:
         if den != 1:
-            g = math.gcd(den, *a, *(b or ()))
+            g = math.gcd(den, *a)
             if g != 1:
                 den //= g
                 a = [x // g for x in a]
-                b = None if b is None else [x // g for x in b]
         self._a = tuple(a)
-        self._b = None if b is None else tuple(b)
         self._den = den
-        self.disc = disc
         self.weight = weight
 
     @classmethod
-    def _make(cls, a, b, den: int, disc: int | None, weight: int | None) -> "QExpansion":
-        """The series with numerators a (and sqrt(disc) parts b) over den > 0."""
+    def _make(cls, a, den: int, weight: int | None) -> "QExpansion":
+        """The series with numerators a over den > 0."""
         series = object.__new__(cls)
-        series._set(a, b, den, disc, weight)
+        series._set(a, den, weight)
         return series
 
     @property
@@ -266,37 +212,23 @@ class QExpansion:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as Fraction (or QuadElem) objects, built on access."""
+        """The coefficients as Fraction objects, built on access."""
         den = self._den
-        if self._b is None:
-            if den == 1:
-                return tuple(map(Fraction, self._a))
-            return tuple(Fraction(x, den) for x in self._a)
-        return tuple(
-            QuadElem(Fraction(x, den), Fraction(y, den), self.disc)
-            for x, y in zip(self._a, self._b)
-        )
+        if den == 1:
+            return tuple(map(Fraction, self._a))
+        return tuple(Fraction(x, den) for x in self._a)
 
     def __getitem__(self, n):
         if isinstance(n, slice):
             return self.coeffs[n]
-        den = self._den
-        if self._b is None:
-            return Fraction(self._a[n], den)
-        return QuadElem(Fraction(self._a[n], den), Fraction(self._b[n], den), self.disc)
+        return Fraction(self._a[n], self._den)
 
     def truncate(self, precision: int) -> "QExpansion":
+        if precision < 1:
+            raise ValueError("a series needs at least one coefficient")
         if precision > self.precision:
             raise ValueError("cannot extend a truncated series")
-        if not self._a[:precision]:
-            raise ValueError("a series needs at least one coefficient")
-        b = None if self._b is None else self._b[:precision]
-        return self._make(self._a[:precision], b, self._den, self.disc, self.weight)
-
-    def _common(self, other: "QExpansion") -> int:
-        if self.disc != other.disc:
-            raise ValueError("coefficient domains differ")
-        return min(self.precision, other.precision)
+        return self._make(self._a[:precision], self._den, self.weight)
 
     @staticmethod
     def _merge_add_weight(w1, w2):
@@ -307,19 +239,13 @@ class QExpansion:
         return None
 
     def _combine(self, other: "QExpansion", op) -> "QExpansion":
-        """self op other for op in (add, sub), over the lcm of the denominators."""
-        n = self._common(other)
+        """self op other for op in (add, sub), over the lcm of the denominators,
+        to the shorter precision."""
         den = math.lcm(self._den, other._den)
         s, t = den // self._den, den // other._den
-
-        def part(x, y):
-            return tuple(op(u * s, v * t) for u, v in zip(x[:n], y[:n]))
-
         return self._make(
-            part(self._a, other._a),
-            None if self._b is None else part(self._b, other._b),
+            [op(u * s, v * t) for u, v in zip(self._a, other._a)],
             den,
-            self.disc,
             self._merge_add_weight(self.weight, other.weight),
         )
 
@@ -330,62 +256,24 @@ class QExpansion:
         return self._combine(other, operator.sub)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if not isinstance(other, QExpansion):
             return self.scale(other)
-        n = self._common(other)
+        n = min(self.precision, other.precision)
         w = (
             self.weight + other.weight
             if self.weight is not None and other.weight is not None
             else None
         )
-        den = self._den * other._den
         a1 = self._a[:n]
         a2 = a1 if other is self else other._a[:n]
-        if self._b is None:
-            return self._make(_kron(a1, a2), None, den, None, w)
-        # (a1 + b1 s)(a2 + b2 s) with s^2 = disc, from three products
-        b1 = self._b[:n]
-        b2 = b1 if other is self else other._b[:n]
-        s1 = tuple(map(operator.add, a1, b1))
-        s2 = s1 if other is self else tuple(map(operator.add, a2, b2))
-        aa, bb, ss = _kron(a1, a2), _kron(b1, b2), _kron(s1, s2)
-        disc = self.disc
-        return self._make(
-            [x + disc * y for x, y in zip(aa, bb)],
-            [z - x - y for x, y, z in zip(aa, bb, ss)],
-            den,
-            disc,
-            w,
-        )
+        return self._make(_kron(a1, a2), self._den * other._den, w)
 
     def scale(self, c) -> "QExpansion":
-        a, b, disc = self._a, self._b, self.disc
-        if isinstance(c, QuadElem):
-            if disc is None:
-                raise ValueError("promote the series with to_quadratic first")
-            if c.disc != disc:
-                raise ValueError("mixed quadratic fields")
-            cden = math.lcm(c.a.denominator, c.b.denominator)
-            ca = c.a.numerator * (cden // c.a.denominator)
-            cb = c.b.numerator * (cden // c.b.denominator)
-            return self._make(
-                [ca * x + cb * disc * y for x, y in zip(a, b)],
-                [ca * y + cb * x for x, y in zip(a, b)],
-                self._den * cden,
-                disc,
-                self.weight,
-            )
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"unsupported scalar type {type(c)!r}")
         c = Fraction(c)
         num = c.numerator
-        return self._make(
-            [num * x for x in a],
-            None if b is None else [num * y for y in b],
-            self._den * c.denominator,
-            disc,
-            self.weight,
-        )
+        return self._make([num * x for x in self._a], self._den * c.denominator, self.weight)
 
     __rmul__ = __mul__
 
@@ -394,8 +282,7 @@ class QExpansion:
             raise ValueError("negative powers are not supported")
         if e == 0:
             n, w = self.precision, None if self.weight is None else 0
-            b = None if self._b is None else (0,) * n
-            return self._make((1,) + (0,) * (n - 1), b, 1, self.disc, w)
+            return self._make((1,) + (0,) * (n - 1), 1, w)
         # from the leading bit down, so that the series 1 is never a factor
         out = self
         for bit in bin(e)[3:]:
@@ -406,24 +293,12 @@ class QExpansion:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QExpansion) and (
-            self._a, self._b, self._den, self.disc, self.weight
-        ) == (other._a, other._b, other._den, other.disc, other.weight)
+            self._a, self._den, self.weight
+        ) == (other._a, other._den, other.weight)
 
     def __repr__(self) -> str:
         head = ", ".join(str(self[n]) for n in range(min(4, self.precision)))
         return f"QExpansion([{head}, ...], precision={self.precision}, weight={self.weight})"
-
-
-def to_quadratic(series: QExpansion, disc: int) -> QExpansion:
-    """Promote a rational series into the coefficient field Q(sqrt(disc))."""
-    if series.disc is not None:
-        if series.disc != disc:
-            raise ValueError("series already lives in a different field")
-        return series
-    _check_disc(disc)
-    return QExpansion._make(
-        series._a, (0,) * series.precision, series._den, disc, series.weight
-    )
 
 
 def _divisor_power_sums(k: int, precision: int) -> list[int]:
@@ -452,7 +327,7 @@ def eisenstein(k: int, precision: int = DEFAULT_PRECISION) -> QExpansion:
     factor = Fraction(-2 * k) / bernoulli(k)
     num, den = factor.numerator, factor.denominator
     sums = _divisor_power_sums(k - 1, precision)
-    return QExpansion._make([den] + [num * s for s in sums[1:]], None, den, None, k)
+    return QExpansion._make([den] + [num * s for s in sums[1:]], den, k)
 
 
 def delta(precision: int = DEFAULT_PRECISION) -> QExpansion:
@@ -467,8 +342,8 @@ def delta(precision: int = DEFAULT_PRECISION) -> QExpansion:
     for k in range(math.isqrt(2 * precision) + 1):
         if k * (k + 1) // 2 < precision:
             eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-    eta24 = QExpansion._make(eta3, None, 1, None, None) ** 8
-    return QExpansion._make((0,) + eta24._a[: precision - 1], None, eta24._den, None, 12)
+    eta24 = QExpansion._make(eta3, 1, None) ** 8
+    return QExpansion._make((0,) + eta24._a[: precision - 1], eta24._den, 12)
 
 
 @dataclass(frozen=True)
@@ -492,19 +367,15 @@ class SplitPrimeIdeal:
         return SplitPrimeIdeal(self.ell, (-self.root) % self.ell, self.disc)
 
     def reduce(self, value) -> int:
+        """An int, Fraction or QuadElem through this prime: a + b*sqrt(disc)
+        goes to a + b*root modulo ell."""
         if isinstance(value, QuadElem):
             if value.disc != self.disc:
                 raise ValueError("element from a different field")
-            frac = value.a + value.b * self.root
-        else:
-            frac = Fraction(value)
-        if frac.denominator % self.ell == 0:
-            raise ValueError(f"denominator not invertible modulo {self.ell}")
-        return (
-            frac.numerator
-            * pow(frac.denominator, -1, self.ell)
-            % self.ell
-        )
+            value = value.a + value.b * self.root
+        elif not isinstance(value, (int, Fraction)):
+            raise TypeError(f"unsupported value type {type(value)!r}")
+        return _residue(Fraction(value), self.ell)
 
     def __str__(self) -> str:
         return f"({self.ell}, sqrt({self.disc}) - {self.root})"
@@ -518,37 +389,33 @@ def split_roots(disc: int, ell: int) -> tuple[int, int]:
     return roots[0], roots[1]
 
 
+def _residue(x: Fraction, ell: int) -> int:
+    """x modulo ell, for x with denominator prime to ell."""
+    if x.denominator % ell == 0:
+        raise ValueError(f"denominator not invertible modulo {ell}")
+    return x.numerator * pow(x.denominator, -1, ell) % ell
+
+
+def _ell(modulus) -> int:
+    """The rational prime of a SplitPrimeIdeal, or of a prime given as is."""
+    return modulus.ell if isinstance(modulus, SplitPrimeIdeal) else int(modulus)
+
+
 def reduce_series(series: QExpansion, ideal, bound: int) -> tuple[int, ...]:
-    """Coefficients 0..bound reduced through the ideal (or a rational prime)."""
+    """Coefficients 0..bound reduced modulo a rational prime ell, or through
+    a SplitPrimeIdeal above ell, which on rational coefficients is the same."""
     if bound >= series.precision:
         raise ValueError(
             f"series precision {series.precision} is below the bound {bound}"
         )
-    m = max(bound + 1, 0)
-    nums = series._a[:m]
-    if isinstance(ideal, SplitPrimeIdeal):
-        ell = ideal.ell
-        if series.disc is not None and m:
-            if series.disc != ideal.disc:
-                raise ValueError("element from a different field")
-            # sqrt(disc) -> root
-            nums = [x + y * ideal.root for x, y in zip(nums, series._b)]
-    else:
-        ell = int(ideal)
-        if series.disc is not None and m:
-            raise ValueError("quadratic coefficients need a SplitPrimeIdeal")
+    ell = _ell(ideal)
+    nums = series._a[: max(bound + 1, 0)]
     den = series._den
     if den % ell:
         inv = pow(den, -1, ell)
         return tuple(x * inv % ell for x in nums)
     # ell divides the shared denominator, not necessarily each coefficient's
-    out = []
-    for x in nums:
-        c = Fraction(x, den)
-        if c.denominator % ell == 0:
-            raise ValueError(f"denominator not invertible modulo {ell}")
-        out.append(c.numerator * pow(c.denominator, -1, ell) % ell)
-    return tuple(out)
+    return tuple(_residue(Fraction(x, den), ell) for x in nums)
 
 
 @dataclass(frozen=True)
@@ -588,7 +455,7 @@ def _theoretical_bound(f: QExpansion, g: QExpansion, ideal) -> int | None:
     they agree modulo ell - 1; None otherwise."""
     if f.weight is None or g.weight is None:
         return None
-    ell = ideal.ell if isinstance(ideal, SplitPrimeIdeal) else int(ideal)
+    ell = _ell(ideal)
     if (f.weight - g.weight) % (ell - 1):
         raise ValueError(f"weights {f.weight}, {g.weight} are incompatible modulo {ell - 1}")
     return max(f.weight, g.weight) // 12
@@ -683,80 +550,85 @@ WEIGHT24_DISC = 144169
 def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
     """The two level-one weight-24 eigenforms against the discriminant form.
 
-    Builds f = 24*alpha*Delta^2 + E4^3*Delta and its conjugate f' over
-    Q(sqrt(144169)), fixes the prime above 7 with the smaller root, labels f
-    by the congruence Delta = f at that prime, and verifies the congruence
-    suite at both primes above 5 and 7.  The prime above 5 written p5 is the
-    one compatible with the labelling (the choice is forced by requiring
-    Delta = f mod p5); f and f' are congruent mod 5 through the matched pair
-    of conjugate primes.  Raises if any asserted congruence breaks.
+    f = 24*alpha*Delta^2 + E4^3*Delta and its conjugate f' have coefficients
+    in Q(sqrt(144169)), but the series stay rational: through a prime P above
+    ell, f reduces to 24*(alpha mod P)*(Delta^2 mod ell) + (E4^3*Delta mod
+    ell), so Delta, Delta^2 and E4^3*Delta are reduced once mod 5 and once
+    mod 7, and only alpha is reduced through P.  Fixes the prime above 7
+    with the smaller root, labels f by the congruence Delta = f at that
+    prime, and verifies the congruence suite at both primes above 5 and 7.
+    The prime above 5 written p5 is the one compatible with the labelling
+    (the choice is forced by requiring Delta = f mod p5); f and f' are
+    congruent mod 5 through the matched pair of conjugate primes.  Raises if
+    any asserted congruence breaks.
     """
     _check_precision(precision, 10)
     D = WEIGHT24_DISC
     dlt = delta(precision)
     e4 = eisenstein(4, precision)
-    base = to_quadratic((e4**3) * dlt, D)
-    d2 = to_quadratic(dlt * dlt, D)
+    d2, base = dlt * dlt, (e4**3) * dlt
+    bound = precision - 1
+    dlt_mod, d2_mod, base_mod = (
+        {ell: reduce_series(series, ell, bound) for ell in (5, 7)}
+        for series in (dlt, d2, base)
+    )
+
+    def reduced(alpha: QuadElem, ideal: SplitPrimeIdeal) -> tuple[int, ...]:
+        """24*alpha*Delta^2 + E4^3*Delta reduced through ideal to q^bound."""
+        ell = ideal.ell
+        c = 24 * ideal.reduce(alpha)
+        return tuple((c * x + y) % ell for x, y in zip(d2_mod[ell], base_mod[ell]))
 
     half = Fraction(1, 2)
     alpha_plus = QuadElem(-13 * half, half, D)
     alpha_minus = QuadElem(-13 * half, -half, D)
+    p7 = SplitPrimeIdeal(7, split_roots(D, 7)[0], D)
 
-    def build(alpha):
-        return d2.scale(24 * alpha) + base
-
-    r7_small, r7_big = split_roots(D, 7)
-    p7 = SplitPrimeIdeal(7, r7_small, D)
-    bound = precision - 1
-
-    dlt_q = to_quadratic(dlt, D)
-    forms = {"Delta": dlt_q, "f+": build(alpha_plus), "f-": build(alpha_minus)}
-    reductions = {}
-
-    def reduced(name: str, ideal: SplitPrimeIdeal) -> tuple[int, ...]:
-        """The named series reduced through ideal to q^bound, once per pair."""
-        if (name, ideal) not in reductions:
-            reductions[name, ideal] = reduce_series(forms[name], ideal, bound)
-        return reductions[name, ideal]
-
-    def delta_congruence(name: str, ideal: SplitPrimeIdeal) -> SturmReport:
-        theoretical = _theoretical_bound(dlt_q, forms[name], ideal)
-        rf, rg = reduced("Delta", ideal), reduced(name, ideal)
-        return _sturm_report(rf, rg, ideal, bound, theoretical)
-
-    plus_matches = reduced("f+", p7) == reduced("Delta", p7)
-    minus_matches = reduced("f-", p7) == reduced("Delta", p7)
+    plus_matches = reduced(alpha_plus, p7) == dlt_mod[7]
+    minus_matches = reduced(alpha_minus, p7) == dlt_mod[7]
     if plus_matches == minus_matches:
         raise AssertionError("exactly one weight-24 form must match Delta mod p7")
     if plus_matches:
         alpha, alpha_prime = alpha_plus, alpha_minus
-        f, f_prime = "f+", "f-"
         labelling = "f carries alpha = (-13 + sqrt(144169))/2"
     else:
         alpha, alpha_prime = alpha_minus, alpha_plus
-        f, f_prime = "f-", "f+"
         labelling = "f carries alpha = (-13 - sqrt(144169))/2"
     p7_conj = p7.conjugate()
 
-    r5a, r5b = split_roots(D, 5)
-    candidates = [SplitPrimeIdeal(5, r, D) for r in (r5a, r5b)]
-    matching = [ideal for ideal in candidates if reduced(f, ideal) == reduced("Delta", ideal)]
+    candidates = [SplitPrimeIdeal(5, r, D) for r in split_roots(D, 5)]
+    matching = [ideal for ideal in candidates if reduced(alpha, ideal) == dlt_mod[5]]
     if len(matching) != 1:
         raise AssertionError("exactly one prime above 5 must satisfy Delta = f")
     p5 = matching[0]
     p5_conj = p5.conjugate()
 
+    # Delta's row is the same through both primes above ell
+    rows = {
+        "Delta mod p5": dlt_mod[5],
+        "f mod p5": reduced(alpha, p5),
+        "f' mod p5'": reduced(alpha_prime, p5_conj),
+        "Delta mod p7": dlt_mod[7],
+        "f mod p7": reduced(alpha, p7),
+        "f' mod p7'": reduced(alpha_prime, p7_conj),
+    }
+
+    def delta_congruence(row: str, ideal: SplitPrimeIdeal) -> SturmReport:
+        # f and f' have the weight of Delta^2 and of E4^3*Delta, 24
+        theoretical = _theoretical_bound(dlt, d2, ideal)
+        return _sturm_report(dlt_mod[ideal.ell], rows[row], ideal, bound, theoretical)
+
     congruences = (
-        ("Delta = f mod p5", delta_congruence(f, p5)),
-        ("Delta = f mod p7", delta_congruence(f, p7)),
-        ("Delta = f' mod p5'", delta_congruence(f_prime, p5_conj)),
-        ("Delta = f' mod p7'", delta_congruence(f_prime, p7_conj)),
+        ("Delta = f mod p5", delta_congruence("f mod p5", p5)),
+        ("Delta = f mod p7", delta_congruence("f mod p7", p7)),
+        ("Delta = f' mod p5'", delta_congruence("f' mod p5'", p5_conj)),
+        ("Delta = f' mod p7'", delta_congruence("f' mod p7'", p7_conj)),
         (
             # f and f' are congruent mod 5 through the matched conjugate pair
             # of primes: both reduce to Delta
             "f mod p5 = f' mod p5'",
             SturmReport(
-                congruent=reduced(f, p5) == reduced(f_prime, p5_conj),
+                congruent=rows["f mod p5"] == rows["f' mod p5'"],
                 first_mismatch=None,
                 bound=bound,
                 theoretical_bound=2,
@@ -782,17 +654,7 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
         q_is_one_mod_5=q_is_one,
         alpha_product=alpha_product,
         # precision >= 10, so each row is the first ten residues
-        residues=tuple(
-            (label, reduced(name, ideal)[:10])
-            for label, name, ideal in (
-                ("Delta mod p5", "Delta", p5),
-                ("f mod p5", f, p5),
-                ("f' mod p5'", f_prime, p5_conj),
-                ("Delta mod p7", "Delta", p7),
-                ("f mod p7", f, p7),
-                ("f' mod p7'", f_prime, p7_conj),
-            )
-        ),
+        residues=tuple((label, row[:10]) for label, row in rows.items()),
     )
     if not report.ok:
         broken = [name for name, r in congruences if not r.congruent]

@@ -1,7 +1,8 @@
 """The --json report of every sample problem in demos/problems/, run under
 the command it targets, must match its stored copy in tests/golden/ byte
 for byte.  The lift-q samples are also stored with --oracle, which runs the
-brute-force search as well."""
+brute-force search as well, and the weight-24 sample with --verbose, at its
+own precision and at 4096, which adds its residue rows."""
 
 import io
 import json
@@ -39,6 +40,16 @@ CASES = [(stem, *target, "", ("--json",)) for stem, target in TARGETS.items()] +
     (stem, *target, ".oracle", ("--json", "--oracle"))
     for stem, target in TARGETS.items()
     if target[0] == "lift-q"
+] + [
+    # the residue rows appear only under --verbose
+    ("weight24", "weight24-example", 0, ".verbose", ("--json", "--verbose")),
+    (
+        "weight24",
+        "weight24-example",
+        0,
+        ".verbose4096",
+        ("--json", "--verbose", "--precision", "4096"),
+    ),
 ]
 
 
