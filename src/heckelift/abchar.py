@@ -28,6 +28,7 @@ from .exactnum import (
     glue_pq,
     is_prime,
     primitive_root,
+    require_odd_primes,
     unit_dlog,
     valuation,
 )
@@ -158,18 +159,8 @@ class GroupCharacter:
             tuple((k + j) % d for k, j, d in zip(self.exps, other.exps, self.group.orders)),
         )
 
-    def inverse(self) -> "GroupCharacter":
-        return self**-1
-
     def __pow__(self, n: int) -> "GroupCharacter":
         return self._scaled(itertools.repeat(n))
-
-    def evaluate(self, exponents: tuple[int, ...]) -> QmodZ:
-        if len(exponents) != self.group.rank:
-            raise ValueError("one exponent per generator required")
-        m = math.lcm(*self.group.orders)
-        terms = zip(exponents, self.exps, self.group.orders)
-        return QmodZ(sum(e * k * (m // d) for e, k, d in terms), m)
 
     def part_at(self, ell: int) -> "GroupCharacter":
         """The ell-primary part: exponent k_i times the idempotent e(d_i, ell)."""
@@ -283,8 +274,7 @@ def unit_group(ell: int, exponent: int) -> FinAbGroup:
     A level whose ell^exponent surely exceeds UNIT_GROUP_BOUND raises
     ValueError before any power is formed.
     """
-    if not is_prime(ell) or ell == 2:
-        raise ValueError(f"{ell} must be an odd prime")
+    require_odd_primes(ell)
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
     if exponent == 0:

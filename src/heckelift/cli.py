@@ -50,9 +50,25 @@ BASE_CONVENTIONS = {
 }
 
 
-def _load_schema(name: str) -> dict:
+# the three commands on one character pair share its schema; every other
+# command's schema file is named after the command
+SCHEMA_FILES = dict.fromkeys(("lift-q", "necc-check", "conductor-bound"), "character-pair")
+
+
+def _load_schema(command: str) -> dict:
+    name = SCHEMA_FILES.get(command, command)
     path = resources.files("heckelift").joinpath("schemas", f"{name}.json")
     return json.loads(path.read_text())
+
+
+def _unique_keys(pairs) -> dict:
+    """dict(pairs), refusing a key that comes twice rather than keeping the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _diag(label: str, detail: str, ok: bool | None = None) -> dict:
@@ -104,7 +120,8 @@ def _parse_character(payload: dict, residue_char: int) -> GlobalCharQ:
     from .exactnum import QmodZ
     from .heckeq import GlobalCharQ
 
-    images = {int(k): QmodZ.from_str(v) for k, v in payload["images"].items()}
+    # "5", "05" and "5\n" all name the prime 5
+    images = _unique_keys((int(k), QmodZ.from_str(v)) for k, v in payload["images"].items())
     return GlobalCharQ.from_images(residue_char, payload["modulus"], images)
 
 
@@ -504,10 +521,11 @@ def _run_weight24(problem: dict, args) -> CommandOutcome:
 
 
 def _run_weight_crt(problem: dict, args) -> CommandOutcome:
-    from .exactnum import Congruence
+    from .exactnum import Congruence, require_odd_primes
     from .serrepq import weight_crt
 
     p, q = problem["p"], problem["q"]
+    require_odd_primes(p, q)
     res = weight_crt(
         Congruence(problem["k_rho"], p - 1), Congruence(problem["k_rho_prime"], q - 1)
     )
@@ -670,10 +688,10 @@ def main(argv=None) -> int:
         }
 
     try:
-        problem = json.loads(raw)
+        problem = json.loads(raw, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # ValueError: malformed JSON (JSONDecodeError) or an integer literal
-        # past the interpreter's int-string conversion limit;
+        # ValueError: malformed JSON (JSONDecodeError), a repeated key or an
+        # integer literal past the interpreter's int-string conversion limit;
         # RecursionError: nesting deeper than the interpreter's stack
         _emit(error_report("parse", str(exc)), args.json)
         return 2

@@ -31,6 +31,7 @@ __all__ = [
     "BERNOULLI_BOUND",
     "xgcd",
     "is_prime",
+    "require_odd_primes",
     "PRIME_TEST_BOUND",
     "factorize",
     "valuation",
@@ -105,6 +106,15 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_odd_primes(*primes: int) -> None:
+    """Raise ValueError unless the arguments are distinct odd primes."""
+    for ell in primes:
+        if ell == 2 or not is_prime(ell):
+            raise ValueError(f"{ell} must be an odd prime")
+    if len(set(primes)) < len(primes):
+        raise ValueError("the primes must be distinct")
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -295,8 +305,7 @@ def discrete_log(target: QmodZ, base: QmodZ) -> int | None:
 
 def kronecker_symbol(D: int, p: int) -> int:
     """Kronecker symbol (D|p) for an odd prime p (Euler's criterion)."""
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"{p} must be an odd prime")
+    require_odd_primes(p)
     a = D % p
     if a == 0:
         return 0

@@ -145,9 +145,6 @@ class GlobalCharQ:
         eps = self.inertia.get(ell)
         return QmodZ(0, 1) if eps is None else eps.images[0]
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(self.factors)
-
     def ramified_primes(self) -> tuple[int, ...]:
         return tuple(self.inertia)
 
@@ -189,10 +186,6 @@ class GlobalCharQ:
             factors[ell] = c
             inertia[ell] = x * y
         return GlobalCharQ._make(self.residue_char, factors, inertia)
-
-    def inverse(self) -> "GlobalCharQ":
-        inertia = {ell: eps.inverse() for ell, eps in self.inertia.items()}
-        return GlobalCharQ._make(self.residue_char, self.factors, inertia)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GlobalCharQ):
@@ -254,9 +247,6 @@ class HeckeCertificate:
     local_chars: tuple[tuple[str, GroupCharacter], ...]
     conductor: int | None
 
-    def local_char(self, key: str) -> GroupCharacter | None:
-        return dict(self.local_chars).get(key)
-
 
 def _require_pair(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> tuple[int, int]:
     p, q = rho.residue_char, rho_prime.residue_char
@@ -301,9 +291,6 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
 class NecessityReport:
     per_prime: tuple[tuple[int, bool], ...]
     ok: bool
-
-    def failing_primes(self) -> tuple[int, ...]:
-        return tuple(ell for ell, ok in self.per_prime if not ok)
 
 
 def _outside_lifts(

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from .abchar import FinAbGroup, GroupCharacter
 from .exactnum import (
     factorize,
-    is_prime,
     kronecker_symbol,
     prime_to_part,
+    require_odd_primes,
     valuation,
     xgcd,
 )
@@ -125,9 +125,6 @@ class Place:
     modulus: int                       # prime-to-other-prime part of residue_size - 1
     kappa: tuple[tuple[str, int], ...]  # embeddings inducing this place
 
-    def embeddings(self) -> tuple[str, ...]:
-        return tuple(tag for tag, _ in self.kappa)
-
 
 @dataclass(frozen=True)
 class PlaceData:
@@ -143,11 +140,7 @@ def splitting_data(K: ImagQuadField, p: int, q: int) -> tuple[PlaceData, PlaceDa
     both embeddings, the first-listed one getting kappa = 0.  Ramified
     primes are rejected.
     """
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    for ell in (p, q):
-        if ell == 2 or not is_prime(ell):
-            raise ValueError(f"{ell} must be an odd prime")
+    require_odd_primes(p, q)
     out = []
     for ell, other in ((p, q), (q, p)):
         sym = K.splitting(ell)
@@ -368,9 +361,6 @@ class IdealClassGroup:
     h: int
     exponent: int
     invariant_factors: tuple[int, ...]
-
-    def identity(self) -> tuple[int, int, int]:
-        return _principal_form(self.D)
 
 
 def _principal_form(D: int) -> tuple[int, int, int]:

@@ -31,7 +31,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import bernoulli, is_prime
+from .exactnum import bernoulli, is_prime, require_odd_primes
 
 __all__ = [
     "QuadElem",
@@ -222,13 +222,6 @@ class QExpansion:
         if isinstance(n, slice):
             return self.coeffs[n]
         return Fraction(self._a[n], self._den)
-
-    def truncate(self, precision: int) -> "QExpansion":
-        if precision < 1:
-            raise ValueError("a series needs at least one coefficient")
-        if precision > self.precision:
-            raise ValueError("cannot extend a truncated series")
-        return self._make(self._a[:precision], self._den, self.weight)
 
     @staticmethod
     def _merge_add_weight(w1, w2):
@@ -510,11 +503,7 @@ def hasse_invariant_check(
     ell-integral (Kummer), so a_1 is not 0 mod ell.  So the check passes
     exactly when lcm(p-1, q-1) divides the weight, and else fails at q^1.
     """
-    for ell in (p, q):
-        if ell == 2 or not is_prime(ell):
-            raise ValueError(f"{ell} must be an odd prime")
-    if p == q:
-        raise ValueError("the primes must be distinct")
+    require_odd_primes(p, q)
     lcm = math.lcm(p - 1, q - 1)
     if weight is None:
         weight = lcm

@@ -3,8 +3,10 @@
 Supported: type (one of "object", "array", "string", "integer"), const,
 minimum, maximum, pattern, required, properties, additionalProperties
 (false only), patternProperties, items (one schema for every item),
-minItems, maxItems and oneOf; $schema is ignored.  Any other keyword
-raises KeyError, so a schema cannot silently outgrow the validator.
+minItems, maxItems and oneOf, and a subschema {"$ref": "#/$defs/<name>"}
+with no other keyword, which stands for that entry of the root's $defs;
+$schema is ignored.  Any other keyword or $ref raises KeyError, so a
+schema cannot silently outgrow the validator.
 
 Errors are found and ranked as jsonschema (4.x, draft 2020-12) finds and
 ranks them, so `validate` raises the error its best_match would pick,
@@ -47,6 +49,7 @@ class ValidationError(ValueError):
 
 def validate(instance, schema: dict) -> None:
     """Raise the most relevant ValidationError of `instance`, if any."""
+    schema = _resolve(schema, schema.get("$defs", {}))
     best = max(_errors(instance, schema), key=_relevance, default=None)
     if best is None:
         return
@@ -59,6 +62,21 @@ def validate(instance, schema: dict) -> None:
     raise best
 
 
+def _resolve(node, defs: dict):
+    """node with each {"$ref": "#/$defs/<name>"} in it replaced by that entry
+    of defs, itself resolved; a const value is data and stays as it is."""
+    if isinstance(node, list):
+        return [_resolve(item, defs) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if "$ref" in node:
+        name = node["$ref"].removeprefix("#/$defs/")
+        if len(node) > 1 or name == node["$ref"]:
+            raise KeyError(f"$ref other than a lone '#/$defs/<name>': {node!r}")
+        return _resolve(defs[name], defs)
+    return {k: v if k == "const" else _resolve(v, defs) for k, v in node.items()}
+
+
 def _relevance(error: ValidationError) -> tuple:
     # jsonschema's best_match key: shallower, then the later sibling, then
     # not oneOf, then failing a value of the schema's own type
@@ -69,7 +87,7 @@ def _errors(instance, schema: dict):
     """Every error of `instance`, keyword by keyword in schema order, with
     paths relative to `instance`."""
     for keyword, value in schema.items():
-        if keyword != "$schema":
+        if keyword not in ("$schema", "$defs"):
             yield from _KEYWORDS[keyword](value, instance, schema)
 
 

@@ -35,6 +35,7 @@ from .exactnum import (
     glue_pq,
     is_prime,
     primitive_root,
+    require_odd_primes,
     unit_dlog,
 )
 
@@ -532,11 +533,7 @@ def remark2_check(ell: int, p: int, q: int) -> Remark2Report:
     Then the Steinberg parameter fits and the counterexample is not
     confirmed, as at (ell, p, q) = (5, 7, 13).
     """
-    for r in (ell, p, q):
-        if r == 2 or not is_prime(r):
-            raise ValueError("all three arguments must be odd primes")
-    if len({ell, p, q}) != 3:
-        raise ValueError("the three primes must be distinct")
+    require_odd_primes(ell, p, q)
 
     detail = (
         (f"{ell} mod {p} not +-1", ell % p not in (1, p - 1)),

@@ -182,6 +182,55 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["type"] == "precondition"
 
+    @pytest.mark.parametrize("keys", [("5", "05"), ("05", "5"), ("5", "5\n")])
+    def test_two_image_keys_naming_one_prime_rejected(self, tmp_path, keys):
+        # 1/4 at 5 lifts with rho', 1/2 does not: neither may silently win
+        images = dict(zip(keys, ("1/4", "1/2")))
+        problem = dict(NORM_CUBE, rho={"modulus": 5, "images": images})
+        code, report = run_json(tmp_path, "lift-q", problem)
+        assert code == 2
+        assert report["error"] == {"type": "precondition", "message": "duplicate key 5"}
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "weight-crt",
+                '{"version": 1, "p": 5, "p": 7, "q": 7, "k_rho": 2, "k_rho_prime": 2}',
+                "'p'",
+            ),
+            (
+                "lift-q",
+                '{"version": 1, "p": 5, "q": 7,'
+                ' "rho": {"modulus": 5, "images": {"5": "1/4", "5": "1/2"}},'
+                ' "rho_prime": {"modulus": 7, "images": {"7": "2/6"}}}',
+                "'5'",
+            ),
+        ],
+    )
+    def test_repeated_json_key_rejected(self, tmp_path, command, text, key):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main([command, str(path), "--json"])
+        assert code == 2
+        assert json.loads(buf.getvalue())["error"] == {
+            "type": "parse",
+            "message": f"duplicate key {key}",
+        }
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [(9, 7, "9 must be an odd prime"), (5, 15, "15 must be an odd prime"),
+         (5, 5, "the primes must be distinct")],
+    )  # fmt: skip
+    def test_weight_crt_needs_distinct_odd_primes(self, tmp_path, p, q, message):
+        problem = {"version": 1, "p": p, "q": q, "k_rho": 0, "k_rho_prime": 0}
+        code, report = run_json(tmp_path, "weight-crt", problem)
+        assert code == 2
+        assert report["error"] == {"type": "precondition", "message": message}
+
     def test_missing_file(self, tmp_path):
         buf = io.StringIO()
         with redirect_stdout(buf):

@@ -258,17 +258,6 @@ class TestQExpansionArithmetic:
         with pytest.raises(TypeError):
             0.5 * rational
 
-    def test_truncate(self):
-        d = delta(5)
-        assert d.truncate(5) == d
-        assert d.truncate(2) == QExpansion([0, 1], weight=12)
-        with pytest.raises(ValueError):
-            d.truncate(6)
-        # a negative precision must not slice from the end
-        for precision in (0, -1, -4, -5):
-            with pytest.raises(ValueError):
-                d.truncate(precision)
-
     def test_power_matches_repeated_product(self):
         e6 = eisenstein(6, 10)
         assert (e6**3).coeffs == (e6 * e6 * e6).coeffs

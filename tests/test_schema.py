@@ -7,6 +7,7 @@ agree: exit 2 with a schema error."""
 import copy
 import json
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
-from heckelift.cli import COMMANDS, _load_schema
+from heckelift.cli import COMMANDS, SCHEMA_FILES, _load_schema
 from heckelift.schema import ValidationError, validate
 from test_cli import run_json
 from test_golden import PROBLEMS, TARGETS
@@ -31,15 +32,15 @@ StrictValidator = validators.extend(
 )
 
 SUPPORTED = {
-    "$schema", "type", "const", "minimum", "maximum", "pattern", "required",
-    "properties", "additionalProperties", "patternProperties", "items",
-    "minItems", "maxItems", "oneOf",
+    "$schema", "$defs", "$ref", "type", "const", "minimum", "maximum",
+    "pattern", "required", "properties", "additionalProperties",
+    "patternProperties", "items", "minItems", "maxItems", "oneOf",
 }  # fmt: skip
 
 
 def _keywords(schema):
     yield from schema
-    for key in ("properties", "patternProperties"):
+    for key in ("$defs", "properties", "patternProperties"):
         for sub in schema.get(key, {}).values():
             yield from _keywords(sub)
     if "items" in schema:
@@ -52,6 +53,30 @@ def _keywords(schema):
 def test_problem_schema_stays_in_the_supported_subset(command):
     Draft202012Validator.check_schema(SCHEMAS[command])
     assert set(_keywords(SCHEMAS[command])) <= SUPPORTED
+
+
+def test_every_schema_file_is_read_and_none_is_a_copy():
+    folder = resources.files("heckelift").joinpath("schemas")
+    files = {path.name: path.read_bytes() for path in folder.iterdir()}
+    read = {f"{SCHEMA_FILES.get(command, command)}.json" for command in COMMANDS}
+    assert set(files) == read | {"report.json"}
+    assert len(set(files.values())) == len(files)
+
+
+def test_refs_other_than_lone_local_defs_are_refused():
+    defs = {"qz": {"type": "string"}}
+    for ref in (
+        {"$ref": "other.json#/$defs/qz"},
+        {"$ref": "#/definitions/qz"},
+        {"$ref": "#/$defs/missing"},
+        {"$ref": "#/$defs/qz", "type": "string"},
+    ):
+        with pytest.raises(KeyError):
+            validate({"x": "1/2"}, {"$defs": defs, "properties": {"x": ref}})
+    # a lone local ref stands for its entry; a const object is data, not a ref
+    with pytest.raises(ValidationError, match="is not of type 'string'"):
+        validate({"x": 5}, {"$defs": defs, "properties": {"x": {"$ref": "#/$defs/qz"}}})
+    validate({"$ref": "#/$defs/qz"}, {"$defs": defs, "const": {"$ref": "#/$defs/qz"}})
 
 
 def test_samples_are_accepted():
