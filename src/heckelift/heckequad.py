@@ -103,10 +103,6 @@ class ImagQuadField:
         else:
             raise ValueError(f"{D} is not a discriminant (must be 0 or 1 mod 4)")
 
-    def splitting(self, ell: int) -> int:
-        """Kronecker symbol: +1 split, -1 inert, 0 ramified."""
-        return kronecker_symbol(self.D, ell)
-
     def __str__(self) -> str:
         return f"Q(sqrt({self.D}))"
 
@@ -143,7 +139,7 @@ def splitting_data(K: ImagQuadField, p: int, q: int) -> tuple[PlaceData, PlaceDa
     require_odd_primes(p, q)
     out = []
     for ell, other in ((p, q), (q, p)):
-        sym = K.splitting(ell)
+        sym = kronecker_symbol(K.D, ell)  # +1 split, -1 inert, 0 ramified
         if sym == 0:
             raise ValueError(f"{ell} is ramified in {K}")
         if sym == 1:
@@ -188,13 +184,6 @@ class PlaceLocal:
 class QuadLocalData:
     above_p: tuple[PlaceLocal, ...]
     above_q: tuple[PlaceLocal, ...]
-
-    @classmethod
-    def trivial(cls, data_p: PlaceData, data_q: PlaceData) -> "QuadLocalData":
-        return cls(
-            tuple(PlaceLocal(0, 0) for _ in data_p.places),
-            tuple(PlaceLocal(0, 0) for _ in data_q.places),
-        )
 
 
 def _validate_local(
@@ -258,96 +247,65 @@ def criterion_decide(
     q: int,
     local: QuadLocalData,
     infinity_type: tuple[int, int],
-    kappa_first: str = SIGMA,
 ) -> CriterionReport:
     """Decide liftability (up to unramified twist) of local data with the
     given infinity type; on success the certificate carries one unit-group
     character per place.
 
-    kappa_first chooses which embedding gets exponent 0 at an inert place;
-    the verdict provably does not depend on it when the infinity type is
-    relabelled accordingly.
+    At an inert place the first embedding (sigma) gets kappa = 0; the
+    verdict does not depend on that choice once the infinity type is
+    relabelled with it.
     """
     data_p, data_q = splitting_data(K, p, q)
-    if kappa_first not in (SIGMA, SIGMA_BAR):
-        raise ValueError("kappa_first must name one of the two embeddings")
-    if kappa_first == SIGMA_BAR:
-        data_p, data_q = _swap_kappa(data_p), _swap_kappa(data_q)
     _validate_local(local, data_p, data_q)
 
-    xis_p = xi_values(data_p, infinity_type)
-    xis_q = xi_values(data_q, infinity_type)
-
-    def check(entries, places, xis):
-        checks = []
-        for entry, place, xi in zip(entries, places, xis):
+    conditions: tuple[list[ConditionCheck], list[ConditionCheck]] = ([], [])
+    parity_sum = 0
+    rows = []  # (place data, place, wild part, tame power) for the certificate
+    for checks, entries, data in zip(
+        conditions, (local.above_p, local.above_q), (data_p, data_q)
+    ):
+        for entry, place, xi in zip(entries, data.places, xi_values(data, infinity_type)):
             lhs = entry.k - entry.a
             checks.append(
                 ConditionCheck(
                     place.name, lhs, xi, place.modulus, (lhs - xi) % place.modulus == 0
                 )
             )
-        return tuple(checks)
+            # condition at the unit -1: the tame character contributes the
+            # order-2 element of Q/Z to the power (k - xi); odd-order wild
+            # parts vanish
+            parity_sum += entry.k - xi
+            rows.append((data, place, entry.psi, entry.k - xi))
 
-    cond1 = check(local.above_p, data_p.places, xis_p)
-    cond1p = check(local.above_q, data_q.places, xis_q)
-
-    # condition at the unit -1: the tame characters contribute the order-2
-    # element of Q/Z to the power (k - xi); odd-order wild parts vanish
-    parity_sum = sum(
-        e.k - xi for e, xi in zip(local.above_p, xis_p)
-    ) + sum(e.k - xi for e, xi in zip(local.above_q, xis_q))
     target = infinity_type[0] + infinity_type[1]
     cond2 = (parity_sum % 2, target % 2, parity_sum % 2 == target % 2)
+    cond1, cond1p = map(tuple, conditions)
+    if not (all(c.ok for c in cond1 + cond1p) and cond2[2]):
+        return CriterionReport(cond1, cond1p, cond2, None)
 
-    ok = all(c.ok for c in cond1) and all(c.ok for c in cond1p) and cond2[2]
-    certificate = None
-    if ok:
-        local_chars = []
-        norm = 1
-        norm_known = True
-        for entries, places, xis in (
-            (local.above_p, data_p.places, xis_p),
-            (local.above_q, data_q.places, xis_q),
-        ):
-            for entry, place, xi in zip(entries, places, xis):
-                eps = _certificate_local_char(place, entry.k - xi, entry.psi)
-                if not eps.is_trivial():
-                    local_chars.append((place.name, eps))
-                wild_order = entry.psi.order() if entry.psi is not None else 1
-                tame_nontrivial = (entry.k - xi) % (place.residue_size - 1) != 0
-                if wild_order > 1:
-                    if place.residue_size == data_p.prime or place.residue_size == data_q.prime:
-                        # split place: wild inertia is cyclic, conductor
-                        # exponent is one more than the order's valuation
-                        ell = data_p.prime if place.residue_size == data_p.prime else data_q.prime
-                        m = valuation(wild_order, ell)
-                        norm *= place.residue_size ** (m + 1)
-                    else:
-                        # inert place: the wild filtration level is not
-                        # determined by the order alone
-                        norm_known = False
-                elif tame_nontrivial:
-                    norm *= place.residue_size
-        certificate = HeckeCertificate(
-            infinity_type=((SIGMA, infinity_type[0]), (SIGMA_BAR, infinity_type[1])),
-            local_chars=tuple(local_chars),
-            conductor=norm if norm_known else None,
-        )
-    return CriterionReport(cond1, cond1p, cond2, certificate)
-
-
-def _swap_kappa(data: PlaceData) -> PlaceData:
-    places = tuple(
-        Place(
-            pl.name,
-            pl.residue_size,
-            pl.modulus,
-            tuple((tag, 1 - k if len(pl.kappa) == 2 else k) for tag, k in pl.kappa),
-        )
-        for pl in data.places
+    local_chars = []
+    norm: int | None = 1
+    for data, place, psi, power in rows:
+        eps = _certificate_local_char(place, power, psi)
+        if eps.is_trivial():
+            continue
+        local_chars.append((place.name, eps))
+        wild_order = psi.order() if psi is not None else 1
+        if wild_order > 1 and data.kind == "inert":
+            # the wild filtration level at an inert place is not determined
+            # by the order alone
+            norm = None
+        elif norm is not None:
+            # wild inertia at a split place is cyclic: the conductor exponent
+            # is one more than the wild order's valuation
+            norm *= place.residue_size ** (1 + valuation(wild_order, data.prime))
+    certificate = HeckeCertificate(
+        infinity_type=((SIGMA, infinity_type[0]), (SIGMA_BAR, infinity_type[1])),
+        local_chars=tuple(local_chars),
+        conductor=norm,
     )
-    return PlaceData(data.prime, data.kind, places)
+    return CriterionReport(cond1, cond1p, cond2, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -475,43 +433,25 @@ def class_group(D: int) -> IdealClassGroup:
 
     forms = _reduced_forms(D)
     h = len(forms)
-    h_factors = factorize(h)
+    orders = _orders(forms, D).values()
+    exponent = math.lcm(*orders)
 
-    orders = _orders(forms, D)
-    exponent = math.lcm(*orders.values()) if orders else 1
-
-    # primary type per prime: counting solutions of x^(ell^k) = 1 recovers the
-    # multiset of exponents, since log_ell of the count ratio at level k is
-    # the number of primary factors of exponent >= k
-    primary: dict[int, list[int]] = {}
-    for ell in h_factors:
-        counts = [1]
-        while True:
-            k = len(counts)
-            counts.append(sum(1 for f in forms if (ell**k) % orders[f] == 0))
-            if counts[-1] == counts[-2]:
-                counts.pop()
+    # per prime ell | h: r_k = log_ell |G[ell^k]| / |G[ell^(k-1)]| counts the
+    # ell-primary cyclic factors of order >= ell^k, so the i-th largest
+    # invariant factor has ell-exponent #{k : r_k >= i}
+    largest_first: list[int] = []
+    for ell, e in factorize(h).items():
+        ranks, count = [], 1
+        for k in range(1, e + 1):
+            torsion = sum(1 for n in orders if ell**k % n == 0)
+            ranks.append(valuation(torsion // count, ell))
+            count = torsion
+            if count == ell**e:
                 break
-        rs = [
-            valuation(counts[k] // counts[k - 1], ell) if counts[k] > counts[k - 1] else 0
-            for k in range(1, len(counts))
-        ]
-        type_exponents = []
-        for k, r in enumerate(rs, start=1):
-            nxt = rs[k] if k < len(rs) else 0
-            type_exponents.extend([k] * (r - nxt))
-        primary[ell] = sorted(type_exponents, reverse=True)
-
-    # merge primary types into invariant factors d_1 | d_2 | ... | d_r
-    width = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for ell, exps in primary.items():
-            if i < len(exps):
-                d *= ell ** exps[i]
-        factors.append(d)
-    factors = tuple(sorted(factors))
+        largest_first += [1] * (ranks[0] - len(largest_first))
+        for i in range(1, ranks[0] + 1):
+            largest_first[i - 1] *= ell ** sum(1 for r in ranks if r >= i)
+    factors = tuple(reversed(largest_first))
     if math.prod(factors) != h:
         raise AssertionError(f"invariant factors {factors} do not multiply to h = {h}")
 

@@ -24,6 +24,7 @@ from heckelift.heckeq import (
 )
 from heckelift.heckequad import (
     ImagQuadField,
+    PlaceLocal,
     QuadLocalData,
     class_group,
     counting_bound,
@@ -149,7 +150,10 @@ def test_criterion_6_criterion_sanity():
     B = data_q.places[0].modulus
     assert A == 16 and B == 18 and A > 1
     C = math.lcm(A, B)
-    trivial = QuadLocalData.trivial(data_p, data_q)
+    trivial = QuadLocalData(
+        tuple(PlaceLocal(0, 0) for _ in data_p.places),
+        tuple(PlaceLocal(0, 0) for _ in data_q.places),
+    )
 
     accept_cc = criterion_decide(K, p, q, trivial, (C, C))
     accept_c0 = criterion_decide(K, p, q, trivial, (C, 0))

@@ -182,7 +182,7 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["type"] == "precondition"
 
-    @pytest.mark.parametrize("keys", [("5", "05"), ("05", "5"), ("5", "5\n")])
+    @pytest.mark.parametrize("keys", [("5", "05"), ("05", "5")])
     def test_two_image_keys_naming_one_prime_rejected(self, tmp_path, keys):
         # 1/4 at 5 lifts with rho', 1/2 does not: neither may silently win
         images = dict(zip(keys, ("1/4", "1/2")))
@@ -190,6 +190,16 @@ class TestExitCodes:
         code, report = run_json(tmp_path, "lift-q", problem)
         assert code == 2
         assert report["error"] == {"type": "precondition", "message": "duplicate key 5"}
+
+    @pytest.mark.parametrize(
+        "images", [{"5": "1/4", "5\n": "1/2"}, {"5\n": "3/4"}, {"5": "3/4\n"}]
+    )
+    def test_trailing_newline_rejected_by_schema(self, tmp_path, images):
+        # a pattern's $ matches before a final newline unless (?!\n) forbids it
+        problem = dict(NORM_CUBE, rho={"modulus": 5, "images": images})
+        code, report = run_json(tmp_path, "lift-q", problem)
+        assert code == 2
+        assert report["error"]["type"] == "schema"
 
     @pytest.mark.parametrize(
         "command, text, key",
@@ -650,6 +660,23 @@ class TestQuadratic:
         }
         code, report = run_json(tmp_path, "lift-quadratic", problem)
         assert code == 2
+
+    def test_extra_entry_above_split_prime_rejected(self, tmp_path):
+        problem = {
+            "version": 1,
+            "D": -1155,
+            "p": 17,  # split: two places
+            "q": 19,
+            "infinity_type": [0, 0],
+            "above_p": [{"k": 0, "a": 0}] * 3,
+            "above_q": [{"k": 0, "b": 0}, {"k": 0, "b": 0}],
+        }
+        code, report = run_json(tmp_path, "lift-quadratic", problem)
+        assert code == 2
+        assert report["error"] == {
+            "type": "precondition",
+            "message": "expected data for 2 places above 17",
+        }
 
 
 class TestCountingBound:

@@ -41,6 +41,11 @@ def _fundamental_discriminants(bound):
     return [D for D in range(-5, -bound - 1, -1) if _is_fundamental(D)]
 
 
+def _wild(order):
+    """A wild character of the given order on a cyclic group of that order."""
+    return GroupCharacter(FinAbGroup((order,)), (QmodZ(1, order),))
+
+
 def _is_reduced(form):
     a, b, c = form
     return -a < b <= a <= c and not (a == c and b < 0)
@@ -203,7 +208,10 @@ class TestXiValues:
 class TestCriterionDecide:
     def setup_method(self):
         self.data_p, self.data_q = splitting_data(K1155, 17, 19)
-        self.trivial = QuadLocalData.trivial(self.data_p, self.data_q)
+        self.trivial = QuadLocalData(
+            tuple(PlaceLocal(0, 0) for _ in self.data_p.places),
+            tuple(PlaceLocal(0, 0) for _ in self.data_q.places),
+        )
         self.A, self.B = 16, 18
         self.C = math.lcm(self.A, self.B)
 
@@ -263,24 +271,25 @@ class TestCriterionDecide:
             b = criterion_decide(K1155, 19, 17, mirrored, inf)
             assert a.ok == b.ok
 
-    def test_kappa_convention_invariance(self):
-        # inert place at 13: swapping the kappa labelling and the infinity
-        # type simultaneously leaves the verdict unchanged
-        data_p, data_q = splitting_data(K1155, 13, 17)
-        for k, a in [(0, 0), (5, 3), (7, 100)]:
-            local = QuadLocalData(
-                (PlaceLocal(k, a),),
-                (PlaceLocal(0, 0), PlaceLocal(0, 0)),
-            )
-            for m, n in [(0, 0), (2, 0), (14, 3), (168, 12)]:
-                one = criterion_decide(K1155, 13, 17, local, (m, n), kappa_first=SIGMA)
-                two = criterion_decide(
-                    K1155, 13, 17, local, (n, m), kappa_first=SIGMA_BAR
-                )
-                assert one.ok == two.ok
-                assert [c.rhs for c in one.condition_1] == [
-                    c.rhs for c in two.condition_1
-                ]
+    @pytest.mark.parametrize(
+        "p, q, entry, conductor",
+        [
+            # wild order 17^2 at a split place: exponent 1 + v_17(17^2)
+            (17, 19, PlaceLocal(0, 0, _wild(17**2)), 17**3),
+            # tame only at the inert place above 13: its residue size 13^2
+            (13, 17, PlaceLocal(2, 2), 169),
+            # wild at the inert place: the order does not fix the conductor
+            (13, 17, PlaceLocal(0, 0, _wild(13)), None),
+        ],
+    )
+    def test_certificate_conductor(self, p, q, entry, conductor):
+        data_p, _ = splitting_data(K1155, p, q)
+        rest = (PlaceLocal(0, 0),) * (len(data_p.places) - 1)
+        local = QuadLocalData((entry, *rest), (PlaceLocal(0, 0),) * 2)
+        rep = criterion_decide(K1155, p, q, local, (0, 0))
+        assert rep.ok
+        assert [name for name, _ in rep.certificate.local_chars] == [f"v1@{p}"]
+        assert rep.certificate.conductor == conductor
 
     def test_split_condition_matches_rational_congruence_shape(self):
         # At a split place, condition (1) reads k - a = -n_sigma mod A.
@@ -298,9 +307,8 @@ class TestCriterionDecide:
                 assert check.ok == ((k0 - (k_p - a_p)) % 16 == 0)
 
     def test_wild_data_validation(self):
-        wild_bad = GroupCharacter(FinAbGroup((19,)), (QmodZ(1, 19),))
         local = QuadLocalData(
-            (PlaceLocal(0, 0, wild_bad), PlaceLocal(0, 0)),
+            (PlaceLocal(0, 0, _wild(19)), PlaceLocal(0, 0)),
             (PlaceLocal(0, 0), PlaceLocal(0, 0)),
         )
         with pytest.raises(ValueError):
@@ -406,6 +414,18 @@ class TestClassGroup:
                     expected = math.prod(
                         math.gcd(m, d) for d in grp.invariant_factors
                     )
+                    assert solutions == expected, (D, m)
+
+    def test_invariant_factors_against_torsion_counts(self):
+        # the number of f with f^m = 1, found by binary powering without the
+        # walks of _orders, is prod gcd(m, d) over the invariant factors d
+        for D in _fundamental_discriminants(1999):
+            grp = class_group(D)
+            identity = _principal_form(D)
+            for m in range(1, grp.h + 1):
+                if grp.h % m == 0:
+                    solutions = sum(1 for f in grp.forms if _power(f, m, D) == identity)
+                    expected = math.prod(math.gcd(m, d) for d in grp.invariant_factors)
                     assert solutions == expected, (D, m)
 
     def test_class_number_formula_and_genus_theory(self):
