@@ -41,6 +41,9 @@ print(f"same pair with ratio +{ell}: "
       f"{'compatible via ' + good.witness_kind if good.compatible else 'incompatible'}")
 
 # --- and the obstruction dies over the unramified quadratic extension ------
+# there Frobenius squares and monodromy forces the ratio ell^(+-2); since
+# (-ell)^2 = ell^2, remark2_check reports base change compatible for every
+# triple, by that theorem rather than a search
 
 print()
 for ell in (x for x in range(3, 51) if is_prime(x)):

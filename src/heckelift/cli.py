@@ -328,17 +328,10 @@ def _run_conductor_bound(problem: dict, args) -> CommandOutcome:
 def _run_lift_quadratic(problem: dict, args) -> CommandOutcome:
     from .abchar import FinAbGroup, GroupCharacter
     from .exactnum import QmodZ
-    from .heckequad import (
-        ImagQuadField,
-        PlaceLocal,
-        QuadLocalData,
-        criterion_decide,
-        splitting_data,
-    )
+    from .heckequad import ImagQuadField, PlaceLocal, QuadLocalData, criterion_decide
 
     K = ImagQuadField(problem["D"])
     p, q = problem["p"], problem["q"]
-    data_p, data_q = splitting_data(K, p, q)
 
     def places(entries, other_key):
         # criterion_decide checks the count, the ranges and the wild orders
@@ -375,8 +368,8 @@ def _run_lift_quadratic(problem: dict, args) -> CommandOutcome:
     )
     conventions = {
         "kappa": "at an inert place the first embedding (sigma) gets exponent 0",
-        "splitting_p": data_p.kind,
-        "splitting_q": data_q.kind,
+        "splitting_p": rep.data_p.kind,
+        "splitting_q": rep.data_q.kind,
     }
     if not rep.ok:
         return CommandOutcome("not liftable", 1, None, diagnostics, conventions)

@@ -191,9 +191,8 @@ def _validate_local(
 ) -> None:
     for entries, data in ((local.above_p, data_p), (local.above_q, data_q)):
         if len(entries) != len(data.places):
-            raise ValueError(
-                f"expected data for {len(data.places)} places above {data.prime}"
-            )
+            noun = "place" if len(data.places) == 1 else "places"
+            raise ValueError(f"expected data for {len(data.places)} {noun} above {data.prime}")
         for entry, place in zip(entries, data.places):
             if not 0 <= entry.a < place.modulus:
                 raise ValueError(
@@ -221,6 +220,8 @@ class CriterionReport:
     condition_1_prime: tuple[ConditionCheck, ...]
     condition_2: tuple[int, int, bool]  # (parity sum, target parity, ok)
     certificate: HeckeCertificate | None
+    data_p: PlaceData
+    data_q: PlaceData
 
     @property
     def ok(self) -> bool:
@@ -282,7 +283,7 @@ def criterion_decide(
     cond2 = (parity_sum % 2, target % 2, parity_sum % 2 == target % 2)
     cond1, cond1p = map(tuple, conditions)
     if not (all(c.ok for c in cond1 + cond1p) and cond2[2]):
-        return CriterionReport(cond1, cond1p, cond2, None)
+        return CriterionReport(cond1, cond1p, cond2, None, data_p, data_q)
 
     local_chars = []
     norm: int | None = 1
@@ -305,7 +306,7 @@ def criterion_decide(
         local_chars=tuple(local_chars),
         conductor=norm,
     )
-    return CriterionReport(cond1, cond1p, cond2, certificate)
+    return CriterionReport(cond1, cond1p, cond2, certificate, data_p, data_q)
 
 
 # ---------------------------------------------------------------------------

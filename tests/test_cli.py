@@ -660,6 +660,10 @@ class TestQuadratic:
         }
         code, report = run_json(tmp_path, "lift-quadratic", problem)
         assert code == 2
+        assert report["error"] == {
+            "type": "precondition",
+            "message": "expected data for 1 place above 13",
+        }
 
     def test_extra_entry_above_split_prime_rejected(self, tmp_path):
         problem = {

@@ -2,19 +2,24 @@
 the command it targets, must match its stored copy in tests/golden/ byte
 for byte.  The lift-q samples are also stored with --oracle, which runs the
 brute-force search as well, and the weight-24 sample with --verbose, at its
-own precision and at 4096, which adds its residue rows."""
+own precision and at 4096, which adds its residue rows.
 
+Every command is also run on every sample under five flag sets, 720 runs,
+and each run's exit code and the sha256 of its stdout and stderr must match
+tests/golden/outputs.sha256, one line per run."""
+
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from heckelift.cli import main
+from heckelift.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "demos" / "problems"
@@ -53,6 +58,29 @@ CASES = [(stem, *target, "", ("--json",)) for stem, target in TARGETS.items()] +
 ]
 
 
+FLAG_SETS = ("", "--json", "--verbose", "--oracle", "--json --verbose")
+# (command, sample, flags) for every command on every sample under every flag set
+SAMPLE_RUNS = [
+    (command, path.stem, flags)
+    for path in sorted(PROBLEMS.glob("*.json"))
+    for command in COMMANDS
+    for flags in FLAG_SETS
+]
+
+
+def run_argv(command, stem, flags):
+    return [command, str(PROBLEMS / f"{stem}.json"), *flags.split()]
+
+
+def digest_line(command, stem, flags, code, output):
+    sha = hashlib.sha256(output.encode()).hexdigest()
+    return f"{command} {stem} {flags.replace(' ', ',') or '-'} {code} {sha}\n"
+
+
+def expected_digests():
+    return (GOLDEN / "outputs.sha256").read_text().splitlines(keepends=True)
+
+
 def test_every_sample_problem_has_a_target():
     assert sorted(TARGETS) == sorted(path.stem for path in PROBLEMS.glob("*.json"))
 
@@ -68,22 +96,33 @@ def test_report_matches_golden(stem, command, exit_code, suffix, flags):
     assert buf.getvalue() == (GOLDEN / f"{stem}{suffix}.json").read_text()
 
 
+def test_every_command_on_every_sample_matches_its_digest():
+    got = []
+    for run in SAMPLE_RUNS:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(out):
+            code = main(run_argv(*run))
+        got.append(digest_line(*run, code, out.getvalue()))
+    assert got == expected_digests()
+
+
 def test_reports_match_golden_under_optimize_without_jsonschema():
     # the CLI must need no jsonschema, and its checks must raise, not assert
     script = (
         "import io, json, sys\n"
-        "from contextlib import redirect_stdout\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
         "sys.modules['jsonschema'] = None  # importing it now raises ImportError\n"
         "from heckelift.cli import main\n"
         "runs = []\n"
         "for argv in json.load(sys.stdin):\n"
-        "    out = io.StringIO()\n"
-        "    with redirect_stdout(out):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with redirect_stdout(out), redirect_stderr(err):\n"
         "        code = main(argv)\n"
-        "    runs.append([code, out.getvalue()])\n"
+        "    runs.append([code, out.getvalue(), err.getvalue()])\n"
         "print(json.dumps(runs))\n"
     )
     argvs = [[command, str(PROBLEMS / f"{stem}.json"), *flags] for stem, command, _, _, flags in CASES]
+    argvs += [run_argv(*run) for run in SAMPLE_RUNS]
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
         input=json.dumps(argvs),
@@ -94,7 +133,12 @@ def test_reports_match_golden_under_optimize_without_jsonschema():
     )
     assert done.returncode == 0, done.stderr
     runs = json.loads(done.stdout)
-    assert len(runs) == len(CASES)
-    for (stem, _, exit_code, suffix, _), (code, out) in zip(CASES, runs):
+    assert len(runs) == len(CASES) + len(SAMPLE_RUNS)
+    for (stem, _, exit_code, suffix, _), (code, out, _) in zip(CASES, runs):
         assert code == exit_code, stem + suffix
         assert out == (GOLDEN / f"{stem}{suffix}.json").read_text(), stem + suffix
+    got = [
+        digest_line(*run, code, out + err)
+        for run, (code, out, err) in zip(SAMPLE_RUNS, runs[len(CASES):])
+    ]
+    assert got == expected_digests()

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from heckelift.abchar import (
     GroupCharacter,
     ModCharacter,
+    at_unit_level,
     enumerate_characters,
     reduce_mod,
     unit_group,
@@ -382,6 +384,139 @@ class TestLocalCompat:
             local_compat(unramified(3, 5, 0, 1, 0), unramified(3, 5, 0, 1, 0))
         with pytest.raises(ValueError):
             local_compat(unramified(5, 5, 0, 1, 0), unramified(5, 7, 0, 1, 0))
+
+
+# An oracle for local_compat that uses none of its matching code: a
+# compatible witness reduces to both data, and the data that one parameter
+# reduces to are judged compatible.
+
+
+@functools.lru_cache(maxsize=None)
+def unit_characters(ell, level):
+    return list(enumerate_characters(unit_group(ell, level)))
+
+
+@st.composite
+def unit_chars(draw, ell):
+    level = draw(st.sampled_from((1, 2) if ell <= 7 else (1,)))
+    return draw(st.sampled_from(unit_characters(ell, level)))
+
+
+@st.composite
+def parameters(draw, ell, p, q):
+    # a p-power or q-power inertial character dies under one reduction only,
+    # so the two data often differ in shape
+    def quasi():
+        chi = draw(unit_chars(ell))
+        part = draw(st.sampled_from([chi, chi.part_at(p), chi.part_at(q)]))
+        return QuasiChar(part, draw(frob_values))
+
+    if draw(st.booleans()):
+        return Steinberg(quasi())
+    return Reducible(quasi(), quasi())
+
+
+def reductions(param, ell, r):
+    """Every datum that param reduces to mod r: the generic model, and for
+    nonzero monodromy also the rescaled one, eps + eps*norm."""
+    got = [wd_reduce(param, ell, r)]
+    if isinstance(param, Steinberg):
+        red = reduce_mod(param.eps.inertial, r)
+        f = param.eps.frob
+        if red.is_trivial():
+            got.append(UnramifiedSemisimple(ell, r, frob(0, 1, 1)))
+        else:
+            g = AlgebraicFrobValue(f.zeta, f.weight + 1)
+            got += [TamePrincipal(ell, r, (red, red), frobs) for frobs in ((g, f), (f, g))]
+    return got
+
+
+# small denominators, so that random data are often compatible
+small_frobs = st.builds(
+    AlgebraicFrobValue,
+    st.builds(QmodZ, st.integers(0, 11), st.sampled_from([1, 2, 3, 4, 6, 12])),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def random_data(draw, ell, r):
+    shape = draw(st.sampled_from(["unipotent", "tame", "unramified"]))
+    if shape == "unramified":
+        return UnramifiedSemisimple(ell, r, draw(small_frobs))
+    chi = reduce_mod(draw(unit_chars(ell)), r)
+    if shape == "unipotent":
+        return UnipotentRamified(ell, r, chi, draw(small_frobs))
+    chis = (chi, reduce_mod(draw(unit_chars(ell)), r))
+    return TamePrincipal(ell, r, chis, (draw(small_frobs), draw(small_frobs)))
+
+
+def reduces_to(witness, datum):
+    """Whether witness reduces to datum: principal series and the unipotent
+    side by the generic model, the other side of nonzero monodromy by the
+    rescaled one.  Characters of (Z/ell^c)^*, c <= 2, compare at level 2."""
+    ell, r = datum.ell, datum.residue_char
+
+    def char(chi):
+        return at_unit_level(chi, ell, 2)
+
+    def value(f):
+        return f.value_mod(ell, r)
+
+    def summands(datum):
+        return [(char(c.base), value(f)) for c, f in zip(datum.inertials, datum.frobs)]
+
+    if isinstance(witness, Reducible):
+        if isinstance(datum, UnipotentRamified):
+            return False
+        if isinstance(datum, UnramifiedSemisimple):
+            red = wd_reduce(witness, ell, r)
+            if not isinstance(red, UnramifiedSemisimple):
+                return False
+            return red.ratio_values() == datum.ratio_values()
+        # summand by summand, in either order: wd_reduce keeps only the
+        # ratio when both inertial characters die mod r
+        got = [
+            (char(reduce_mod(e.inertial, r).base), value(e.frob))
+            for e in (witness.eps1, witness.eps2)
+        ]
+        return got in (summands(datum), summands(datum)[::-1])
+    if isinstance(datum, UnipotentRamified):
+        red = wd_reduce(witness, ell, r)
+        return (char(red.frob_char_inertial.base), value(red.frob_char_value)) == (
+            char(datum.frob_char_inertial.base), value(datum.frob_char_value)
+        )
+    # the rescaled model: trivial inertia and ratio ell, or equal inertial
+    # characters with values v and v + L_r
+    chi = char(reduce_mod(witness.eps.inertial, r).base)
+    v = value(witness.eps.frob)
+    L_r = residue_address(ell, r)
+    if isinstance(datum, UnramifiedSemisimple):
+        return chi.is_trivial() and L_r in datum.ratio_values()
+    return summands(datum) in ([(chi, v), (chi, v + L_r)], [(chi, v + L_r), (chi, v)])
+
+
+class TestLocalCompatOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_compatible_witness_reduces_to_both_data(self, data):
+        ell, p, q = data.draw(st.lists(odd_primes, min_size=3, max_size=3, unique=True))
+        datum_p = data.draw(random_data(ell, p))
+        datum_q = data.draw(random_data(ell, q))
+        rep = local_compat(datum_p, datum_q)
+        if rep.compatible:
+            assert reduces_to(rep.witness, datum_p) and reduces_to(rep.witness, datum_q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reductions_of_one_parameter_are_compatible(self, data):
+        ell, p, q = data.draw(st.lists(odd_primes, min_size=3, max_size=3, unique=True))
+        param = data.draw(parameters(ell, p, q))
+        for datum_p in reductions(param, ell, p):
+            for datum_q in reductions(param, ell, q):
+                rep = local_compat(datum_p, datum_q)
+                assert rep.compatible, rep.reason
+                assert reduces_to(rep.witness, datum_p) and reduces_to(rep.witness, datum_q)
 
 
 class TestRemark2:
