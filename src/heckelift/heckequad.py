@@ -19,13 +19,17 @@ odd-order wild characters vanish on it.
 Class groups of imaginary quadratic fields are computed through reduced
 binary quadratic forms, enumerated by their middle coefficient and
 composed by Dirichlet's formula.  Each class's order is read from the walk
-f, f^2, ... to the identity of one cyclic subgroup that contains it, and
-the orders fix the group structure, which feeds the counting bound that
-exhibits non-liftable unramified pairs.
+f, f^2, ... of one cyclic subgroup that contains it, which stops once a
+power's inverse, (a, -b, c) reduced, is a power already reached.  The
+orders fix the group structure, which feeds the counting bound that
+exhibits non-liftable unramified pairs.  The last few fields' groups are
+kept, so the counting bound of a field whose group was just computed does
+not compute it again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -60,7 +64,7 @@ __all__ = [
 ]
 
 # largest |D| class_group accepts; the slowest fields below it take about
-# 0.15 s (measurements in class_group's docstring)
+# 0.06 s (measurements in class_group's docstring)
 CLASS_GROUP_BOUND = 10**7
 
 # largest |D| ImagQuadField accepts: its fundamental-discriminant test
@@ -373,19 +377,31 @@ def _orders(
     forms: Iterable[tuple[int, int, int]], D: int
 ) -> dict[tuple[int, int, int], int]:
     """The order of every reduced form: for each form f not yet reached,
-    compose f, f^2, ... until the identity, which gives n = ord(f) and
-    ord(f^k) = n / gcd(k, n) for each power on the way."""
+    compose f, f^2, ... until the inverse of f^k, which is (a, -b, c)
+    reduced and costs no composition, is an earlier power f^i, i < k.  Then
+    n = ord(f) = k + i, the powers after f^k are the inverses of those
+    before f^i, and ord(f^j) = ord(f^-j) = n / gcd(j, n).  So a walk makes
+    ceil((n - 1)/2) compositions where walking to the identity made n - 1."""
     identity = _principal_form(D)
-    orders: dict[tuple[int, int, int], int] = {}
+    orders = {identity: 1}
     for f in forms:
         if f in orders:
             continue
-        walk = [f]
-        while walk[-1] != identity:
-            walk.append(_compose(walk[-1], f, D))
-        n = len(walk)
-        for k, g in enumerate(walk, start=1):
-            orders[g] = n // math.gcd(k, n)
+        walk = [(identity, identity)]  # (f^j, f^-j) for j = 0, 1, ...
+        exponent = {identity: 0}
+        g = f
+        while True:
+            a, b, c = g
+            inverse = _reduce_form(a, -b, c)
+            i = exponent.get(inverse)
+            exponent[g] = len(walk)
+            walk.append((g, inverse))
+            if i is not None:
+                break
+            g = _compose(g, f, D)
+        n = len(walk) - 1 + i
+        for j, (g, inverse) in enumerate(walk):
+            orders[g] = orders[inverse] = n // math.gcd(j, n)
     return orders
 
 
@@ -423,15 +439,29 @@ def class_group(D: int) -> IdealClassGroup:
     class number, exponent and invariant factors.
 
     The forms are enumerated by their middle coefficient and the orders come
-    from the walks of _orders, between 1 and 2.2 compositions per class for
+    from the walks of _orders, at most 1.17 compositions per class for
     every |D| <= 10^4.  Measured up to CLASS_GROUP_BOUND (Intel Xeon, Python
-    3.11.7, 12 fields with 0.9 <= |D|/N <= 1 each): a median of 0.001 s at
-    N = 10^5, 0.008 s at 10^6 and 0.055 s at 10^7; the fields of largest h
-    there take at most 0.004 s, 0.021 s and 0.15 s.
+    3.11.7, 12 fields with 0.9 <= |D|/N <= 1 each): a median of 0.0007 s at
+    N = 10^5, 0.005 s at 10^6 and 0.04 s at 10^7; the fields of largest h
+    found there (h = 533 at D = -95471, 1868 at -960671 and 6216 at
+    -9559679) take 0.0013 s, 0.008 s and 0.06 s.
+
+    The last eight groups computed are kept, so asking again for one of
+    those fields returns the same object without recomputing it.
     """
     check_class_group_bound(D)
     ImagQuadField(D)  # validates fundamental and D < -4
+    return _class_group(D)
 
+
+# callers ask for a field's group and then for its counting bound: eight
+# entries serve that and hold at most about 6 MB (the group of D = -9559679,
+# h = 6216, the largest h found below CLASS_GROUP_BOUND, holds 0.75 MB by
+# tracemalloc).
+# ImagQuadField lets a float such as -1155.0 through, so the key is typed:
+# such a D misses and fails in _reduced_forms instead of finding -1155's group
+@functools.lru_cache(maxsize=8, typed=True)
+def _class_group(D: int) -> IdealClassGroup:
     forms = _reduced_forms(D)
     h = len(forms)
     orders = _orders(forms, D).values()

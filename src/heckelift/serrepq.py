@@ -317,7 +317,8 @@ def _steinberg_tame(uni: UnipotentRamified, other: TamePrincipal) -> CompatRepor
     # pinned inertial characters must coincide and the pinned values must
     # differ by exactly ell
     ell, p, q = uni.ell, uni.residue_char, other.residue_char
-    if other.inertials[0].base != other.inertials[1].base:
+    chi, chi_prime = on_common_unit_group(ell, *other.inertials)
+    if chi.base != chi_prime.base:
         return _report(
             None, "nonzero monodromy reduces with equal diagonal inertial characters"
         )

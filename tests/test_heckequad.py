@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckelift import heckequad
 from heckelift.abchar import FinAbGroup, GroupCharacter
 from heckelift.exactnum import QmodZ, factorize
 from heckelift.heckequad import (
@@ -18,6 +19,7 @@ from heckelift.heckequad import (
     xi_values,
 )
 from heckelift.heckequad import (
+    _class_group,
     _compose,
     _orders,
     _principal_form,
@@ -63,6 +65,43 @@ def _orders_step_by_step(forms, D):
             e += 1
         orders[f] = e
     return orders
+
+
+def _orders_full_walk(forms, D):
+    """The order of each form from walks f, f^2, ... all the way to the
+    identity, n - 1 compositions for a walk of order n: the second reference
+    for _orders, whose walks stop halfway."""
+    identity = _principal_form(D)
+    orders = {}
+    for f in forms:
+        if f in orders:
+            continue
+        walk = [f]
+        while walk[-1] != identity:
+            walk.append(_compose(walk[-1], f, D))
+        n = len(walk)
+        for k, g in enumerate(walk, start=1):
+            orders[g] = n // math.gcd(k, n)
+    return orders
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty class-group memo, emptied again afterwards, so that no group
+    kept by another test hides a computation and none computed under a
+    monkeypatch outlives it."""
+    _class_group.cache_clear()
+    yield
+    _class_group.cache_clear()
+
+
+@pytest.fixture
+def compositions(monkeypatch, fresh_memo):
+    """The list of discriminants of heckequad._compose calls, one per call."""
+    calls = []
+    real = heckequad._compose
+    monkeypatch.setattr(heckequad, "_compose", lambda f1, f2, D: calls.append(D) or real(f1, f2, D))
+    return calls
 
 
 def _power(f, n, D):
@@ -416,6 +455,40 @@ class TestClassGroup:
                     )
                     assert solutions == expected, (D, m)
 
+    def test_orders_match_full_walks(self):
+        # every fundamental -20000 < D < -4, and a band near -10^6
+        fields = _fundamental_discriminants(19999) + [
+            D for D in range(-1000000, -1000200, -1) if _is_fundamental(D)
+        ]
+        for D in fields:
+            forms = heckequad._reduced_forms(D)
+            assert _orders(forms, D) == _orders_full_walk(forms, D), D
+
+    def test_walk_stops_halfway(self, compositions):
+        # a walk for an element of order n makes ceil((n - 1)/2) compositions,
+        # and a field's walks start at the forms no earlier walk reached
+        for D in (-1155, -3299, -4027, -255255, -999983):
+            forms = class_group(D).forms
+            ref = _orders_step_by_step(forms, D) if -D < 3000 else _orders_full_walk(forms, D)
+            reached, expected = set(), 0
+            for f in forms:
+                if f in reached:
+                    continue
+                compositions.clear()
+                reached |= _orders([f], D).keys()
+                assert len(compositions) == ref[f] // 2, (D, f)
+                expected += ref[f] // 2
+            compositions.clear()
+            _orders(forms, D)
+            assert len(compositions) == expected, D
+
+    def test_largest_class_number_below_the_bound(self):
+        D = -9559679
+        grp = class_group(D)
+        assert grp.h == 6216 == len(grp.forms) == math.prod(grp.invariant_factors)
+        two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
+        assert two_rank == len(factorize(-D)) - 1
+
     def test_invariant_factors_against_torsion_counts(self):
         # the number of f with f^m = 1, found by binary powering without the
         # walks of _orders, is prod gcd(m, d) over the invariant factors d
@@ -457,6 +530,45 @@ class TestClassGroup:
         assert _compose((12, 11, 3), _principal_form(-23), -23) == _reduce_form(
             12, 11, 3
         )
+
+
+@pytest.mark.usefixtures("fresh_memo")
+class TestClassGroupMemo:
+    def test_repeated_call_returns_the_same_group(self):
+        grp = class_group(-1155)
+        assert class_group(-1155) is grp
+        assert _class_group.cache_info().hits == 1
+
+    def test_counting_bound_after_class_group_enumerates_no_forms(self, monkeypatch):
+        calls = []
+        real = heckequad._reduced_forms
+        monkeypatch.setattr(heckequad, "_reduced_forms", lambda D: calls.append(D) or real(D))
+        class_group(-1155)
+        assert calls == [-1155]
+        counting_bound(K1155, 17, 19)
+        assert calls == [-1155]
+
+    @pytest.mark.parametrize(
+        "D, error, match",
+        [
+            (-1155.0, TypeError, "cannot be interpreted as an integer"),
+            (True, ValueError, "must be negative"),
+            (-12, ValueError, "not a fundamental discriminant"),
+            (-10000019, ValueError, "class-group bound"),
+        ],
+    )
+    def test_bad_input_raises_after_a_valid_field(self, D, error, match):
+        class_group(-1155)
+        with pytest.raises(error, match=match):
+            class_group(D)
+
+    def test_memo_stays_bounded(self):
+        fields = _fundamental_discriminants(400)[:100]
+        assert len(fields) == 100
+        for D in fields:
+            class_group(D)
+            assert _class_group.cache_info().currsize <= 8
+        assert _class_group.cache_info().currsize == 8
 
 
 class TestCompositionProperties:

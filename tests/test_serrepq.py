@@ -350,6 +350,21 @@ class TestLocalCompat:
         assert rep.compatible and rep.witness_kind == "steinberg"
         assert rep.witness.eps.inertial.order() == 2
 
+    def test_unipotent_against_tame_inertials_at_two_levels(self):
+        # one order-2 character of (Z/3)^*, presented once on (Z/3)^* and
+        # once pulled back to (Z/9)^*, is one inertial character: the verdict
+        # is the one for both presented on (Z/3)^*
+        ell, p, q = 3, 5, 7
+        chi = next(c for c in enumerate_characters(unit_group(ell, 1)) if c.order() == 2)
+        datum_p = UnipotentRamified(ell, p, ModCharacter(chi, p), frob(0, 1, 0))
+        on_3 = ModCharacter(chi, q)
+        on_9 = ModCharacter(at_unit_level(chi, ell, 2), q)
+        for inertials in ((on_3, on_3), (on_3, on_9), (on_9, on_3)):
+            datum_q = TamePrincipal(ell, q, inertials, (frob(0, 1, 1), frob(0, 1, 0)))
+            rep = local_compat(datum_p, datum_q)
+            assert rep.compatible and rep.witness_kind == "steinberg", rep.reason
+            assert reduces_to(rep.witness, datum_p) and reduces_to(rep.witness, datum_q)
+
     def test_unipotent_against_tame_wrong_value_gap(self):
         # equal trivial inertials but eigenvalues not in ratio ell
         ell = 11
@@ -416,9 +431,11 @@ def parameters(draw, ell, p, q):
     return Reducible(quasi(), quasi())
 
 
-def reductions(param, ell, r):
+def reductions(param, ell, r, mixed=False):
     """Every datum that param reduces to mod r: the generic model, and for
-    nonzero monodromy also the rescaled one, eps + eps*norm."""
+    nonzero monodromy also the rescaled one, eps + eps*norm.  With mixed,
+    the rescaled model's second inertial character is presented on
+    (Z/ell^3)^*, a level above every drawn character's."""
     got = [wd_reduce(param, ell, r)]
     if isinstance(param, Steinberg):
         red = reduce_mod(param.eps.inertial, r)
@@ -427,7 +444,8 @@ def reductions(param, ell, r):
             got.append(UnramifiedSemisimple(ell, r, frob(0, 1, 1)))
         else:
             g = AlgebraicFrobValue(f.zeta, f.weight + 1)
-            got += [TamePrincipal(ell, r, (red, red), frobs) for frobs in ((g, f), (f, g))]
+            red2 = ModCharacter(at_unit_level(red.base, ell, 3), r) if mixed else red
+            got += [TamePrincipal(ell, r, (red, red2), frobs) for frobs in ((g, f), (f, g))]
     return got
 
 
@@ -512,8 +530,9 @@ class TestLocalCompatOracle:
     def test_reductions_of_one_parameter_are_compatible(self, data):
         ell, p, q = data.draw(st.lists(odd_primes, min_size=3, max_size=3, unique=True))
         param = data.draw(parameters(ell, p, q))
-        for datum_p in reductions(param, ell, p):
-            for datum_q in reductions(param, ell, q):
+        mixed = data.draw(st.booleans())
+        for datum_p in reductions(param, ell, p, mixed):
+            for datum_q in reductions(param, ell, q, mixed):
                 rep = local_compat(datum_p, datum_q)
                 assert rep.compatible, rep.reason
                 assert reduces_to(rep.witness, datum_p) and reduces_to(rep.witness, datum_q)
