@@ -140,34 +140,37 @@ class GroupCharacter:
         return tuple(map(QmodZ, self.exps, self.group.orders))
 
     def order(self) -> int:
-        return math.lcm(1, *(d // math.gcd(k, d) for k, d in zip(self.exps, self.group.orders)))
+        return math.lcm(1, *[d // math.gcd(k, d) for k, d in zip(self.exps, self.group.orders)])
 
     def is_trivial(self) -> bool:
         return not any(self.exps)
-
-    def _scaled(self, factors) -> "GroupCharacter":
-        # exponent k_i times factors[i], reduced mod d_i
-        return self._make(
-            self.group, tuple(k * f % d for k, f, d in zip(self.exps, factors, self.group.orders))
-        )
 
     def __mul__(self, other: "GroupCharacter") -> "GroupCharacter":
         if self.group != other.group:
             raise ValueError("characters live on different groups")
         return self._make(
             self.group,
-            tuple((k + j) % d for k, j, d in zip(self.exps, other.exps, self.group.orders)),
+            tuple([(k + j) % d for k, j, d in zip(self.exps, other.exps, self.group.orders)]),
         )
 
     def __pow__(self, n: int) -> "GroupCharacter":
-        return self._scaled(itertools.repeat(n))
+        return self._make(
+            self.group, tuple([k * n % d for k, d in zip(self.exps, self.group.orders)])
+        )
 
     def part_at(self, ell: int) -> "GroupCharacter":
         """The ell-primary part: exponent k_i times the idempotent e(d_i, ell)."""
-        return self._scaled(_crt_idempotent(d, ell) for d in self.group.orders)
+        return self._make(
+            self.group,
+            tuple([k * _crt_idempotent(d, ell) % d for k, d in zip(self.exps, self.group.orders)]),
+        )
 
     def part_prime_to(self, ell: int) -> "GroupCharacter":
-        return self._scaled(1 - _crt_idempotent(d, ell) for d in self.group.orders)
+        orders = self.group.orders
+        return self._make(
+            self.group,
+            tuple([k * (1 - _crt_idempotent(d, ell)) % d for k, d in zip(self.exps, orders)]),
+        )
 
 
 @dataclass(frozen=True)
@@ -288,10 +291,11 @@ def unit_group(ell: int, exponent: int) -> FinAbGroup:
 
 def _unit_level(eps: GroupCharacter, ell: int) -> int:
     """The c of a character presented on (Z/ell^c)^*; c = 0 is the trivial group."""
-    if eps.group.rank == 0:
+    labels = eps.group.labels
+    if not labels:
         return 0
-    label = eps.group.labels[0]
-    if eps.group.rank != 1 or not isinstance(label, UnitLabel) or label.prime != ell:
+    label = labels[0]
+    if len(labels) != 1 or not isinstance(label, UnitLabel) or label.prime != ell:
         raise ValueError(f"needs a labelled (Z/{ell}^c)* presentation")
     return label.exponent
 
@@ -299,11 +303,14 @@ def _unit_level(eps: GroupCharacter, ell: int) -> int:
 def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacter:
     """A character of (Z/ell^c)^* presented on (Z/ell^exponent)^*.
 
-    c = 0 means the trivial group.  The character is pulled back when
-    exponent >= c, and pushed down only when its conductor divides
-    ell^exponent.  Either way it factors through the lower of the two
-    levels, so the new generator's image is the old image times the
-    discrete log of the new generator, taken in (Z/ell)^*.
+    c = 0 means the trivial group.  The character k/d on the generator of
+    (Z/ell^c)^*, of order d, factors through (Z/ell^exponent)^*, of order
+    d2, exactly when its order divides d2, that is when k*d2 = 0 mod d
+    (d2 = 1 for the trivial group): always when exponent >= c, and when
+    pushing down only if its conductor divides ell^exponent.  It then
+    factors through the lower of the two levels, so the new generator's
+    image is the old image times the discrete log of the new generator,
+    taken in (Z/ell)^*.
     """
     c = _unit_level(eps, ell)
     if exponent == c:
@@ -311,18 +318,17 @@ def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacte
     target = unit_group(ell, exponent)
     if eps.is_trivial():
         return GroupCharacter.trivial(target)
-    conductor = character_conductor(eps)
-    if conductor > ell**exponent:
+    (k,), (d,) = eps.exps, eps.group.orders
+    d2 = target.orders[0] if exponent else 1
+    if k * d2 % d:
         raise ValueError(
-            f"a character of conductor {conductor} does not factor through "
-            f"(Z/{ell}^{exponent})*"
+            f"a character of conductor {character_conductor(eps)} does not factor "
+            f"through (Z/{ell}^{exponent})*"
         )
-    # eps factors through level min(c, exponent); above level 1 both canonical
-    # generators are the same g, so the log there is 1, and modulo ell it is 1 too
+    # above level 1 both canonical generators are the same g, so the log
+    # there is 1, and modulo ell it is 1 too
     e = unit_dlog(eps.group.labels[0].generator, target.labels[0].generator, ell)
-    # e*k/d has order dividing the new order d2, so e*k*d2/d is an integer
-    (k,), (d,), (d2,) = eps.exps, eps.group.orders, target.orders
-    return GroupCharacter._make(target, (e * k * d2 // d % d2,))
+    return GroupCharacter._make(target, (e * (k * d2 // d) % d2,))
 
 
 def on_common_unit_group(

@@ -75,11 +75,16 @@ _MR_BASES_PRODUCT = math.prod(_MR_BASES)
 PRIME_TEST_BOUND = _MR_BOUNDS[-1][0]
 
 
+@lru_cache(maxsize=1 << 12, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality for n below PRIME_TEST_BOUND (about 3.3e24):
     trial division by the bases, then strong probable-prime tests to as many
     of them as the size of n requires.  n >= PRIME_TEST_BOUND raises
-    ValueError."""
+    ValueError.
+
+    The 1 << 12 most recent verdicts are memoised, the bound of unit_group
+    and primitive_root.  The key is typed, so a float such as 7.0 still
+    raises TypeError, and a refusal is never memoised."""
     if n < 2:
         return False
     if n >= PRIME_TEST_BOUND:
@@ -119,6 +124,8 @@ def require_odd_primes(*primes: int) -> None:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
+    if not isinstance(n, int):
+        raise TypeError(f"{n!r} is not an integer")
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from .abchar import (
@@ -362,10 +363,12 @@ class PropQResult:
     invariants: LocalInvariantsQ
 
 
+@lru_cache(maxsize=1 << 12)
 def _tame(ell: int, exponent: int) -> GroupCharacter:
     """The cyclotomic character mod ell on (Z/ell^exponent)^*: reduction mod
     ell, pulled back from the identity character of (Z/ell)^*, which sends
-    the canonical generator to 1/(ell-1)."""
+    the canonical generator to 1/(ell-1).  Characters are immutable, so the
+    last 1 << 12 levels asked for are kept and shared, as unit groups are."""
     return at_unit_level(GroupCharacter._make(unit_group(ell, 1), (1,)), ell, exponent)
 
 

@@ -88,6 +88,8 @@ class ImagQuadField:
 
     def __post_init__(self):
         D = self.D
+        if not isinstance(D, int):
+            raise TypeError(f"discriminant {D!r} is not an integer")
         if D >= 0:
             raise ValueError("discriminant must be negative")
         if D >= -4:
@@ -457,10 +459,9 @@ def class_group(D: int) -> IdealClassGroup:
 # callers ask for a field's group and then for its counting bound: eight
 # entries serve that and hold at most about 6 MB (the group of D = -9559679,
 # h = 6216, the largest h found below CLASS_GROUP_BOUND, holds 0.75 MB by
-# tracemalloc).
-# ImagQuadField lets a float such as -1155.0 through, so the key is typed:
-# such a D misses and fails in _reduced_forms instead of finding -1155's group
-@functools.lru_cache(maxsize=8, typed=True)
+# tracemalloc).  ImagQuadField refuses a float such as -1155.0 first, so
+# every key is an int.
+@functools.lru_cache(maxsize=8)
 def _class_group(D: int) -> IdealClassGroup:
     forms = _reduced_forms(D)
     h = len(forms)

@@ -313,6 +313,27 @@ class TestAtUnitLevel:
             # pushing down to the conductor and pulling back is the identity
             assert at_unit_level(at_unit_level(eps, ell, exponent), ell, c) == eps
 
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_factors_exactly_down_to_the_conductor(self, ell):
+        for c in range(4):
+            for eps in enumerate_characters(unit_group(ell, c)):
+                for exponent in range(4):
+                    if character_conductor(eps) <= ell**exponent:
+                        assert at_unit_level(eps, ell, exponent).group == unit_group(
+                            ell, exponent
+                        )
+                    else:
+                        with pytest.raises(ValueError, match="does not factor through"):
+                            at_unit_level(eps, ell, exponent)
+
+    def test_refusal_names_the_conductor(self):
+        eps = char(unit_group(3, 3), (1, 9))
+        with pytest.raises(ValueError) as refused:
+            at_unit_level(eps, 3, 1)
+        assert str(refused.value) == (
+            "a character of conductor 27 does not factor through (Z/3^1)*"
+        )
+
     def test_rejects_another_prime(self):
         with pytest.raises(ValueError):
             at_unit_level(char(unit_group(5, 1), (1, 4)), 7, 2)

@@ -1,10 +1,14 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import heckelift
 from heckelift.exactnum import (
+    BERNOULLI_BOUND,
     _MR_BASES,
     _MR_BOUNDS,
     PRIME_TEST_BOUND,
@@ -247,17 +251,19 @@ def is_strong_probable_prime(n, a):
     return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
 
 
+def primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, n, i)))
+    return [m for m in range(n) if sieve[m]]
+
+
 class TestIsPrime:
     def test_agrees_with_sieve(self):
         n = 300_000
-        sieve = bytearray([1]) * n
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(n) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(range(i * i, n, i)))
-        assert [m for m in range(n) if is_prime(m)] == [
-            m for m in range(n) if sieve[m]
-        ]
+        assert [m for m in range(n) if is_prime(m)] == primes_below(n)
 
     @pytest.mark.parametrize(
         "n",
@@ -304,10 +310,36 @@ class TestIsPrime:
             is_prime(PRIME_TEST_BOUND)
 
 
+class TestIsPrimeMemo:
+    def test_float_raises_after_the_equal_int(self):
+        assert is_prime(7)
+        with pytest.raises(TypeError):
+            is_prime(7.0)
+
+    def test_refusal_above_the_bound_is_not_memoised(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=str(PRIME_TEST_BOUND)):
+                is_prime(PRIME_TEST_BOUND)
+
+    def test_agrees_with_sieve_cold_and_warm(self):
+        n = 10**5
+        expected = primes_below(n)
+        is_prime.cache_clear()
+        assert [m for m in range(n) if is_prime(m)] == expected
+        # sweeping back down, the first 1 << 12 verdicts come from the memo
+        hits = is_prime.cache_info().hits
+        assert [m for m in reversed(range(n)) if is_prime(m)] == expected[::-1]
+        assert is_prime.cache_info().hits - hits == 1 << 12
+
+
 class TestHelpers:
     def test_factorize(self):
         assert factorize(1) == {}
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
+
+    def test_factorize_refuses_a_float(self):
+        with pytest.raises(TypeError, match=r"1155\.0 is not an integer"):
+            factorize(1155.0)
 
     def test_primitive_root(self):
         assert primitive_root(5) == 2
@@ -360,3 +392,20 @@ class TestUnitDlog:
     def test_unit_dlog_inverts_pow(self, ell, e):
         g = primitive_root(ell)
         assert unit_dlog(g, pow(g, e, ell), ell) == e % (ell - 1)
+
+
+def test_every_memo_in_the_package_is_bounded():
+    # _bernoulli_even is the one unbounded memo: bernoulli caps its argument
+    # at BERNOULLI_BOUND // 2, so it holds at most 51 entries
+    memos = {}
+    for info in pkgutil.iter_modules(heckelift.__path__):
+        module = importlib.import_module(f"heckelift.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                memos[f"{value.__module__}.{value.__qualname__}"] = value
+    assert {"heckelift.exactnum.is_prime", "heckelift.heckeq._tame"} <= memos.keys()
+    unbounded = {name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None}
+    assert unbounded == {"heckelift.exactnum._bernoulli_even"}
+    bernoulli(BERNOULLI_BOUND)
+    cached = memos["heckelift.exactnum._bernoulli_even"].cache_info().currsize
+    assert cached == BERNOULLI_BOUND // 2 + 1 == 51

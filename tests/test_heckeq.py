@@ -167,6 +167,10 @@ class TestCyclotomicCharacter:
         assert theta_power(ell, 5, a) == theta_power(ell, 5, 1)
         assert theta_power(ell, 5, a).component(ell).base == theta**5
 
+    @pytest.mark.parametrize("ell, a", [(3, 1), (7, 2), (40487, 2)])
+    def test_each_level_is_built_once(self, ell, a):
+        assert _tame(ell, a) is _tame(ell, a)
+
     def test_push_down_walks_level_one(self):
         start = time.perf_counter()
         low = theta_power(40487, 1, 2).with_modulus(40487)

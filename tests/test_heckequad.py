@@ -551,7 +551,7 @@ class TestClassGroupMemo:
     @pytest.mark.parametrize(
         "D, error, match",
         [
-            (-1155.0, TypeError, "cannot be interpreted as an integer"),
+            (-1155.0, TypeError, r"discriminant -1155\.0 is not an integer"),
             (True, ValueError, "must be negative"),
             (-12, ValueError, "not a fundamental discriminant"),
             (-10000019, ValueError, "class-group bound"),
