@@ -20,10 +20,12 @@ _MODULE_EXPORTS = {
         "discrete_log",
         "kronecker_symbol",
         "prime_to_part",
+        "weight_crt",
     ),
     "abchar": (
         "FinAbGroup",
         "GroupCharacter",
+        "HeckeCertificate",
         "ModCharacter",
         "character_conductor",
         "enumerate_characters",
@@ -33,7 +35,6 @@ _MODULE_EXPORTS = {
     ),
     "heckeq": (
         "GlobalCharQ",
-        "HeckeCertificate",
         "LocalInvariantsQ",
         "brute_force_oracle_q",
         "check_necessary",
@@ -70,7 +71,6 @@ _MODULE_EXPORTS = {
         "local_compat",
         "remark2_check",
         "wd_reduce",
-        "weight_crt",
     ),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}

@@ -12,18 +12,21 @@ A mod-ell character is stored through its canonical complex
 representative: the unique representative whose order is prime to ell.
 With that convention, reduction mod ell is exact group theory: it kills
 the ell-primary part of every generator image.
+
+A HeckeCertificate, the witness of a lift over Q or over an imaginary
+quadratic field, is a record of such characters, one per place.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
 from .exactnum import (
     QmodZ,
+    Record,
     _crt_idempotent,
     glue_pq,
     is_prime,
@@ -36,6 +39,7 @@ from .exactnum import (
 __all__ = [
     "FinAbGroup",
     "GroupCharacter",
+    "HeckeCertificate",
     "ModCharacter",
     "UnitLabel",
     "unit_group",
@@ -53,36 +57,37 @@ CHARACTER_ENUM_BOUND = 10**6
 UNIT_GROUP_BOUND = 1 << 200000
 
 
-@dataclass(frozen=True)
-class UnitLabel:
+class UnitLabel(Record):
     """Marks a generator of the cyclic group (Z/prime^exponent)^*."""
 
-    prime: int
-    exponent: int
-    generator: int
+    __slots__ = ("prime", "exponent", "generator")
+
+    def __init__(self, prime: int, exponent: int, generator: int):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "generator", generator)
 
     def __str__(self) -> str:
         return f"(Z/{self.prime}^{self.exponent})* gen {self.generator}"
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """Finite abelian group as a product of cyclic factors of the given orders.
 
-    Labels are optional per-generator annotations; unit-group presentations
-    use UnitLabel so that conductor bookkeeping can recover the prime power.
+    Labels are optional per-generator annotations, None when omitted;
+    unit-group presentations use UnitLabel so that conductor bookkeeping
+    can recover the prime power.
     """
 
-    orders: tuple[int, ...]
-    labels: tuple[object, ...] = field(default=())
+    __slots__ = ("orders", "labels")
 
-    def __post_init__(self):
-        if any(d < 2 for d in self.orders):
+    def __init__(self, orders: tuple[int, ...], labels: tuple[object, ...] = ()):
+        if any(d < 2 for d in orders):
             raise ValueError("cyclic factor orders must be >= 2")
-        if self.labels and len(self.labels) != len(self.orders):
+        if labels and len(labels) != len(orders):
             raise ValueError("one label per generator required")
-        if not self.labels:
-            object.__setattr__(self, "labels", (None,) * len(self.orders))
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "labels", labels or (None,) * len(orders))
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
@@ -101,8 +106,7 @@ class FinAbGroup:
         return " x ".join(f"Z/{d}" for d in self.orders)
 
 
-@dataclass(frozen=True)
-class GroupCharacter:
+class GroupCharacter(Record):
     """Homomorphism from a FinAbGroup to Q/Z, stored as exponents: the
     generator of order d_i goes to exps[i]/d_i, with 0 <= exps[i] < d_i.
 
@@ -110,8 +114,7 @@ class GroupCharacter:
     images property gives them back; the operations work on the exponents.
     """
 
-    group: FinAbGroup
-    exps: tuple[int, ...]
+    __slots__ = ("group", "exps")
 
     def __init__(self, group: FinAbGroup, images: tuple[QmodZ, ...]):
         if len(images) != group.rank:
@@ -173,20 +176,18 @@ class GroupCharacter:
         )
 
 
-@dataclass(frozen=True)
-class ModCharacter:
+class ModCharacter(Record):
     """A mod-ell character via its canonical prime-to-ell representative."""
 
-    base: GroupCharacter
-    residue_char: int
+    __slots__ = ("base", "residue_char")
 
-    def __post_init__(self):
-        if not is_prime(self.residue_char):
-            raise ValueError(f"{self.residue_char} is not prime")
-        if self.base.order() % self.residue_char == 0:
-            raise ValueError(
-                f"canonical representative must have order prime to {self.residue_char}"
-            )
+    def __init__(self, base: GroupCharacter, residue_char: int):
+        if not is_prime(residue_char):
+            raise ValueError(f"{residue_char} is not prime")
+        if base.order() % residue_char == 0:
+            raise ValueError(f"canonical representative must have order prime to {residue_char}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "residue_char", residue_char)
 
     @property
     def group(self) -> FinAbGroup:
@@ -197,6 +198,24 @@ class ModCharacter:
 
     def is_trivial(self) -> bool:
         return self.base.is_trivial()
+
+
+class HeckeCertificate(Record):
+    """Witness data for a lift: infinity type, the finitely many nontrivial
+    local unit-group characters, and the conductor they generate (None
+    where it is not determined)."""
+
+    __slots__ = ("infinity_type", "local_chars", "conductor")
+
+    def __init__(
+        self,
+        infinity_type: tuple[tuple[str, int], ...],
+        local_chars: tuple[tuple[str, GroupCharacter], ...],
+        conductor: int | None,
+    ):
+        object.__setattr__(self, "infinity_type", infinity_type)
+        object.__setattr__(self, "local_chars", local_chars)
+        object.__setattr__(self, "conductor", conductor)
 
 
 def reduce_mod(eps: GroupCharacter, ell: int) -> ModCharacter:

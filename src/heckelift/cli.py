@@ -20,13 +20,13 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .schema import ValidationError, validate
 
-# The library modules are imported inside the handlers that use them, so
-# one command loads only its own share of the package; these names serve
-# the annotations alone.
+# The library modules are imported inside the handlers that use them, so a
+# command loads only the modules it runs (tests/test_cli.py lists them per
+# command); these names serve the annotations alone.
 if TYPE_CHECKING:
-    from .abchar import GroupCharacter
+    from .abchar import GroupCharacter, HeckeCertificate
     from .exactnum import QmodZ
-    from .heckeq import GlobalCharQ, HeckeCertificate
+    from .heckeq import GlobalCharQ
     from .serrepq import AlgebraicFrobValue
 
 BASE_CONVENTIONS = {
@@ -151,9 +151,8 @@ class CommandOutcome:
 
 
 def _run_lift_q(problem: dict, args) -> CommandOutcome:
-    from .abchar import character_conductor
+    from .abchar import HeckeCertificate, character_conductor
     from .heckeq import (
-        HeckeCertificate,
         brute_force_oracle_q,
         check_necessary,
         decide_prop_q,
@@ -488,8 +487,7 @@ def _run_weight24(problem: dict, args) -> CommandOutcome:
 
 
 def _run_weight_crt(problem: dict, args) -> CommandOutcome:
-    from .exactnum import Congruence, require_odd_primes
-    from .serrepq import weight_crt
+    from .exactnum import Congruence, require_odd_primes, weight_crt
 
     p, q = problem["p"], problem["q"]
     require_odd_primes(p, q)
@@ -642,7 +640,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = open(args.problem, "rb").read()
+        with open(args.problem, "rb") as problem_file:
+            raw = problem_file.read()
     except OSError as exc:
         _emit({"command": args.command, "error": {"type": "io", "message": str(exc)}}, args.json)
         return 2

@@ -1,12 +1,13 @@
 """Exact arithmetic substrate.
 
 Residues in Q/Z (additive stand-ins for roots of unity), congruence
-classes and a two-congruence CRT solver, and the handful of
-multiplicative number theory helpers the rest of the library leans on.
-Unit groups (Z/ell^a)^* are known by their odd prime ell: `primitive_root`
-factors only ell - 1, and `unit_dlog` takes every discrete log in (Z/ell)^*.
-Everything is immutable after construction and safe to share between
-threads.
+classes, a two-congruence CRT solver and the common weight of two weight
+classes, and the handful of multiplicative number theory helpers the rest
+of the library leans on.  Unit groups (Z/ell^a)^* are known by their odd
+prime ell: `primitive_root` factors only ell - 1, and `unit_dlog` takes
+every discrete log in (Z/ell)^*.  `Record` is the base of the package's
+immutable records.  Everything is immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -23,6 +25,8 @@ __all__ = [
     "QmodZ",
     "Congruence",
     "crt_pair",
+    "WeightCrtResult",
+    "weight_crt",
     "glue_pq",
     "prime_to_part",
     "discrete_log",
@@ -38,6 +42,43 @@ __all__ = [
     "primitive_root",
     "unit_dlog",
 ]
+
+
+class Record:
+    """Base of the package's immutable records, cheaper to define than a
+    frozen dataclass and alike in use.  A subclass lists its fields in
+    __slots__, in constructor order, and sets them in __init__ with
+    object.__setattr__.  A record equals only a record of its own class
+    with equal fields, hashes as the tuple of its fields, prints as
+    ClassName(field=value, ...) and refuses assignment."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the fields as one tuple, for equality and hashing; attrgetter
+        # returns a lone field as it is
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            get = lambda record, field=get: (field(record),)
+        cls._values = staticmethod(get)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -161,7 +202,7 @@ def prime_to_part(n: int, ell: int) -> int:
     return n
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=1 << 12)
 def _crt_idempotent(d: int, ell: int) -> int:
     """The e in [0, d) with e = 1 modulo the ell-part of d and e = 0 modulo
     the rest of d.  Multiplying by e projects Z/d onto its ell-primary
@@ -296,6 +337,30 @@ def crt_pair(c1: Congruence, c2: Congruence) -> Congruence | None:
     step = (c2.residue - c1.residue) // g
     x = (c1.residue + m1 * (step * u % (m2 // g))) % lcm
     return Congruence(x, lcm)
+
+
+class WeightCrtResult(Record):
+    """The common weight class k_class and its least representative >= 2."""
+
+    __slots__ = ("k_class", "representative")
+
+    def __init__(self, k_class: Congruence, representative: int):
+        object.__setattr__(self, "k_class", k_class)
+        object.__setattr__(self, "representative", representative)
+
+
+def weight_crt(
+    k_rho: Congruence, k_rho_prime: Congruence
+) -> WeightCrtResult | None:
+    """Common weight class mod lcm(p-1, q-1), with its least representative
+    at least 2, or None when the two weight classes clash."""
+    got = crt_pair(k_rho, k_rho_prime)
+    if got is None:
+        return None
+    rep = got.residue
+    while rep < 2:
+        rep += got.modulus
+    return WeightCrtResult(got, rep)
 
 
 def discrete_log(target: QmodZ, base: QmodZ) -> int | None:

@@ -18,12 +18,13 @@ eps * eps' * Nm^k together with an internal re-verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .abchar import (
     GroupCharacter,
+    HeckeCertificate,
     ModCharacter,
     at_unit_level,
     character_conductor,
@@ -34,6 +35,7 @@ from .abchar import (
 from .exactnum import (
     Congruence,
     QmodZ,
+    Record,
     crt_pair,
     factorize,
     is_prime,
@@ -78,7 +80,6 @@ def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
     return fac
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class GlobalCharQ:
     """A mod-ell character of G_Q with ramification support dividing modulus.
 
@@ -88,26 +89,37 @@ class GlobalCharQ:
     the residue characteristic.  Both are in increasing order of the prime.
     images lists the Q/Z image of each canonical generator (least primitive
     root mod ell^a).  from_images and trivial check their input; operations
-    build from checked parts through _make.
+    build from checked parts through _make.  There is no public
+    constructor, and the attributes are read-only.
     """
 
-    residue_char: int
-    modulus: int
-    factors: dict[int, int] = field(repr=False)
-    inertia: dict[int, GroupCharacter]
+    __slots__ = ("residue_char", "modulus", "factors", "inertia")
 
     @classmethod
     def _make(cls, residue_char: int, factors: dict, inertia: dict) -> "GlobalCharQ":
         """The character with these parts, already checked; trivial entries of
         inertia are dropped."""
         chi = object.__new__(cls)
-        vars(chi).update(
-            residue_char=residue_char,
-            modulus=math.prod(ell**a for ell, a in factors.items()),
-            factors=dict(sorted(factors.items())),
-            inertia={ell: eps for ell, eps in sorted(inertia.items()) if not eps.is_trivial()},
+        setattr_ = object.__setattr__
+        setattr_(chi, "residue_char", residue_char)
+        setattr_(chi, "modulus", math.prod(ell**a for ell, a in factors.items()))
+        setattr_(chi, "factors", dict(sorted(factors.items())))
+        setattr_(
+            chi,
+            "inertia",
+            {ell: eps for ell, eps in sorted(inertia.items()) if not eps.is_trivial()},
         )
         return chi
+
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
+    def __repr__(self) -> str:
+        # factors, which the modulus determines, is left out
+        return (
+            f"GlobalCharQ(residue_char={self.residue_char!r}, modulus={self.modulus!r}, "
+            f"inertia={self.inertia!r})"
+        )
 
     @classmethod
     def from_images(
@@ -210,22 +222,31 @@ def theta_power(residue_char: int, k: int, exponent: int = 1) -> GlobalCharQ:
     return GlobalCharQ.from_images(p, p, {p: QmodZ(k, p - 1)}).with_modulus(p**exponent)
 
 
-@dataclass(frozen=True)
-class LocalInvariantsQ:
-    """The congruence data carried by a pair (rho mod p, rho' mod q) at p and q."""
+class LocalInvariantsQ(Record):
+    """The congruence data carried by a pair (rho mod p, rho' mod q) at p and q:
+    k_p, the tame exponent of rho at p, mod p-1; a_p, the tame exponent of
+    rho' at p, mod A_p, the prime-to-q part of p-1; psi_prime_p, the
+    p-power-order (wild) part of rho' at p; and k_q, b_q, B_q and psi_q
+    likewise at q."""
 
-    p: int
-    q: int
-    k_p: Congruence              # tame exponent of rho at p, mod p-1
-    a_p: Congruence              # tame exponent of rho' at p, mod A_p
-    A_p: int                     # prime-to-q part of p-1
-    psi_prime_p: GroupCharacter  # p-power-order (wild) part of rho' at p
-    k_q: Congruence
-    b_q: Congruence
-    B_q: int
-    psi_q: GroupCharacter
+    __slots__ = ("p", "q", "k_p", "a_p", "A_p", "psi_prime_p", "k_q", "b_q", "B_q", "psi_q")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        k_p: Congruence,
+        a_p: Congruence,
+        A_p: int,
+        psi_prime_p: GroupCharacter,
+        k_q: Congruence,
+        b_q: Congruence,
+        B_q: int,
+        psi_q: GroupCharacter,
+    ):
+        values = (p, q, k_p, a_p, A_p, psi_prime_p, k_q, b_q, B_q, psi_q)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         if self.A_p != prime_to_part(self.p - 1, self.q):
             raise AssertionError(f"A_p = {self.A_p} is not the prime-to-q part of p - 1")
         if self.B_q != prime_to_part(self.q - 1, self.p):
@@ -237,16 +258,6 @@ class LocalInvariantsQ:
         for ell, psi in ((self.p, self.psi_prime_p), (self.q, self.psi_q)):
             if psi.order() != ell ** valuation(psi.order(), ell):
                 raise AssertionError(f"wild part at {ell} has order {psi.order()}")
-
-
-@dataclass(frozen=True)
-class HeckeCertificate:
-    """Witness data for a lift: infinity type, the finitely many nontrivial
-    local unit-group characters, and the conductor they generate."""
-
-    infinity_type: tuple[tuple[str, int], ...]
-    local_chars: tuple[tuple[str, GroupCharacter], ...]
-    conductor: int | None
 
 
 def _require_pair(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> tuple[int, int]:
@@ -288,10 +299,15 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
     return LocalInvariantsQ(p, q, *at(p, rho, rho_prime, q), *at(q, rho_prime, rho, p))
 
 
-@dataclass(frozen=True)
-class NecessityReport:
-    per_prime: tuple[tuple[int, bool], ...]
-    ok: bool
+class NecessityReport(Record):
+    """per_prime: (ell, whether the two restrictions at ell lift together),
+    for each prime away from p and q; ok: whether all of them do."""
+
+    __slots__ = ("per_prime", "ok")
+
+    def __init__(self, per_prime: tuple[tuple[int, bool], ...], ok: bool):
+        object.__setattr__(self, "per_prime", per_prime)
+        object.__setattr__(self, "ok", ok)
 
 
 def _outside_lifts(
@@ -316,11 +332,21 @@ def check_necessary(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> NecessityReport
     return NecessityReport(results, all(ok for _, ok in results))
 
 
-@dataclass(frozen=True)
-class TwistResult:
-    eps: tuple[tuple[int, GroupCharacter], ...]  # per prime away from p and q
-    twisted: GlobalCharQ
-    twisted_prime: GlobalCharQ
+class TwistResult(Record):
+    """eps: (ell, the twist's character at ell) per prime away from p and q;
+    twisted and twisted_prime: the pair with that ramification removed."""
+
+    __slots__ = ("eps", "twisted", "twisted_prime")
+
+    def __init__(
+        self,
+        eps: tuple[tuple[int, GroupCharacter], ...],
+        twisted: GlobalCharQ,
+        twisted_prime: GlobalCharQ,
+    ):
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "twisted", twisted)
+        object.__setattr__(self, "twisted_prime", twisted_prime)
 
 
 def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult:

@@ -34,8 +34,9 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .abchar import FinAbGroup, GroupCharacter
+from .abchar import FinAbGroup, GroupCharacter, HeckeCertificate
 from .exactnum import (
+    Record,
     factorize,
     kronecker_symbol,
     prime_to_part,
@@ -43,7 +44,6 @@ from .exactnum import (
     valuation,
     xgcd,
 )
-from .heckeq import HeckeCertificate
 
 __all__ = [
     "ImagQuadField",
@@ -76,18 +76,16 @@ SIGMA = "sigma"
 SIGMA_BAR = "sigmabar"
 
 
-@dataclass(frozen=True)
-class ImagQuadField:
+class ImagQuadField(Record):
     """Imaginary quadratic field of fundamental discriminant D < -4.
 
     D < -4 keeps the unit group at {+-1} (the two smaller discriminants
     carry extra roots of unity and are out of scope).
     """
 
-    D: int
+    __slots__ = ("D",)
 
-    def __post_init__(self):
-        D = self.D
+    def __init__(self, D: int):
         if not isinstance(D, int):
             raise TypeError(f"discriminant {D!r} is not an integer")
         if D >= 0:
@@ -108,6 +106,7 @@ class ImagQuadField:
                 raise ValueError(f"{D} is not a fundamental discriminant")
         else:
             raise ValueError(f"{D} is not a discriminant (must be 0 or 1 mod 4)")
+        object.__setattr__(self, "D", D)
 
     def __str__(self) -> str:
         return f"Q(sqrt({self.D}))"
@@ -117,22 +116,36 @@ def _is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(abs(n)).values())
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """One place above a rational prime: residue size, the congruence modulus
-    it contributes, and the embedding-to-exponent map kappa."""
+    it contributes (the part of residue_size - 1 prime to the other prime),
+    and the embedding-to-exponent map kappa, over the embeddings inducing
+    this place."""
 
-    name: str
-    residue_size: int
-    modulus: int                       # prime-to-other-prime part of residue_size - 1
-    kappa: tuple[tuple[str, int], ...]  # embeddings inducing this place
+    __slots__ = ("name", "residue_size", "modulus", "kappa")
+
+    def __init__(
+        self,
+        name: str,
+        residue_size: int,
+        modulus: int,
+        kappa: tuple[tuple[str, int], ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "residue_size", residue_size)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "kappa", kappa)
 
 
-@dataclass(frozen=True)
-class PlaceData:
-    prime: int
-    kind: str  # "split" | "inert"
-    places: tuple[Place, ...]
+class PlaceData(Record):
+    """The places above a rational prime of kind "split" or "inert"."""
+
+    __slots__ = ("prime", "kind", "places")
+
+    def __init__(self, prime: int, kind: str, places: tuple[Place, ...]):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "places", places)
 
 
 def splitting_data(K: ImagQuadField, p: int, q: int) -> tuple[PlaceData, PlaceData]:
@@ -175,21 +188,27 @@ def xi_values(
     )
 
 
-@dataclass(frozen=True)
-class PlaceLocal:
-    """Local data of the pair at one place: tame exponent of the character in
-    its own characteristic, tame exponent of the other character, and the
-    other character's wild part."""
+class PlaceLocal(Record):
+    """Local data of the pair at one place: tame exponent k of the character
+    in its own characteristic, tame exponent a of the other character, and
+    the other character's wild part psi, a GroupCharacter or None."""
 
-    k: int
-    a: int
-    psi: GroupCharacter | None = None
+    __slots__ = ("k", "a", "psi")
+
+    def __init__(self, k: int, a: int, psi: GroupCharacter | None = None):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "psi", psi)
 
 
-@dataclass(frozen=True)
-class QuadLocalData:
-    above_p: tuple[PlaceLocal, ...]
-    above_q: tuple[PlaceLocal, ...]
+class QuadLocalData(Record):
+    """The PlaceLocal data at each place above p and above q."""
+
+    __slots__ = ("above_p", "above_q")
+
+    def __init__(self, above_p: tuple[PlaceLocal, ...], above_q: tuple[PlaceLocal, ...]):
+        object.__setattr__(self, "above_p", above_p)
+        object.__setattr__(self, "above_q", above_q)
 
 
 def _validate_local(
@@ -211,23 +230,42 @@ def _validate_local(
                 )
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    place: str
-    lhs: int
-    rhs: int
-    modulus: int
-    ok: bool
+class ConditionCheck(Record):
+    """Condition (1) or (1') at one place: whether lhs = rhs mod modulus."""
+
+    __slots__ = ("place", "lhs", "rhs", "modulus", "ok")
+
+    def __init__(self, place: str, lhs: int, rhs: int, modulus: int, ok: bool):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "ok", ok)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    condition_1: tuple[ConditionCheck, ...]
-    condition_1_prime: tuple[ConditionCheck, ...]
-    condition_2: tuple[int, int, bool]  # (parity sum, target parity, ok)
-    certificate: HeckeCertificate | None
-    data_p: PlaceData
-    data_q: PlaceData
+class CriterionReport(Record):
+    """The three conditions, condition_2 as (parity sum, target parity, ok),
+    the certificate when all hold, else None, and the places above p and q."""
+
+    __slots__ = (
+        "condition_1", "condition_1_prime", "condition_2", "certificate", "data_p", "data_q"
+    )
+
+    def __init__(
+        self,
+        condition_1: tuple[ConditionCheck, ...],
+        condition_1_prime: tuple[ConditionCheck, ...],
+        condition_2: tuple[int, int, bool],
+        certificate: HeckeCertificate | None,
+        data_p: PlaceData,
+        data_q: PlaceData,
+    ):
+        object.__setattr__(self, "condition_1", condition_1)
+        object.__setattr__(self, "condition_1_prime", condition_1_prime)
+        object.__setattr__(self, "condition_2", condition_2)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "data_p", data_p)
+        object.__setattr__(self, "data_q", data_q)
 
     @property
     def ok(self) -> bool:

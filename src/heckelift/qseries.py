@@ -31,7 +31,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import bernoulli, is_prime, require_odd_primes
+from .exactnum import Record, bernoulli, is_prime, require_odd_primes
 
 __all__ = [
     "QuadElem",
@@ -67,20 +67,18 @@ def _check_precision(precision: int, least: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class QuadElem:
+class QuadElem(Record):
     """a + b*sqrt(disc) with exact rational a, b and fixed positive nonsquare
     disc: a value that a SplitPrimeIdeal reduces, with no arithmetic."""
 
-    a: Fraction
-    b: Fraction
-    disc: int
+    __slots__ = ("a", "b", "disc")
 
-    def __post_init__(self):
-        if self.disc <= 0 or math.isqrt(self.disc) ** 2 == self.disc:
+    def __init__(self, a: Fraction, b: Fraction, disc: int):
+        if disc <= 0 or math.isqrt(disc) ** 2 == disc:
             raise ValueError("disc must be a positive nonsquare integer")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "disc", disc)
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt({self.disc})"
@@ -339,22 +337,22 @@ def delta(precision: int = DEFAULT_PRECISION) -> QExpansion:
     return QExpansion._make((0,) + eta24._a[: precision - 1], eta24._den, 12)
 
 
-@dataclass(frozen=True)
-class SplitPrimeIdeal:
+class SplitPrimeIdeal(Record):
     """One of the two primes above ell in Q(sqrt(disc)): the root r with
     r^2 = disc mod ell selects the reduction sqrt(disc) -> r."""
 
-    ell: int
-    root: int
-    disc: int
+    __slots__ = ("ell", "root", "disc")
 
-    def __post_init__(self):
-        if not is_prime(self.ell):
-            raise ValueError(f"{self.ell} is not prime")
-        if not 0 <= self.root < self.ell:
+    def __init__(self, ell: int, root: int, disc: int):
+        if not is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
+        if not 0 <= root < ell:
             raise ValueError("root must be reduced modulo ell")
-        if (self.root * self.root - self.disc) % self.ell:
-            raise ValueError(f"{self.root}^2 is not {self.disc} modulo {self.ell}")
+        if (root * root - disc) % ell:
+            raise ValueError(f"{root}^2 is not {disc} modulo {ell}")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "disc", disc)
 
     def conjugate(self) -> "SplitPrimeIdeal":
         return SplitPrimeIdeal(self.ell, (-self.root) % self.ell, self.disc)
@@ -411,13 +409,26 @@ def reduce_series(series: QExpansion, ideal, bound: int) -> tuple[int, ...]:
     return tuple(_residue(Fraction(x, den), ell) for x in nums)
 
 
-@dataclass(frozen=True)
-class SturmReport:
-    congruent: bool
-    first_mismatch: int | None
-    bound: int
-    theoretical_bound: int | None
-    modulus: str
+class SturmReport(Record):
+    """Whether two series agree through a modulus up to q^bound, the first
+    index where they do not (None if none), the level-one proof bound if
+    the weights give one, and the modulus as text."""
+
+    __slots__ = ("congruent", "first_mismatch", "bound", "theoretical_bound", "modulus")
+
+    def __init__(
+        self,
+        congruent: bool,
+        first_mismatch: int | None,
+        bound: int,
+        theoretical_bound: int | None,
+        modulus: str,
+    ):
+        object.__setattr__(self, "congruent", congruent)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "theoretical_bound", theoretical_bound)
+        object.__setattr__(self, "modulus", modulus)
 
     def __str__(self) -> str:
         status = "pass" if self.congruent else f"fail at q^{self.first_mismatch}"
@@ -514,19 +525,42 @@ def hasse_invariant_check(
     return HasseReport(p, q, weight, precision, ok, None if ok else 1)
 
 
-@dataclass(frozen=True)
-class Weight24Report:
-    disc: int
-    precision: int
-    alpha: QuadElem
-    alpha_prime: QuadElem
-    p5: SplitPrimeIdeal
-    p7: SplitPrimeIdeal
-    labelling: str
-    congruences: tuple[tuple[str, SturmReport], ...]
-    q_is_one_mod_5: bool
-    alpha_product: Fraction
-    residues: tuple[tuple[str, tuple[int, ...]], ...]
+class Weight24Report(Record):
+    """What weight24_example found: the eigenvalue alpha of f and alpha' of
+    f', the primes p5 and p7 fixing the labelling, the named congruences
+    and residue rows, whether E4 = 1 mod 5 to the precision, and
+    alpha * alpha'."""
+
+    __slots__ = (
+        "disc", "precision", "alpha", "alpha_prime", "p5", "p7", "labelling",
+        "congruences", "q_is_one_mod_5", "alpha_product", "residues",
+    )
+
+    def __init__(
+        self,
+        disc: int,
+        precision: int,
+        alpha: QuadElem,
+        alpha_prime: QuadElem,
+        p5: SplitPrimeIdeal,
+        p7: SplitPrimeIdeal,
+        labelling: str,
+        congruences: tuple[tuple[str, SturmReport], ...],
+        q_is_one_mod_5: bool,
+        alpha_product: Fraction,
+        residues: tuple[tuple[str, tuple[int, ...]], ...],
+    ):
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha_prime", alpha_prime)
+        object.__setattr__(self, "p5", p5)
+        object.__setattr__(self, "p7", p7)
+        object.__setattr__(self, "labelling", labelling)
+        object.__setattr__(self, "congruences", congruences)
+        object.__setattr__(self, "q_is_one_mod_5", q_is_one_mod_5)
+        object.__setattr__(self, "alpha_product", alpha_product)
+        object.__setattr__(self, "residues", residues)
 
     @property
     def ok(self) -> bool:

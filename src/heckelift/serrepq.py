@@ -20,7 +20,6 @@ gone after the unramified quadratic base change since (-ell)^2 = ell^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .abchar import (
@@ -32,9 +31,8 @@ from .abchar import (
     unit_group,
 )
 from .exactnum import (
-    Congruence,
     QmodZ,
-    crt_pair,
+    Record,
     discrete_log,
     glue_pq,
     is_prime,
@@ -53,37 +51,11 @@ __all__ = [
     "UnipotentRamified",
     "CompatReport",
     "Remark2Report",
-    "WeightCrtResult",
-    "weight_crt",
     "wd_reduce",
     "local_compat",
     "remark2_check",
     "residue_address",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Weight congruence
-
-
-@dataclass(frozen=True)
-class WeightCrtResult:
-    k_class: Congruence
-    representative: int  # least representative >= 2
-
-
-def weight_crt(
-    k_rho: Congruence, k_rho_prime: Congruence
-) -> WeightCrtResult | None:
-    """Common weight class mod lcm(p-1, q-1), with its least representative
-    at least 2, or None when the two weight classes clash."""
-    got = crt_pair(k_rho, k_rho_prime)
-    if got is None:
-        return None
-    rep = got.residue
-    while rep < 2:
-        rep += got.modulus
-    return WeightCrtResult(got, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +69,14 @@ def residue_address(u: int, r: int) -> QmodZ:
     return QmodZ(unit_dlog(primitive_root(r), u, r), r - 1)
 
 
-@dataclass(frozen=True)
-class AlgebraicFrobValue:
+class AlgebraicFrobValue(Record):
     """zeta * ell^w with zeta a root of unity written additively in Q/Z."""
 
-    zeta: QmodZ
-    weight: int
+    __slots__ = ("zeta", "weight")
+
+    def __init__(self, zeta: QmodZ, weight: int):
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "weight", weight)
 
     def reduce(self, target: int) -> "AlgebraicFrobValue":
         return AlgebraicFrobValue(self.zeta.part_prime_to(target), self.weight)
@@ -118,29 +92,36 @@ class AlgebraicFrobValue:
         return f"zeta({self.zeta}) * ell^{self.weight}"
 
 
-@dataclass(frozen=True)
-class QuasiChar:
+class QuasiChar(Record):
     """A quasicharacter of the local Weil group: finite-order part on the
-    units plus an algebraic value at Frobenius."""
+    units, a GroupCharacter on (Z/ell^a)^*, plus an algebraic value at
+    Frobenius."""
 
-    inertial: GroupCharacter  # on (Z/ell^a)^*
-    frob: AlgebraicFrobValue
+    __slots__ = ("inertial", "frob")
+
+    def __init__(self, inertial: GroupCharacter, frob: AlgebraicFrobValue):
+        object.__setattr__(self, "inertial", inertial)
+        object.__setattr__(self, "frob", frob)
 
 
-@dataclass(frozen=True)
-class Reducible:
+class Reducible(Record):
     """Semisimple parameter: direct sum of two quasicharacters, no monodromy."""
 
-    eps1: QuasiChar
-    eps2: QuasiChar
+    __slots__ = ("eps1", "eps2")
+
+    def __init__(self, eps1: QuasiChar, eps2: QuasiChar):
+        object.__setattr__(self, "eps1", eps1)
+        object.__setattr__(self, "eps2", eps2)
 
 
-@dataclass(frozen=True)
-class Steinberg:
+class Steinberg(Record):
     """Parameter with nonzero monodromy; the second character is the twist of
     eps by the norm (Frobenius value multiplied by ell) and is not stored."""
 
-    eps: QuasiChar
+    __slots__ = ("eps",)
+
+    def __init__(self, eps: QuasiChar):
+        object.__setattr__(self, "eps", eps)
 
 
 WDParam = Reducible | Steinberg
@@ -150,34 +131,58 @@ WDParam = Reducible | Steinberg
 # Reduced local data
 
 
-@dataclass(frozen=True)
-class UnramifiedSemisimple:
-    ell: int
-    residue_char: int
-    ratio: AlgebraicFrobValue  # Frobenius eigenvalue ratio, up to inversion
+class UnramifiedSemisimple(Record):
+    """Unramified reduction at ell mod residue_char: only the Frobenius
+    eigenvalue ratio, up to inversion, is kept."""
+
+    __slots__ = ("ell", "residue_char", "ratio")
+
+    def __init__(self, ell: int, residue_char: int, ratio: AlgebraicFrobValue):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "residue_char", residue_char)
+        object.__setattr__(self, "ratio", ratio)
 
     def ratio_values(self) -> frozenset[QmodZ]:
         v = self.ratio.value_mod(self.ell, self.residue_char)
         return frozenset((v, -v))
 
 
-@dataclass(frozen=True)
-class TamePrincipal:
-    ell: int
-    residue_char: int
-    inertials: tuple[ModCharacter, ModCharacter]
-    frobs: tuple[AlgebraicFrobValue, AlgebraicFrobValue]
+class TamePrincipal(Record):
+    """Tamely ramified principal series at ell mod residue_char: two
+    inertial ModCharacters and two Frobenius values."""
+
+    __slots__ = ("ell", "residue_char", "inertials", "frobs")
+
+    def __init__(
+        self,
+        ell: int,
+        residue_char: int,
+        inertials: tuple[ModCharacter, ModCharacter],
+        frobs: tuple[AlgebraicFrobValue, AlgebraicFrobValue],
+    ):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "residue_char", residue_char)
+        object.__setattr__(self, "inertials", inertials)
+        object.__setattr__(self, "frobs", frobs)
 
 
-@dataclass(frozen=True)
-class UnipotentRamified:
+class UnipotentRamified(Record):
     """Nontrivial unipotent inertial image of order residue_char, with the
     reduced Frobenius character of the twist."""
 
-    ell: int
-    residue_char: int
-    frob_char_inertial: ModCharacter
-    frob_char_value: AlgebraicFrobValue
+    __slots__ = ("ell", "residue_char", "frob_char_inertial", "frob_char_value")
+
+    def __init__(
+        self,
+        ell: int,
+        residue_char: int,
+        frob_char_inertial: ModCharacter,
+        frob_char_value: AlgebraicFrobValue,
+    ):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "residue_char", residue_char)
+        object.__setattr__(self, "frob_char_inertial", frob_char_inertial)
+        object.__setattr__(self, "frob_char_value", frob_char_value)
 
 
 LocalGaloisDatum = UnramifiedSemisimple | TamePrincipal | UnipotentRamified
@@ -230,13 +235,26 @@ def _normalise_ratio(ratio: AlgebraicFrobValue) -> AlgebraicFrobValue:
 # Compatibility search
 
 
-@dataclass(frozen=True)
-class CompatReport:
-    compatible: bool
-    witness: WDParam | None
-    witness_kind: str | None  # "principal-series" | "steinberg"
-    reason: str | None
-    alternatives: tuple[str, ...] = ()
+class CompatReport(Record):
+    """local_compat's verdict: the witness parameter and its kind,
+    "principal-series" or "steinberg", when compatible, else the reason;
+    alternatives names other shapes that also fit."""
+
+    __slots__ = ("compatible", "witness", "witness_kind", "reason", "alternatives")
+
+    def __init__(
+        self,
+        compatible: bool,
+        witness: WDParam | None,
+        witness_kind: str | None,
+        reason: str | None,
+        alternatives: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "compatible", compatible)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witness_kind", witness_kind)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "alternatives", alternatives)
 
 
 def _report(
@@ -455,19 +473,33 @@ def local_compat(
 # The ratio -ell obstruction and its disappearance after base change
 
 
-@dataclass(frozen=True)
-class Remark2Report:
+class Remark2Report(Record):
     """The Remark 2 pair at (ell, p, q): the hypotheses, the local_compat
     verdict, and compatibility after the unramified quadratic base change,
     which always holds (see remark2_check)."""
 
-    ell: int
-    p: int
-    q: int
-    hypotheses_hold: bool
-    hypothesis_detail: tuple[tuple[str, bool], ...]
-    compat: CompatReport
-    base_change_compatible: bool
+    __slots__ = (
+        "ell", "p", "q", "hypotheses_hold", "hypothesis_detail", "compat",
+        "base_change_compatible",
+    )
+
+    def __init__(
+        self,
+        ell: int,
+        p: int,
+        q: int,
+        hypotheses_hold: bool,
+        hypothesis_detail: tuple[tuple[str, bool], ...],
+        compat: CompatReport,
+        base_change_compatible: bool,
+    ):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "hypotheses_hold", hypotheses_hold)
+        object.__setattr__(self, "hypothesis_detail", hypothesis_detail)
+        object.__setattr__(self, "compat", compat)
+        object.__setattr__(self, "base_change_compatible", base_change_compatible)
 
     @property
     def counterexample_confirmed(self) -> bool:

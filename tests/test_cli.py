@@ -13,7 +13,7 @@ import pytest
 
 from heckelift import cli
 from heckelift.cli import main
-from test_golden import PROBLEMS
+from test_golden import PROBLEMS, TARGETS, digest_line, expected_digests
 
 
 def run_cli(tmp_path, command, problem, *flags):
@@ -828,6 +828,33 @@ PACKAGE_NAMES = [
 ]  # fmt: skip
 
 
+# what every command loads: the package, the CLI, its validator and exactnum
+COLD_START_BASE = {"heckelift", "heckelift.cli", "heckelift.schema", "heckelift.exactnum"}
+# command -> the library modules it loads besides those
+COLD_START_MODULES = {
+    "lift-q": {"heckelift.abchar", "heckelift.heckeq"},
+    "necc-check": {"heckelift.abchar", "heckelift.heckeq"},
+    "conductor-bound": {"heckelift.abchar", "heckelift.heckeq"},
+    "artin-lift": {"heckelift.abchar"},
+    "lift-quadratic": {"heckelift.abchar", "heckelift.heckequad"},
+    "class-group": {"heckelift.abchar", "heckelift.heckequad"},
+    "counting-bound": {"heckelift.abchar", "heckelift.heckequad"},
+    "hasse-invariant": {"heckelift.qseries"},
+    "weight24-example": {"heckelift.qseries"},
+    "weight-crt": set(),
+    "local-compat": {"heckelift.abchar", "heckelift.serrepq"},
+    "remark2-check": {"heckelift.abchar", "heckelift.serrepq"},
+}
+# command -> its target sample, for lift-q the last one, lift_with_twist;
+# necc-check and conductor-bound have none, so they read a lift-q sample on
+# which they answer: necc-check checks lift_with_twist's outside prime, and
+# conductor-bound needs a pair ramified only at p and q
+COLD_START_SAMPLES = {command: stem for stem, (command, _) in TARGETS.items()} | {
+    "necc-check": "lift_with_twist",
+    "conductor-bound": "lift_norm_cube",
+}
+
+
 class TestColdStart:
     def _loaded(self, script: str) -> set:
         out = _fresh_python(script + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
@@ -842,17 +869,34 @@ class TestColdStart:
             "heckelift.schema",
         }
 
-    def test_a_command_loads_only_its_modules(self):
-        problem = PROBLEMS / "weight_crt.json"
-        loaded = self._loaded(
-            "import contextlib, io\n"
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_a_command_loads_only_its_modules(self, command):
+        # a fresh -X dev process per command, so a handler cannot lean on a
+        # module another command imported, and any warning (an unclosed
+        # file, a deprecation) reaches stderr
+        stem = COLD_START_SAMPLES[command]
+        script = (
+            "import contextlib, io, json, sys\n"
             "from heckelift import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main(['weight-crt', {str(problem)!r}, '--json']) == 0\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = cli.main([{command!r}, {str(PROBLEMS / f'{stem}.json')!r}, '--json'])\n"
+            "print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))\n"
         )
-        assert {"heckelift.serrepq", "heckelift.abchar", "heckelift.exactnum"} <= loaded
-        unused = {"jsonschema", "heckelift.heckeq", "heckelift.heckequad", "heckelift.qseries"}
-        assert not unused & loaded
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stderr == ""
+        code, out, modules = json.loads(done.stdout)
+        assert digest_line(command, stem, "--json", code, out) in expected_digests()
+        loaded = {m for m in modules if m.split(".")[0] == "heckelift"}
+        assert loaded == COLD_START_BASE | COLD_START_MODULES[command]
+        assert "jsonschema" not in modules
 
     def test_exactnum_loads_fractions_only_for_bernoulli(self):
         assert not {"fractions", "decimal"} & self._loaded("import heckelift.exactnum")

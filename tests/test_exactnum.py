@@ -24,6 +24,7 @@ from heckelift.exactnum import (
     prime_to_part,
     primitive_root,
     unit_dlog,
+    weight_crt,
     xgcd,
 )
 
@@ -156,6 +157,23 @@ class TestCrtPair:
                             assert got.residue % m1 == r1
                             assert got.residue % m2 == r2
                             assert 0 <= got.residue < got.modulus
+
+
+class TestWeightCrt:
+    def test_common_weight(self):
+        res = weight_crt(Congruence(2, 4), Congruence(2, 6))
+        assert res is not None
+        assert res.k_class == Congruence(2, 12)
+        assert res.representative == 2
+
+    def test_parity_clash(self):
+        assert weight_crt(Congruence(3, 4), Congruence(2, 6)) is None
+
+    def test_representative_at_least_two(self):
+        res = weight_crt(Congruence(12 % 4, 4), Congruence(24 % 6, 6))
+        assert res is not None
+        assert res.k_class == Congruence(0, 12)
+        assert res.representative == 12
 
 
 class TestPrimeToPart:
@@ -396,7 +414,9 @@ class TestUnitDlog:
 
 def test_every_memo_in_the_package_is_bounded():
     # _bernoulli_even is the one unbounded memo: bernoulli caps its argument
-    # at BERNOULLI_BOUND // 2, so it holds at most 51 entries
+    # at BERNOULLI_BOUND // 2, so it holds at most 51 entries.  Every other
+    # memo keeps the 1 << 12 most recent entries, except the class groups'
+    # eight, whose entries are up to 0.75 MB each
     memos = {}
     for info in pkgutil.iter_modules(heckelift.__path__):
         module = importlib.import_module(f"heckelift.{info.name}")
@@ -404,8 +424,11 @@ def test_every_memo_in_the_package_is_bounded():
             if hasattr(value, "cache_info"):
                 memos[f"{value.__module__}.{value.__qualname__}"] = value
     assert {"heckelift.exactnum.is_prime", "heckelift.heckeq._tame"} <= memos.keys()
-    unbounded = {name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None}
-    assert unbounded == {"heckelift.exactnum._bernoulli_even"}
+    bounds = {name: memo.cache_parameters()["maxsize"] for name, memo in memos.items()}
+    assert bounds.pop("heckelift.exactnum._bernoulli_even") is None
+    assert bounds.pop("heckelift.heckequad._class_group") == 8
+    assert set(bounds.values()) == {1 << 12}
+    assert "heckelift.exactnum._crt_idempotent" in bounds
     bernoulli(BERNOULLI_BOUND)
     cached = memos["heckelift.exactnum._bernoulli_even"].cache_info().currsize
     assert cached == BERNOULLI_BOUND // 2 + 1 == 51

@@ -13,7 +13,7 @@ from heckelift.abchar import (
     reduce_mod,
     unit_group,
 )
-from heckelift.exactnum import Congruence, QmodZ, glue_pq, is_prime
+from heckelift.exactnum import QmodZ, glue_pq, is_prime
 from heckelift.serrepq import (
     _simultaneous_value,
     AlgebraicFrobValue,
@@ -26,7 +26,6 @@ from heckelift.serrepq import (
     local_compat,
     remark2_check,
     residue_address,
-    weight_crt,
     wd_reduce,
 )
 
@@ -46,23 +45,6 @@ def unipotent(ell, target):
         ModCharacter(GroupCharacter.trivial(unit_group(ell, 1)), target),
         frob(0, 1, 0),
     )
-
-
-class TestWeightCrt:
-    def test_common_weight(self):
-        res = weight_crt(Congruence(2, 4), Congruence(2, 6))
-        assert res is not None
-        assert res.k_class == Congruence(2, 12)
-        assert res.representative == 2
-
-    def test_parity_clash(self):
-        assert weight_crt(Congruence(3, 4), Congruence(2, 6)) is None
-
-    def test_representative_at_least_two(self):
-        res = weight_crt(Congruence(12 % 4, 4), Congruence(24 % 6, 6))
-        assert res is not None
-        assert res.k_class == Congruence(0, 12)
-        assert res.representative == 12
 
 
 class TestResidueAddress:
