@@ -13,6 +13,10 @@ representative: the unique representative whose order is prime to ell.
 With that convention, reduction mod ell is exact group theory: it kills
 the ell-primary part of every generator image.
 
+A character of (Z/ell^c)^* is fixed by its value on the generator
+g = primitive_root(ell, 2) of every level c >= 1: unit_value reads that
+value off any level, and unit_character presents it on a given level.
+
 A HeckeCertificate, the witness of a lift over Q or over an imaginary
 quadratic field, is a record of such characters, one per place.
 """
@@ -28,11 +32,11 @@ from .exactnum import (
     QmodZ,
     Record,
     _crt_idempotent,
+    factorize,
     glue_pq,
     is_prime,
     primitive_root,
     require_odd_primes,
-    unit_dlog,
     valuation,
 )
 
@@ -47,8 +51,8 @@ __all__ = [
     "simultaneous_artin_lift",
     "character_conductor",
     "enumerate_characters",
-    "at_unit_level",
-    "on_common_unit_group",
+    "unit_value",
+    "unit_character",
 ]
 
 CHARACTER_ENUM_BOUND = 10**6
@@ -308,55 +312,61 @@ def unit_group(ell: int, exponent: int) -> FinAbGroup:
     return FinAbGroup((order,), (UnitLabel(ell, exponent, g),))
 
 
-def _unit_level(eps: GroupCharacter, ell: int) -> int:
-    """The c of a character presented on (Z/ell^c)^*; c = 0 is the trivial group."""
+@lru_cache(maxsize=1 << 12)
+def _level_one_log(ell: int) -> int:
+    """e with g = g_1^e mod ell, where g_1 = primitive_root(ell) is not g (at
+    40487, e = 17305).  Pohlig-Hellman: e modulo each prime power f of
+    ell - 1 is a log in the subgroup of order f, taken by baby-step
+    giant-step in about sqrt(f) steps, and CRT glues them."""
+    e, done = 0, 1
+    for r, k in factorize(ell - 1).items():
+        f = r**k
+        h, t = (pow(x, (ell - 1) // f, ell) for x in (primitive_root(ell), primitive_root(ell, 2)))
+        steps = math.isqrt(f) + 1
+        baby, y = {}, 1
+        for j in range(steps):
+            baby[y] = j
+            y = y * h % ell
+        giant, j = pow(h, -steps, ell), 0
+        while t not in baby:
+            t, j = t * giant % ell, j + steps
+        e += done * ((j + baby[t] - e) * pow(done, -1, f) % f)
+        done *= f
+    return e
+
+
+def unit_value(eps: GroupCharacter, ell: int) -> QmodZ:
+    """The value on g = primitive_root(ell, 2) of a character of
+    (Z/ell^c)^*, c = 0 being the trivial group: at level 1 the image of
+    g_1 times e = log_{g_1}(g), above it the image of g itself."""
     labels = eps.group.labels
     if not labels:
-        return 0
+        return QmodZ(0, 1)
     label = labels[0]
     if len(labels) != 1 or not isinstance(label, UnitLabel) or label.prime != ell:
         raise ValueError(f"needs a labelled (Z/{ell}^c)* presentation")
-    return label.exponent
-
-
-def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacter:
-    """A character of (Z/ell^c)^* presented on (Z/ell^exponent)^*.
-
-    c = 0 means the trivial group.  The character k/d on the generator of
-    (Z/ell^c)^*, of order d, factors through (Z/ell^exponent)^*, of order
-    d2, exactly when its order divides d2, that is when k*d2 = 0 mod d
-    (d2 = 1 for the trivial group): always when exponent >= c, and when
-    pushing down only if its conductor divides ell^exponent.  It then
-    factors through the lower of the two levels, so the new generator's
-    image is the old image times the discrete log of the new generator,
-    taken in (Z/ell)^*.
-    """
-    c = _unit_level(eps, ell)
-    if exponent == c:
-        return eps
-    target = unit_group(ell, exponent)
-    if eps.is_trivial():
-        return GroupCharacter.trivial(target)
     (k,), (d,) = eps.exps, eps.group.orders
-    d2 = target.orders[0] if exponent else 1
-    if k * d2 % d:
+    value = QmodZ(k, d)
+    if label.exponent == 1 and value.num and primitive_root(ell) != primitive_root(ell, 2):
+        value = value * _level_one_log(ell)
+    return value
+
+
+def unit_character(ell: int, exponent: int, value: QmodZ) -> GroupCharacter:
+    """The character of (Z/ell^exponent)^* whose value on g is value; at
+    level 1, g_1 goes to value / e.  A level below the conductor, where the
+    order does not divide the group's (1 for exponent 0), is refused."""
+    group = unit_group(ell, exponent)
+    d = group.orders[0] if exponent else 1
+    if d % value.den:
+        # the order is above 1, so the conductor is ell^(1 + v_ell(order))
         raise ValueError(
-            f"a character of conductor {character_conductor(eps)} does not factor "
-            f"through (Z/{ell}^{exponent})*"
+            f"a character of conductor {ell ** (1 + valuation(value.den, ell))} does not "
+            f"factor through (Z/{ell}^{exponent})*"
         )
-    # above level 1 both canonical generators are the same g, so the log
-    # there is 1, and modulo ell it is 1 too
-    e = unit_dlog(eps.group.labels[0].generator, target.labels[0].generator, ell)
-    return GroupCharacter._make(target, (e * (k * d2 // d) % d2,))
-
-
-def on_common_unit_group(
-    ell: int, a: ModCharacter, b: ModCharacter
-) -> tuple[ModCharacter, ModCharacter]:
-    """Two characters of unit groups at ell, both pulled back to the least
-    common (Z/ell^c)^* with c >= 1."""
-    level = max(1, _unit_level(a.base, ell), _unit_level(b.base, ell))
-    return (
-        ModCharacter(at_unit_level(a.base, ell, level), a.residue_char),
-        ModCharacter(at_unit_level(b.base, ell, level), b.residue_char),
-    )
+    if not exponent:
+        return GroupCharacter.trivial(group)
+    k = value.num * (d // value.den)
+    if exponent == 1 and value.num and primitive_root(ell) != primitive_root(ell, 2):
+        k *= pow(_level_one_log(ell), -1, value.den)
+    return GroupCharacter._make(group, (k % d,))

@@ -1,14 +1,19 @@
 """Decision pipeline over Q.
 
 A character of the absolute Galois group of Q unramified outside a given
-modulus N is identified with a character of (Z/N)^*, one labelled cyclic
-component per odd prime power.  The restriction to inertia at ell is the
-ell-component.  The cyclotomic character mod p is normalised to be the
-identity character of (Z/p)^*: under the fixed Q/Z identification it sends
-the canonical generator to 1/(p-1), and its prime-to-p lift is the same
-character read in Q/Z.  On (Z/p^a)^* it is reduction mod p, the pull-back of
-that character: the canonical generator g goes to log(g mod p)/(p-1), which
-is 1/(p-1) only when g is also a primitive root mod p^2 (not at p = 40487).
+modulus N is identified with a character of (Z/N)^*, one cyclic component
+per odd prime power.  The restriction to inertia at ell is the
+ell-component, kept as its value in Q/Z on g = primitive_root(ell, 2),
+which generates (Z/ell^a)^* at every level a >= 1, so products,
+comparisons and lifts never change level.  abchar.unit_value and
+abchar.unit_character translate at the edge, where images are given on the
+least primitive root mod ell^a.  That root is g except at level 1 where the
+least root g_1 mod ell fails mod ell^2, below 2*10^6 only at ell = 40487:
+there g = 10 = 5^17305, and a level-1 image x is the value 17305*x.
+
+The cyclotomic character mod p is the identity character of (Z/p)^*,
+sending g_1 to 1/(p-1), pulled back to (Z/p^a)^*.  Its value is e/(p-1)
+with g = g_1^e mod p: 1/(p-1) where g_1 = g, 17305/40486 at p = 40487.
 
 The pipeline: extract the local exponents of a pair (rho mod p, rho' mod q),
 solve one congruence system, and assemble the witness character
@@ -19,25 +24,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .abchar import (
     GroupCharacter,
     HeckeCertificate,
     ModCharacter,
-    at_unit_level,
     character_conductor,
     enumerate_characters,
-    simultaneous_artin_lift,
+    unit_character,
     unit_group,
+    unit_value,
 )
 from .exactnum import (
     Congruence,
     QmodZ,
     Record,
     crt_pair,
+    discrete_log,
     factorize,
+    glue_pq,
     is_prime,
     prime_to_part,
     valuation,
@@ -61,6 +67,7 @@ __all__ = [
 ]
 
 ORACLE_BOUND = 10**7
+_ZERO = QmodZ(0, 1)
 
 
 def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
@@ -83,32 +90,28 @@ def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
 class GlobalCharQ:
     """A mod-ell character of G_Q with ramification support dividing modulus.
 
-    factors is the factorisation {prime: exponent} of the modulus; inertia
-    maps each ramified prime ell to the restriction to inertia there, a
-    nontrivial character of unit_group(ell, factors[ell]) of order prime to
-    the residue characteristic.  Both are in increasing order of the prime.
-    images lists the Q/Z image of each canonical generator (least primitive
-    root mod ell^a).  from_images and trivial check their input; operations
-    build from checked parts through _make.  There is no public
+    factors is the factorisation {prime: exponent} of the modulus; values
+    maps each ramified prime ell to the restriction to inertia there, its
+    nonzero value on g = primitive_root(ell, 2), of order prime to the
+    residue characteristic; both in increasing order of the prime.  inertia
+    and images present them on unit_group(ell, factors[ell]) and its least
+    primitive root mod ell^a.  from_images and trivial check their input;
+    operations build from checked parts through _make.  There is no public
     constructor, and the attributes are read-only.
     """
 
-    __slots__ = ("residue_char", "modulus", "factors", "inertia")
+    __slots__ = ("residue_char", "modulus", "factors", "values")
 
     @classmethod
-    def _make(cls, residue_char: int, factors: dict, inertia: dict) -> "GlobalCharQ":
-        """The character with these parts, already checked; trivial entries of
-        inertia are dropped."""
+    def _make(cls, residue_char: int, factors: dict, values: dict) -> "GlobalCharQ":
+        """The character with these parts, already checked; zero values are
+        dropped."""
         chi = object.__new__(cls)
         setattr_ = object.__setattr__
         setattr_(chi, "residue_char", residue_char)
         setattr_(chi, "modulus", math.prod(ell**a for ell, a in factors.items()))
         setattr_(chi, "factors", dict(sorted(factors.items())))
-        setattr_(
-            chi,
-            "inertia",
-            {ell: eps for ell, eps in sorted(inertia.items()) if not eps.is_trivial()},
-        )
+        setattr_(chi, "values", {ell: x for ell, x in sorted(values.items()) if x.num})
         return chi
 
     __setattr__ = Record.__setattr__
@@ -128,7 +131,7 @@ class GlobalCharQ:
         if not is_prime(residue_char) or residue_char == 2:
             raise ValueError("residue characteristic must be an odd prime")
         factors = _factor_modulus(modulus, [residue_char, *images])
-        inertia = {}
+        values = {}
         for ell, img in sorted(images.items()):
             if ell not in factors:
                 raise ValueError(f"prime {ell} does not divide the modulus")
@@ -140,12 +143,16 @@ class GlobalCharQ:
                     f"image at {ell} has order divisible by {residue_char}; "
                     "a mod-ell character takes values of prime-to-ell order"
                 )
-            inertia[ell] = GroupCharacter(grp, (img,))
-        return cls._make(residue_char, factors, inertia)
+            values[ell] = unit_value(GroupCharacter(grp, (img,)), ell)
+        return cls._make(residue_char, factors, values)
 
     @classmethod
     def trivial(cls, residue_char: int, modulus: int = 1) -> "GlobalCharQ":
         return cls.from_images(residue_char, modulus, {})
+
+    @property
+    def inertia(self) -> dict[int, GroupCharacter]:
+        return {ell: unit_character(ell, self.factors[ell], x) for ell, x in self.values.items()}
 
     @property
     def images(self) -> tuple[tuple[int, QmodZ], ...]:
@@ -154,64 +161,46 @@ class GlobalCharQ:
     def prime_exponent(self, ell: int) -> int:
         return self.factors.get(ell, 0)
 
+    def value_at(self, ell: int) -> QmodZ:
+        return self.values.get(ell, _ZERO)
+
     def image_at(self, ell: int) -> QmodZ:
-        eps = self.inertia.get(ell)
-        return QmodZ(0, 1) if eps is None else eps.images[0]
+        return self.component(ell).base.images[0] if ell in self.values else _ZERO
 
     def ramified_primes(self) -> tuple[int, ...]:
-        return tuple(self.inertia)
-
-    def _at_level(self, ell: int, exponent: int) -> GroupCharacter:
-        # the restriction to inertia at ell, presented on (Z/ell^exponent)^*
-        eps = self.inertia.get(ell)
-        if eps is None:
-            return GroupCharacter.trivial(unit_group(ell, exponent))
-        return at_unit_level(eps, ell, exponent)
-
-    def _on_common_levels(self, other: "GlobalCharQ", skip: tuple = ()) -> Iterator[tuple]:
-        """(ell, c, self at ell, other at ell) for each prime ell of either
-        modulus not in skip, in increasing order: the two restrictions to
-        inertia at ell, both on (Z/ell^c)^* with c the larger exponent."""
-        for ell in sorted(self.factors.keys() | other.factors.keys()):
-            if ell not in skip:
-                c = max(self.prime_exponent(ell), other.prime_exponent(ell))
-                yield ell, c, self._at_level(ell, c), other._at_level(ell, c)
+        return tuple(self.values)
 
     def component(self, ell: int) -> ModCharacter:
         """Restriction to inertia at ell as a character of (Z/ell^a)^*."""
-        return ModCharacter(self._at_level(ell, self.prime_exponent(ell)), self.residue_char)
+        eps = unit_character(ell, self.prime_exponent(ell), self.value_at(ell))
+        return ModCharacter(eps, self.residue_char)
 
     def with_modulus(self, modulus: int) -> "GlobalCharQ":
-        """Re-present relative to another modulus.  Raising a level pulls the
-        component back; lowering is legal only down to the conductor."""
-        factors = _factor_modulus(modulus, [self.residue_char, *self.inertia])
-        inertia = {
-            ell: at_unit_level(eps, ell, factors.get(ell, 0))
-            for ell, eps in self.inertia.items()
-        }
-        return GlobalCharQ._make(self.residue_char, factors, inertia)
+        """Re-present relative to another modulus, which must keep each
+        ramified prime to at least its conductor."""
+        factors = _factor_modulus(modulus, [self.residue_char, *self.values])
+        for ell, x in self.values.items():
+            unit_character(ell, factors.get(ell, 0), x)  # refuses below the conductor
+        return GlobalCharQ._make(self.residue_char, factors, self.values)
 
     def __mul__(self, other: "GlobalCharQ") -> "GlobalCharQ":
         if other.residue_char != self.residue_char:
             raise ValueError("mismatched residue characteristics")
-        factors, inertia = {}, {}
-        for ell, c, x, y in self._on_common_levels(other):
-            factors[ell] = c
-            inertia[ell] = x * y
-        return GlobalCharQ._make(self.residue_char, factors, inertia)
+        factors = {
+            ell: max(self.prime_exponent(ell), other.prime_exponent(ell))
+            for ell in self.factors.keys() | other.factors.keys()
+        }
+        values = {ell: self.value_at(ell) + other.value_at(ell) for ell in factors}
+        return GlobalCharQ._make(self.residue_char, factors, values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GlobalCharQ):
             return NotImplemented
-        return self.residue_char == other.residue_char and all(
-            x == y for _, _, x, y in self._on_common_levels(other)
-        )
+        return self.residue_char == other.residue_char and self.values == other.values
 
     def __hash__(self):
-        # level-invariant: raising preserves prime set and character orders
-        return hash(
-            (self.residue_char, tuple((ell, eps.order()) for ell, eps in self.inertia.items()))
-        )
+        # level-invariant, as the values are
+        return hash((self.residue_char, tuple(self.values.items())))
 
 
 def theta_power(residue_char: int, k: int, exponent: int = 1) -> GlobalCharQ:
@@ -283,17 +272,19 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
     p, q = _require_support_pq(rho, rho_prime)
 
     def at(ell: int, own: GlobalCharQ, other_char: GlobalCharQ, other: int):
-        # own at its prime is tame: theta^k, read on (Z/ell)^*, where theta
-        # sends the canonical generator to 1/(ell-1)
-        k = own._at_level(ell, 1).exps[0]
+        # own at its prime is tame, so a power theta^k of the cyclotomic
+        # character, which generates the tame values
+        theta = _cyclotomic(ell)
+        k = discrete_log(own.value_at(ell), theta)
         # the other character at ell: the ell-primary component is the wild
         # part, the rest is theta^j of order prime to other, so j is mod A
-        y = other_char._at_level(ell, max(1, other_char.prime_exponent(ell)))
-        j = at_unit_level(y.part_prime_to(ell), ell, 1).exps[0]
+        y = other_char.value_at(ell)
+        j = discrete_log(y.part_prime_to(ell), theta)
         A = prime_to_part(ell - 1, other)
         if j % ((ell - 1) // A):
             raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")
-        return Congruence(k, ell - 1), Congruence(j, A), A, y.part_at(ell)
+        wild = unit_character(ell, max(1, other_char.prime_exponent(ell)), y.part_at(ell))
+        return Congruence(k, ell - 1), Congruence(j, A), A, wild
 
     # (k_p, a_p, A_p, psi_prime_p) and (k_q, b_q, B_q, psi_q)
     return LocalInvariantsQ(p, q, *at(p, rho, rho_prime, q), *at(q, rho_prime, rho, p))
@@ -312,13 +303,13 @@ class NecessityReport(Record):
 
 def _outside_lifts(
     rho: GlobalCharQ, rho_prime: GlobalCharQ, p: int, q: int
-) -> Iterator[tuple[int, ModCharacter, ModCharacter, GroupCharacter | None]]:
-    """(ell, tau, tau', lift) for each prime ell of either modulus away from
-    p and q: the two inertia restrictions on a common unit group and their
-    simultaneous Artin lift, None when there is none."""
-    for ell, _, x, y in rho._on_common_levels(rho_prime, skip=(p, q)):
-        tau, tau2 = ModCharacter(x, p), ModCharacter(y, q)
-        yield ell, tau, tau2, simultaneous_artin_lift(tau, tau2)
+) -> Iterator[tuple[int, QmodZ | None]]:
+    """(ell, lift) for each prime ell of either modulus away from p and q,
+    in increasing order: the value whose reductions mod p and mod q are the
+    two inertia restrictions there, None when there is none."""
+    for ell in sorted(rho.factors.keys() | rho_prime.factors.keys()):
+        if ell not in (p, q):
+            yield ell, glue_pq(rho.value_at(ell), p, rho_prime.value_at(ell), q)
 
 
 def check_necessary(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> NecessityReport:
@@ -327,7 +318,7 @@ def check_necessary(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> NecessityReport
     p, q = _require_pair(rho, rho_prime)
     results = tuple(
         (ell, lifted is not None)
-        for ell, _, _, lifted in _outside_lifts(rho, rho_prime, p, q)
+        for ell, lifted in _outside_lifts(rho, rho_prime, p, q)
     )
     return NecessityReport(results, all(ok for _, ok in results))
 
@@ -354,21 +345,22 @@ def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult
     mod-p and mod-q reductions absorb all outside ramification of the pair."""
     p, q = _require_pair(rho, rho_prime)
     eps_parts: dict[int, GroupCharacter] = {}
-    for ell, tau, tau2, lifted in _outside_lifts(rho, rho_prime, p, q):
+    for ell, lifted in _outside_lifts(rho, rho_prime, p, q):
         if lifted is None:
             raise ValueError(f"pair admits no simultaneous lift at the prime {ell}")
-        if not lifted.is_trivial():
-            eps_parts[ell] = lifted
-            if lifted.part_prime_to(p) != tau.base:
+        if lifted.num:
+            if lifted.part_prime_to(p) != rho.value_at(ell):
                 raise AssertionError(f"twist at {ell} does not reduce to rho mod {p}")
-            if lifted.part_prime_to(q) != tau2.base:
+            if lifted.part_prime_to(q) != rho_prime.value_at(ell):
                 raise AssertionError(f"twist at {ell} does not reduce to rho' mod {q}")
+            level = max(rho.prime_exponent(ell), rho_prime.prime_exponent(ell))
+            eps_parts[ell] = unit_character(ell, level, lifted)
 
     def strip(chi: GlobalCharQ) -> GlobalCharQ:
         # the components at p and q alone, on the p- and q-parts of the modulus
         factors = {ell: a for ell, a in chi.factors.items() if ell in (p, q)}
-        inertia = {ell: eps for ell, eps in chi.inertia.items() if ell in factors}
-        return GlobalCharQ._make(chi.residue_char, factors, inertia)
+        values = {ell: x for ell, x in chi.values.items() if ell in factors}
+        return GlobalCharQ._make(chi.residue_char, factors, values)
 
     return TwistResult(tuple(sorted(eps_parts.items())), strip(rho), strip(rho_prime))
 
@@ -389,13 +381,9 @@ class PropQResult:
     invariants: LocalInvariantsQ
 
 
-@lru_cache(maxsize=1 << 12)
-def _tame(ell: int, exponent: int) -> GroupCharacter:
-    """The cyclotomic character mod ell on (Z/ell^exponent)^*: reduction mod
-    ell, pulled back from the identity character of (Z/ell)^*, which sends
-    the canonical generator to 1/(ell-1).  Characters are immutable, so the
-    last 1 << 12 levels asked for are kept and shared, as unit groups are."""
-    return at_unit_level(GroupCharacter._make(unit_group(ell, 1), (1,)), ell, exponent)
+def _cyclotomic(ell: int) -> QmodZ:
+    """The value of the cyclotomic character mod ell, e/(ell-1) as above."""
+    return unit_value(GroupCharacter._make(unit_group(ell, 1), (1,)), ell)
 
 
 def hecke_reductions(
@@ -409,13 +397,13 @@ def hecke_reductions(
     """
     alpha = eps.group.labels[0].exponent if eps.group.rank else 1
     beta = eps_prime.group.labels[0].exponent if eps_prime.group.rank else 1
-    e, e2 = at_unit_level(eps, p, alpha), at_unit_level(eps_prime, q, beta)
+    x, y = unit_value(eps, p), unit_value(eps_prime, q)
 
-    def reduction(r: int, at_p: GroupCharacter, at_q: GroupCharacter) -> GlobalCharQ:
-        parts = {p: at_p.part_prime_to(r), q: at_q.part_prime_to(r)}
-        return GlobalCharQ._make(r, {p: alpha, q: beta}, parts)
+    def reduction(r: int, at_p: QmodZ, at_q: QmodZ) -> GlobalCharQ:
+        values = {p: at_p.part_prime_to(r), q: at_q.part_prime_to(r)}
+        return GlobalCharQ._make(r, {p: alpha, q: beta}, values)
 
-    return reduction(p, e * _tame(p, alpha) ** k, e2), reduction(q, e, e2 * _tame(q, beta) ** k)
+    return reduction(p, x + k * _cyclotomic(p), y), reduction(q, x, y + k * _cyclotomic(q))
 
 
 def decide_prop_q(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> PropQResult | None:
@@ -438,8 +426,9 @@ def decide_prop_q(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> PropQResult | Non
     alpha = max(1, rho_prime.prime_exponent(p))
     beta = max(1, rho.prime_exponent(q))
     # tame character to the power k_p - k0 times the wild part, at p and at q
-    eps = _tame(p, alpha) ** (inv.k_p.residue - k0) * inv.psi_prime_p
-    eps_prime = _tame(q, beta) ** (inv.k_q.residue - k0) * inv.psi_q
+    x = (inv.k_p.residue - k0) * _cyclotomic(p) + unit_value(inv.psi_prime_p, p)
+    y = (inv.k_q.residue - k0) * _cyclotomic(q) + unit_value(inv.psi_q, q)
+    eps, eps_prime = unit_character(p, alpha, x), unit_character(q, beta, y)
 
     red_p, red_q = hecke_reductions(eps, eps_prime, k0, p, q)
     if red_p != rho or red_q != rho_prime:
@@ -478,25 +467,20 @@ def brute_force_oracle_q(
     if total > ORACLE_BOUND:
         raise ValueError(f"search region of size {total} exceeds the oracle bound {ORACLE_BOUND}")
 
-    # compare everything at the level of the search region
-    lvl_p = max(alpha_max, rho.prime_exponent(p), rho_prime.prime_exponent(p))
-    lvl_q = max(beta_max, rho.prime_exponent(q), rho_prime.prime_exponent(q))
-    target = tuple(
-        r._at_level(ell, lvl) for r in (rho, rho_prime) for ell, lvl in ((p, lvl_p), (q, lvl_q))
-    )
-
-    # the norm's k-th power at p and at q, for each k
-    thetas = [(k, _tame(p, lvl_p) ** k, _tame(q, lvl_q) ** k) for k in k_range]
+    # the values to hit at p and q, and the norm's k-th power there for each k
+    targets = [r.value_at(ell) for r in (rho, rho_prime) for ell in (p, q)]
+    theta_p, theta_q = _cyclotomic(p), _cyclotomic(q)
+    norms = [(k, k * theta_p, k * theta_q) for k in k_range]
     for eps in enumerate_characters(grp_p):
-        e = at_unit_level(eps, p, lvl_p)
-        if e.part_prime_to(q) != target[2]:
+        x = unit_value(eps, p)
+        if x.part_prime_to(q) != targets[2]:
             continue
         for eps_prime in enumerate_characters(grp_q):
-            e2 = at_unit_level(eps_prime, q, lvl_q)
-            if e2.part_prime_to(p) != target[1]:
+            y = unit_value(eps_prime, q)
+            if y.part_prime_to(p) != targets[1]:
                 continue
-            for k, theta_p, theta_q in thetas:
-                at_p = (e * theta_p).part_prime_to(p)
-                if at_p == target[0] and (e2 * theta_q).part_prime_to(q) == target[3]:
+            for k, norm_p, norm_q in norms:
+                at_p = (x + norm_p).part_prime_to(p)
+                if at_p == targets[0] and (y + norm_q).part_prime_to(q) == targets[3]:
                     return eps, eps_prime, k
     return None

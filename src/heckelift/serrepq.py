@@ -25,10 +25,10 @@ from functools import lru_cache
 from .abchar import (
     GroupCharacter,
     ModCharacter,
-    on_common_unit_group,
     reduce_mod,
-    simultaneous_artin_lift,
+    unit_character,
     unit_group,
+    unit_value,
 )
 from .exactnum import (
     QmodZ,
@@ -308,8 +308,12 @@ def _first_value(ell: int, p: int, q: int, targets) -> AlgebraicFrobValue | None
 
 
 def _lift(ell: int, chi: ModCharacter, chi_prime: ModCharacter) -> GroupCharacter | None:
-    """The character of (Z/ell^a)^* reducing to chi and to chi_prime."""
-    return simultaneous_artin_lift(*on_common_unit_group(ell, chi, chi_prime))
+    """The character of (Z/ell^a)^* reducing to chi and to chi_prime, a the
+    higher of their levels and at least 1; None when there is none."""
+    x, y = (unit_value(c.base, ell) for c in (chi, chi_prime))
+    z = glue_pq(x, chi.residue_char, y, chi_prime.residue_char)
+    level = max(c.group.labels[0].exponent if c.group.rank else 1 for c in (chi, chi_prime))
+    return None if z is None else unit_character(ell, level, z)
 
 
 def _ratio_is_ell(datum: UnramifiedSemisimple) -> bool:
@@ -335,8 +339,8 @@ def _steinberg_tame(uni: UnipotentRamified, other: TamePrincipal) -> CompatRepor
     # pinned inertial characters must coincide and the pinned values must
     # differ by exactly ell
     ell, p, q = uni.ell, uni.residue_char, other.residue_char
-    chi, chi_prime = on_common_unit_group(ell, *other.inertials)
-    if chi.base != chi_prime.base:
+    x, y = (unit_value(chi.base, ell) for chi in other.inertials)
+    if x != y:
         return _report(
             None, "nonzero monodromy reduces with equal diagonal inertial characters"
         )

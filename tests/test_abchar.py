@@ -10,19 +10,81 @@ from heckelift.abchar import (
     ModCharacter,
     UNIT_GROUP_BOUND,
     UnitLabel,
-    at_unit_level,
     character_conductor,
     enumerate_characters,
-    on_common_unit_group,
     reduce_mod,
     simultaneous_artin_lift,
+    unit_character,
     unit_group,
+    unit_value,
+    _level_one_log,
 )
-from heckelift.exactnum import QmodZ, unit_dlog
+from heckelift.exactnum import QmodZ, primitive_root, unit_dlog
 
 
 def char(group, *pairs):
     return GroupCharacter(group, tuple(QmodZ(n, d) for n, d in pairs))
+
+
+def _unit_level(eps: GroupCharacter, ell: int) -> int:
+    """The c of a character presented on (Z/ell^c)^*; c = 0 is the trivial group."""
+    labels = eps.group.labels
+    if not labels:
+        return 0
+    label = labels[0]
+    if len(labels) != 1 or not isinstance(label, UnitLabel) or label.prime != ell:
+        raise ValueError(f"needs a labelled (Z/{ell}^c)* presentation")
+    return label.exponent
+
+
+def at_unit_level(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacter:
+    """A character of (Z/ell^c)^* presented on (Z/ell^exponent)^*.
+
+    c = 0 means the trivial group.  The character k/d on the generator of
+    (Z/ell^c)^*, of order d, factors through (Z/ell^exponent)^*, of order
+    d2, exactly when its order divides d2, that is when k*d2 = 0 mod d
+    (d2 = 1 for the trivial group): always when exponent >= c, and when
+    pushing down only if its conductor divides ell^exponent.  It then
+    factors through the lower of the two levels, so the new generator's
+    image is the old image times the discrete log of the new generator,
+    taken in (Z/ell)^*.
+    """
+    c = _unit_level(eps, ell)
+    if exponent == c:
+        return eps
+    target = unit_group(ell, exponent)
+    if eps.is_trivial():
+        return GroupCharacter.trivial(target)
+    (k,), (d,) = eps.exps, eps.group.orders
+    d2 = target.orders[0] if exponent else 1
+    if k * d2 % d:
+        raise ValueError(
+            f"a character of conductor {character_conductor(eps)} does not factor "
+            f"through (Z/{ell}^{exponent})*"
+        )
+    # above level 1 both canonical generators are the same g, so the log
+    # there is 1, and modulo ell it is 1 too
+    e = unit_dlog(eps.group.labels[0].generator, target.labels[0].generator, ell)
+    return GroupCharacter._make(target, (e * (k * d2 // d) % d2,))
+
+
+# at_unit_level moves a character between levels directly, through a
+# discrete log in (Z/ell)^* at every move: the reference the edge pair
+# unit_value, unit_character is checked against
+
+
+def moved(eps: GroupCharacter, ell: int, exponent: int) -> GroupCharacter:
+    """The character eps of (Z/ell^c)^* presented on (Z/ell^exponent)^*,
+    through its value."""
+    return unit_character(ell, exponent, unit_value(eps, ell))
+
+
+def outcome(change, eps, ell, exponent):
+    """change(eps, ell, exponent), or the message it refuses with."""
+    try:
+        return change(eps, ell, exponent)
+    except ValueError as refused:
+        return str(refused)
 
 
 def walk_dlog(generator: int, target: int, modulus: int) -> int:
@@ -245,7 +307,7 @@ class TestUnitGroups:
     def test_raise_unit_level(self):
         small = unit_group(5, 1)
         eps = char(small, (1, 4))
-        big = at_unit_level(eps, 5, 2)
+        big = moved(eps, 5, 2)
         assert big.group == unit_group(5, 2)
         # restriction back: evaluating the big character on elements that
         # reduce to the small generator agrees with the small character
@@ -270,21 +332,70 @@ def unit_characters(draw):
     return ell, c, char(group, (draw(st.integers(0, order - 1)), order))
 
 
+@st.composite
+def characters_at_40487(draw):
+    """(c, eps) with eps a character of (Z/40487^c)^*, c <= 3, whose order
+    is often small enough to factor through a lower level."""
+    ell = 40487
+    c = draw(st.integers(0, 3))
+    group = unit_group(ell, c)
+    if c == 0:
+        return c, GroupCharacter.trivial(group)
+    order = group.orders[0]
+    k = draw(st.integers(0, order - 1)) * ell ** draw(st.integers(0, c - 1)) % order
+    return c, char(group, (k, order))
+
+
 class TestAtUnitLevel:
+    """The edge pair unit_value, unit_character against the reference
+    at_unit_level, and the properties the reference had."""
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_edge_pair_matches_the_reference_on_every_character(self, ell):
+        for c in range(4):
+            for eps in enumerate_characters(unit_group(ell, c)):
+                for exponent in range(4):
+                    expected = outcome(at_unit_level, eps, ell, exponent)
+                    assert outcome(moved, eps, ell, exponent) == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(characters_at_40487(), st.integers(0, 3))
+    def test_edge_pair_matches_the_reference_at_40487(self, drawn, exponent):
+        # the one prime below 2*10^6 where level 1 has another generator
+        c, eps = drawn
+        expected = outcome(at_unit_level, eps, 40487, exponent)
+        assert outcome(moved, eps, 40487, exponent) == expected
+
+    def test_level_one_at_40487_is_scaled(self):
+        # g_1 = 5 and g = 10 = 5^17305 mod 40487: 1/40486 on g_1 is 17305/40486 on g
+        theta = char(unit_group(40487, 1), (1, 40486))
+        assert unit_value(theta, 40487) == QmodZ(17305, 40486)
+        assert unit_character(40487, 1, QmodZ(17305, 40486)) == theta
+        assert unit_character(40487, 2, QmodZ(17305, 40486)).images == (QmodZ(17305, 40486),)
+
+    @pytest.mark.parametrize("ell, e", [(40487, 17305), (6692367337, 3262654313)])
+    def test_level_one_log(self, ell, e):
+        # g = g_1^e, checked by the walk at 40487 and by the power at both
+        g1, g = primitive_root(ell), primitive_root(ell, 2)
+        _level_one_log.cache_clear()
+        assert g1 != g and _level_one_log(ell) == e and pow(g1, e, ell) == g
+        if ell < 10**5:
+            assert unit_dlog(g1, g, ell) == e
+
     @given(unit_characters(), st.integers(0, 2))
     def test_raise_then_lower_round_trip(self, drawn, extra):
         ell, c, eps = drawn
-        raised = at_unit_level(eps, ell, c + extra)
+        raised = moved(eps, ell, c + extra)
         assert raised.group == unit_group(ell, c + extra)
         assert character_conductor(raised) == character_conductor(eps)
-        assert at_unit_level(raised, ell, c) == eps
+        assert moved(raised, ell, c) == eps
 
     @settings(deadline=None)
     @given(unit_characters(), st.integers(0, 2))
     def test_pullback_agrees_on_every_unit(self, drawn, extra):
         # raised(g^k) = eps(g^k mod ell^c) for the generator g mod ell^(c + extra)
         ell, c, eps = drawn
-        raised = at_unit_level(eps, ell, c + extra)
+        raised = moved(eps, ell, c + extra)
         if not raised.group.rank:
             return
         g = raised.group.labels[0].generator
@@ -299,19 +410,19 @@ class TestAtUnitLevel:
     @given(st.sampled_from([3, 5, 7]), st.integers(0, 3))
     def test_trivial_group_input(self, ell, exponent):
         trivial = GroupCharacter.trivial(unit_group(ell, 0))
-        moved = at_unit_level(trivial, ell, exponent)
-        assert moved == GroupCharacter.trivial(unit_group(ell, exponent))
-        assert at_unit_level(moved, ell, 0) == trivial
+        raised = moved(trivial, ell, exponent)
+        assert raised == GroupCharacter.trivial(unit_group(ell, exponent))
+        assert moved(raised, ell, 0) == trivial
 
     @given(unit_characters(), st.integers(0, 2))
     def test_lowering_below_the_conductor_fails(self, drawn, exponent):
         ell, c, eps = drawn
         if character_conductor(eps) > ell**exponent:
             with pytest.raises(ValueError):
-                at_unit_level(eps, ell, exponent)
+                moved(eps, ell, exponent)
         else:
             # pushing down to the conductor and pulling back is the identity
-            assert at_unit_level(at_unit_level(eps, ell, exponent), ell, c) == eps
+            assert moved(moved(eps, ell, exponent), ell, c) == eps
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_factors_exactly_down_to_the_conductor(self, ell):
@@ -319,30 +430,29 @@ class TestAtUnitLevel:
             for eps in enumerate_characters(unit_group(ell, c)):
                 for exponent in range(4):
                     if character_conductor(eps) <= ell**exponent:
-                        assert at_unit_level(eps, ell, exponent).group == unit_group(
+                        assert moved(eps, ell, exponent).group == unit_group(
                             ell, exponent
                         )
                     else:
                         with pytest.raises(ValueError, match="does not factor through"):
-                            at_unit_level(eps, ell, exponent)
+                            moved(eps, ell, exponent)
 
     def test_refusal_names_the_conductor(self):
         eps = char(unit_group(3, 3), (1, 9))
         with pytest.raises(ValueError) as refused:
-            at_unit_level(eps, 3, 1)
+            moved(eps, 3, 1)
         assert str(refused.value) == (
             "a character of conductor 27 does not factor through (Z/3^1)*"
         )
 
     def test_rejects_another_prime(self):
         with pytest.raises(ValueError):
-            at_unit_level(char(unit_group(5, 1), (1, 4)), 7, 2)
+            moved(char(unit_group(5, 1), (1, 4)), 7, 2)
 
     def test_on_common_unit_group(self):
+        # two characters at 5 presented on the least common (Z/5^c)^*, c >= 1
         a = ModCharacter(char(unit_group(5, 2), (5, 20)), 3)
         b = ModCharacter(GroupCharacter.trivial(unit_group(5, 0)), 7)
-        a2, b2 = on_common_unit_group(5, a, b)
-        assert a2 == a
-        assert b2 == ModCharacter(GroupCharacter.trivial(unit_group(5, 2)), 7)
-        a3, b3 = on_common_unit_group(5, b, b)
-        assert a3.group == b3.group == unit_group(5, 1)
+        assert moved(a.base, 5, 2) == a.base
+        assert moved(b.base, 5, 2) == GroupCharacter.trivial(unit_group(5, 2))
+        assert moved(b.base, 5, 1).group == unit_group(5, 1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from heckelift import cli
+from heckelift import abchar, cli
 from heckelift.cli import main
 from test_golden import PROBLEMS, TARGETS, digest_line, expected_digests
 
@@ -70,6 +70,79 @@ THETA_40487_LEVEL_2 = {
     "rho": {"modulus": 40487**2, "images": {"40487": "17305/40486"}},
     "rho_prime": {"modulus": 283403, "images": {"283403": "1/283402"}},
 }
+
+
+# one character at 40487 given on two levels: a level-1 image is on the
+# least primitive root 5, a level-2 image on 10 = 5^17305 mod 40487, so
+# 1/20243 on (Z/40487)^* and 17305/20243 on (Z/40487^2)^* agree.  The
+# expected reports below pin the answers; reading a level-1 image on 10
+# instead of 5 changes them
+MIXED_40487 = {
+    "version": 1,
+    "p": 5,
+    "q": 7,
+    "rho": {"modulus": 5 * 40487, "images": {"5": "1/4", "40487": "1/20243"}},
+    "rho_prime": {"modulus": 7 * 40487**2, "images": {"7": "1/6", "40487": "17305/20243"}},
+}
+MIXED_40487_CLASH = dict(
+    MIXED_40487,
+    rho_prime={"modulus": 7 * 40487**2, "images": {"7": "1/6", "40487": "1/20243"}},
+)
+TWIST_40487 = {
+    "group_labels": ["(Z/40487^2)* gen 10"],
+    "group_orders": [1639156682],
+    "images": ["17305/20243"],
+    "order": 20243,
+}
+
+
+def tame_at_40487(exponent, image):
+    """A tame principal datum at 40487: one inertial character on
+    (Z/40487^exponent)^*, the other trivial, both Frobenius values 1."""
+    unit = {"zeta": "0/1", "weight": 0}
+    return {
+        "type": "tame_principal",
+        "modulus_exponent": exponent,
+        "inertial": [image, "0"],
+        "frobenius": [unit, unit],
+    }
+
+
+# 6692367337 is the next prime after 40487 whose least primitive root (5) is
+# not one mod its square.  There g = 7 = 5^e, and a level-1 image is read on 7
+# through e = 3262654313, a log taken by Pohlig-Hellman over 6692367336 =
+# 2^3 * 3 * 278848639: a walk of (Z/6692367337)^* would take minutes
+BIG = 6692367337
+QUADRATIC_AT_BIG = {
+    "version": 1,
+    "p": 5,
+    "q": 7,
+    "rho": {"modulus": 5 * BIG, "images": {str(BIG): "1/2"}},
+    "rho_prime": {"modulus": 7 * BIG, "images": {str(BIG): "1/2"}},
+}
+CYCLOTOMIC_AT_BIG = {
+    "version": 1,
+    "p": BIG,
+    "q": 7,
+    "rho": {"modulus": BIG, "images": {str(BIG): f"1/{BIG - 1}"}},
+    "rho_prime": {"modulus": 7, "images": {"7": "1/6"}},
+}
+# as MIXED_40487: the cyclotomic character of (Z/BIG)^* given on level 1 and
+# on level 2, where it is 3262654313/6692367336
+MIXED_BIG = {
+    "version": 1,
+    "p": 5,
+    "q": 7,
+    "rho": {"modulus": 5 * BIG, "images": {"5": "1/4", str(BIG): f"1/{BIG - 1}"}},
+    "rho_prime": {
+        "modulus": 7 * BIG**2,
+        "images": {"7": "1/6", str(BIG): f"3262654313/{BIG - 1}"},
+    },
+}
+MIXED_BIG_CLASH = dict(
+    MIXED_BIG,
+    rho_prime={"modulus": 7 * BIG**2, "images": {"7": "1/6", str(BIG): f"1/{BIG - 1}"}},
+)
 
 
 # rho and rho' both on (10^9+7)^2; (Z/ell^2)^* at ell near 10^9 needs its
@@ -148,6 +221,102 @@ class TestLiftQ:
         assert report["verdict"] == "liftable"
         assert report["certificate"]["infinity_type"] == [["id", 1]]
         assert any("k = 1 (mod" in d["detail"] for d in report["diagnostics"])
+
+    def test_one_character_on_two_levels_at_40487(self, tmp_path):
+        code, report = run_json(tmp_path, "lift-q", MIXED_40487)
+        assert code == 0 and report["verdict"] == "liftable"
+        assert report["certificate"] == {
+            "conductor": 40487,
+            "infinity_type": [["id", 1]],
+            "local_characters": {"40487": TWIST_40487},
+        }
+        assert report["diagnostics"] == [
+            {
+                "detail": "restrictions at the prime lift simultaneously",
+                "label": "order condition at 40487",
+                "ok": True,
+            },
+            {
+                "detail": "absorbed by a finite-order character of order 20243",
+                "label": "twist at 40487",
+                "ok": True,
+            },
+            {"detail": "k = 1 (mod 12)", "label": "exponent class", "ok": True},
+        ]
+        code, report = run_json(tmp_path, "necc-check", MIXED_40487)
+        assert code == 0 and report["verdict"] == "pass"
+        assert report["diagnostics"] == [
+            {"detail": "pass", "label": "order condition at 40487", "ok": True}
+        ]
+
+    def test_one_image_on_two_levels_at_40487_is_two_characters(self, tmp_path):
+        code, report = run_json(tmp_path, "necc-check", MIXED_40487_CLASH)
+        assert code == 1 and report["verdict"] == "fail"
+        assert report["diagnostics"] == [
+            {"detail": "fail", "label": "order condition at 40487", "ok": False}
+        ]
+        code, report = run_json(tmp_path, "lift-q", MIXED_40487_CLASH)
+        assert code == 1 and report["verdict"] == "not liftable"
+        assert report["diagnostics"] == [
+            {
+                "detail": "quotient of the two restrictions has order not supported on {p, q}",
+                "label": "order condition at 40487",
+                "ok": False,
+            }
+        ]
+
+    def test_level_one_image_where_the_least_root_fails_mod_the_square(self, tmp_path):
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "lift-q", QUADRATIC_AT_BIG)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and report["verdict"] == "liftable"
+        assert report["certificate"]["local_characters"][str(BIG)]["group_labels"] == [
+            f"(Z/{BIG}^1)* gen 5"
+        ]
+        assert report["certificate"]["local_characters"][str(BIG)]["images"] == ["1/2"]
+
+    def test_cyclotomic_character_where_the_least_root_fails_mod_the_square(self, tmp_path):
+        abchar._level_one_log.cache_clear()
+        for command, verdict, diagnostic in [
+            ("lift-q", "liftable", ("exponent class", f"k = 1 (mod {BIG - 1})")),
+            ("necc-check", "pass", ("order condition", "no primes away from p and q ramify")),
+        ]:
+            start = time.perf_counter()
+            code, report = run_json(tmp_path, command, CYCLOTOMIC_AT_BIG)
+            assert time.perf_counter() - start < 2.0
+            assert code == 0 and report["verdict"] == verdict
+            assert [(d["label"], d["detail"]) for d in report["diagnostics"]] == [diagnostic]
+        code, report = run_json(tmp_path, "lift-q", CYCLOTOMIC_AT_BIG)
+        assert report["certificate"] == {
+            "conductor": 1,
+            "infinity_type": [["id", 1]],
+            "local_characters": {},
+        }
+
+    def test_one_character_on_two_levels_at_a_large_prime(self, tmp_path):
+        abchar._level_one_log.cache_clear()
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "lift-q", MIXED_BIG)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and report["verdict"] == "liftable"
+        assert report["certificate"] == {
+            "conductor": BIG,
+            "infinity_type": [["id", 1]],
+            "local_characters": {
+                str(BIG): {
+                    "group_labels": [f"(Z/{BIG}^2)* gen 7"],
+                    "group_orders": [(BIG - 1) * BIG],
+                    "images": [f"3262654313/{BIG - 1}"],
+                    "order": BIG - 1,
+                }
+            },
+        }
+        code, report = run_json(tmp_path, "necc-check", MIXED_BIG)
+        assert code == 0 and report["verdict"] == "pass"
+        for command, verdict in [("lift-q", "not liftable"), ("necc-check", "fail")]:
+            code, report = run_json(tmp_path, command, MIXED_BIG_CLASH)
+            assert code == 1 and report["verdict"] == verdict
+            assert [d["label"] for d in report["diagnostics"]] == [f"order condition at {BIG}"]
 
     def test_square_of_a_large_prime(self, tmp_path):
         start = time.perf_counter()
@@ -743,6 +912,39 @@ class TestLocalCompat:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert report["verdict"] == "incompatible"
+
+    def test_tame_data_on_two_levels_at_40487(self, tmp_path):
+        # 1/20243 on (Z/40487)^* is 17305/20243 on (Z/40487^2)^*, see MIXED_40487
+        problem = {
+            "version": 1,
+            "ell": 40487,
+            "p": 5,
+            "q": 7,
+            "datum": tame_at_40487(1, "1/20243"),
+            "datum_prime": tame_at_40487(2, "17305/20243"),
+        }
+        code, report = run_json(tmp_path, "local-compat", problem)
+        assert code == 0 and report["verdict"] == "compatible"
+        trivial = dict(TWIST_40487, images=["0/1"], order=1)
+        unit = {"weight": 0, "zeta": "0/1"}
+        assert report["certificate"] == {
+            "characters": [
+                {"frobenius": unit, "inertial": TWIST_40487},
+                {"frobenius": unit, "inertial": trivial},
+            ],
+            "shape": "principal-series",
+        }
+        problem["datum_prime"] = tame_at_40487(2, "1/20243")
+        code, report = run_json(tmp_path, "local-compat", problem)
+        assert code == 1 and report["verdict"] == "incompatible"
+        assert report["diagnostics"] == [
+            {
+                "detail": "inertial characters clash under matching (0, 1); "
+                "inertial characters clash under matching (1, 0)",
+                "label": "obstruction",
+                "ok": False,
+            }
+        ]
 
     @pytest.mark.parametrize("exponent", [14000, 10**5])
     def test_inertial_character_at_a_high_level(self, tmp_path, exponent):

@@ -423,7 +423,7 @@ def test_every_memo_in_the_package_is_bounded():
         for value in vars(module).values():
             if hasattr(value, "cache_info"):
                 memos[f"{value.__module__}.{value.__qualname__}"] = value
-    assert {"heckelift.exactnum.is_prime", "heckelift.heckeq._tame"} <= memos.keys()
+    assert {"heckelift.exactnum.is_prime", "heckelift.abchar._level_one_log"} <= memos.keys()
     bounds = {name: memo.cache_parameters()["maxsize"] for name, memo in memos.items()}
     assert bounds.pop("heckelift.exactnum._bernoulli_even") is None
     assert bounds.pop("heckelift.heckequad._class_group") == 8

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from heckelift.abchar import (
     GroupCharacter,
-    at_unit_level,
     enumerate_characters,
+    unit_character,
     unit_group,
+    unit_value,
 )
-from heckelift.exactnum import Congruence, QmodZ, factorize
+from heckelift.exactnum import Congruence, QmodZ, factorize, unit_dlog
 from heckelift.heckeq import (
     GlobalCharQ,
-    _tame,
     brute_force_oracle_q,
     check_necessary,
     conductor_bound,
@@ -76,10 +76,14 @@ SMALL_ODD_PRIMES = [3, 5, 7, 11, 13]
 def pairs_with_common_outside_images(draw):
     """(rho mod p, rho' mod q) whose images are one drawn image per prime
     reduced mod p and mod q, so the pair twists to unramified; a modulus
-    may also carry primes without an image (23, 29 * 31, or its own p)."""
+    may also carry primes without an image (23, 29 * 31, or its own p).
+    40487, where level 1 has another generator than the levels above it,
+    is among the primes drawn."""
     p, q = draw(st.lists(st.sampled_from(SMALL_ODD_PRIMES), min_size=2, max_size=2, unique=True))
     exponents = draw(
-        st.dictionaries(st.sampled_from(SMALL_ODD_PRIMES + [17]), st.integers(1, 2), max_size=3)
+        st.dictionaries(
+            st.sampled_from(SMALL_ODD_PRIMES + [17, 40487]), st.integers(1, 2), max_size=3
+        )
     )
     common = {}
     for ell, a in exponents.items():
@@ -156,8 +160,10 @@ class TestCyclotomicCharacter:
     @pytest.mark.parametrize("ell", [3, 5, 7, 11, 101, 10007, 40487])
     @pytest.mark.parametrize("a", [2, 3])
     def test_reduction_mod_ell_at_every_level(self, ell, a):
-        theta = _tame(ell, a)
-        assert theta == at_unit_level(_tame(ell, 1), ell, a)
+        theta = theta_power(ell, 1, a).component(ell).base
+        at_1 = theta_power(ell, 1).component(ell).base
+        assert at_1.images == (QmodZ(1, ell - 1),)
+        assert theta == unit_character(ell, a, unit_value(at_1, ell))
         # theta(g) = m/(ell-1) says g = g_1^m mod ell, with g and g_1 the
         # canonical generators mod ell^a and mod ell
         (k,), (d,) = theta.exps, theta.group.orders
@@ -168,14 +174,20 @@ class TestCyclotomicCharacter:
         assert theta_power(ell, 5, a).component(ell).base == theta**5
 
     @pytest.mark.parametrize("ell, a", [(3, 1), (7, 2), (40487, 2)])
-    def test_each_level_is_built_once(self, ell, a):
-        assert _tame(ell, a) is _tame(ell, a)
+    def test_one_value_at_every_level(self, ell, a):
+        # the value on g is e/(ell-1) with g = g_1^e mod ell, at every level
+        g, g1 = unit_group(ell, 2).labels[0].generator, unit_group(ell, 1).labels[0].generator
+        e = unit_dlog(g1, g, ell)
+        assert theta_power(ell, 1, a).values == {ell: QmodZ(e, ell - 1)}
+        assert theta_power(ell, 1, a) == theta_power(ell, 1, 1)
+        assert (e == 1) == (g == g1) and (ell != 40487 or e == 17305)
 
     def test_push_down_walks_level_one(self):
         start = time.perf_counter()
         low = theta_power(40487, 1, 2).with_modulus(40487)
+        at_1 = unit_character(40487, 1, unit_value(theta_power(40487, 1, 2).inertia[40487], 40487))
         assert time.perf_counter() - start < 1.0
-        assert low.inertia[40487].exps == (1,)
+        assert low.inertia[40487].exps == at_1.exps == (1,)
 
 
 class TestExtractInvariants:

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from heckelift.abchar import (
     GroupCharacter,
     ModCharacter,
-    at_unit_level,
     enumerate_characters,
     reduce_mod,
+    unit_character,
     unit_group,
+    unit_value,
 )
 from heckelift.exactnum import QmodZ, glue_pq, is_prime
 from heckelift.serrepq import (
@@ -340,7 +341,7 @@ class TestLocalCompat:
         chi = next(c for c in enumerate_characters(unit_group(ell, 1)) if c.order() == 2)
         datum_p = UnipotentRamified(ell, p, ModCharacter(chi, p), frob(0, 1, 0))
         on_3 = ModCharacter(chi, q)
-        on_9 = ModCharacter(at_unit_level(chi, ell, 2), q)
+        on_9 = ModCharacter(unit_character(ell, 2, unit_value(chi, ell)), q)
         for inertials in ((on_3, on_3), (on_3, on_9), (on_9, on_3)):
             datum_q = TamePrincipal(ell, q, inertials, (frob(0, 1, 1), frob(0, 1, 0)))
             rep = local_compat(datum_p, datum_q)
@@ -426,7 +427,8 @@ def reductions(param, ell, r, mixed=False):
             got.append(UnramifiedSemisimple(ell, r, frob(0, 1, 1)))
         else:
             g = AlgebraicFrobValue(f.zeta, f.weight + 1)
-            red2 = ModCharacter(at_unit_level(red.base, ell, 3), r) if mixed else red
+            red3 = unit_character(ell, 3, unit_value(red.base, ell))
+            red2 = ModCharacter(red3, r) if mixed else red
             got += [TamePrincipal(ell, r, (red, red2), frobs) for frobs in ((g, f), (f, g))]
     return got
 
@@ -458,7 +460,7 @@ def reduces_to(witness, datum):
     ell, r = datum.ell, datum.residue_char
 
     def char(chi):
-        return at_unit_level(chi, ell, 2)
+        return unit_character(ell, 2, unit_value(chi, ell))
 
     def value(f):
         return f.value_mod(ell, r)
