@@ -32,11 +32,11 @@ from .exactnum import (
     QmodZ,
     Record,
     _crt_idempotent,
-    factorize,
     glue_pq,
     is_prime,
     primitive_root,
     require_odd_primes,
+    unit_dlog,
     valuation,
 )
 
@@ -92,10 +92,6 @@ class FinAbGroup(Record):
             raise ValueError("one label per generator required")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "labels", labels or (None,) * len(orders))
-
-    @classmethod
-    def trivial(cls) -> "FinAbGroup":
-        return cls(())
 
     @property
     def rank(self) -> int:
@@ -314,25 +310,10 @@ def unit_group(ell: int, exponent: int) -> FinAbGroup:
 
 @lru_cache(maxsize=1 << 12)
 def _level_one_log(ell: int) -> int:
-    """e with g = g_1^e mod ell, where g_1 = primitive_root(ell) is not g (at
-    40487, e = 17305).  Pohlig-Hellman: e modulo each prime power f of
-    ell - 1 is a log in the subgroup of order f, taken by baby-step
-    giant-step in about sqrt(f) steps, and CRT glues them."""
-    e, done = 0, 1
-    for r, k in factorize(ell - 1).items():
-        f = r**k
-        h, t = (pow(x, (ell - 1) // f, ell) for x in (primitive_root(ell), primitive_root(ell, 2)))
-        steps = math.isqrt(f) + 1
-        baby, y = {}, 1
-        for j in range(steps):
-            baby[y] = j
-            y = y * h % ell
-        giant, j = pow(h, -steps, ell), 0
-        while t not in baby:
-            t, j = t * giant % ell, j + steps
-        e += done * ((j + baby[t] - e) * pow(done, -1, f) % f)
-        done *= f
-    return e
+    """e with g = g_1^e mod ell, g = primitive_root(ell, 2) and g_1 =
+    primitive_root(ell): 1 where they agree, else a unit_dlog (17305 at 40487)."""
+    g1, g = primitive_root(ell), primitive_root(ell, 2)
+    return 1 if g1 == g else unit_dlog(g1, g, ell)
 
 
 def unit_value(eps: GroupCharacter, ell: int) -> QmodZ:
@@ -346,10 +327,9 @@ def unit_value(eps: GroupCharacter, ell: int) -> QmodZ:
     if len(labels) != 1 or not isinstance(label, UnitLabel) or label.prime != ell:
         raise ValueError(f"needs a labelled (Z/{ell}^c)* presentation")
     (k,), (d,) = eps.exps, eps.group.orders
-    value = QmodZ(k, d)
-    if label.exponent == 1 and value.num and primitive_root(ell) != primitive_root(ell, 2):
-        value = value * _level_one_log(ell)
-    return value
+    if label.exponent == 1 and k and _level_one_log(ell) != 1:
+        k *= _level_one_log(ell)
+    return QmodZ(k, d)
 
 
 def unit_character(ell: int, exponent: int, value: QmodZ) -> GroupCharacter:
@@ -367,6 +347,6 @@ def unit_character(ell: int, exponent: int, value: QmodZ) -> GroupCharacter:
     if not exponent:
         return GroupCharacter.trivial(group)
     k = value.num * (d // value.den)
-    if exponent == 1 and value.num and primitive_root(ell) != primitive_root(ell, 2):
+    if exponent == 1 and value.num and _level_one_log(ell) != 1:
         k *= pow(_level_one_log(ell), -1, value.den)
     return GroupCharacter._make(group, (k % d,))

@@ -4,10 +4,10 @@ Residues in Q/Z (additive stand-ins for roots of unity), congruence
 classes, a two-congruence CRT solver and the common weight of two weight
 classes, and the handful of multiplicative number theory helpers the rest
 of the library leans on.  Unit groups (Z/ell^a)^* are known by their odd
-prime ell: `primitive_root` factors only ell - 1, and `unit_dlog` takes
-every discrete log in (Z/ell)^*.  `Record` is the base of the package's
-immutable records.  Everything is immutable after construction and safe
-to share between threads.
+prime ell: `primitive_root` and `unit_dlog`, every discrete log in
+(Z/ell)^*, share one factorisation of ell - 1.  `Record` is the base of
+the package's immutable records.  Everything is immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -137,10 +137,8 @@ def is_prime(n: int) -> bool:
     for bound, k in _MR_BOUNDS:
         if n < bound:
             break
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = valuation(n - 1, 2)
+    d = (n - 1) >> s
     for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -414,6 +412,12 @@ def bernoulli(k: int) -> Fraction:
 
 
 @lru_cache(maxsize=1 << 12)
+def _unit_order_factors(ell: int) -> tuple[tuple[int, int], ...]:
+    """factorize(ell - 1) as (prime, exponent) pairs, for primitive_root and unit_dlog."""
+    return tuple(factorize(ell - 1).items())
+
+
+@lru_cache(maxsize=1 << 12)
 def primitive_root(ell: int, exponent: int = 1) -> int:
     """Least primitive root modulo ell^exponent, for an odd prime ell.
 
@@ -423,7 +427,7 @@ def primitive_root(ell: int, exponent: int = 1) -> int:
     level a >= 2."""
     if ell == 2 or exponent < 1 or not is_prime(ell):
         raise ValueError(f"needs an odd prime and an exponent >= 1, not {ell}^{exponent}")
-    prime_divs = list(factorize(ell - 1))
+    prime_divs = [r for r, _ in _unit_order_factors(ell)]
     # g and g + ell cannot both fail the ell^2 test, so a root lies below 2*ell
     for g in range(2, 2 * ell):
         if g % ell and all(pow(g, (ell - 1) // r, ell) != 1 for r in prime_divs):
@@ -432,14 +436,28 @@ def primitive_root(ell: int, exponent: int = 1) -> int:
     raise AssertionError(f"no primitive root found modulo {ell}^{exponent}")
 
 
+_BABY_STEPS = 1 << 18  # sqrt(f) baby steps at f near 10^16 would take gigabytes
+
+
 def unit_dlog(generator: int, target: int, ell: int) -> int:
-    """Discrete log of target to the base generator in (Z/ell)^*, ell prime:
-    the least e >= 0 with generator^e = target mod ell, by a walk over the
-    ell - 1 units."""
-    x = 1
-    target %= ell
-    for e in range(ell - 1):
-        if x == target:
-            return e
-        x = x * generator % ell
-    raise ValueError(f"{target} is not a power of {generator} modulo {ell}")
+    """The least e >= 0 with generator^e = target mod the prime ell, for a primitive
+    root generator; a target that is no power of it, 0 among them, raises ValueError.
+    Pohlig-Hellman (IEEE Trans. Inf. Theory 24, 1978) over the prime powers f of
+    ell - 1, each by baby-step giant-step (Shanks, 1971), its table capped at _BABY_STEPS."""
+    e, done = 0, 1
+    for r, k in _unit_order_factors(ell):
+        f = r**k
+        h, t = pow(generator, (ell - 1) // f, ell), pow(target, (ell - 1) // f, ell)
+        steps = min(math.isqrt(f) + 1, _BABY_STEPS)
+        baby, y = {}, 1
+        for j in range(steps):
+            baby[y] = j
+            y = y * h % ell
+        giant, i = pow(h, -steps, ell), 0
+        while t not in baby and i < f:
+            t, i = t * giant % ell, i + steps
+        if t not in baby:
+            raise ValueError(f"{target % ell} is not a power of {generator} modulo {ell}")
+        e += done * ((i + baby[t] - e) * pow(done, -1, f) % f)
+        done *= f
+    return e

@@ -133,6 +133,8 @@ class GlobalCharQ:
         factors = _factor_modulus(modulus, [residue_char, *images])
         values = {}
         for ell, img in sorted(images.items()):
+            if not is_prime(ell):
+                raise ValueError(f"image key {ell} is not a prime")
             if ell not in factors:
                 raise ValueError(f"prime {ell} does not divide the modulus")
             grp = unit_group(ell, factors[ell])

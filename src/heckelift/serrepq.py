@@ -64,8 +64,8 @@ __all__ = [
 
 @lru_cache(maxsize=1 << 12)
 def residue_address(u: int, r: int) -> QmodZ:
-    """The image of the unit u in the fixed Q/Z coordinates of F_r^*: the
-    canonical generator (least primitive root) maps to 1/(r-1)."""
+    """The image of the unit u in the fixed Q/Z coordinates of F_r^*, where
+    the least primitive root is 1/(r-1): its unit_dlog over r - 1."""
     return QmodZ(unit_dlog(primitive_root(r), u, r), r - 1)
 
 

@@ -1,6 +1,7 @@
-"""Helpers shared by the test modules, offered as fixtures: the abelian
-groups of small order, and the exhaustive check of simultaneous Artin
-lifting against enumeration."""
+"""Helpers shared by the test modules: the abelian groups of small order
+and the exhaustive check of simultaneous Artin lifting against
+enumeration, offered as fixtures, and walk_dlog, the reference discrete
+log, which the modules import for their own module-level references."""
 
 import itertools
 
@@ -14,6 +15,17 @@ from heckelift.abchar import (
     simultaneous_artin_lift,
 )
 from heckelift.exactnum import QmodZ, factorize, prime_to_part
+
+
+def walk_dlog(generator: int, target: int, modulus: int) -> int:
+    """Reference discrete log in (Z/modulus)^*: the least e with
+    generator^e = target, found by walking the powers of generator."""
+    x = 1
+    for e in range(modulus):
+        if x == target % modulus:
+            return e
+        x = x * generator % modulus
+    raise ValueError(f"{target} is not a power of {generator} modulo {modulus}")
 
 
 def _partitions(n):

@@ -410,6 +410,19 @@ class TestExitCodes:
         assert code == 2
         assert report["error"] == {"type": "precondition", "message": message}
 
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ({"9": "1/2"}, "image key 9 is not a prime"),
+            ({"1": "0/1"}, "image key 1 is not a prime"),
+        ],
+    )
+    def test_image_key_that_is_not_a_prime(self, tmp_path, images, message):
+        problem = dict(NORM_CUBE, rho={"modulus": 45, "images": images})
+        code, report = run_json(tmp_path, "lift-q", problem)
+        assert code == 2
+        assert report["error"] == {"type": "precondition", "message": message}
+
     def test_missing_file(self, tmp_path):
         buf = io.StringIO()
         with redirect_stdout(buf):
@@ -912,6 +925,54 @@ class TestLocalCompat:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert report["verdict"] == "incompatible"
+
+    def test_incompatible_ratios_near_10_9_answer(self, tmp_path):
+        # the residue addresses of 3 in F_p^* and F_q^* are discrete logs
+        # near 10^9, taken by Pohlig-Hellman and not by a walk of F_p^*
+        problem = {
+            "version": 1,
+            "ell": 3,
+            "p": 10**9 + 7,
+            "q": 10**9 + 9,
+            "datum": {"type": "unramified", "ratio": {"zeta": "1/5", "weight": 0}},
+            "datum_prime": {"type": "unramified", "ratio": {"zeta": "1/7", "weight": 0}},
+        }
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "local-compat", problem)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and report["verdict"] == "incompatible"
+        assert report["diagnostics"] == [
+            {
+                "detail": "eigenvalue ratios admit no common algebraic value",
+                "label": "obstruction",
+                "ok": False,
+            }
+        ]
+
+    def test_compatible_ratios_near_10_9_witness_by_pow(self, tmp_path):
+        # ratio -1 mod p and 3 mod q: the witness zeta * 3^w, zeta = -1, must
+        # reduce to a ratio of each side up to inversion, checked in F_p^* and
+        # F_q^* by powers of 3
+        p, q = 10**9 + 7, 10**9 + 9
+        problem = {
+            "version": 1,
+            "ell": 3,
+            "p": p,
+            "q": q,
+            "datum": {"type": "unramified", "ratio": {"zeta": "1/2", "weight": 0}},
+            "datum_prime": {"type": "unramified", "ratio": {"zeta": "0/1", "weight": 1}},
+        }
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "local-compat", problem)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and report["verdict"] == "compatible"
+        first, second = report["certificate"]["characters"]
+        assert second["frobenius"] == {"weight": 0, "zeta": "0/1"}
+        assert first["frobenius"]["zeta"] == "1/2"
+        w = first["frobenius"]["weight"]
+        assert w > 0
+        assert (-pow(3, w, p)) % p == p - 1
+        assert (-pow(3, w, q)) % q in {3, pow(3, -1, q)}
 
     def test_tame_data_on_two_levels_at_40487(self, tmp_path):
         # 1/20243 on (Z/40487)^* is 17305/20243 on (Z/40487^2)^*, see MIXED_40487

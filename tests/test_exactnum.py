@@ -1,17 +1,23 @@
 import importlib
 import math
 import pkgutil
+import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import heckelift
+from heckelift import exactnum
 from heckelift.exactnum import (
     BERNOULLI_BOUND,
     _MR_BASES,
     _MR_BOUNDS,
     PRIME_TEST_BOUND,
+    _BABY_STEPS,
+    _unit_order_factors,
     Congruence,
     QmodZ,
     bernoulli,
@@ -27,6 +33,8 @@ from heckelift.exactnum import (
     weight_crt,
     xgcd,
 )
+
+from conftest import walk_dlog
 
 qmodz = st.builds(QmodZ, st.integers(-400, 400), st.integers(1, 120))
 
@@ -410,6 +418,101 @@ class TestUnitDlog:
     def test_unit_dlog_inverts_pow(self, ell, e):
         g = primitive_root(ell)
         assert unit_dlog(g, pow(g, e, ell), ell) == e % (ell - 1)
+
+    def test_agrees_with_the_walk_below_3000(self):
+        # the least root of every odd prime below 3000, at 1, g, -1 and
+        # random units
+        rng = random.Random(23)
+        for ell in ODD_PRIMES_BELOW_3000:
+            g = primitive_root(ell)
+            for t in (1, g, ell - 1, *(rng.randrange(1, ell) for _ in range(4))):
+                assert unit_dlog(g, t, ell) == walk_dlog(g, t, ell)
+
+    @pytest.mark.parametrize(
+        "ell, factors",
+        [
+            (10**9 + 7, {2: 1, 500000003: 1}),
+            (6692367337, {2: 3, 3: 1, 278848639: 1}),
+            # the prime factor of ell - 1 needs more baby steps than the cap
+            (1000000000547, {2: 1, 500000000273: 1}),
+        ],
+    )
+    def test_large_primes_checked_by_pow(self, ell, factors):
+        assert factorize(ell - 1) == factors
+        g = primitive_root(ell)
+        for e in (0, 1, 2, 3, 1000):
+            assert unit_dlog(g, pow(g, e, ell), ell) == e
+        if ell < 10**12:
+            rng = random.Random(ell)
+            for t in (ell - 1, *(rng.randrange(1, ell) for _ in range(3))):
+                e = unit_dlog(g, t, ell)
+                assert 0 <= e < ell - 1 and pow(g, e, ell) == t
+
+    def test_small_log_above_the_cap_is_fast(self):
+        ell = 1000000000547
+        assert math.isqrt(500000000273) + 1 > _BABY_STEPS
+        g = primitive_root(ell)
+        start = time.perf_counter()
+        assert unit_dlog(g, g, ell) == 1
+        assert time.perf_counter() - start < 1.0
+        # a log past the first table costs giant steps, about 381,000 here
+        e = 10**11 + 7
+        assert unit_dlog(g, pow(g, e, ell), ell) == e
+
+    def test_capped_table_agrees_with_the_walk(self, monkeypatch):
+        # with at most 4 baby steps, a log in a subgroup of order f takes up
+        # to f / 4 giant steps
+        monkeypatch.setattr(exactnum, "_BABY_STEPS", 4)
+        rng = random.Random(29)
+        for ell in ODD_PRIMES_BELOW_3000[::5]:
+            g = primitive_root(ell)
+            for t in (1, g, ell - 1, rng.randrange(1, ell), rng.randrange(1, ell)):
+                assert unit_dlog(g, t, ell) == walk_dlog(g, t, ell)
+        # 163 - 1 = 2 * 3^4, and 2 is no power of 2^3 in the subgroup of order 81
+        with pytest.raises(ValueError, match="2 is not a power of 8 modulo 163"):
+            unit_dlog(8, 2, 163)
+
+    def test_table_stays_within_the_cap(self, monkeypatch):
+        # 10^9 + 7 - 1 = 2 * 500000003: sqrt(f) is 22361 entries, some 3 MB,
+        # and a cap of 1000 keeps them to about 0.1 MB
+        monkeypatch.setattr(exactnum, "_BABY_STEPS", 1000)
+        ell = 10**9 + 7
+        g = primitive_root(ell)
+        tracemalloc.start()
+        try:
+            assert unit_dlog(g, g, ell) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_factorisation_per_prime(self, monkeypatch):
+        # primitive_root at both levels and every log at ell share one
+        # factorisation of ell - 1
+        ell = 999983
+        primitive_root.cache_clear()
+        _unit_order_factors.cache_clear()
+        calls = []
+        monkeypatch.setattr(exactnum, "factorize", lambda n: calls.append(n) or factorize(n))
+        g = primitive_root(ell)
+        assert primitive_root(ell, 2) == g
+        for t in (2, 3, ell - 1):
+            assert pow(g, unit_dlog(g, t, ell), ell) == t
+        assert calls == [ell - 1]
+
+    @pytest.mark.parametrize(
+        "generator, target, ell",
+        [
+            (4, 3, 5),  # 4 has order 2 mod 5
+            (3, 0, 7),
+            (3, 14, 7),
+            (25, 5, 10**9 + 7),  # 5 is a primitive root, 25 only a square
+            (2, 0, 1000000000547),
+        ],
+    )
+    def test_non_powers_and_zero_raise(self, generator, target, ell):
+        with pytest.raises(ValueError, match=f"{target % ell} is not a power of {generator}"):
+            unit_dlog(generator, target, ell)
 
 
 def test_every_memo_in_the_package_is_bounded():
