@@ -66,11 +66,6 @@ class UnitLabel(Record):
 
     __slots__ = ("prime", "exponent", "generator")
 
-    def __init__(self, prime: int, exponent: int, generator: int):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "generator", generator)
-
     def __str__(self) -> str:
         return f"(Z/{self.prime}^{self.exponent})* gen {self.generator}"
 
@@ -156,18 +151,6 @@ class GroupCharacter(Record):
             tuple([(k + j) % d for k, j, d in zip(self.exps, other.exps, self.group.orders)]),
         )
 
-    def __pow__(self, n: int) -> "GroupCharacter":
-        return self._make(
-            self.group, tuple([k * n % d for k, d in zip(self.exps, self.group.orders)])
-        )
-
-    def part_at(self, ell: int) -> "GroupCharacter":
-        """The ell-primary part: exponent k_i times the idempotent e(d_i, ell)."""
-        return self._make(
-            self.group,
-            tuple([k * _crt_idempotent(d, ell) % d for k, d in zip(self.exps, self.group.orders)]),
-        )
-
     def part_prime_to(self, ell: int) -> "GroupCharacter":
         orders = self.group.orders
         return self._make(
@@ -206,16 +189,6 @@ class HeckeCertificate(Record):
     where it is not determined)."""
 
     __slots__ = ("infinity_type", "local_chars", "conductor")
-
-    def __init__(
-        self,
-        infinity_type: tuple[tuple[str, int], ...],
-        local_chars: tuple[tuple[str, GroupCharacter], ...],
-        conductor: int | None,
-    ):
-        object.__setattr__(self, "infinity_type", infinity_type)
-        object.__setattr__(self, "local_chars", local_chars)
-        object.__setattr__(self, "conductor", conductor)
 
 
 def reduce_mod(eps: GroupCharacter, ell: int) -> ModCharacter:

@@ -547,23 +547,22 @@ def _run_remark2(problem: dict, args) -> CommandOutcome:
 
     rep = remark2_check(problem["ell"], problem["p"], problem["q"])
     diagnostics = [_diag(name, "holds" if ok else "fails", ok) for name, ok in rep.hypothesis_detail]
-    if rep.compat is not None:
-        diagnostics.append(
-            _diag(
-                "no joint parameter",
-                rep.compat.reason
-                if not rep.compat.compatible
-                else "a joint parameter exists, no obstruction here",
-                not rep.compat.compatible,
-            )
+    diagnostics.append(
+        _diag(
+            "no joint parameter",
+            rep.compat.reason
+            if not rep.compat.compatible
+            else "a joint parameter exists, no obstruction here",
+            not rep.compat.compatible,
         )
-        diagnostics.append(
-            _diag(
-                "after quadratic base change",
-                "squared ratio matches the forced shape",
-                bool(rep.base_change_compatible),
-            )
+    )
+    diagnostics.append(
+        _diag(
+            "after quadratic base change",
+            "squared ratio matches the forced shape",
+            rep.base_change_compatible,
         )
+    )
     verdict = "counterexample confirmed" if rep.counterexample_confirmed else "hypotheses not satisfied"
     if rep.hypotheses_hold and not rep.counterexample_confirmed:
         verdict = "no obstruction"

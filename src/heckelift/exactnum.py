@@ -47,8 +47,10 @@ __all__ = [
 class Record:
     """Base of the package's immutable records, cheaper to define than a
     frozen dataclass and alike in use.  A subclass lists its fields in
-    __slots__, in constructor order, and sets them in __init__ with
-    object.__setattr__.  A record equals only a record of its own class
+    __slots__, and Record writes its constructor: one parameter per field,
+    in __slots__ order, each value stored as given.  A subclass that checks
+    or defaults its input defines __init__ instead and stores the fields
+    with object.__setattr__.  A record equals only a record of its own class
     with equal fields, hashes as the tuple of its fields, prints as
     ClassName(field=value, ...) and refuses assignment."""
 
@@ -61,6 +63,8 @@ class Record:
         if len(cls.__slots__) == 1:
             get = lambda record, field=get: (field(record),)
         cls._values = staticmethod(get)
+        if "__init__" not in vars(cls):
+            cls.__init__ = _storing_init(cls)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -79,6 +83,20 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _storing_init(cls):
+    """cls's constructor, compiled once as namedtuple and dataclasses do:
+    __slots__ holds only identifiers, so the source names nothing else.  It
+    stores through each slot's own descriptor, past Record.__setattr__."""
+    fields = cls.__slots__
+    setters = {f"__set_{name}": vars(cls)[name].__set__ for name in fields}
+    body = "".join(f"\n    __set_{name}(self, {name})" for name in fields)
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", setters)
+    init = setters["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -161,19 +179,37 @@ def require_odd_primes(*primes: int) -> None:
         raise ValueError("the primes must be distinct")
 
 
+_TRIAL_BOUND = 1 << 10
+# factorize's divisors before it tests a cofactor for primality
+_SMALL_DIVISORS = (2, *range(3, _TRIAL_BOUND, 2))
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}, by trial division.
+    Past _TRIAL_BOUND, a cofactor below PRIME_TEST_BOUND that is_prime
+    accepts ends the search, so a single large prime factor costs one test;
+    two prime factors above the bound still cost about p/2 divisions, p the
+    smaller one."""
     if not isinstance(n, int):
         raise TypeError(f"{n!r} is not an integer")
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    for d in _SMALL_DIVISORS:
+        if d * d > n:
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
+    else:
+        d, prime = _TRIAL_BOUND + 1, n < PRIME_TEST_BOUND and is_prime(n)
+        while not prime and d * d <= n:
+            if n % d:
+                d += 2
+            else:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+                prime = n < PRIME_TEST_BOUND and is_prime(n)
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -342,10 +378,6 @@ class WeightCrtResult(Record):
 
     __slots__ = ("k_class", "representative")
 
-    def __init__(self, k_class: Congruence, representative: int):
-        object.__setattr__(self, "k_class", k_class)
-        object.__setattr__(self, "representative", representative)
-
 
 def weight_crt(
     k_rho: Congruence, k_rho_prime: Congruence
@@ -437,18 +469,25 @@ def primitive_root(ell: int, exponent: int = 1) -> int:
 
 
 _BABY_STEPS = 1 << 18  # sqrt(f) baby steps at f near 10^16 would take gigabytes
+_GIANT_STEPS = 1 << 21  # about 0.3 s of giant steps; f past 2^39 is refused
 
 
 def unit_dlog(generator: int, target: int, ell: int) -> int:
     """The least e >= 0 with generator^e = target mod the prime ell, for a primitive
     root generator; a target that is no power of it, 0 among them, raises ValueError.
     Pohlig-Hellman (IEEE Trans. Inf. Theory 24, 1978) over the prime powers f of
-    ell - 1, each by baby-step giant-step (Shanks, 1971), its table capped at _BABY_STEPS."""
+    ell - 1, each by baby-step giant-step (Shanks, 1971), its table capped at _BABY_STEPS.
+    A prime power f that would need more than _GIANT_STEPS giant steps raises ValueError."""
     e, done = 0, 1
     for r, k in _unit_order_factors(ell):
         f = r**k
         h, t = pow(generator, (ell - 1) // f, ell), pow(target, (ell - 1) // f, ell)
         steps = min(math.isqrt(f) + 1, _BABY_STEPS)
+        if f > steps * _GIANT_STEPS:
+            raise ValueError(
+                f"a discrete log modulo {ell} in its subgroup of order {f} would take "
+                f"more than _GIANT_STEPS = {_GIANT_STEPS} giant steps"
+            )
         baby, y = {}, 1
         for j in range(steps):
             baby[y] = j

@@ -298,10 +298,6 @@ class NecessityReport(Record):
 
     __slots__ = ("per_prime", "ok")
 
-    def __init__(self, per_prime: tuple[tuple[int, bool], ...], ok: bool):
-        object.__setattr__(self, "per_prime", per_prime)
-        object.__setattr__(self, "ok", ok)
-
 
 def _outside_lifts(
     rho: GlobalCharQ, rho_prime: GlobalCharQ, p: int, q: int
@@ -330,16 +326,6 @@ class TwistResult(Record):
     twisted and twisted_prime: the pair with that ramification removed."""
 
     __slots__ = ("eps", "twisted", "twisted_prime")
-
-    def __init__(
-        self,
-        eps: tuple[tuple[int, GroupCharacter], ...],
-        twisted: GlobalCharQ,
-        twisted_prime: GlobalCharQ,
-    ):
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "twisted", twisted)
-        object.__setattr__(self, "twisted_prime", twisted_prime)
 
 
 def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult:

@@ -416,20 +416,6 @@ class SturmReport(Record):
 
     __slots__ = ("congruent", "first_mismatch", "bound", "theoretical_bound", "modulus")
 
-    def __init__(
-        self,
-        congruent: bool,
-        first_mismatch: int | None,
-        bound: int,
-        theoretical_bound: int | None,
-        modulus: str,
-    ):
-        object.__setattr__(self, "congruent", congruent)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "theoretical_bound", theoretical_bound)
-        object.__setattr__(self, "modulus", modulus)
-
     def __str__(self) -> str:
         status = "pass" if self.congruent else f"fail at q^{self.first_mismatch}"
         extra = (
@@ -535,32 +521,6 @@ class Weight24Report(Record):
         "disc", "precision", "alpha", "alpha_prime", "p5", "p7", "labelling",
         "congruences", "q_is_one_mod_5", "alpha_product", "residues",
     )
-
-    def __init__(
-        self,
-        disc: int,
-        precision: int,
-        alpha: QuadElem,
-        alpha_prime: QuadElem,
-        p5: SplitPrimeIdeal,
-        p7: SplitPrimeIdeal,
-        labelling: str,
-        congruences: tuple[tuple[str, SturmReport], ...],
-        q_is_one_mod_5: bool,
-        alpha_product: Fraction,
-        residues: tuple[tuple[str, tuple[int, ...]], ...],
-    ):
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "alpha_prime", alpha_prime)
-        object.__setattr__(self, "p5", p5)
-        object.__setattr__(self, "p7", p7)
-        object.__setattr__(self, "labelling", labelling)
-        object.__setattr__(self, "congruences", congruences)
-        object.__setattr__(self, "q_is_one_mod_5", q_is_one_mod_5)
-        object.__setattr__(self, "alpha_product", alpha_product)
-        object.__setattr__(self, "residues", residues)
 
     @property
     def ok(self) -> bool:

@@ -74,10 +74,6 @@ class AlgebraicFrobValue(Record):
 
     __slots__ = ("zeta", "weight")
 
-    def __init__(self, zeta: QmodZ, weight: int):
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "weight", weight)
-
     def reduce(self, target: int) -> "AlgebraicFrobValue":
         return AlgebraicFrobValue(self.zeta.part_prime_to(target), self.weight)
 
@@ -99,19 +95,11 @@ class QuasiChar(Record):
 
     __slots__ = ("inertial", "frob")
 
-    def __init__(self, inertial: GroupCharacter, frob: AlgebraicFrobValue):
-        object.__setattr__(self, "inertial", inertial)
-        object.__setattr__(self, "frob", frob)
-
 
 class Reducible(Record):
     """Semisimple parameter: direct sum of two quasicharacters, no monodromy."""
 
     __slots__ = ("eps1", "eps2")
-
-    def __init__(self, eps1: QuasiChar, eps2: QuasiChar):
-        object.__setattr__(self, "eps1", eps1)
-        object.__setattr__(self, "eps2", eps2)
 
 
 class Steinberg(Record):
@@ -119,9 +107,6 @@ class Steinberg(Record):
     eps by the norm (Frobenius value multiplied by ell) and is not stored."""
 
     __slots__ = ("eps",)
-
-    def __init__(self, eps: QuasiChar):
-        object.__setattr__(self, "eps", eps)
 
 
 WDParam = Reducible | Steinberg
@@ -137,11 +122,6 @@ class UnramifiedSemisimple(Record):
 
     __slots__ = ("ell", "residue_char", "ratio")
 
-    def __init__(self, ell: int, residue_char: int, ratio: AlgebraicFrobValue):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "residue_char", residue_char)
-        object.__setattr__(self, "ratio", ratio)
-
     def ratio_values(self) -> frozenset[QmodZ]:
         v = self.ratio.value_mod(self.ell, self.residue_char)
         return frozenset((v, -v))
@@ -153,36 +133,12 @@ class TamePrincipal(Record):
 
     __slots__ = ("ell", "residue_char", "inertials", "frobs")
 
-    def __init__(
-        self,
-        ell: int,
-        residue_char: int,
-        inertials: tuple[ModCharacter, ModCharacter],
-        frobs: tuple[AlgebraicFrobValue, AlgebraicFrobValue],
-    ):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "residue_char", residue_char)
-        object.__setattr__(self, "inertials", inertials)
-        object.__setattr__(self, "frobs", frobs)
-
 
 class UnipotentRamified(Record):
     """Nontrivial unipotent inertial image of order residue_char, with the
     reduced Frobenius character of the twist."""
 
     __slots__ = ("ell", "residue_char", "frob_char_inertial", "frob_char_value")
-
-    def __init__(
-        self,
-        ell: int,
-        residue_char: int,
-        frob_char_inertial: ModCharacter,
-        frob_char_value: AlgebraicFrobValue,
-    ):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "residue_char", residue_char)
-        object.__setattr__(self, "frob_char_inertial", frob_char_inertial)
-        object.__setattr__(self, "frob_char_value", frob_char_value)
 
 
 LocalGaloisDatum = UnramifiedSemisimple | TamePrincipal | UnipotentRamified
@@ -486,24 +442,6 @@ class Remark2Report(Record):
         "ell", "p", "q", "hypotheses_hold", "hypothesis_detail", "compat",
         "base_change_compatible",
     )
-
-    def __init__(
-        self,
-        ell: int,
-        p: int,
-        q: int,
-        hypotheses_hold: bool,
-        hypothesis_detail: tuple[tuple[str, bool], ...],
-        compat: CompatReport,
-        base_change_compatible: bool,
-    ):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "hypotheses_hold", hypotheses_hold)
-        object.__setattr__(self, "hypothesis_detail", hypothesis_detail)
-        object.__setattr__(self, "compat", compat)
-        object.__setattr__(self, "base_change_compatible", base_change_compatible)
 
     @property
     def counterexample_confirmed(self) -> bool:

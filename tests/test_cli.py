@@ -326,6 +326,27 @@ class TestLiftQ:
         assert report["verdict"] == "liftable"
 
 
+    @pytest.mark.parametrize(
+        "command, verdict",
+        [("lift-q", "liftable"), ("necc-check", "pass"), ("conductor-bound", "computed")],
+    )
+    def test_modulus_with_a_prime_factor_near_10_18(self, tmp_path, command, verdict):
+        # trial division of 5 * (10^18 + 3) stops once the cofactor tests prime
+        problem = {
+            "version": 1,
+            "p": 5,
+            "q": 7,
+            "rho": {"modulus": 5 * (10**18 + 3), "images": {"5": "1/4"}},
+            "rho_prime": {"modulus": 7, "images": {"7": "1/6"}},
+        }
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, command, problem)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and report["verdict"] == verdict
+        if command != "conductor-bound":
+            assert report["diagnostics"][0]["label"] == "order condition at 1000000000000000003"
+
+
 class TestExitCodes:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -1014,6 +1035,49 @@ class TestLocalCompat:
         assert time.perf_counter() - start < 2.0
         assert code == 1
         assert report["verdict"] == "incompatible"
+
+    def test_unipotent_data_at_a_safe_prime_near_10_16(self, tmp_path):
+        # ell - 1 = 2 * 5000000000002223, prime: the unit group's order is
+        # factored by trial division up to 2^10 and one primality test
+        ell = 10**16 + 4447
+        unipotent = {"type": "unipotent", "frobenius": {"zeta": "0/1", "weight": 0}}
+        problem = {"version": 1, "ell": ell, "p": 5, "q": 7}
+        problem.update(datum=unipotent, datum_prime=unipotent)
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "local-compat", problem)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and report["verdict"] == "compatible"
+        assert report["certificate"] == {
+            "characters": [
+                {
+                    "frobenius": {"weight": 0, "zeta": "0/1"},
+                    "inertial": {
+                        "group_labels": [f"(Z/{ell}^1)* gen 5"],
+                        "group_orders": [ell - 1],
+                        "images": ["0/1"],
+                        "order": 1,
+                    },
+                }
+            ],
+            "shape": "steinberg",
+        }
+
+    def test_residue_address_past_the_giant_step_cap_fails_fast(self, tmp_path):
+        # p - 1 = 2 * 50000000002541, prime: the address of 3 in F_p^* would
+        # take about 1.9 * 10^8 giant steps
+        problem = {
+            "version": 1,
+            "ell": 3,
+            "p": 100000000005083,
+            "q": 7,
+            "datum": {"type": "unramified", "ratio": {"zeta": "1/2", "weight": 0}},
+            "datum_prime": {"type": "unramified", "ratio": {"zeta": "1/3", "weight": 0}},
+        }
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "local-compat", problem)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert "_GIANT_STEPS" in report["error"]["message"]
 
     def test_unit_group_above_the_bound_fails_fast(self, tmp_path):
         start = time.perf_counter()

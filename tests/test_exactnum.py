@@ -367,6 +367,44 @@ class TestHelpers:
         with pytest.raises(TypeError, match=r"1155\.0 is not an integer"):
             factorize(1155.0)
 
+    def test_factorize_matches_trial_division(self):
+        rng = random.Random(37)
+        small = [*range(1, 5000), *(rng.randrange(1, 10**6) for _ in range(5000))]
+        # past the trial bound: products of two or three primes near it, and
+        # random n whose cofactors get tested for primality
+        primes = [n for n in range(900, 5000) if is_prime(n)]
+        mid = [math.prod(rng.sample(primes, rng.choice((2, 3)))) for _ in range(300)]
+        mid += [rng.randrange(10**6, 10**10) for _ in range(40)]
+        for n in small + mid:
+            assert factorize(n) == trial_division(n)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3**60,
+            2**90 * 5**7,
+            math.factorial(40),
+            1031**8 * 65537**2,  # a cofactor above the trial bound
+            1021**9 * 1033**3 * 4099,
+        ],
+    )
+    def test_factorize_past_the_test_bound_with_small_factors(self, n):
+        assert n >= PRIME_TEST_BOUND
+        assert factorize(n) == trial_division(n)
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (5 * (10**18 + 3), {5: 1, 10**18 + 3: 1}),
+            (10**16 + 4446, {2: 1, 5000000000002223: 1}),
+            (1031 * (10**18 + 9), {1031: 1, 10**18 + 9: 1}),
+        ],
+    )
+    def test_one_large_prime_factor_is_fast(self, n, factors):
+        start = time.perf_counter()
+        assert factorize(n) == factors
+        assert time.perf_counter() - start < 0.1
+
     def test_primitive_root(self):
         assert primitive_root(5) == 2
         assert primitive_root(5, 2) == 2
@@ -380,6 +418,19 @@ class TestHelpers:
         for bad in (2, 9):
             with pytest.raises(ValueError):
                 primitive_root(bad)
+
+
+def trial_division(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def element_order(g: int, m: int) -> int:
@@ -471,6 +522,28 @@ class TestUnitDlog:
         # 163 - 1 = 2 * 3^4, and 2 is no power of 2^3 in the subgroup of order 81
         with pytest.raises(ValueError, match="2 is not a power of 8 modulo 163"):
             unit_dlog(8, 2, 163)
+
+    def test_giant_steps_past_the_cap_refused(self):
+        # ell - 1 = 2 * 50000000002541, prime: a log in that subgroup would
+        # take about 1.9 * 10^8 giant steps of 2^18
+        ell = 100000000005083
+        start = time.perf_counter()
+        assert factorize(ell - 1) == {2: 1, 50000000002541: 1}
+        with pytest.raises(ValueError, match=r"order 50000000002541 .* _GIANT_STEPS = 2097152"):
+            unit_dlog(primitive_root(ell), 3, ell)
+        assert time.perf_counter() - start < 2.0
+
+    def test_giant_step_cap_is_exact(self, monkeypatch):
+        # 163 - 1 = 2 * 3^4: with 4 baby steps, a log in the subgroup of
+        # order 81 may take 21 giant steps
+        monkeypatch.setattr(exactnum, "_BABY_STEPS", 4)
+        monkeypatch.setattr(exactnum, "_GIANT_STEPS", 21)
+        g = primitive_root(163)
+        for t in range(1, 163):
+            assert unit_dlog(g, t, 163) == walk_dlog(g, t, 163)
+        monkeypatch.setattr(exactnum, "_GIANT_STEPS", 20)
+        with pytest.raises(ValueError, match=r"modulo 163 in its subgroup of order 81 .* = 20 "):
+            unit_dlog(g, 1, 163)
 
     def test_table_stays_within_the_cap(self, monkeypatch):
         # 10^9 + 7 - 1 = 2 * 500000003: sqrt(f) is 22361 entries, some 3 MB,

@@ -6,6 +6,8 @@ equality only with a record of its own class, the hash of the tuple of its
 fields, and refusal of assignment."""
 
 import dataclasses
+import inspect
+import pydoc
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,14 @@ RECORDS = [
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
+# the records whose own __init__ checks or defaults its input; Record writes
+# the constructor of every other one
+OWN_CONSTRUCTORS = {
+    "FinAbGroup", "GroupCharacter", "ModCharacter", "LocalInvariantsQ", "ImagQuadField",
+    "QuadElem", "SplitPrimeIdeal", "PlaceLocal", "CompatReport",
+}
+GENERATED = [record for record in RECORDS if record[0].__name__ not in OWN_CONSTRUCTORS]
+
 # reprs as the frozen dataclasses printed them
 PARENT_REPRS = {
     "UnitLabel": "UnitLabel(prime=5, exponent=1, generator=2)",
@@ -204,3 +214,54 @@ def test_global_char_keeps_its_repr_equality_and_hash():
         rho.modulus = 7
     with pytest.raises(TypeError):
         heckeq.GlobalCharQ(5, 5, {}, {})
+
+
+def test_record_writes_every_constructor_that_only_stores():
+    assert len(GENERATED) == 20 and len(RECORDS) == 20 + len(OWN_CONSTRUCTORS)
+    assert all("__init__" in vars(cls) for cls, _, _ in RECORDS)
+
+
+@pytest.mark.parametrize("cls, fields, args", GENERATED, ids=[r[0].__name__ for r in GENERATED])
+def test_generated_constructor_takes_the_fields(cls, fields, args):
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(parameter.name for parameter in parameters) == fields
+    assert all(
+        parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        and parameter.default is inspect.Parameter.empty
+        for parameter in parameters
+    )
+    assert f"{cls.__name__}({', '.join(fields)})" in pydoc.render_doc(cls, renderer=pydoc.plaintext)
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    record = cls(*args[:-1], **{fields[-1]: args[-1]})
+    assert tuple(getattr(record, name) for name in fields) == args
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
+    with pytest.raises(TypeError):
+        cls(*args, args[-1])
+    with pytest.raises(TypeError):
+        cls(*args, extra=None)
+    with pytest.raises(TypeError):
+        cls(*args, **{fields[0]: args[0]})
+
+
+def test_a_record_that_defines_its_constructor_keeps_it():
+    class Checked(Record):
+        __slots__ = ("n", "label")
+
+        def __init__(self, n, label="none"):
+            if n < 0:
+                raise ValueError("n must be nonnegative")
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "label", label)
+
+    assert (Checked(2).n, Checked(2).label) == (2, "none")
+    with pytest.raises(ValueError):
+        Checked(-1)
+    assert list(inspect.signature(Checked).parameters) == ["n", "label"]
+
+    # a subclass that stores only gets a constructor of its own fields
+    class Stored(Record):
+        __slots__ = ("n",)
+
+    assert Stored(3) == Stored(n=3) and Stored(3) != Checked(3)

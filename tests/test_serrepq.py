@@ -406,7 +406,10 @@ def parameters(draw, ell, p, q):
     # so the two data often differ in shape
     def quasi():
         chi = draw(unit_chars(ell))
-        part = draw(st.sampled_from([chi, chi.part_at(p), chi.part_at(q)]))
+        p_part, q_part = (
+            GroupCharacter(chi.group, tuple(x.part_at(r) for x in chi.images)) for r in (p, q)
+        )
+        part = draw(st.sampled_from([chi, p_part, q_part]))
         return QuasiChar(part, draw(frob_values))
 
     if draw(st.booleans()):
