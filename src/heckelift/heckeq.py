@@ -72,7 +72,7 @@ _ZERO = QmodZ(0, 1)
 
 def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
     """factorize(modulus) for a positive odd modulus, dividing out the primes
-    among known first so that trial division sees only the rest."""
+    among known first so that factorize sees only the rest."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if modulus % 2 == 0:

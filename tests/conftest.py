@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: the abelian groups of small order
 and the exhaustive check of simultaneous Artin lifting against
-enumeration, offered as fixtures, and walk_dlog, the reference discrete
-log, which the modules import for their own module-level references."""
+enumeration, offered as fixtures, and two references that the modules
+import for their own module-level references: walk_dlog, the discrete log
+by walking, and xgcd, the extended Euclidean algorithm."""
 
 import itertools
 
@@ -26,6 +27,21 @@ def walk_dlog(generator: int, target: int, modulus: int) -> int:
             return e
         x = x * generator % modulus
     raise ValueError(f"{target} is not a power of {generator} modulo {modulus}")
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Reference extended gcd: (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def _partitions(n):

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from heckelift import abchar, cli
+from heckelift import abchar, cli, exactnum
 from heckelift.cli import main
 from test_golden import PROBLEMS, TARGETS, digest_line, expected_digests
 
@@ -153,6 +153,16 @@ LARGE_PRIME_SQUARE = {
     "q": 7,
     "rho": {"modulus": (10**9 + 7) ** 2, "images": {"1000000007": "1/2"}},
     "rho_prime": {"modulus": (10**9 + 7) ** 2, "images": {"1000000007": "1/2"}},
+}
+
+# two prime factors near 10^9 with no image: trial division would take about
+# 5 * 10^8 steps, rho a few thousand
+TWO_PRIMES_NEAR_10_9 = {
+    "version": 1,
+    "p": 5,
+    "q": 7,
+    "rho": {"modulus": 5 * (10**9 + 7) * (10**9 + 9), "images": {"5": "1/4"}},
+    "rho_prime": {"modulus": 7, "images": {"7": "1/6"}},
 }
 
 
@@ -345,6 +355,29 @@ class TestLiftQ:
         assert code == 0 and report["verdict"] == verdict
         if command != "conductor-bound":
             assert report["diagnostics"][0]["label"] == "order condition at 1000000000000000003"
+
+
+    @pytest.mark.parametrize(
+        "command, verdict",
+        [("lift-q", "liftable"), ("necc-check", "pass"), ("conductor-bound", "computed")],
+    )
+    def test_modulus_with_two_prime_factors_near_10_9(self, tmp_path, command, verdict):
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, command, TWO_PRIMES_NEAR_10_9)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and report["verdict"] == verdict
+        if command != "conductor-bound":
+            assert [d["label"] for d in report["diagnostics"][:2]] == [
+                "order condition at 1000000007",
+                "order condition at 1000000009",
+            ]
+
+    def test_rho_budget_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exactnum, "_RHO_STEPS", 1 << 10)
+        code, report = run_json(tmp_path, "lift-q", TWO_PRIMES_NEAR_10_9)
+        assert code == 2
+        assert report["error"]["type"] == "precondition"
+        assert "_RHO_STEPS = 1024" in report["error"]["message"]
 
 
 class TestExitCodes:
@@ -548,14 +581,16 @@ class TestExitCodes:
         "name, broken",
         [
             # wrong Bezout coefficients break the discriminant of a composite
-            ("xgcd", "lambda a, b: (1, 0, 0)"),
+            ("pow", "lambda base, exp, mod: 1"),
             # no primary factors: the invariant factors miss h
             ("valuation", "lambda n, p: 0"),
         ],
     )
     def test_class_group_checks_survive_optimize(self, tmp_path, name, broken):
+        # h(-260) = 8 as at -1155, but there every class is its own inverse,
+        # so no walk composes; here the walks through the classes of order 4 do
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps({"version": 1, "D": -1155}))
+        path.write_text(json.dumps({"version": 1, "D": -260}))
         script = (
             "import sys\n"
             "from heckelift import cli, heckequad\n"
@@ -571,7 +606,10 @@ class TestExitCodes:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert done.returncode == 3, done.stderr
-        assert json.loads(done.stdout)["error"]["type"] == "internal"
+        error = json.loads(done.stdout)["error"]
+        assert error["type"] == "internal"
+        check = {"pow": "composition left discriminant -260", "valuation": "do not multiply to h = 8"}
+        assert check[name] in error["message"]
 
     def test_certificate_check_survives_optimize(self, tmp_path):
         # reductions that miss the pair must fail the certificate re-check

@@ -31,10 +31,9 @@ from heckelift.exactnum import (
     primitive_root,
     unit_dlog,
     weight_crt,
-    xgcd,
 )
 
-from conftest import walk_dlog
+from conftest import walk_dlog, xgcd
 
 qmodz = st.builds(QmodZ, st.integers(-400, 400), st.integers(1, 120))
 
@@ -404,6 +403,42 @@ class TestHelpers:
         start = time.perf_counter()
         assert factorize(n) == factors
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "n, factors, seconds",
+        [
+            ((10**9 + 7) * (10**9 + 9), {10**9 + 7: 1, 10**9 + 9: 1}, 0.5),
+            (5 * (10**9 + 9) * (10**9 + 7), {5: 1, 10**9 + 7: 1, 10**9 + 9: 1}, 0.5),
+            # two primes near 10^12, the hardest split below PRIME_TEST_BOUND
+            (1800000000083 * 1800000000047, {1800000000047: 1, 1800000000083: 1}, 5.0),
+            (100000007**3, {100000007: 3}, 0.5),
+            (1000003**2 * 10000019, {1000003: 2, 10000019: 1}, 0.5),
+            (1031 * 1033 * 1039 * 1049 * 1051, {1031: 1, 1033: 1, 1039: 1, 1049: 1, 1051: 1}, 0.5),
+            (1031**8 * 65537**2 * 1000003, {1031: 8, 65537: 2, 1000003: 1}, 0.5),
+        ],
+    )
+    def test_rho_splits_large_factors(self, n, factors, seconds):
+        start = time.perf_counter()
+        got = factorize(n)
+        assert time.perf_counter() - start < seconds
+        assert got == factors
+        assert list(got) == sorted(got)  # primes increasing, as trial division gives them
+
+    def test_rho_matches_trial_division_on_products_of_large_primes(self):
+        rng = random.Random(41)
+        primes = [n for n in range(1025, 40000, 2) if is_prime(n)]
+        for _ in range(200):
+            n = math.prod(rng.choices(primes, k=rng.choice((2, 3, 4))))
+            got = factorize(n)
+            assert got == trial_division(n) and list(got) == sorted(got), n
+
+    def test_rho_budget_is_named(self, monkeypatch):
+        monkeypatch.setattr(exactnum, "_RHO_STEPS", 1 << 10)
+        with pytest.raises(ValueError, match=r"more than _RHO_STEPS = 1024 rho steps"):
+            factorize((10**9 + 7) * (10**9 + 9))
+        # small factors and a prime cofactor take no rho steps
+        assert factorize(1031 * 1033) == {1031: 1, 1033: 1}
+        assert factorize(5 * (10**18 + 3)) == {5: 1, 10**18 + 3: 1}
 
     def test_primitive_root(self):
         assert primitive_root(5) == 2

@@ -24,7 +24,10 @@ from heckelift.heckequad import (
     _orders,
     _principal_form,
     _reduce_form,
+    _reduced_forms,
 )
+
+from conftest import xgcd
 
 
 K1155 = ImagQuadField(-1155)
@@ -53,9 +56,59 @@ def _is_reduced(form):
     return -a < b <= a <= c and not (a == c and b < 0)
 
 
+def _dirichlet_compose(f1, f2, D):
+    """Dirichlet composition of two primitive forms of discriminant D,
+    followed by reduction (Cohen, GTM 138, §5.4): the reference for
+    _compose, with Bezout coefficients from the extended Euclidean algorithm.
+
+    With s = (b1 + b2)/2 and g = gcd(a1, a2, s) = u*a1 + v*a2 + w*s, the
+    composite is (A, B, C) with A = a1*a2/g^2 and
+    B = (u*a1*b2 + v*a2*b1 + w*(b1*b2 + D)/2)/g mod 2A; this holds also
+    when a1 and a2 share a factor.
+    """
+    a1, b1, _ = f1
+    a2, b2, _ = f2
+    s = (b1 + b2) // 2
+    g1, x, y = xgcd(a1, a2)
+    g, z, w = xgcd(g1, s)
+    u, v = z * x, z * y
+    A = a1 * a2 // (g * g)
+    B = (u * a1 * b2 + v * a2 * b1 + w * (b1 * b2 + D) // 2) // g % (2 * A)
+    C = (B * B - D) // (4 * A)
+    if B * B - 4 * A * C != D:
+        raise AssertionError(f"composition left discriminant {D}")
+    return _reduce_form(A, B, C)
+
+
+def _scanned_forms(D):
+    """The primitive reduced forms of discriminant D < 0, sorted, by trying
+    every a for every middle coefficient b: the reference for _reduced_forms.
+
+    For 0 <= b <= sqrt(|D|/3) with b = D mod 2, every a | (b^2 - D)/4 with
+    max(b, 1) <= a <= c gives (a, b, c), and (a, -b, c) too when
+    0 < b < a < c.
+    """
+    forms = []
+    for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
+        m = (b * b - D) // 4
+        for a in range(max(b, 1), math.isqrt(m) + 1):
+            if m % a:
+                continue
+            c = m // a
+            if math.gcd(math.gcd(a, b), c) != 1:
+                continue
+            forms.append((a, b, c))
+            if 0 < b < a < c:
+                forms.append((a, -b, c))
+    forms.sort()
+    return forms
+
+
 def _orders_step_by_step(forms, D):
     """The order of each form by composing one step at a time, about h^2
-    compositions in all: the reference for _orders."""
+    compositions in all: the reference for _orders.  It composes with the
+    _compose under test, which test_compose_matches_dirichlet_on_every_pair
+    checks against _dirichlet_compose."""
     identity = _principal_form(D)
     orders = {}
     for f in forms:
@@ -461,7 +514,7 @@ class TestClassGroup:
             D for D in range(-1000000, -1000200, -1) if _is_fundamental(D)
         ]
         for D in fields:
-            forms = heckequad._reduced_forms(D)
+            forms = _reduced_forms(D)
             assert _orders(forms, D) == _orders_full_walk(forms, D), D
 
     def test_walk_stops_halfway(self, compositions):
@@ -524,6 +577,26 @@ class TestClassGroup:
         assert grp.h == _class_number_formula(D, _primes_up_to(-D // 2))
         two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
         assert two_rank == len(factorize(-D)) - 1
+
+    @pytest.mark.parametrize(
+        "D",
+        [
+            -84, -260, -4620, -3896,  # 0 mod 4
+            -199, -255255, -95471, -39999,  # 1 mod 8
+            -1155, -3299, -4027, -40003,  # 5 mod 8
+        ],
+    )
+    def test_compose_matches_dirichlet_on_every_pair(self, D):
+        forms = _scanned_forms(D)
+        for f1 in forms:
+            for f2 in forms:
+                assert _compose(f1, f2, D) == _dirichlet_compose(f1, f2, D), (f1, f2)
+
+    def test_reduced_forms_match_the_scan(self):
+        # every discriminant -20000 < D <= -5, fundamental or not
+        for D in range(-5, -20000, -1):
+            if D % 4 in (0, 1):
+                assert _reduced_forms(D) == _scanned_forms(D), D
 
     def test_reduction_is_canonical(self):
         # disc(12, 11, 3) = -23: composing with the identity reduces in place
