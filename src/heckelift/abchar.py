@@ -289,20 +289,38 @@ def _level_one_log(ell: int) -> int:
     return 1 if g1 == g else unit_dlog(g1, g, ell)
 
 
+def _exponent_on_g(eps: GroupCharacter, ell: int) -> int:
+    """unit_value(eps, ell) as the x in [0, d) with value x/d on g, d the
+    order of eps's group (1 for the trivial group)."""
+    labels = eps.group.labels
+    if not labels:
+        return 0
+    label = labels[0]
+    if len(labels) != 1 or not isinstance(label, UnitLabel) or label.prime != ell:
+        raise ValueError(f"needs a labelled (Z/{ell}^c)* presentation")
+    (k,) = eps.exps
+    if label.exponent == 1 and k and _level_one_log(ell) != 1:
+        return k * _level_one_log(ell) % (ell - 1)
+    return k
+
+
+def _character_on_g(ell: int, exponent: int, x: int) -> GroupCharacter:
+    """The character of (Z/ell^exponent)^* with value x/d on g, d the order
+    of the group; exponent 0 gives the trivial character, and x is not
+    checked."""
+    group = unit_group(ell, exponent)
+    if not exponent:
+        return GroupCharacter.trivial(group)
+    if exponent == 1 and x and _level_one_log(ell) != 1:
+        x *= pow(_level_one_log(ell), -1, ell - 1)
+    return GroupCharacter._make(group, (x % group.orders[0],))
+
+
 def unit_value(eps: GroupCharacter, ell: int) -> QmodZ:
     """The value on g = primitive_root(ell, 2) of a character of
     (Z/ell^c)^*, c = 0 being the trivial group: at level 1 the image of
     g_1 times e = log_{g_1}(g), above it the image of g itself."""
-    labels = eps.group.labels
-    if not labels:
-        return QmodZ(0, 1)
-    label = labels[0]
-    if len(labels) != 1 or not isinstance(label, UnitLabel) or label.prime != ell:
-        raise ValueError(f"needs a labelled (Z/{ell}^c)* presentation")
-    (k,), (d,) = eps.exps, eps.group.orders
-    if label.exponent == 1 and k and _level_one_log(ell) != 1:
-        k *= _level_one_log(ell)
-    return QmodZ(k, d)
+    return QmodZ(_exponent_on_g(eps, ell), eps.group.orders[0] if eps.group.rank else 1)
 
 
 def unit_character(ell: int, exponent: int, value: QmodZ) -> GroupCharacter:
@@ -317,9 +335,4 @@ def unit_character(ell: int, exponent: int, value: QmodZ) -> GroupCharacter:
             f"a character of conductor {ell ** (1 + valuation(value.den, ell))} does not "
             f"factor through (Z/{ell}^{exponent})*"
         )
-    if not exponent:
-        return GroupCharacter.trivial(group)
-    k = value.num * (d // value.den)
-    if exponent == 1 and value.num and _level_one_log(ell) != 1:
-        k *= pow(_level_one_log(ell), -1, value.den)
-    return GroupCharacter._make(group, (k % d,))
+    return _character_on_g(ell, exponent, value.num * (d // value.den))

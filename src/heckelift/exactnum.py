@@ -139,9 +139,16 @@ def is_prime(n: int) -> bool:
     for bound, k in _MR_BOUNDS:
         if n < bound:
             break
+    return _strong_probable_prime(n, _MR_BASES[:k])
+
+
+def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
+    """Whether the odd n, prime to the bases, is a strong probable prime to
+    each of them (Miller-Rabin).  False proves n composite at any size; True
+    proves n prime only below the bound that is_prime pairs with the bases."""
     s = valuation(n - 1, 2)
     d = (n - 1) >> s
-    for a in _MR_BASES[:k]:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -166,10 +173,16 @@ def require_odd_primes(*primes: int) -> None:
 _TRIAL_BOUND = 1 << 10
 # factorize's divisors before it tests a cofactor for primality
 _SMALL_DIVISORS = (2, *range(3, _TRIAL_BOUND, 2))
-# rho steps for one factorisation, about 4 s of them at most; splitting two
+# the budget of one factorisation, in rho steps modulo a number below 2^128:
+# a step modulo a b-bit n is charged ceil(b/128)^2 of them, about what it
+# costs, and a strong probable-prime test of n past PRIME_TEST_BOUND b steps
+# per base.  Two primes of about 19 digits each use it up in about 3.5 s,
+# the most it allows, and any larger pair in under 1 s; past about 6600
+# bits (2000 digits) one test costs more than all of it.  Splitting two
 # primes near 10^12, the hardest case below PRIME_TEST_BOUND, took from
-# 1.3e5 to 4.2e6 steps in 24 random products, about 0.5 s on average
-# (Intel Xeon, Python 3.11.7)
+# 1.3e5 to 4.2e6 steps in 24 random products, about 0.5 s on average, and
+# 10000000000037 * 10000000000051 8.4e6 steps, 1.9 s (Intel Xeon, Python
+# 3.11.7)
 _RHO_STEPS = 1 << 24
 _RHO_BATCH = 128  # steps whose differences share one gcd
 
@@ -178,11 +191,13 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, primes increasing.
 
     Trial division by 2 and the odd numbers below _TRIAL_BOUND; past that,
-    a cofactor below PRIME_TEST_BOUND is split by Pollard-Brent rho into
-    pieces that is_prime tests and rho splits again, so two prime factors
-    near 10^9 cost a few thousand steps.  A cofactor at or above
-    PRIME_TEST_BOUND is trial-divided until it falls below it.  A split that
-    would take more than _RHO_STEPS steps raises ValueError."""
+    each cofactor is tested and, when composite, split by Pollard-Brent rho
+    into pieces that are tested and split again, so two prime factors near
+    10^9 cost a few thousand steps.  Below PRIME_TEST_BOUND is_prime is the
+    test.  At or above it a piece that fails the strong probable-prime test
+    to some base is composite; one that passes all of them cannot be proved
+    prime, and factorize raises ValueError naming PRIME_TEST_BOUND.  Work
+    past the _RHO_STEPS budget raises ValueError naming _RHO_STEPS."""
     if not isinstance(n, int):
         raise TypeError(f"{n!r} is not an integer")
     if n < 1:
@@ -195,46 +210,65 @@ def factorize(n: int) -> dict[int, int]:
             out[d] = out.get(d, 0) + 1
             n //= d
     else:
-        d = _TRIAL_BOUND + 1
-        while n >= PRIME_TEST_BOUND and d * d <= n:
-            if n % d:
-                d += 2
-            else:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-        if n < PRIME_TEST_BOUND:
-            # every prime left is at least d, past those found so far
-            primes, pending, steps = [], [n], _RHO_STEPS
-            while pending:
-                m = pending.pop()
+        # every prime left is past _TRIAL_BOUND, past those found so far
+        primes, pending, steps = [], [n], _RHO_STEPS
+        while pending:
+            m = pending.pop()
+            if m < PRIME_TEST_BOUND:
                 if is_prime(m):
                     primes.append(m)
+                    continue
+            else:
+                # each base costs about bit_length squarings modulo m
+                for a in _MR_BASES:
+                    steps -= m.bit_length() * _step_cost(m)
+                    if steps < 0:
+                        raise _over_budget(m)
+                    if not _strong_probable_prime(m, (a,)):
+                        break
                 else:
-                    f, steps = _rho_divisor(m, steps)
-                    pending += (f, m // f)
-            for r in sorted(primes):
-                out[r] = out.get(r, 0) + 1
-            return out
+                    raise ValueError(
+                        f"a {m.bit_length()}-bit factor passes the strong probable-prime test "
+                        f"to all {len(_MR_BASES)} bases but is not below PRIME_TEST_BOUND = "
+                        f"{PRIME_TEST_BOUND}, so it cannot be proved prime"
+                    )
+            f, steps = _rho_divisor(m, steps)
+            while m % f == 0:  # a prime power splits once, not once per factor
+                m //= f
+                pending.append(f)
+            if m > 1:
+                pending.append(m)
+        for r in sorted(primes):
+            out[r] = out.get(r, 0) + 1
+        return out
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
 
 
+def _step_cost(n: int) -> int:
+    """The charge of one step modulo n: ceil(bits/128)^2, 1 below 2^128."""
+    return ((n.bit_length() + 127) // 128) ** 2
+
+
+def _over_budget(n: int) -> ValueError:
+    return ValueError(f"splitting {n} would take more than _RHO_STEPS = {_RHO_STEPS} rho steps")
+
+
 def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
     """A divisor 1 < f < n of the odd composite n, and the steps left of the
-    steps allowed, by Brent's variant of Pollard's rho (BIT 20, 1980): the
-    walk x -> x^2 + c mod n from 2, for c = 1, 2, ... in turn.  Running out
-    of steps raises ValueError naming _RHO_STEPS."""
+    steps allowed, each charged _step_cost(n), by Brent's variant of Pollard's
+    rho (BIT 20, 1980): the walk x -> x^2 + c mod n from 2, for c = 1, 2, ...
+    in turn.  Running out of steps raises ValueError naming _RHO_STEPS."""
+    cost = _step_cost(n)
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            steps -= 2 * r  # r steps to move x, at most r more to meet it
+            steps -= 2 * r * cost  # r steps to move x, at most r more to meet it
             if steps < 0:
-                raise ValueError(
-                    f"splitting {n} would take more than _RHO_STEPS = {_RHO_STEPS} rho steps"
-                )
+                raise _over_budget(n)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -3,17 +3,23 @@
 A character of the absolute Galois group of Q unramified outside a given
 modulus N is identified with a character of (Z/N)^*, one cyclic component
 per odd prime power.  The restriction to inertia at ell is the
-ell-component, kept as its value in Q/Z on g = primitive_root(ell, 2),
-which generates (Z/ell^a)^* at every level a >= 1, so products,
-comparisons and lifts never change level.  abchar.unit_value and
-abchar.unit_character translate at the edge, where images are given on the
-least primitive root mod ell^a.  That root is g except at level 1 where the
-least root g_1 mod ell fails mod ell^2, below 2*10^6 only at ell = 40487:
-there g = 10 = 5^17305, and a level-1 image x is the value 17305*x.
+ell-component, fixed by its value on g = primitive_root(ell, 2), which
+generates (Z/ell^a)^* at every level a >= 1.  At the character's level a
+that value is kept as the integer x mod phi(ell^a), standing for
+x/phi(ell^a) in Q/Z.  As phi(ell^A) = ell^(A-a) * phi(ell^a), the same
+value at a level A >= a is ell^(A-a) * x: a product or a comparison of two
+characters scales the lower level up, and the pipeline's arithmetic stays
+on these integers.  QmodZ appears only at the edges: from_images,
+value_at, values and images.  abchar.unit_value and abchar.unit_character
+translate there, where images are given on the least primitive root mod
+ell^a.  That root is g except at level 1 where the least root g_1 mod ell
+fails mod ell^2, below 2*10^6 only at ell = 40487: there g = 10 = 5^17305,
+and a level-1 image x is the value 17305*x.
 
 The cyclotomic character mod p is the identity character of (Z/p)^*,
 sending g_1 to 1/(p-1), pulled back to (Z/p^a)^*.  Its value is e/(p-1)
-with g = g_1^e mod p: 1/(p-1) where g_1 = g, 17305/40486 at p = 40487.
+with g = g_1^e mod p: 1/(p-1) where g_1 = g, 17305/40486 at p = 40487;
+at level a that is e*p^(a-1) mod phi(p^a).
 
 The pipeline: extract the local exponents of a pair (rho mod p, rho' mod q),
 solve one congruence system, and assemble the witness character
@@ -30,6 +36,9 @@ from .abchar import (
     GroupCharacter,
     HeckeCertificate,
     ModCharacter,
+    _character_on_g,
+    _exponent_on_g,
+    _level_one_log,
     character_conductor,
     enumerate_characters,
     unit_character,
@@ -40,8 +49,8 @@ from .exactnum import (
     Congruence,
     QmodZ,
     Record,
+    _crt_idempotent,
     crt_pair,
-    discrete_log,
     factorize,
     glue_pq,
     is_prime,
@@ -87,31 +96,38 @@ def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
     return fac
 
 
+def _phi(ell: int, a: int) -> int:
+    """The order of (Z/ell^a)^* for a >= 1."""
+    return (ell - 1) * ell ** (a - 1)
+
+
 class GlobalCharQ:
     """A mod-ell character of G_Q with ramification support dividing modulus.
 
-    factors is the factorisation {prime: exponent} of the modulus; values
-    maps each ramified prime ell to the restriction to inertia there, its
-    nonzero value on g = primitive_root(ell, 2), of order prime to the
-    residue characteristic; both in increasing order of the prime.  inertia
-    and images present them on unit_group(ell, factors[ell]) and its least
-    primitive root mod ell^a.  from_images and trivial check their input;
-    operations build from checked parts through _make.  There is no public
-    constructor, and the attributes are read-only.
+    factors is the factorisation {prime: exponent} of the modulus; exps
+    maps each ramified prime ell to the restriction to inertia there: the
+    x in (0, phi(ell^a)), a = factors[ell], whose value x/phi(ell^a) on
+    g = primitive_root(ell, 2) has order prime to the residue
+    characteristic; both in increasing order of the prime.  values gives
+    those values in Q/Z, and inertia and images present them on
+    unit_group(ell, a) and its least primitive root mod ell^a.  from_images
+    and trivial check their input; operations build from checked parts
+    through _make.  There is no public constructor, and the attributes are
+    read-only.
     """
 
-    __slots__ = ("residue_char", "modulus", "factors", "values")
+    __slots__ = ("residue_char", "modulus", "factors", "exps")
 
     @classmethod
-    def _make(cls, residue_char: int, factors: dict, values: dict) -> "GlobalCharQ":
-        """The character with these parts, already checked; zero values are
-        dropped."""
+    def _make(cls, residue_char: int, factors: dict, exps: dict) -> "GlobalCharQ":
+        """The character with these parts, already checked and each x reduced
+        mod phi(ell^a); zero values are dropped."""
         chi = object.__new__(cls)
         setattr_ = object.__setattr__
         setattr_(chi, "residue_char", residue_char)
         setattr_(chi, "modulus", math.prod(ell**a for ell, a in factors.items()))
         setattr_(chi, "factors", dict(sorted(factors.items())))
-        setattr_(chi, "values", {ell: x for ell, x in sorted(values.items()) if x.num})
+        setattr_(chi, "exps", {ell: x for ell, x in sorted(exps.items()) if x})
         return chi
 
     __setattr__ = Record.__setattr__
@@ -131,7 +147,7 @@ class GlobalCharQ:
         if not is_prime(residue_char) or residue_char == 2:
             raise ValueError("residue characteristic must be an odd prime")
         factors = _factor_modulus(modulus, [residue_char, *images])
-        values = {}
+        exps = {}
         for ell, img in sorted(images.items()):
             if not is_prime(ell):
                 raise ValueError(f"image key {ell} is not a prime")
@@ -145,16 +161,20 @@ class GlobalCharQ:
                     f"image at {ell} has order divisible by {residue_char}; "
                     "a mod-ell character takes values of prime-to-ell order"
                 )
-            values[ell] = unit_value(GroupCharacter(grp, (img,)), ell)
-        return cls._make(residue_char, factors, values)
+            exps[ell] = _exponent_on_g(GroupCharacter(grp, (img,)), ell)
+        return cls._make(residue_char, factors, exps)
 
     @classmethod
     def trivial(cls, residue_char: int, modulus: int = 1) -> "GlobalCharQ":
         return cls.from_images(residue_char, modulus, {})
 
     @property
+    def values(self) -> dict[int, QmodZ]:
+        return {ell: self.value_at(ell) for ell in self.exps}
+
+    @property
     def inertia(self) -> dict[int, GroupCharacter]:
-        return {ell: unit_character(ell, self.factors[ell], x) for ell, x in self.values.items()}
+        return {ell: _character_on_g(ell, self.factors[ell], x) for ell, x in self.exps.items()}
 
     @property
     def images(self) -> tuple[tuple[int, QmodZ], ...]:
@@ -163,27 +183,39 @@ class GlobalCharQ:
     def prime_exponent(self, ell: int) -> int:
         return self.factors.get(ell, 0)
 
+    def _at_level(self, ell: int, level: int) -> int:
+        """The value at ell as a residue mod phi(ell^level), for a level at
+        least the exponent of ell."""
+        return self.exps.get(ell, 0) * ell ** (level - self.factors.get(ell, 0))
+
     def value_at(self, ell: int) -> QmodZ:
-        return self.values.get(ell, _ZERO)
+        x = self.exps.get(ell)
+        return _ZERO if x is None else QmodZ(x, _phi(ell, self.factors[ell]))
 
     def image_at(self, ell: int) -> QmodZ:
-        return self.component(ell).base.images[0] if ell in self.values else _ZERO
+        return self.component(ell).base.images[0] if ell in self.exps else _ZERO
 
     def ramified_primes(self) -> tuple[int, ...]:
-        return tuple(self.values)
+        return tuple(self.exps)
 
     def component(self, ell: int) -> ModCharacter:
         """Restriction to inertia at ell as a character of (Z/ell^a)^*."""
-        eps = unit_character(ell, self.prime_exponent(ell), self.value_at(ell))
+        eps = _character_on_g(ell, self.prime_exponent(ell), self.exps.get(ell, 0))
         return ModCharacter(eps, self.residue_char)
 
     def with_modulus(self, modulus: int) -> "GlobalCharQ":
         """Re-present relative to another modulus, which must keep each
         ramified prime to at least its conductor."""
-        factors = _factor_modulus(modulus, [self.residue_char, *self.values])
-        for ell, x in self.values.items():
-            unit_character(ell, factors.get(ell, 0), x)  # refuses below the conductor
-        return GlobalCharQ._make(self.residue_char, factors, self.values)
+        factors = _factor_modulus(modulus, [self.residue_char, *self.exps])
+        exps = {}
+        for ell, x in self.exps.items():
+            a, b = self.factors[ell], factors.get(ell, 0)
+            # x/phi(ell^a) is (x * ell^b / ell^a)/phi(ell^b) when that is an
+            # integer and b >= 1; x < ell^a, so at b = 0 it never is
+            if x * ell**b % ell**a:
+                unit_character(ell, b, self.value_at(ell))  # refuses below the conductor
+            exps[ell] = x * ell**b // ell**a
+        return GlobalCharQ._make(self.residue_char, factors, exps)
 
     def __mul__(self, other: "GlobalCharQ") -> "GlobalCharQ":
         if other.residue_char != self.residue_char:
@@ -192,13 +224,23 @@ class GlobalCharQ:
             ell: max(self.prime_exponent(ell), other.prime_exponent(ell))
             for ell in self.factors.keys() | other.factors.keys()
         }
-        values = {ell: self.value_at(ell) + other.value_at(ell) for ell in factors}
-        return GlobalCharQ._make(self.residue_char, factors, values)
+        exps = {
+            ell: (self._at_level(ell, a) + other._at_level(ell, a)) % _phi(ell, a)
+            for ell, a in factors.items()
+        }
+        return GlobalCharQ._make(self.residue_char, factors, exps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GlobalCharQ):
             return NotImplemented
-        return self.residue_char == other.residue_char and self.values == other.values
+        if self.residue_char != other.residue_char or self.exps.keys() != other.exps.keys():
+            return False
+        # at the higher of the two levels
+        for ell in self.exps:
+            level = max(self.factors[ell], other.factors[ell])
+            if self._at_level(ell, level) != other._at_level(ell, level):
+                return False
+        return True
 
     def __hash__(self):
         # level-invariant, as the values are
@@ -274,19 +316,23 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
     p, q = _require_support_pq(rho, rho_prime)
 
     def at(ell: int, own: GlobalCharQ, other_char: GlobalCharQ, other: int):
-        # own at its prime is tame, so a power theta^k of the cyclotomic
-        # character, which generates the tame values
-        theta = _cyclotomic(ell)
-        k = discrete_log(own.value_at(ell), theta)
+        # a tame value at level a is t*ell^(a-1) mod phi(ell^a), standing for
+        # t/(ell-1); it is theta^k for the cyclotomic theta = e/(ell-1), with
+        # k = t/e mod ell-1.  own at its prime is tame
+        e_inv = pow(_level_one_log(ell), -1, ell - 1)
+        level = max(1, own.prime_exponent(ell))
+        k = own._at_level(ell, level) // ell ** (level - 1) * e_inv
         # the other character at ell: the ell-primary component is the wild
         # part, the rest is theta^j of order prime to other, so j is mod A
-        y = other_char.value_at(ell)
-        j = discrete_log(y.part_prime_to(ell), theta)
+        level = max(1, other_char.prime_exponent(ell))
+        d = _phi(ell, level)
+        y = other_char._at_level(ell, level)
+        wild = y * _crt_idempotent(d, ell) % d
+        j = (y - wild) // ell ** (level - 1) * e_inv % (ell - 1)
         A = prime_to_part(ell - 1, other)
         if j % ((ell - 1) // A):
             raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")
-        wild = unit_character(ell, max(1, other_char.prime_exponent(ell)), y.part_at(ell))
-        return Congruence(k, ell - 1), Congruence(j, A), A, wild
+        return Congruence(k, ell - 1), Congruence(j, A), A, _character_on_g(ell, level, wild)
 
     # (k_p, a_p, A_p, psi_prime_p) and (k_q, b_q, B_q, psi_q)
     return LocalInvariantsQ(p, q, *at(p, rho, rho_prime, q), *at(q, rho_prime, rho, p))
@@ -301,13 +347,16 @@ class NecessityReport(Record):
 
 def _outside_lifts(
     rho: GlobalCharQ, rho_prime: GlobalCharQ, p: int, q: int
-) -> Iterator[tuple[int, QmodZ | None]]:
-    """(ell, lift) for each prime ell of either modulus away from p and q,
-    in increasing order: the value whose reductions mod p and mod q are the
-    two inertia restrictions there, None when there is none."""
+) -> Iterator[tuple[int, int, int | None]]:
+    """(ell, a, lift) for each prime ell of either modulus away from p and
+    q, in increasing order: a is the higher of the two levels there, and
+    lift the value mod phi(ell^a) whose reductions mod p and mod q are the
+    two inertia restrictions, None when there is none."""
     for ell in sorted(rho.factors.keys() | rho_prime.factors.keys()):
         if ell not in (p, q):
-            yield ell, glue_pq(rho.value_at(ell), p, rho_prime.value_at(ell), q)
+            a = max(rho.prime_exponent(ell), rho_prime.prime_exponent(ell))
+            x, y = rho._at_level(ell, a), rho_prime._at_level(ell, a)
+            yield ell, a, glue_pq(x, p, y, q, _phi(ell, a))
 
 
 def check_necessary(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> NecessityReport:
@@ -316,7 +365,7 @@ def check_necessary(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> NecessityReport
     p, q = _require_pair(rho, rho_prime)
     results = tuple(
         (ell, lifted is not None)
-        for ell, lifted in _outside_lifts(rho, rho_prime, p, q)
+        for ell, _, lifted in _outside_lifts(rho, rho_prime, p, q)
     )
     return NecessityReport(results, all(ok for _, ok in results))
 
@@ -333,22 +382,21 @@ def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult
     mod-p and mod-q reductions absorb all outside ramification of the pair."""
     p, q = _require_pair(rho, rho_prime)
     eps_parts: dict[int, GroupCharacter] = {}
-    for ell, lifted in _outside_lifts(rho, rho_prime, p, q):
+    for ell, level, lifted in _outside_lifts(rho, rho_prime, p, q):
         if lifted is None:
             raise ValueError(f"pair admits no simultaneous lift at the prime {ell}")
-        if lifted.num:
-            if lifted.part_prime_to(p) != rho.value_at(ell):
-                raise AssertionError(f"twist at {ell} does not reduce to rho mod {p}")
-            if lifted.part_prime_to(q) != rho_prime.value_at(ell):
-                raise AssertionError(f"twist at {ell} does not reduce to rho' mod {q}")
-            level = max(rho.prime_exponent(ell), rho_prime.prime_exponent(ell))
-            eps_parts[ell] = unit_character(ell, level, lifted)
+        if lifted:
+            d = _phi(ell, level)
+            for name, r, chi in (("rho", p, rho), ("rho'", q, rho_prime)):
+                if lifted * (1 - _crt_idempotent(d, r)) % d != chi._at_level(ell, level):
+                    raise AssertionError(f"twist at {ell} does not reduce to {name} mod {r}")
+            eps_parts[ell] = _character_on_g(ell, level, lifted)
 
     def strip(chi: GlobalCharQ) -> GlobalCharQ:
         # the components at p and q alone, on the p- and q-parts of the modulus
         factors = {ell: a for ell, a in chi.factors.items() if ell in (p, q)}
-        values = {ell: x for ell, x in chi.values.items() if ell in factors}
-        return GlobalCharQ._make(chi.residue_char, factors, values)
+        exps = {ell: x for ell, x in chi.exps.items() if ell in factors}
+        return GlobalCharQ._make(chi.residue_char, factors, exps)
 
     return TwistResult(tuple(sorted(eps_parts.items())), strip(rho), strip(rho_prime))
 
@@ -369,9 +417,10 @@ class PropQResult:
     invariants: LocalInvariantsQ
 
 
-def _cyclotomic(ell: int) -> QmodZ:
-    """The value of the cyclotomic character mod ell, e/(ell-1) as above."""
-    return unit_value(GroupCharacter._make(unit_group(ell, 1), (1,)), ell)
+def _cyclotomic(ell: int, level: int) -> int:
+    """The value of the cyclotomic character mod ell, e/(ell-1) as above, as
+    a residue mod phi(ell^level)."""
+    return _level_one_log(ell) * ell ** (level - 1)
 
 
 def hecke_reductions(
@@ -385,13 +434,20 @@ def hecke_reductions(
     """
     alpha = eps.group.labels[0].exponent if eps.group.rank else 1
     beta = eps_prime.group.labels[0].exponent if eps_prime.group.rank else 1
-    x, y = unit_value(eps, p), unit_value(eps_prime, q)
+    d_p, d_q = _phi(p, alpha), _phi(q, beta)
+    x, y = _exponent_on_g(eps, p), _exponent_on_g(eps_prime, q)
 
-    def reduction(r: int, at_p: QmodZ, at_q: QmodZ) -> GlobalCharQ:
-        values = {p: at_p.part_prime_to(r), q: at_q.part_prime_to(r)}
-        return GlobalCharQ._make(r, {p: alpha, q: beta}, values)
+    def reduction(r: int, at_p: int, at_q: int) -> GlobalCharQ:
+        exps = {
+            p: at_p * (1 - _crt_idempotent(d_p, r)) % d_p,
+            q: at_q * (1 - _crt_idempotent(d_q, r)) % d_q,
+        }
+        return GlobalCharQ._make(r, {p: alpha, q: beta}, exps)
 
-    return reduction(p, x + k * _cyclotomic(p), y), reduction(q, x, y + k * _cyclotomic(q))
+    return (
+        reduction(p, x + k * _cyclotomic(p, alpha), y),
+        reduction(q, x, y + k * _cyclotomic(q, beta)),
+    )
 
 
 def decide_prop_q(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> PropQResult | None:
@@ -414,9 +470,9 @@ def decide_prop_q(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> PropQResult | Non
     alpha = max(1, rho_prime.prime_exponent(p))
     beta = max(1, rho.prime_exponent(q))
     # tame character to the power k_p - k0 times the wild part, at p and at q
-    x = (inv.k_p.residue - k0) * _cyclotomic(p) + unit_value(inv.psi_prime_p, p)
-    y = (inv.k_q.residue - k0) * _cyclotomic(q) + unit_value(inv.psi_q, q)
-    eps, eps_prime = unit_character(p, alpha, x), unit_character(q, beta, y)
+    x = (inv.k_p.residue - k0) * _cyclotomic(p, alpha) + _exponent_on_g(inv.psi_prime_p, p)
+    y = (inv.k_q.residue - k0) * _cyclotomic(q, beta) + _exponent_on_g(inv.psi_q, q)
+    eps, eps_prime = _character_on_g(p, alpha, x), _character_on_g(q, beta, y)
 
     red_p, red_q = hecke_reductions(eps, eps_prime, k0, p, q)
     if red_p != rho or red_q != rho_prime:
@@ -457,7 +513,7 @@ def brute_force_oracle_q(
 
     # the values to hit at p and q, and the norm's k-th power there for each k
     targets = [r.value_at(ell) for r in (rho, rho_prime) for ell in (p, q)]
-    theta_p, theta_q = _cyclotomic(p), _cyclotomic(q)
+    theta_p, theta_q = QmodZ(_cyclotomic(p, 1), p - 1), QmodZ(_cyclotomic(q, 1), q - 1)
     norms = [(k, k * theta_p, k * theta_q) for k in k_range]
     for eps in enumerate_characters(grp_p):
         x = unit_value(eps, p)

@@ -20,20 +20,22 @@ gone after the unramified quadratic base change since (-ell)^2 = ell^2.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .abchar import (
     GroupCharacter,
     ModCharacter,
+    _character_on_g,
+    _exponent_on_g,
     reduce_mod,
-    unit_character,
     unit_group,
     unit_value,
 )
 from .exactnum import (
     QmodZ,
     Record,
-    discrete_log,
+    _crt_idempotent,
     glue_pq,
     is_prime,
     primitive_root,
@@ -80,9 +82,10 @@ class AlgebraicFrobValue(Record):
     def value_mod(self, ell: int, target: int) -> QmodZ:
         """The reduction modulo target, as an element of the residue field's
         multiplicative group in Q/Z coordinates."""
-        return self.zeta.part_prime_to(target) + self.weight * residue_address(
-            ell, target
-        )
+        zeta, L = self.zeta, residue_address(ell, target)
+        m = math.lcm(zeta.den, L.den)
+        x = zeta.num * (m // zeta.den) * (1 - _crt_idempotent(m, target))
+        return QmodZ(x + self.weight * L.num * (m // L.den), m)
 
     def __str__(self) -> str:
         return f"zeta({self.zeta}) * ell^{self.weight}"
@@ -228,27 +231,31 @@ def _simultaneous_value(
     """The algebraic value zeta * ell^w of least weight w >= 0 whose
     reductions mod p and mod q hit the two targets, if one exists.
 
-    Write L_r for residue_address(ell, r) and pi for the prime-to-pq part
-    in Q/Z.  A target_p with a p-part, or a target_q with a q-part, is hit
-    by no reduction.  Otherwise zeta exists at w exactly when
-    target_p - w*L_p and target_q - w*L_q agree away from p and q, that is
-    when w * pi(L_p - L_q) = pi(target_p - target_q); the least such w is
-    a discrete log and is below lcm(p-1, q-1).  zeta glues the two.
+    Write L_r for residue_address(ell, r).  A target_p with a p-part, or a
+    target_q with a q-part, is hit by no reduction.  Otherwise take the
+    targets and L_p, L_q as residues mod one common denominator m, and pi
+    for multiplication by 1 - e_p - e_q, the projection onto the
+    prime-to-pq part, with e_r the CRT idempotents mod m.  zeta exists at w
+    exactly when target_p - w*L_p and target_q - w*L_q agree away from p
+    and q, that is when w * pi(L_p - L_q) = pi(target_p - target_q) mod m.
+    That linear congruence is soluble when g = gcd(pi(L_p - L_q), m)
+    divides its right side, and its least solution is below m/g and below
+    lcm(p-1, q-1).  zeta glues the two.
     """
-    if not target_p.part_at(p).is_zero() or not target_q.part_at(q).is_zero():
+    if target_p.den % p == 0 or target_q.den % q == 0:
         return None
-    L_p = residue_address(ell, p)
-    L_q = residue_address(ell, q)
-
-    def pi(x: QmodZ) -> QmodZ:
-        return x - x.part_at(p) - x.part_at(q)
-
-    w = discrete_log(pi(target_p - target_q), pi(L_p - L_q))
-    if w is None:
+    L_p, L_q = residue_address(ell, p), residue_address(ell, q)
+    m = math.lcm(target_p.den, target_q.den, L_p.den, L_q.den)
+    t_p, t_q, l_p, l_q = (x.num * (m // x.den) for x in (target_p, target_q, L_p, L_q))
+    pi = 1 - _crt_idempotent(m, p) - _crt_idempotent(m, q)
+    a, b = pi * (l_p - l_q) % m, pi * (t_p - t_q) % m
+    g = math.gcd(a, m)
+    if b % g:
         return None
-    zeta = glue_pq(target_p - w * L_p, p, target_q - w * L_q, q)
+    w = b // g * pow(a // g, -1, m // g) % (m // g)  # the inverse mod 1 is 0
+    zeta = glue_pq((t_p - w * l_p) % m, p, (t_q - w * l_q) % m, q, m)
     if zeta is not None:
-        value = AlgebraicFrobValue(zeta, w)
+        value = AlgebraicFrobValue(QmodZ(zeta, m), w)
         if value.value_mod(ell, p) == target_p and value.value_mod(ell, q) == target_q:
             return value
     raise AssertionError(f"weight {w} does not reduce to both targets at {ell}")
@@ -265,11 +272,14 @@ def _first_value(ell: int, p: int, q: int, targets) -> AlgebraicFrobValue | None
 
 def _lift(ell: int, chi: ModCharacter, chi_prime: ModCharacter) -> GroupCharacter | None:
     """The character of (Z/ell^a)^* reducing to chi and to chi_prime, a the
-    higher of their levels and at least 1; None when there is none."""
-    x, y = (unit_value(c.base, ell) for c in (chi, chi_prime))
-    z = glue_pq(x, chi.residue_char, y, chi_prime.residue_char)
-    level = max(c.group.labels[0].exponent if c.group.rank else 1 for c in (chi, chi_prime))
-    return None if z is None else unit_character(ell, level, z)
+    higher of their levels and at least 1; None when there is none.  The
+    values on g are glued mod phi(ell^a), the lower level's scaled by a power
+    of ell."""
+    levels = [c.group.labels[0].exponent if c.group.rank else 1 for c in (chi, chi_prime)]
+    a = max(levels)
+    x, y = (_exponent_on_g(c.base, ell) * ell ** (a - b) for c, b in zip((chi, chi_prime), levels))
+    z = glue_pq(x, chi.residue_char, y, chi_prime.residue_char, (ell - 1) * ell ** (a - 1))
+    return None if z is None else _character_on_g(ell, a, z)
 
 
 def _ratio_is_ell(datum: UnramifiedSemisimple) -> bool:

@@ -165,6 +165,25 @@ TWO_PRIMES_NEAR_10_9 = {
     "rho_prime": {"modulus": 7, "images": {"7": "1/6"}},
 }
 
+# moduli past PRIME_TEST_BOUND that trial division once took hours over:
+# two primes near 10^13, which rho splits; a probable prime, which cannot be
+# proved prime; and a 4300-digit product, the most the CLI reads
+PAST_THE_TEST_BOUND = {
+    "two primes near 10^13": 5 * 10000000000037 * 10000000000051,
+    "a probable prime near 10^25": 5 * (10**25 + 13),
+    "4300 digits": 5 * (10**2149 + 7) * (10**2150 + 9),
+}
+
+
+def lift_q_with_modulus(modulus):
+    return {
+        "version": 1,
+        "p": 5,
+        "q": 7,
+        "rho": {"modulus": modulus, "images": {"5": "1/4"}},
+        "rho_prime": {"modulus": 7, "images": {"7": "1/6"}},
+    }
+
 
 def unipotent_at_level(exponent):
     """The Remark 2 pair at ell = 3 with a quadratic inertial character on
@@ -378,6 +397,28 @@ class TestLiftQ:
         assert code == 2
         assert report["error"]["type"] == "precondition"
         assert "_RHO_STEPS = 1024" in report["error"]["message"]
+
+    def test_two_prime_factors_past_the_test_bound(self, tmp_path):
+        problem = lift_q_with_modulus(PAST_THE_TEST_BOUND["two primes near 10^13"])
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "lift-q", problem)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and report["verdict"] == "liftable"
+        assert [d["label"] for d in report["diagnostics"][:2]] == [
+            "order condition at 10000000000037",
+            "order condition at 10000000000051",
+        ]
+
+    @pytest.mark.parametrize(
+        "case, bound",
+        [("a probable prime near 10^25", "PRIME_TEST_BOUND"), ("4300 digits", "_RHO_STEPS")],
+    )
+    def test_past_the_test_bound_exits_2_fast(self, tmp_path, case, bound):
+        start = time.perf_counter()
+        code, report = run_json(tmp_path, "lift-q", lift_q_with_modulus(PAST_THE_TEST_BOUND[case]))
+        assert time.perf_counter() - start < 3.0
+        assert code == 2 and report["error"]["type"] == "precondition"
+        assert f"{bound} = " in report["error"]["message"]
 
 
 class TestExitCodes:

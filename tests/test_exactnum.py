@@ -415,6 +415,9 @@ class TestHelpers:
             (1000003**2 * 10000019, {1000003: 2, 10000019: 1}, 0.5),
             (1031 * 1033 * 1039 * 1049 * 1051, {1031: 1, 1033: 1, 1039: 1, 1049: 1, 1051: 1}, 0.5),
             (1031**8 * 65537**2 * 1000003, {1031: 8, 65537: 2, 1000003: 1}, 0.5),
+            # 900 digits: each piece past the bound costs a strong test, so a
+            # power is divided out by the factor rho finds, not split 300 times
+            (1031**300, {1031: 300}, 1.0),
         ],
     )
     def test_rho_splits_large_factors(self, n, factors, seconds):
@@ -439,6 +442,62 @@ class TestHelpers:
         # small factors and a prime cofactor take no rho steps
         assert factorize(1031 * 1033) == {1031: 1, 1033: 1}
         assert factorize(5 * (10**18 + 3)) == {5: 1, 10**18 + 3: 1}
+
+    def test_rho_past_the_test_bound_matches_trial_division(self):
+        # cofactors at or above PRIME_TEST_BOUND whose primes all lie past
+        # the trial bound: each fails a strong probable-prime test and is split
+        rng = random.Random(43)
+        primes = [n for n in range(1025, 5000, 2) if is_prime(n)]
+        for _ in range(40):
+            n = math.prod(rng.choices(primes, k=rng.randrange(8, 12)))
+            assert n >= PRIME_TEST_BOUND
+            got = factorize(n)
+            assert got == trial_division(n) and list(got) == sorted(got), n
+
+    def test_rho_splits_primes_below_the_bound_out_of_a_cofactor_above_it(self):
+        rng = random.Random(47)
+        for _ in range(10):
+            factors = {}
+            while math.prod(r**e for r, e in factors.items()) < PRIME_TEST_BOUND:
+                r = rng.randrange(10**7, 10**9)
+                if is_prime(r):
+                    factors[r] = factors.get(r, 0) + 1
+            n = math.prod(r**e for r, e in factors.items())
+            assert factorize(n) == dict(sorted(factors.items()))
+
+    def test_a_probable_prime_past_the_bound_is_refused(self):
+        # 10^25 + 13 passes the strong test to all 13 bases, which proves
+        # nothing past PRIME_TEST_BOUND; it was once trial-divided for hours
+        n = 10**25 + 13
+        assert n >= PRIME_TEST_BOUND and all(is_strong_probable_prime(n, a) for a in _MR_BASES)
+        start = time.perf_counter()
+        for m in (n, 5 * n, 1031 * n):
+            with pytest.raises(ValueError, match=f"PRIME_TEST_BOUND = {PRIME_TEST_BOUND}"):
+                factorize(m)
+        assert time.perf_counter() - start < 1.0
+
+    def test_step_cost_is_one_below_128_bits(self):
+        assert [exactnum._step_cost(n) for n in (3, PRIME_TEST_BOUND, 2**128 - 1)] == [1, 1, 1]
+        assert [exactnum._step_cost(n) for n in (2**128, 2**256, 10**4299)] == [4, 9, 112**2]
+
+    def test_a_4300_digit_product_is_refused_fast(self):
+        # one strong test of a 4300-digit number takes seconds; its charge
+        # alone exceeds the budget, so the refusal comes first
+        n = (10**2149 + 7) * (10**2150 + 9)
+        assert len(str(n)) == 4300
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="_RHO_STEPS"):
+            factorize(n)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rho_charges_each_step_by_the_size_of_n(self, monkeypatch):
+        n = 1000003 * (10**45 + 9)  # 170 bits, so 4 units a step
+        cost = exactnum._step_cost(n)
+        assert cost == 4
+        budget = 1 << 30
+        f, left = exactnum._rho_divisor(n, budget)
+        monkeypatch.setattr(exactnum, "_step_cost", lambda n: 1)
+        assert exactnum._rho_divisor(n, budget) == (f, budget - (budget - left) // cost)
 
     def test_primitive_root(self):
         assert primitive_root(5) == 2

@@ -1,20 +1,24 @@
 import math
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckelift import heckeq
 from heckelift.abchar import (
     GroupCharacter,
+    character_conductor,
     enumerate_characters,
     unit_character,
     unit_group,
     unit_value,
 )
-from heckelift.exactnum import Congruence, QmodZ, factorize
+from heckelift.exactnum import Congruence, QmodZ, discrete_log, factorize, prime_to_part
 from heckelift.heckeq import (
     GlobalCharQ,
+    LocalInvariantsQ,
     brute_force_oracle_q,
     check_necessary,
     conductor_bound,
@@ -291,6 +295,15 @@ class TestTwistToUnramified:
         with pytest.raises(ValueError, match="13"):
             twist_to_unramified(rho, GlobalCharQ.trivial(7))
 
+    def test_a_wrong_glue_fails_the_reduction_check(self, monkeypatch):
+        # the check raises, so it holds under python -O as well
+        glue = heckeq.glue_pq
+        monkeypatch.setattr(heckeq, "glue_pq", lambda x, p, y, q, d: (glue(x, p, y, q, d) + d // 2) % d)
+        rho = gchar(5, 13, **{"13": "1/12"})
+        rho_prime = gchar(7, 13, **{"13": "1/12"})
+        with pytest.raises(AssertionError, match="twist at 13 does not reduce to rho mod 5"):
+            twist_to_unramified(rho, rho_prime)
+
 
 class TestConductorBound:
     def test_unramified_cross_terms(self):
@@ -435,3 +448,154 @@ class TestCertificates:
             res = decide_prop_q(red_p, red_q)
             assert res is not None
             assert conductor_bound(red_p, red_q) % res.certificate.conductor == 0
+
+
+# ---------------------------------------------------------------------------
+# The integer form of the pipeline against its Q/Z form
+
+
+def qmodz_cyclotomic(ell):
+    """The value of the cyclotomic character mod ell on g, in Q/Z."""
+    return unit_value(GroupCharacter._make(unit_group(ell, 1), (1,)), ell)
+
+
+def qmodz_extract_invariants(rho, rho_prime):
+    """extract_invariants on Q/Z values, each exponent a discrete_log
+    against the cyclotomic value theta, as the pipeline once computed it."""
+    p, q = rho.residue_char, rho_prime.residue_char
+
+    def at(ell, own, other_char, other):
+        theta = qmodz_cyclotomic(ell)
+        k = discrete_log(own.value_at(ell), theta)
+        y = other_char.value_at(ell)
+        j = discrete_log(y.part_prime_to(ell), theta)
+        A = prime_to_part(ell - 1, other)
+        if j % ((ell - 1) // A):
+            raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")
+        wild = unit_character(ell, max(1, other_char.prime_exponent(ell)), y.part_at(ell))
+        return Congruence(k, ell - 1), Congruence(j, A), A, wild
+
+    return LocalInvariantsQ(p, q, *at(p, rho, rho_prime, q), *at(q, rho_prime, rho, p))
+
+
+def qmodz_reduction_values(eps, eps_prime, k, p, q):
+    """The values on g of the two reductions of eps * eps' * Nm^k, in Q/Z."""
+    x, y = unit_value(eps, p), unit_value(eps_prime, q)
+    at_p, at_q = x + k * qmodz_cyclotomic(p), y + k * qmodz_cyclotomic(q)
+    return (
+        {p: at_p.part_prime_to(p), q: y.part_prime_to(p)},
+        {p: x.part_prime_to(q), q: at_q.part_prime_to(q)},
+    )
+
+
+def characters_at_pq(rho, rho_prime):
+    """(eps, eps', p, q): the values of rho' at p and of rho at q, wild parts
+    and all, as characters of (Z/p^a)^* and (Z/q^b)^*."""
+    p, q = rho.residue_char, rho_prime.residue_char
+    eps = unit_character(p, max(1, rho_prime.prime_exponent(p)), rho_prime.value_at(p))
+    eps_prime = unit_character(q, max(1, rho.prime_exponent(q)), rho.value_at(q))
+    return eps, eps_prime, p, q
+
+
+# 40487 is the prime whose level 1 has another generator than the levels above
+PQ_PRIMES = [3, 5, 7, 13, 40487]
+
+
+@st.composite
+def pairs_supported_on_pq(draw, primes=PQ_PRIMES, max_level=3):
+    """(rho mod p, rho' mod q) ramified at most at p and q, each at a drawn
+    level from 0 to max_level, with arbitrary values there of order prime to
+    the residue characteristic."""
+    p, q = draw(st.lists(st.sampled_from(primes), min_size=2, max_size=2, unique=True))
+    pair = []
+    for r in (p, q):
+        levels = {ell: draw(st.integers(0, max_level)) for ell in (p, q)}
+        images = {}
+        for ell, a in levels.items():
+            if a:
+                phi = (ell - 1) * ell ** (a - 1)
+                images[ell] = QmodZ(draw(st.integers(0, phi - 1)), phi).part_prime_to(r)
+        pair.append(GlobalCharQ.from_images(r, p ** levels[p] * q ** levels[q], images))
+    return tuple(pair)
+
+
+class TestAgainstQmodZ:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs_supported_on_pq())
+    def test_extract_invariants_matches_the_discrete_log_route(self, pair):
+        assert extract_invariants(*pair) == qmodz_extract_invariants(*pair)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs_supported_on_pq(), st.integers(0, 10**6))
+    def test_hecke_reductions_match_the_qmodz_values(self, pair, k):
+        eps, eps_prime, p, q = characters_at_pq(*pair)
+        for red, values in zip(
+            hecke_reductions(eps, eps_prime, k, p, q),
+            qmodz_reduction_values(eps, eps_prime, k, p, q),
+        ):
+            assert red.values == {ell: x for ell, x in values.items() if not x.is_zero()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs_supported_on_pq(primes=[3, 5, 7], max_level=2), st.integers(0, 100), st.booleans())
+    def test_decide_agrees_with_the_oracle(self, pair, k, liftable):
+        rho, rho_prime = pair
+        p, q = rho.residue_char, rho_prime.residue_char
+        if liftable:
+            rho, rho_prime = hecke_reductions(*characters_at_pq(*pair)[:2], k, p, q)
+        res = decide_prop_q(rho, rho_prime)
+        alpha = max(1, rho.prime_exponent(p), rho_prime.prime_exponent(p))
+        beta = max(1, rho.prime_exponent(q), rho_prime.prime_exponent(q))
+        got = brute_force_oracle_q(rho, rho_prime, alpha, beta, range(math.lcm(p - 1, q - 1)))
+        assert (res is None) == (got is None)
+        if res is not None:
+            assert res.k_class.contains(got[2])
+            assert hecke_reductions(*got, p, q) == (rho, rho_prime)
+
+
+class TestLevels:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs_with_common_outside_images(), st.lists(st.integers(0, 2), min_size=6, max_size=6))
+    def test_with_modulus_keeps_the_character(self, pair, extra):
+        rho = pair[0]
+        primes = sorted({*rho.factors, 3, 5, 7})
+        raised = rho.with_modulus(rho.modulus * math.prod(map(pow, primes, extra)))
+        assert raised == rho and hash(raised) == hash(rho)
+        assert raised.values == rho.values
+        back = raised.with_modulus(rho.modulus)
+        assert back.exps == rho.exps and back.factors == rho.factors
+        # down to the conductor at each ramified prime, and no further
+        conductor = math.prod(
+            character_conductor(rho.component(ell).base) for ell in rho.ramified_primes()
+        )
+        low = rho.with_modulus(conductor)
+        assert low == rho and hash(low) == hash(rho) and low * raised == rho * rho
+        for ell in rho.ramified_primes():
+            with pytest.raises(ValueError, match="does not factor through"):
+                rho.with_modulus(conductor // ell)
+
+    def test_below_the_conductor_is_refused_by_name(self):
+        chi = gchar(3, 25 * 7, **{"5": "1/20", "7": "1/2"})
+        for modulus, level in ((5 * 7, 1), (7, 0)):
+            message = f"a character of conductor 25 does not factor through (Z/5^{level})*"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                chi.with_modulus(modulus)
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 3)])
+    def test_products_and_equality_across_levels_at_40487(self, a, b):
+        # images are given on the least root mod 40487^a, 5 at level 1 and
+        # 10 = 5^17305 mod 40487 above it; values are taken on 10
+        ell = 40487
+        rng = random.Random(a * 10 + b)
+        for _ in range(20):
+            x, y = (QmodZ(rng.randrange(d), d) for d in (ell - 1, (ell - 1) * ell ** (b - 1)))
+            if rng.random() < 0.25:
+                y = (17305 if a == 1 else 1) * x
+            low = gchar(3, ell**a, **{str(ell): str(x)})
+            high = gchar(3, ell**b, **{str(ell): str(y)})
+            assert low.value_at(ell) == (17305 if a == 1 else 1) * x
+            assert high.value_at(ell) == y
+            assert (low * high).value_at(ell) == low.value_at(ell) + high.value_at(ell)
+            assert (low * high).prime_exponent(ell) == b
+            assert low.with_modulus(ell**b) == low
+            assert low.with_modulus(ell**b).value_at(ell) == low.value_at(ell)
+            assert (low == high) == (low.value_at(ell) == high.value_at(ell))

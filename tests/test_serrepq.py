@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckelift import serrepq
 from heckelift.abchar import (
     GroupCharacter,
     ModCharacter,
@@ -14,7 +15,7 @@ from heckelift.abchar import (
     unit_group,
     unit_value,
 )
-from heckelift.exactnum import QmodZ, glue_pq, is_prime
+from heckelift.exactnum import QmodZ, discrete_log, glue_pq, is_prime
 from heckelift.serrepq import (
     _simultaneous_value,
     AlgebraicFrobValue,
@@ -143,7 +144,64 @@ frob_values = st.builds(
 )
 
 
+def qmodz_value_mod(value, ell, target):
+    """AlgebraicFrobValue.value_mod in Q/Z arithmetic."""
+    return value.zeta.part_prime_to(target) + value.weight * residue_address(ell, target)
+
+
+def qmodz_simultaneous_value(ell, target_p, p, target_q, q):
+    """_simultaneous_value in Q/Z arithmetic, the weight a discrete_log, as
+    it was computed before it moved to residues mod one denominator."""
+    if not target_p.part_at(p).is_zero() or not target_q.part_at(q).is_zero():
+        return None
+    L_p = residue_address(ell, p)
+    L_q = residue_address(ell, q)
+
+    def pi(x: QmodZ) -> QmodZ:
+        return x - x.part_at(p) - x.part_at(q)
+
+    w = discrete_log(pi(target_p - target_q), pi(L_p - L_q))
+    if w is None:
+        return None
+    zeta = glue_pq(target_p - w * L_p, p, target_q - w * L_q, q)
+    if zeta is not None:
+        value = AlgebraicFrobValue(zeta, w)
+        if (
+            qmodz_value_mod(value, ell, p) == target_p
+            and qmodz_value_mod(value, ell, q) == target_q
+        ):
+            return value
+    raise AssertionError(f"weight {w} does not reduce to both targets at {ell}")
+
+
+# 40487 among the primes: its least primitive root fails mod 40487^2
+primes_and_40487 = st.one_of(odd_primes, st.just(40487))
+
+
 class TestSimultaneousValue:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(primes_and_40487, min_size=3, max_size=3, unique=True),
+        st.sampled_from(["one value", "two values", "stray part", "arbitrary"]),
+        frob_values,
+        frob_values,
+    )
+    def test_matches_the_qmodz_form(self, primes, kind, a, b):
+        ell, p, q = primes
+        for value in (a, b):
+            for r in (p, q):
+                assert value.value_mod(ell, r) == qmodz_value_mod(value, ell, r)
+        if kind == "stray part":
+            target_p = a.value_mod(ell, p) + QmodZ(b.weight % 2, p)
+            target_q = a.value_mod(ell, q) + QmodZ(b.weight // 2 % 2, q)
+        elif kind == "arbitrary":
+            target_p, target_q = a.zeta, b.zeta
+        else:
+            target_p = a.value_mod(ell, p)
+            target_q = (a if kind == "one value" else b).value_mod(ell, q)
+        got = _simultaneous_value(ell, target_p, p, target_q, q)
+        assert got == qmodz_simultaneous_value(ell, target_p, p, target_q, q)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(odd_primes, min_size=3, max_size=3, unique=True),
@@ -177,6 +235,15 @@ class TestSimultaneousValue:
         assert got.value_mod(3, 10007) == value.value_mod(3, 10007)
         assert got.value_mod(3, 10009) == value.value_mod(3, 10009)
         assert got.weight < math.lcm(10006, 10008)
+
+    def test_a_wrong_glue_fails_the_reduction_check(self, monkeypatch):
+        # the check raises, so it holds under python -O as well
+        glue = serrepq.glue_pq
+        monkeypatch.setattr(serrepq, "glue_pq", lambda x, p, y, q, d: (glue(x, p, y, q, d) + d // 2) % d)
+        value = AlgebraicFrobValue(QmodZ(1, 15), 12345)
+        t_p, t_q = value.value_mod(3, 10007), value.value_mod(3, 10009)
+        with pytest.raises(AssertionError, match="does not reduce to both targets at 3"):
+            _simultaneous_value(3, t_p, 10007, t_q, 10009)
 
     def test_incompatible_ratios_at_large_primes_fail_fast(self):
         # no weight below lcm(1008, 1012) = 255024 fits; trying each takes seconds
