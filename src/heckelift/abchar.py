@@ -277,8 +277,17 @@ def unit_group(ell: int, exponent: int) -> FinAbGroup:
     if (ell.bit_length() - 1) * exponent >= UNIT_GROUP_BOUND.bit_length():
         raise ValueError(f"{ell}^{exponent} exceeds UNIT_GROUP_BOUND = 2^200000")
     g = primitive_root(ell, exponent)
-    order = (ell - 1) * ell ** (exponent - 1)
-    return FinAbGroup((order,), (UnitLabel(ell, exponent, g),))
+    return FinAbGroup((_phi(ell, exponent),), (UnitLabel(ell, exponent, g),))
+
+
+def _phi(ell: int, a: int) -> int:
+    """The order of (Z/ell^a)^* for a >= 1."""
+    return (ell - 1) * ell ** (a - 1)
+
+
+def _level(group: FinAbGroup) -> int:
+    """The a of the unit group (Z/ell^a)^*, and 1 for the trivial group."""
+    return group.labels[0].exponent if group.rank else 1
 
 
 @lru_cache(maxsize=1 << 12)

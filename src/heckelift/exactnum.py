@@ -1,13 +1,13 @@
 """Exact arithmetic substrate.
 
 Residues in Q/Z (additive stand-ins for roots of unity), congruence
-classes, a two-congruence CRT solver and the common weight of two weight
-classes, and the handful of multiplicative number theory helpers the rest
-of the library leans on.  Unit groups (Z/ell^a)^* are known by their odd
-prime ell: `primitive_root` and `unit_dlog`, every discrete log in
-(Z/ell)^*, share one factorisation of ell - 1.  `Record` is the base of
-the package's immutable records.  Everything is immutable after
-construction and safe to share between threads.
+classes, one solver of a*w = b mod m under crt_pair, discrete_log and
+unit_dlog, the common weight of two weight classes, and the number theory
+helpers the rest of the library leans on.  Unit groups (Z/ell^a)^* are
+known by their odd prime ell: `primitive_root` and `unit_dlog`, every
+discrete log in (Z/ell)^*, share one factorisation of ell - 1.  `Record`
+is the base of the package's immutable records.  Everything is immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -131,7 +131,9 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n >= PRIME_TEST_BOUND:
-        raise ValueError(f"{n} exceeds the primality-test bound {PRIME_TEST_BOUND}")
+        raise ValueError(
+            f"a {n.bit_length()}-bit number exceeds the primality-test bound {PRIME_TEST_BOUND}"
+        )
     if math.gcd(n, _MR_BASES_PRODUCT) != 1:
         return n in _MR_BASES
     if n < 43 * 43:  # a composite prime to the bases is at least 43^2
@@ -209,41 +211,34 @@ def factorize(n: int) -> dict[int, int]:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-    else:
-        # every prime left is past _TRIAL_BOUND, past those found so far
-        primes, pending, steps = [], [n], _RHO_STEPS
-        while pending:
-            m = pending.pop()
-            if m < PRIME_TEST_BOUND:
-                if is_prime(m):
-                    primes.append(m)
-                    continue
+    pending, steps = [n] if n > 1 else [], _RHO_STEPS
+    while pending:
+        m = pending.pop()
+        if m < PRIME_TEST_BOUND:
+            if m < _TRIAL_BOUND**2 or is_prime(m):  # no prime below _TRIAL_BOUND is left
+                out[m] = out.get(m, 0) + 1
+                continue
+        else:
+            # each base costs about bit_length squarings modulo m
+            for a in _MR_BASES:
+                steps -= m.bit_length() * _step_cost(m)
+                if steps < 0:
+                    raise _over_budget(m)
+                if not _strong_probable_prime(m, (a,)):
+                    break
             else:
-                # each base costs about bit_length squarings modulo m
-                for a in _MR_BASES:
-                    steps -= m.bit_length() * _step_cost(m)
-                    if steps < 0:
-                        raise _over_budget(m)
-                    if not _strong_probable_prime(m, (a,)):
-                        break
-                else:
-                    raise ValueError(
-                        f"a {m.bit_length()}-bit factor passes the strong probable-prime test "
-                        f"to all {len(_MR_BASES)} bases but is not below PRIME_TEST_BOUND = "
-                        f"{PRIME_TEST_BOUND}, so it cannot be proved prime"
-                    )
-            f, steps = _rho_divisor(m, steps)
-            while m % f == 0:  # a prime power splits once, not once per factor
-                m //= f
-                pending.append(f)
-            if m > 1:
-                pending.append(m)
-        for r in sorted(primes):
-            out[r] = out.get(r, 0) + 1
-        return out
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+                raise ValueError(
+                    f"a {m.bit_length()}-bit factor passes the strong probable-prime test "
+                    f"to all {len(_MR_BASES)} bases but is not below PRIME_TEST_BOUND = "
+                    f"{PRIME_TEST_BOUND}, so it cannot be proved prime"
+                )
+        f, steps = _rho_divisor(m, steps)
+        while m % f == 0:  # a prime power splits once, not once per factor
+            m //= f
+            pending.append(f)
+        if m > 1:
+            pending.append(m)
+    return dict(sorted(out.items()))
 
 
 def _step_cost(n: int) -> int:
@@ -252,7 +247,9 @@ def _step_cost(n: int) -> int:
 
 
 def _over_budget(n: int) -> ValueError:
-    return ValueError(f"splitting {n} would take more than _RHO_STEPS = {_RHO_STEPS} rho steps")
+    return ValueError(
+        f"a {n.bit_length()}-bit factor needs more than _RHO_STEPS = {_RHO_STEPS} rho steps"
+    )
 
 
 def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
@@ -306,9 +303,7 @@ def prime_to_part(n: int, ell: int) -> int:
         raise ValueError("n must be a positive integer")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    while n % ell == 0:
-        n //= ell
-    return n
+    return n // ell ** valuation(n, ell)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -413,6 +408,16 @@ def glue_pq(x, p: int, y, q: int, d: int | None = None):
     return (e_p * y + (1 - e_p) * x) % d
 
 
+def _solve_linear(a: int, b: int, m: int) -> int | None:
+    """The least w >= 0 with a*w = b mod m, for m >= 1, or None when there
+    is none.  With g = gcd(a, m), one exists exactly when g divides b, and
+    the solutions are then one class mod m/g."""
+    g = math.gcd(a, m)
+    if b % g:
+        return None
+    return b // g * pow(a // g, -1, m // g) % (m // g)  # the inverse mod 1 is 0
+
+
 @dataclass(frozen=True)
 class Congruence:
     """A congruence class: residue modulo modulus, smallest representative kept."""
@@ -438,15 +443,10 @@ def crt_pair(c1: Congruence, c2: Congruence) -> Congruence | None:
     Returns the unique class modulo lcm of the moduli, or None when the
     residues disagree modulo the gcd (no solution).
     """
+    # x = r1 + m1*t with m1*t = r2 - r1 mod m2; t < m2/gcd keeps x below the lcm
     m1, m2 = c1.modulus, c2.modulus
-    g = math.gcd(m1, m2)
-    if (c2.residue - c1.residue) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    step = (c2.residue - c1.residue) // g
-    u = pow(m1 // g, -1, m2 // g)  # the inverse mod 1 is 0
-    x = (c1.residue + m1 * (step * u % (m2 // g))) % lcm
-    return Congruence(x, lcm)
+    t = _solve_linear(m1, c2.residue - c1.residue, m2)
+    return None if t is None else Congruence(c1.residue + m1 * t, math.lcm(m1, m2))
 
 
 class WeightCrtResult(Record):
@@ -472,13 +472,7 @@ def weight_crt(
 def discrete_log(target: QmodZ, base: QmodZ) -> int | None:
     """Least e >= 0 with e*base = target in Q/Z, or None if target is not
     in the cyclic subgroup generated by base."""
-    m = base.den
-    if m == 1:
-        return 0 if target.is_zero() else None
-    if m % target.den != 0:
-        return None
-    t = target.num * (m // target.den)
-    return t * pow(base.num, -1, m) % m
+    return _solve_linear(base.num * target.den, target.num * base.den, base.den * target.den)
 
 
 def kronecker_symbol(D: int, p: int) -> int:
@@ -573,6 +567,6 @@ def unit_dlog(generator: int, target: int, ell: int) -> int:
             t, i = t * giant % ell, i + steps
         if t not in baby:
             raise ValueError(f"{target % ell} is not a power of {generator} modulo {ell}")
-        e += done * ((i + baby[t] - e) * pow(done, -1, f) % f)
+        e += done * _solve_linear(done, i + baby[t] - e, f)  # gcd(done, f) = 1
         done *= f
     return e

@@ -38,7 +38,9 @@ from .abchar import (
     ModCharacter,
     _character_on_g,
     _exponent_on_g,
+    _level,
     _level_one_log,
+    _phi,
     character_conductor,
     enumerate_characters,
     unit_character,
@@ -94,11 +96,6 @@ def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
             rest //= ell ** fac[ell]
     fac.update(factorize(rest))
     return fac
-
-
-def _phi(ell: int, a: int) -> int:
-    """The order of (Z/ell^a)^* for a >= 1."""
-    return (ell - 1) * ell ** (a - 1)
 
 
 class GlobalCharQ:
@@ -432,8 +429,7 @@ def hecke_reductions(
     The norm contributes the k-th cyclotomic power at the residue prime and
     nothing at the other prime; reduction keeps the prime-to-ell part.
     """
-    alpha = eps.group.labels[0].exponent if eps.group.rank else 1
-    beta = eps_prime.group.labels[0].exponent if eps_prime.group.rank else 1
+    alpha, beta = _level(eps.group), _level(eps_prime.group)
     d_p, d_q = _phi(p, alpha), _phi(q, beta)
     x, y = _exponent_on_g(eps, p), _exponent_on_g(eps_prime, q)
 

@@ -28,6 +28,8 @@ from .abchar import (
     ModCharacter,
     _character_on_g,
     _exponent_on_g,
+    _level,
+    _phi,
     reduce_mod,
     unit_group,
     unit_value,
@@ -36,6 +38,7 @@ from .exactnum import (
     QmodZ,
     Record,
     _crt_idempotent,
+    _solve_linear,
     glue_pq,
     is_prime,
     primitive_root,
@@ -237,10 +240,9 @@ def _simultaneous_value(
     for multiplication by 1 - e_p - e_q, the projection onto the
     prime-to-pq part, with e_r the CRT idempotents mod m.  zeta exists at w
     exactly when target_p - w*L_p and target_q - w*L_q agree away from p
-    and q, that is when w * pi(L_p - L_q) = pi(target_p - target_q) mod m.
-    That linear congruence is soluble when g = gcd(pi(L_p - L_q), m)
-    divides its right side, and its least solution is below m/g and below
-    lcm(p-1, q-1).  zeta glues the two.
+    and q, that is when w * pi(L_p - L_q) = pi(target_p - target_q) mod m,
+    and _solve_linear gives the least such w, below lcm(p-1, q-1).  zeta
+    glues the two.
     """
     if target_p.den % p == 0 or target_q.den % q == 0:
         return None
@@ -248,11 +250,9 @@ def _simultaneous_value(
     m = math.lcm(target_p.den, target_q.den, L_p.den, L_q.den)
     t_p, t_q, l_p, l_q = (x.num * (m // x.den) for x in (target_p, target_q, L_p, L_q))
     pi = 1 - _crt_idempotent(m, p) - _crt_idempotent(m, q)
-    a, b = pi * (l_p - l_q) % m, pi * (t_p - t_q) % m
-    g = math.gcd(a, m)
-    if b % g:
+    w = _solve_linear(pi * (l_p - l_q), pi * (t_p - t_q), m)
+    if w is None:
         return None
-    w = b // g * pow(a // g, -1, m // g) % (m // g)  # the inverse mod 1 is 0
     zeta = glue_pq((t_p - w * l_p) % m, p, (t_q - w * l_q) % m, q, m)
     if zeta is not None:
         value = AlgebraicFrobValue(QmodZ(zeta, m), w)
@@ -275,10 +275,10 @@ def _lift(ell: int, chi: ModCharacter, chi_prime: ModCharacter) -> GroupCharacte
     higher of their levels and at least 1; None when there is none.  The
     values on g are glued mod phi(ell^a), the lower level's scaled by a power
     of ell."""
-    levels = [c.group.labels[0].exponent if c.group.rank else 1 for c in (chi, chi_prime)]
+    levels = [_level(c.group) for c in (chi, chi_prime)]
     a = max(levels)
     x, y = (_exponent_on_g(c.base, ell) * ell ** (a - b) for c, b in zip((chi, chi_prime), levels))
-    z = glue_pq(x, chi.residue_char, y, chi_prime.residue_char, (ell - 1) * ell ** (a - 1))
+    z = glue_pq(x, chi.residue_char, y, chi_prime.residue_char, _phi(ell, a))
     return None if z is None else _character_on_g(ell, a, z)
 
 

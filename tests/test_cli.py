@@ -420,6 +420,19 @@ class TestLiftQ:
         assert code == 2 and report["error"]["type"] == "precondition"
         assert f"{bound} = " in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "problem, phrase",
+        [
+            (lift_q_with_modulus(PAST_THE_TEST_BOUND["4300 digits"]), "_RHO_STEPS = "),
+            ({**lift_q_with_modulus(7), "p": 10**400 + 1}, "primality-test bound"),
+        ],
+        ids=["4300-digit cofactor", "400-digit p"],
+    )
+    def test_a_refusal_names_a_bit_length_not_the_number(self, tmp_path, problem, phrase):
+        code, report = run_json(tmp_path, "lift-q", problem)
+        assert code == 2 and phrase in report["error"]["message"]
+        assert len(report["error"]["message"]) < 200
+
 
 class TestExitCodes:
     def test_malformed_json(self, tmp_path):

@@ -17,6 +17,7 @@ from heckelift.exactnum import (
     _MR_BOUNDS,
     PRIME_TEST_BOUND,
     _BABY_STEPS,
+    _solve_linear,
     _unit_order_factors,
     Congruence,
     QmodZ,
@@ -140,6 +141,16 @@ def self_val(n, p):
         n //= p
         v += 1
     return v
+
+
+class TestSolveLinear:
+    def test_against_every_residue(self):
+        # a = 0, b < 0 and m = 1 among them
+        for m in range(1, 41):
+            for a in range(-m, 2 * m):
+                for b in range(-m, 2 * m):
+                    least = next((w for w in range(m) if (a * w - b) % m == 0), None)
+                    assert _solve_linear(a, b, m) == least, (a, b, m)
 
 
 class TestCrtPair:
