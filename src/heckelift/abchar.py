@@ -16,6 +16,16 @@ the ell-primary part of every generator image.
 A character of (Z/ell^c)^* is fixed by its value on the generator
 g = primitive_root(ell, 2) of every level c >= 1: unit_value reads that
 value off any level, and unit_character presents it on a given level.
+Images are given on the least primitive root mod ell^c.  That root is g
+except at level 1 where the least root g_1 mod ell fails mod ell^2, below
+2*10^6 only at ell = 40487: there g = 10 = 5^17305, and a level-1 image x
+is the value 17305*x.  _level_one_log gives that e = log_{g_1}(g) mod
+ell - 1, and _over_level_one_log divides a value on g by it.
+
+The cyclotomic character mod p is the identity character of (Z/p)^*,
+sending g_1 to 1/(p-1), pulled back to (Z/p^a)^*.  Its value on g is
+e/(p-1): 1/(p-1) where g_1 = g, 17305/40486 at p = 40487; at level a that
+is e*p^(a-1) mod phi(p^a), which _cyclotomic gives.
 
 A HeckeCertificate, the witness of a lift over Q or over an imaginary
 quadratic field, is a record of such characters, one per place.
@@ -298,6 +308,19 @@ def _level_one_log(ell: int) -> int:
     return 1 if g1 == g else unit_dlog(g1, g, ell)
 
 
+def _over_level_one_log(ell: int, x: int) -> int:
+    """x/e mod ell - 1 for e = _level_one_log(ell): the character of
+    (Z/ell)^* with value x/(ell-1) on g sends g_1 to that over ell - 1."""
+    e = _level_one_log(ell)
+    return (x if e == 1 else x * pow(e, -1, ell - 1)) % (ell - 1)
+
+
+def _cyclotomic(ell: int, level: int) -> int:
+    """The value on g of the cyclotomic character mod ell, e/(ell-1), as a
+    residue mod phi(ell^level)."""
+    return _level_one_log(ell) * ell ** (level - 1)
+
+
 def _exponent_on_g(eps: GroupCharacter, ell: int) -> int:
     """unit_value(eps, ell) as the x in [0, d) with value x/d on g, d the
     order of eps's group (1 for the trivial group)."""
@@ -320,8 +343,8 @@ def _character_on_g(ell: int, exponent: int, x: int) -> GroupCharacter:
     group = unit_group(ell, exponent)
     if not exponent:
         return GroupCharacter.trivial(group)
-    if exponent == 1 and x and _level_one_log(ell) != 1:
-        x *= pow(_level_one_log(ell), -1, ell - 1)
+    if exponent == 1:
+        x = _over_level_one_log(ell, x)
     return GroupCharacter._make(group, (x % group.orders[0],))
 
 
@@ -329,7 +352,7 @@ def unit_value(eps: GroupCharacter, ell: int) -> QmodZ:
     """The value on g = primitive_root(ell, 2) of a character of
     (Z/ell^c)^*, c = 0 being the trivial group: at level 1 the image of
     g_1 times e = log_{g_1}(g), above it the image of g itself."""
-    return QmodZ(_exponent_on_g(eps, ell), eps.group.orders[0] if eps.group.rank else 1)
+    return QmodZ(_exponent_on_g(eps, ell), eps.group.num_characters())
 
 
 def unit_character(ell: int, exponent: int, value: QmodZ) -> GroupCharacter:
@@ -337,7 +360,7 @@ def unit_character(ell: int, exponent: int, value: QmodZ) -> GroupCharacter:
     level 1, g_1 goes to value / e.  A level below the conductor, where the
     order does not divide the group's (1 for exponent 0), is refused."""
     group = unit_group(ell, exponent)
-    d = group.orders[0] if exponent else 1
+    d = group.num_characters()
     if d % value.den:
         # the order is above 1, so the conductor is ell^(1 + v_ell(order))
         raise ValueError(

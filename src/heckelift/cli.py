@@ -4,7 +4,10 @@ reports out.
 Exit codes: 0 when the mathematical answer is positive (liftable,
 compatible, pass), 1 when it is negative (a valid answer, not an error),
 2 for invalid input, 3 for an internal failure (a failed internal check or
-any other exception) or an oracle mismatch under --oracle.
+any other exception) or an oracle mismatch under --oracle.  Each handler
+returns a CommandOutcome, which alone sets 0 or 1 from the answer and
+drops the certificate of a negative answer; main's refusal path alone
+sets 2 and 3.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .schema import ValidationError, validate
 # command); these names serve the annotations alone.
 if TYPE_CHECKING:
     from .abchar import GroupCharacter, HeckeCertificate
-    from .exactnum import QmodZ
     from .heckeq import GlobalCharQ
     from .serrepq import AlgebraicFrobValue
 
@@ -63,15 +65,11 @@ def _diag(label: str, detail: str, ok: bool | None = None) -> dict:
     return out
 
 
-def _qz(x: QmodZ) -> str:
-    return f"{x.num}/{x.den}"
-
-
 def _char_json(eps: GroupCharacter) -> dict:
     return {
         "group_orders": list(eps.group.orders),
         "group_labels": [str(lab) for lab in eps.group.labels],
-        "images": [_qz(x) for x in eps.images],
+        "images": [str(x) for x in eps.images],
         "order": eps.order(),
     }
 
@@ -85,7 +83,7 @@ def _cert_json(cert: HeckeCertificate) -> dict:
 
 
 def _frob_json(value: AlgebraicFrobValue) -> dict:
-    return {"zeta": _qz(value.zeta), "weight": value.weight}
+    return {"zeta": str(value.zeta), "weight": value.weight}
 
 
 def _witness_json(param) -> dict:
@@ -101,13 +99,17 @@ def _witness_json(param) -> dict:
     }
 
 
-def _parse_character(payload: dict, residue_char: int) -> GlobalCharQ:
+def _parse_pair(problem: dict) -> tuple[GlobalCharQ, GlobalCharQ]:
+    """rho mod p and rho_prime mod q of a character-pair problem."""
     from .exactnum import QmodZ
     from .heckeq import GlobalCharQ
 
-    # "5", "05" and "5\n" all name the prime 5
-    images = _unique_keys((int(k), QmodZ.from_str(v)) for k, v in payload["images"].items())
-    return GlobalCharQ.from_images(residue_char, payload["modulus"], images)
+    def character(payload: dict, residue_char: int) -> GlobalCharQ:
+        # "5", "05" and "5\n" all name the prime 5
+        images = _unique_keys((int(k), QmodZ.from_str(v)) for k, v in payload["images"].items())
+        return GlobalCharQ.from_images(residue_char, payload["modulus"], images)
+
+    return character(problem["rho"], problem["p"]), character(problem["rho_prime"], problem["q"])
 
 
 def _parse_frob(payload: dict) -> AlgebraicFrobValue:
@@ -141,11 +143,21 @@ def _parse_datum(payload: dict, ell: int, residue_char: int):
     return TamePrincipal(ell, residue_char, inertials, frobs)
 
 
+# (positive, negative) verdicts shared by several commands; "computed" is
+# never negative
+LIFTABLE = ("liftable", "not liftable")
+PASS = ("pass", "fail")
+COMPUTED = ("computed", None)
+
+
 class CommandOutcome:
-    def __init__(self, verdict, exit_code, certificate, diagnostics, conventions=None):
-        self.verdict = verdict
-        self.exit_code = exit_code
-        self.certificate = certificate
+    """A command's answer: a positive one exits 0 with verdicts[0] and the
+    certificate, a negative one exits 1 with verdicts[1] and no certificate."""
+
+    def __init__(self, positive, verdicts, certificate, diagnostics, conventions=None):
+        self.verdict = verdicts[0] if positive else verdicts[1]
+        self.exit_code = 0 if positive else 1
+        self.certificate = certificate if positive else None
         self.diagnostics = diagnostics
         self.conventions = dict(BASE_CONVENTIONS, **(conventions or {}))
 
@@ -161,50 +173,38 @@ def _run_lift_q(problem: dict, args) -> CommandOutcome:
     )
 
     p, q = problem["p"], problem["q"]
-    rho = _parse_character(problem["rho"], p)
-    rho_prime = _parse_character(problem["rho_prime"], q)
-    diagnostics = []
+    rho, rho_prime = _parse_pair(problem)
 
     necc = check_necessary(rho, rho_prime)
-    for ell, ok in necc.per_prime:
-        diagnostics.append(
-            _diag(
-                f"order condition at {ell}",
-                "restrictions at the prime lift simultaneously"
-                if ok
-                else "quotient of the two restrictions has order not supported on {p, q}",
-                ok,
-            )
+    diagnostics = [
+        _diag(
+            f"order condition at {ell}",
+            "restrictions at the prime lift simultaneously"
+            if ok
+            else "quotient of the two restrictions has order not supported on {p, q}",
+            ok,
         )
+        for ell, ok in necc.per_prime
+    ]
     if not necc.ok:
-        return CommandOutcome("not liftable", 1, None, diagnostics)
+        return CommandOutcome(False, LIFTABLE, None, diagnostics)
 
     twist = twist_to_unramified(rho, rho_prime)
-    for ell, eps in twist.eps:
-        diagnostics.append(
-            _diag(
-                f"twist at {ell}",
-                f"absorbed by a finite-order character of order {eps.order()}",
-                True,
-            )
-        )
+    diagnostics += (
+        _diag(f"twist at {ell}", f"absorbed by a finite-order character of order {eps.order()}", True)
+        for ell, eps in twist.eps
+    )
 
     result = decide_prop_q(twist.twisted, twist.twisted_prime)
     if args.oracle:
         lvl_p = max(1, twist.twisted.prime_exponent(p), twist.twisted_prime.prime_exponent(p))
         lvl_q = max(1, twist.twisted.prime_exponent(q), twist.twisted_prime.prime_exponent(q))
         oracle = brute_force_oracle_q(
-            twist.twisted,
-            twist.twisted_prime,
-            lvl_p,
-            lvl_q,
-            range(math.lcm(p - 1, q - 1)),
+            twist.twisted, twist.twisted_prime, lvl_p, lvl_q, range(math.lcm(p - 1, q - 1))
         )
         if (oracle is None) != (result is None):
             raise AssertionError("brute-force oracle disagrees with the decision")
-        diagnostics.append(
-            _diag("oracle", "exhaustive search agrees with the decision", True)
-        )
+        diagnostics.append(_diag("oracle", "exhaustive search agrees with the decision", True))
 
     if result is None:
         inv = extract_invariants(twist.twisted, twist.twisted_prime)
@@ -218,14 +218,10 @@ def _run_lift_q(problem: dict, args) -> CommandOutcome:
                 False,
             )
         )
-        return CommandOutcome("not liftable", 1, None, diagnostics)
+        return CommandOutcome(False, LIFTABLE, None, diagnostics)
 
     diagnostics.append(
-        _diag(
-            "exponent class",
-            f"k = {result.k_class.residue} (mod {result.k_class.modulus})",
-            True,
-        )
+        _diag("exponent class", f"k = {result.k_class.residue} (mod {result.k_class.modulus})", True)
     )
     local = dict(result.certificate.local_chars)
     conductor = result.certificate.conductor
@@ -233,11 +229,9 @@ def _run_lift_q(problem: dict, args) -> CommandOutcome:
         local[str(ell)] = eps
         conductor *= character_conductor(eps)
     cert = HeckeCertificate(
-        result.certificate.infinity_type,
-        tuple(sorted(local.items())),
-        conductor,
+        result.certificate.infinity_type, tuple(sorted(local.items())), conductor
     )
-    return CommandOutcome("liftable", 0, _cert_json(cert), diagnostics)
+    return CommandOutcome(True, LIFTABLE, _cert_json(cert), diagnostics)
 
 
 def _run_artin_lift(problem: dict, args) -> CommandOutcome:
@@ -269,22 +263,16 @@ def _run_artin_lift(problem: dict, args) -> CommandOutcome:
         if lifted is not None and matches != [lifted]:
             raise AssertionError("lift witness is not the unique enumerated match")
     if lifted is None:
+        obstruction = (
+            "quotient of the canonical representatives has order "
+            "divisible by a prime other than p and q"
+        )
         return CommandOutcome(
-            "not liftable",
-            1,
-            None,
-            [
-                _diag(
-                    "order condition",
-                    "quotient of the canonical representatives has order "
-                    "divisible by a prime other than p and q",
-                    False,
-                )
-            ],
+            False, LIFTABLE, None, [_diag("order condition", obstruction, False)]
         )
     return CommandOutcome(
-        "liftable",
-        0,
+        True,
+        LIFTABLE,
         {"character": _char_json(lifted)},
         [_diag("witness order", str(lifted.order()), True)],
     )
@@ -293,32 +281,22 @@ def _run_artin_lift(problem: dict, args) -> CommandOutcome:
 def _run_necc_check(problem: dict, args) -> CommandOutcome:
     from .heckeq import check_necessary
 
-    rho = _parse_character(problem["rho"], problem["p"])
-    rho_prime = _parse_character(problem["rho_prime"], problem["q"])
-    rep = check_necessary(rho, rho_prime)
+    rep = check_necessary(*_parse_pair(problem))
     diagnostics = [
         _diag(f"order condition at {ell}", "pass" if ok else "fail", ok)
         for ell, ok in rep.per_prime
-    ]
-    if not diagnostics:
-        diagnostics.append(
-            _diag("order condition", "no primes away from p and q ramify", True)
-        )
-    return CommandOutcome(
-        "pass" if rep.ok else "fail", 0 if rep.ok else 1, None, diagnostics
-    )
+    ] or [_diag("order condition", "no primes away from p and q ramify", True)]
+    return CommandOutcome(rep.ok, PASS, None, diagnostics)
 
 
 def _run_conductor_bound(problem: dict, args) -> CommandOutcome:
     from .exactnum import factorize
     from .heckeq import conductor_bound
 
-    rho = _parse_character(problem["rho"], problem["p"])
-    rho_prime = _parse_character(problem["rho_prime"], problem["q"])
-    bound = conductor_bound(rho, rho_prime)
+    bound = conductor_bound(*_parse_pair(problem))
     return CommandOutcome(
-        "computed",
-        0,
+        True,
+        COMPUTED,
         {"bound": bound, "factorization": {str(p): e for p, e in factorize(bound).items()}},
         [_diag("conductor bound", str(bound), True)],
     )
@@ -347,16 +325,11 @@ def _run_lift_quadratic(problem: dict, args) -> CommandOutcome:
     inf = tuple(problem["infinity_type"])
     rep = criterion_decide(K, p, q, local, inf)
 
-    diagnostics = []
-    for name, checks in (("(1)", rep.condition_1), ("(1')", rep.condition_1_prime)):
-        for c in checks:
-            diagnostics.append(
-                _diag(
-                    f"condition {name} at {c.place}",
-                    f"{c.lhs} = {c.rhs} (mod {c.modulus})",
-                    c.ok,
-                )
-            )
+    diagnostics = [
+        _diag(f"condition {name} at {c.place}", f"{c.lhs} = {c.rhs} (mod {c.modulus})", c.ok)
+        for name, checks in (("(1)", rep.condition_1), ("(1')", rep.condition_1_prime))
+        for c in checks
+    ]
     parity, target, ok2 = rep.condition_2
     diagnostics.append(
         _diag(
@@ -371,10 +344,8 @@ def _run_lift_quadratic(problem: dict, args) -> CommandOutcome:
         "splitting_q": rep.data_q.kind,
     }
     if not rep.ok:
-        return CommandOutcome("not liftable", 1, None, diagnostics, conventions)
-    return CommandOutcome(
-        "liftable", 0, _cert_json(rep.certificate), diagnostics, conventions
-    )
+        return CommandOutcome(False, LIFTABLE, None, diagnostics, conventions)
+    return CommandOutcome(True, LIFTABLE, _cert_json(rep.certificate), diagnostics, conventions)
 
 
 def _run_class_group(problem: dict, args) -> CommandOutcome:
@@ -387,18 +358,12 @@ def _run_class_group(problem: dict, args) -> CommandOutcome:
         "invariant_factors": list(grp.invariant_factors),
         "reduced_forms": [list(f) for f in grp.forms],
     }
+    factors = " x ".join(f"Z/{d}" for d in grp.invariant_factors) or "trivial"
     return CommandOutcome(
-        "computed",
-        0,
+        True,
+        COMPUTED,
         cert,
-        [
-            _diag("class number", str(grp.h), True),
-            _diag(
-                "invariant factors",
-                " x ".join(f"Z/{d}" for d in grp.invariant_factors) or "trivial",
-                True,
-            ),
-        ],
+        [_diag("class number", str(grp.h), True), _diag("invariant factors", factors, True)],
     )
 
 
@@ -414,16 +379,12 @@ def _run_counting_bound(problem: dict, args) -> CommandOutcome:
         f"{'<' if rep.gap_exists else '>='} h^2 = {rep.pair_count}"
         f" => {rep.verdict}"
     )
-    cert = {
-        "alpha": rep.alpha,
-        "h": rep.h,
-        "lift_bound": rep.lift_bound,
-        "pair_count": rep.pair_count,
-    }
+    cert = {"alpha": rep.alpha, "h": rep.h, "lift_bound": rep.lift_bound, "pair_count": rep.pair_count}
+    # the report names its verdict either way
     return CommandOutcome(
-        rep.verdict,
-        0 if rep.gap_exists else 1,
-        cert if rep.gap_exists else None,
+        rep.gap_exists,
+        (rep.verdict, rep.verdict),
+        cert,
         [_diag("counting", detail, rep.gap_exists)],
     )
 
@@ -432,15 +393,12 @@ def _run_hasse(problem: dict, args) -> CommandOutcome:
     from .qseries import DEFAULT_PRECISION, hasse_invariant_check
 
     precision = problem.get("precision", DEFAULT_PRECISION)
-    rep = hasse_invariant_check(
-        problem["p"], problem["q"], precision, problem.get("weight")
-    )
-    diagnostics = [_diag("series identity", str(rep), rep.ok)]
+    rep = hasse_invariant_check(problem["p"], problem["q"], precision, problem.get("weight"))
     return CommandOutcome(
-        "pass" if rep.ok else "fail",
-        0 if rep.ok else 1,
-        {"weight": rep.weight, "modulus": rep.p * rep.q} if rep.ok else None,
-        diagnostics,
+        rep.ok,
+        PASS,
+        {"weight": rep.weight, "modulus": rep.p * rep.q},
+        [_diag("series identity", str(rep), rep.ok)],
     )
 
 
@@ -449,28 +407,18 @@ def _run_weight24(problem: dict, args) -> CommandOutcome:
 
     precision = problem.get("precision", DEFAULT_PRECISION)
     rep = weight24_example(precision)
-    diagnostics = [
-        _diag(name, str(check), check.congruent) for name, check in rep.congruences
-    ]
+    diagnostics = [_diag(name, str(check), check.congruent) for name, check in rep.congruences]
     diagnostics.append(
-        _diag(
-            "E4 = 1 mod 5",
-            "all positive-index coefficients vanish mod 5",
-            rep.q_is_one_mod_5,
-        )
+        _diag("E4 = 1 mod 5", "all positive-index coefficients vanish mod 5", rep.q_is_one_mod_5)
     )
     diagnostics.append(
-        _diag(
-            "alpha * alpha'",
-            f"{rep.alpha_product} (divisible by 5, prime to 7)",
-            True,
-        )
+        _diag("alpha * alpha'", f"{rep.alpha_product} (divisible by 5, prime to 7)", True)
     )
     if args.verbose:
-        for name, residues in rep.residues:
-            diagnostics.append(
-                _diag(f"residues: {name}", " ".join(str(r) for r in residues))
-            )
+        diagnostics += (
+            _diag(f"residues: {name}", " ".join(str(r) for r in residues))
+            for name, residues in rep.residues
+        )
     cert = {
         "alpha": str(rep.alpha),
         "alpha_prime": str(rep.alpha_prime),
@@ -483,7 +431,7 @@ def _run_weight24(problem: dict, args) -> CommandOutcome:
         "labelling": rep.labelling,
         "conjugate_pairing": "f' is reduced at the conjugate prime when compared with f mod 5",
     }
-    return CommandOutcome("pass", 0, cert, diagnostics, conventions)
+    return CommandOutcome(True, PASS, cert, diagnostics, conventions)
 
 
 def _run_weight_crt(problem: dict, args) -> CommandOutcome:
@@ -494,29 +442,22 @@ def _run_weight_crt(problem: dict, args) -> CommandOutcome:
     res = weight_crt(
         Congruence(problem["k_rho"], p - 1), Congruence(problem["k_rho_prime"], q - 1)
     )
+    verdicts = ("common weight exists", "no common weight")
     if res is None:
         g = math.gcd(p - 1, q - 1)
         return CommandOutcome(
-            "no common weight",
-            1,
-            None,
-            [_diag("weight congruence", f"classes clash mod {g}", False)],
+            False, verdicts, None, [_diag("weight congruence", f"classes clash mod {g}", False)]
         )
+    k_class = res.k_class
+    detail = (
+        f"k = {k_class.residue} (mod {k_class.modulus}), "
+        f"least representative >= 2 is {res.representative}"
+    )
     return CommandOutcome(
-        "common weight exists",
-        0,
-        {
-            "class": [res.k_class.residue, res.k_class.modulus],
-            "representative": res.representative,
-        },
-        [
-            _diag(
-                "weight congruence",
-                f"k = {res.k_class.residue} (mod {res.k_class.modulus}), "
-                f"least representative >= 2 is {res.representative}",
-                True,
-            )
-        ],
+        True,
+        verdicts,
+        {"class": [k_class.residue, k_class.modulus], "representative": res.representative},
+        [_diag("weight congruence", detail, True)],
     )
 
 
@@ -527,19 +468,12 @@ def _run_local_compat(problem: dict, args) -> CommandOutcome:
     datum = _parse_datum(problem["datum"], ell, p)
     datum_prime = _parse_datum(problem["datum_prime"], ell, q)
     rep = local_compat(datum, datum_prime)
-    diagnostics = []
-    if rep.compatible:
-        diagnostics.append(_diag("witness", rep.witness_kind, True))
-        for alt in rep.alternatives:
-            diagnostics.append(_diag("alternative witness", alt))
-    else:
-        diagnostics.append(_diag("obstruction", rep.reason, False))
-    return CommandOutcome(
-        "compatible" if rep.compatible else "incompatible",
-        0 if rep.compatible else 1,
-        _witness_json(rep.witness) if rep.compatible else None,
-        diagnostics,
-    )
+    verdicts = ("compatible", "incompatible")
+    if not rep.compatible:
+        return CommandOutcome(False, verdicts, None, [_diag("obstruction", rep.reason, False)])
+    diagnostics = [_diag("witness", rep.witness_kind, True)]
+    diagnostics += (_diag("alternative witness", alt) for alt in rep.alternatives)
+    return CommandOutcome(True, verdicts, _witness_json(rep.witness), diagnostics)
 
 
 def _run_remark2(problem: dict, args) -> CommandOutcome:
@@ -563,11 +497,9 @@ def _run_remark2(problem: dict, args) -> CommandOutcome:
             rep.base_change_compatible,
         )
     )
-    verdict = "counterexample confirmed" if rep.counterexample_confirmed else "hypotheses not satisfied"
-    if rep.hypotheses_hold and not rep.counterexample_confirmed:
-        verdict = "no obstruction"
+    negative = "no obstruction" if rep.hypotheses_hold else "hypotheses not satisfied"
     return CommandOutcome(
-        verdict, 0 if rep.counterexample_confirmed else 1, None, diagnostics
+        rep.counterexample_confirmed, ("counterexample confirmed", negative), None, diagnostics
     )
 
 
@@ -646,12 +578,15 @@ def main(argv=None) -> int:
         return 2
     digest = hashlib.sha256(raw).hexdigest()
 
-    def error_report(kind: str, message: str) -> dict:
-        return {
+    def refuse(kind: str, message: str) -> int:
+        """Emit the error report; exit 3 for an internal failure, else 2."""
+        report = {
             "command": args.command,
             "error": {"type": kind, "message": message},
             "input_sha256": digest,
         }
+        _emit(report, args.json)
+        return 3 if kind == "internal" else 2
 
     try:
         problem = json.loads(raw, object_pairs_hook=_unique_keys)
@@ -659,8 +594,7 @@ def main(argv=None) -> int:
         # ValueError: malformed JSON (JSONDecodeError), a repeated key or an
         # integer literal past the interpreter's int-string conversion limit;
         # RecursionError: nesting deeper than the interpreter's stack
-        _emit(error_report("parse", str(exc)), args.json)
-        return 2
+        return refuse("parse", str(exc))
 
     schema = _load_schema(args.command)
     if (
@@ -673,21 +607,17 @@ def main(argv=None) -> int:
     try:
         validate(problem, schema)
     except ValidationError as exc:
-        _emit(error_report("schema", exc.message), args.json)
-        return 2
+        return refuse("schema", exc.message)
 
     try:
         outcome = HANDLERS[args.command](problem, args)
     except ValueError as exc:
-        _emit(error_report("precondition", str(exc)), args.json)
-        return 2
+        return refuse("precondition", str(exc))
     except AssertionError as exc:
-        _emit(error_report("internal", str(exc)), args.json)
-        return 3
+        return refuse("internal", str(exc))
     except Exception as exc:
         # any other escape is a bug, not an answer: exit 1 means "no"
-        _emit(error_report("internal", f"{type(exc).__name__}: {exc}"), args.json)
-        return 3
+        return refuse("internal", f"{type(exc).__name__}: {exc}")
 
     report = {
         "command": args.command,

@@ -12,14 +12,9 @@ characters scales the lower level up, and the pipeline's arithmetic stays
 on these integers.  QmodZ appears only at the edges: from_images,
 value_at, values and images.  abchar.unit_value and abchar.unit_character
 translate there, where images are given on the least primitive root mod
-ell^a.  That root is g except at level 1 where the least root g_1 mod ell
-fails mod ell^2, below 2*10^6 only at ell = 40487: there g = 10 = 5^17305,
-and a level-1 image x is the value 17305*x.
-
-The cyclotomic character mod p is the identity character of (Z/p)^*,
-sending g_1 to 1/(p-1), pulled back to (Z/p^a)^*.  Its value is e/(p-1)
-with g = g_1^e mod p: 1/(p-1) where g_1 = g, 17305/40486 at p = 40487;
-at level a that is e*p^(a-1) mod phi(p^a).
+ell^a.  abchar's docstring holds the one prime below 2*10^6 where that
+root is not g at level 1, and the value e/(p-1) on g of the cyclotomic
+character mod p, with e = log_{g_1}(g).
 
 The pipeline: extract the local exponents of a pair (rho mod p, rho' mod q),
 solve one congruence system, and assemble the witness character
@@ -37,9 +32,10 @@ from .abchar import (
     HeckeCertificate,
     ModCharacter,
     _character_on_g,
+    _cyclotomic,
     _exponent_on_g,
     _level,
-    _level_one_log,
+    _over_level_one_log,
     _phi,
     character_conductor,
     enumerate_characters,
@@ -316,16 +312,15 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
         # a tame value at level a is t*ell^(a-1) mod phi(ell^a), standing for
         # t/(ell-1); it is theta^k for the cyclotomic theta = e/(ell-1), with
         # k = t/e mod ell-1.  own at its prime is tame
-        e_inv = pow(_level_one_log(ell), -1, ell - 1)
         level = max(1, own.prime_exponent(ell))
-        k = own._at_level(ell, level) // ell ** (level - 1) * e_inv
+        k = _over_level_one_log(ell, own._at_level(ell, level) // ell ** (level - 1))
         # the other character at ell: the ell-primary component is the wild
         # part, the rest is theta^j of order prime to other, so j is mod A
         level = max(1, other_char.prime_exponent(ell))
         d = _phi(ell, level)
         y = other_char._at_level(ell, level)
         wild = y * _crt_idempotent(d, ell) % d
-        j = (y - wild) // ell ** (level - 1) * e_inv % (ell - 1)
+        j = _over_level_one_log(ell, (y - wild) // ell ** (level - 1))
         A = prime_to_part(ell - 1, other)
         if j % ((ell - 1) // A):
             raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")
@@ -412,12 +407,6 @@ class PropQResult:
     k_class: Congruence
     certificate: HeckeCertificate
     invariants: LocalInvariantsQ
-
-
-def _cyclotomic(ell: int, level: int) -> int:
-    """The value of the cyclotomic character mod ell, e/(ell-1) as above, as
-    a residue mod phi(ell^level)."""
-    return _level_one_log(ell) * ell ** (level - 1)
 
 
 def hecke_reductions(

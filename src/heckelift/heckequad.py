@@ -341,9 +341,6 @@ def _reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
             c2 = a * r * r + b * r + c
             b, c = b2, c2
             continue
-        if a == c and b < 0:
-            b = -b
-            continue
         return (a, b, c)
 
 
@@ -525,7 +522,9 @@ def counting_bound(K: ImagQuadField, p: int, q: int) -> CountingReport:
         raise ValueError(f"{p} is not split in {K}")
     if data_q.kind != "split":
         raise ValueError(f"{q} is not split in {K}")
-    grp = class_group(K.D)
+    # K was validated when it was built; only the class-group bound is left
+    check_class_group_bound(K.D)
+    grp = _class_group(K.D)
     if grp.h % p == 0:
         raise ValueError(f"{p} divides the class number {grp.h}")
     if grp.h % q == 0:

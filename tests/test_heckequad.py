@@ -621,6 +621,14 @@ class TestClassGroupMemo:
         counting_bound(K1155, 17, 19)
         assert calls == [-1155]
 
+    def test_counting_bound_after_class_group_factorises_nothing(self, monkeypatch):
+        # the field was validated when it was built, and the group is memoised
+        class_group(-1155)
+        calls = []
+        monkeypatch.setattr(heckequad, "factorize", lambda n: calls.append(n) or factorize(n))
+        counting_bound(K1155, 17, 19)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "D, error, match",
         [

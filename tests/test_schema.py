@@ -11,7 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
@@ -161,6 +161,30 @@ def _message(problem, schema):
     return None
 
 
+def _with(stem, key, value):
+    problem = copy.deepcopy(SAMPLES[stem])
+    problem[key] = value
+    return problem
+
+
+_FROB = {"zeta": "0/1", "weight": 0}
+_TAME = {"type": "tame_principal", "modulus_exponent": 1, "inertial": ["0/1", "1/2"]}
+
+
+# maxItems, which no sample reaches by one append: three entries where two
+# are allowed.  The tame datum is the one oneOf branch with a frobenius
+# list, so its message is compared too (inside_one_of False)
+@example(
+    ("lift-quadratic", _with("quadratic_trivial_pair", "infinity_type", [144] * 3), False, False)
+)
+@example(
+    (
+        "local-compat",
+        _with("local_compat_minus_ell", "datum", dict(_TAME, frobenius=[_FROB] * 3)),
+        False,
+        False,
+    )
+)
 @settings(max_examples=400, deadline=None)
 @given(faulty_problems())
 def test_agrees_with_jsonschema(case):
