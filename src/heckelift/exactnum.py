@@ -315,7 +315,7 @@ def _crt_idempotent(d: int, ell: int) -> int:
     return rest * pow(rest, -1, d // rest)  # the inverse mod 1 is 0
 
 
-class QmodZ:
+class QmodZ(Record):
     """A residue in Q/Z kept in canonical form: 0 <= num < den, gcd = 1.
 
     Written additively; x stands for the root of unity exp(2*pi*i*x), so
@@ -332,9 +332,6 @@ class QmodZ:
         g = math.gcd(num, den)
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QmodZ is immutable")
 
     @classmethod
     def from_str(cls, text: str) -> "QmodZ":
@@ -369,16 +366,6 @@ class QmodZ:
 
     def part_prime_to(self, ell: int) -> "QmodZ":
         return QmodZ(self.num * (1 - _crt_idempotent(self.den, ell)), self.den)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QmodZ)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

@@ -282,8 +282,9 @@ class LocalInvariantsQ(Record):
         if self.b_q.modulus != self.B_q:
             raise AssertionError(f"b_q is taken modulo {self.b_q.modulus}, not B_q")
         for ell, psi in ((self.p, self.psi_prime_p), (self.q, self.psi_q)):
-            if psi.order() != ell ** valuation(psi.order(), ell):
-                raise AssertionError(f"wild part at {ell} has order {psi.order()}")
+            order = psi.order()
+            if order != ell ** valuation(order, ell):
+                raise AssertionError(f"wild part at {ell} has order {order}")
 
 
 def _require_pair(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> tuple[int, int]:

@@ -1,10 +1,17 @@
 """Helpers shared by the test modules: the abelian groups of small order
 and the exhaustive check of simultaneous Artin lifting against
-enumeration, offered as fixtures, and two references that the modules
-import for their own module-level references: walk_dlog, the discrete log
-by walking, and xgcd, the extended Euclidean algorithm."""
+enumeration, offered as fixtures; three references that the modules import
+for their own module-level references: walk_dlog, the discrete log by
+walking, xgcd, the extended Euclidean algorithm, and primes_below, the
+sieve of Eratosthenes; and run_python, the one way a test starts a fresh
+interpreter."""
 
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +49,35 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def primes_below(n: int) -> list[int]:
+    """Reference list of the primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [m for m in range(n) if sieve[m]]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args: str, timeout: float = 120, text: bool = True, env=None, input=None):
+    """Run sys.executable on args in a fresh process from the checkout, with
+    its src/ as PYTHONPATH and env's variables added, and return the
+    finished process with stdout and stderr captured.  Past timeout seconds
+    the process is killed and subprocess.TimeoutExpired raised."""
+    return subprocess.run(
+        [sys.executable, *args],
+        input=input,
+        capture_output=True,
+        text=text,
+        timeout=timeout,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **(env or {})},
+    )
 
 
 def _partitions(n):

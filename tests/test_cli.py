@@ -1,18 +1,16 @@
 import io
 import json
-import os
-import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import pytest
 
 from heckelift import abchar, cli, exactnum
 from heckelift.cli import main
+from conftest import run_python
 from test_golden import PROBLEMS, TARGETS, digest_line, expected_digests
 
 
@@ -28,6 +26,16 @@ def run_cli(tmp_path, command, problem, *flags):
 def run_json(tmp_path, command, problem, *flags):
     code, out = run_cli(tmp_path, command, problem, "--json", *flags)
     return code, json.loads(out)
+
+
+def run_json_fresh(tmp_path, command, problem):
+    """run_json as `python -m heckelift.cli` in a fresh interpreter, killed
+    after 10 s, and under -O when this interpreter runs under -O."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    optimize = ("-O",) * sys.flags.optimize
+    done = run_python(*optimize, "-m", "heckelift.cli", command, str(path), "--json", timeout=10)
+    return done.returncode, json.loads(done.stdout)
 
 
 REPORT_SCHEMA = json.loads(
@@ -401,7 +409,7 @@ class TestLiftQ:
     def test_two_prime_factors_past_the_test_bound(self, tmp_path):
         problem = lift_q_with_modulus(PAST_THE_TEST_BOUND["two primes near 10^13"])
         start = time.perf_counter()
-        code, report = run_json(tmp_path, "lift-q", problem)
+        code, report = run_json_fresh(tmp_path, "lift-q", problem)
         assert time.perf_counter() - start < 5.0
         assert code == 0 and report["verdict"] == "liftable"
         assert [d["label"] for d in report["diagnostics"][:2]] == [
@@ -415,7 +423,9 @@ class TestLiftQ:
     )
     def test_past_the_test_bound_exits_2_fast(self, tmp_path, case, bound):
         start = time.perf_counter()
-        code, report = run_json(tmp_path, "lift-q", lift_q_with_modulus(PAST_THE_TEST_BOUND[case]))
+        code, report = run_json_fresh(
+            tmp_path, "lift-q", lift_q_with_modulus(PAST_THE_TEST_BOUND[case])
+        )
         assert time.perf_counter() - start < 3.0
         assert code == 2 and report["error"]["type"] == "precondition"
         assert f"{bound} = " in report["error"]["message"]
@@ -651,14 +661,7 @@ class TestExitCodes:
             f"heckequad.{name} = {broken}\n"
             f"sys.exit(cli.main(['class-group', {str(path)!r}, '--json']))\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        done = run_python("-O", "-c", script)
         assert done.returncode == 3, done.stderr
         error = json.loads(done.stdout)["error"]
         assert error["type"] == "internal"
@@ -676,14 +679,7 @@ class TestExitCodes:
             "    heckeq.GlobalCharQ.trivial(p), heckeq.GlobalCharQ.trivial(q))\n"
             f"sys.exit(cli.main(['lift-q', {str(path)!r}, '--json']))\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        done = run_python("-O", "-c", script)
         assert done.returncode == 3, done.stderr
         error = json.loads(done.stdout)["error"]
         assert error == {
@@ -1217,14 +1213,7 @@ class TestTextOutput:
 
 
 def _fresh_python(script: str) -> str:
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -1272,6 +1261,10 @@ COLD_START_SAMPLES = {command: stem for stem, (command, _) in TARGETS.items()} |
     "necc-check": "lift_with_twist",
     "conductor-bound": "lift_norm_cube",
 }
+# the target samples no command reads above: lift-q's other two
+OTHER_TARGET_SAMPLES = [
+    stem for stem, (command, _) in TARGETS.items() if COLD_START_SAMPLES[command] != stem
+]
 
 
 class TestColdStart:
@@ -1288,12 +1281,10 @@ class TestColdStart:
             "heckelift.schema",
         }
 
-    @pytest.mark.parametrize("command", cli.COMMANDS)
-    def test_a_command_loads_only_its_modules(self, command):
-        # a fresh -X dev process per command, so a handler cannot lean on a
+    def _run_clean(self, command: str, stem: str) -> list:
+        # a fresh -X dev process per run, so a handler cannot lean on a
         # module another command imported, and any warning (an unclosed
-        # file, a deprecation) reaches stderr
-        stem = COLD_START_SAMPLES[command]
+        # file, a deprecation) reaches stderr; returns the modules loaded
         script = (
             "import contextlib, io, json, sys\n"
             "from heckelift import cli\n"
@@ -1302,20 +1293,22 @@ class TestColdStart:
             f"    code = cli.main([{command!r}, {str(PROBLEMS / f'{stem}.json')!r}, '--json'])\n"
             "print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-X", "dev", "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        done = run_python("-X", "dev", "-c", script)
         assert done.stderr == ""
         code, out, modules = json.loads(done.stdout)
         assert digest_line(command, stem, "--json", code, out) in expected_digests()
+        return modules
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_a_command_loads_only_its_modules(self, command):
+        modules = self._run_clean(command, COLD_START_SAMPLES[command])
         loaded = {m for m in modules if m.split(".")[0] == "heckelift"}
         assert loaded == COLD_START_BASE | COLD_START_MODULES[command]
         assert "jsonschema" not in modules
+
+    @pytest.mark.parametrize("stem", OTHER_TARGET_SAMPLES)
+    def test_every_other_target_sample_runs_clean(self, stem):
+        self._run_clean(TARGETS[stem][0], stem)
 
     def test_exactnum_loads_fractions_only_for_bernoulli(self):
         assert not {"fractions", "decimal"} & self._loaded("import heckelift.exactnum")

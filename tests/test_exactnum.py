@@ -34,7 +34,7 @@ from heckelift.exactnum import (
     weight_crt,
 )
 
-from conftest import walk_dlog, xgcd
+from conftest import primes_below, walk_dlog, xgcd
 
 qmodz = st.builds(QmodZ, st.integers(-400, 400), st.integers(1, 120))
 
@@ -45,6 +45,16 @@ class TestQmodZ:
         assert (x.num, x.den) == (2, 3)
         assert QmodZ(-1, 4) == QmodZ(3, 4)
         assert QmodZ(7, 7) == QmodZ(0, 1)
+
+    def test_record_equality_hash_and_immutability(self):
+        x = QmodZ(2, 6)
+        assert isinstance(x, exactnum.Record) and repr(x) == "QmodZ(1, 3)"
+        assert x == QmodZ(1, 3) and hash(x) == hash((1, 3))
+        assert x != (1, 3) and QmodZ(0, 1) != 0
+        with pytest.raises(AttributeError):
+            x.num = 2
+        with pytest.raises(AttributeError):
+            del x.den
 
     def test_identity_and_order(self):
         assert QmodZ(0, 1).order() == 1
@@ -285,15 +295,6 @@ def is_strong_probable_prime(n, a):
         s += 1
     x = pow(a, d, n)
     return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
-
-
-def primes_below(n):
-    sieve = bytearray([1]) * n
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, n, i)))
-    return [m for m in range(n) if sieve[m]]
 
 
 class TestIsPrime:

@@ -6,24 +6,23 @@ own precision and at 4096, which adds its residue rows.
 
 Every command is also run on every sample under five flag sets, 720 runs,
 and each run's exit code and the sha256 of its stdout and stderr must match
-tests/golden/outputs.sha256, one line per run."""
+tests/golden/outputs.sha256, one line per run.  All of these runs are made
+once more in one fresh `python -O` interpreter that cannot import
+jsonschema, and must give the same reports and digests there."""
 
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
 from heckelift.cli import COMMANDS, main
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
+
 PROBLEMS = ROOT / "demos" / "problems"
-GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN = ROOT / "tests" / "golden"
 
 # sample -> (command it targets, exit code)
 TARGETS = {
@@ -123,14 +122,7 @@ def test_reports_match_golden_under_optimize_without_jsonschema():
     )
     argvs = [[command, str(PROBLEMS / f"{stem}.json"), *flags] for stem, command, _, _, flags in CASES]
     argvs += [run_argv(*run) for run in SAMPLE_RUNS]
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        input=json.dumps(argvs),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
+    done = run_python("-O", "-c", script, input=json.dumps(argvs))
     assert done.returncode == 0, done.stderr
     runs = json.loads(done.stdout)
     assert len(runs) == len(CASES) + len(SAMPLE_RUNS)

@@ -27,7 +27,7 @@ from heckelift.heckequad import (
     _reduced_forms,
 )
 
-from conftest import xgcd
+from conftest import primes_below, xgcd
 
 
 K1155 = ImagQuadField(-1155)
@@ -168,15 +168,6 @@ def _power(f, n, D):
         if n:
             base = _compose(base, base, D)
     return result
-
-
-def _primes_up_to(n):
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(n + 1) if sieve[p]]
 
 
 def _kronecker_prime(D, p):
@@ -557,7 +548,7 @@ class TestClassGroup:
     def test_class_number_formula_and_genus_theory(self):
         # independent of forms: Dirichlet's class number formula, and the
         # 2-rank omega(D) - 1 of genus theory
-        primes = _primes_up_to(5000)
+        primes = primes_below(5001)
         fields = _fundamental_discriminants(10**4)
         assert len(fields) == 3041
         for D in fields:
@@ -574,7 +565,7 @@ class TestClassGroup:
         assert grp.h == 256
         assert grp.invariant_factors == (2, 2, 2, 2, 16)
         assert grp.exponent == 16
-        assert grp.h == _class_number_formula(D, _primes_up_to(-D // 2))
+        assert grp.h == _class_number_formula(D, primes_below(-D // 2 + 1))
         two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
         assert two_rank == len(factorize(-D)) - 1
 
@@ -692,3 +683,8 @@ class TestCountingBound:
         K23 = ImagQuadField(-23)
         with pytest.raises(ValueError, match="divides the class number"):
             counting_bound(K23, 3, 13)
+        # the same two refusals on the q side
+        with pytest.raises(ValueError, match=r"13 is not split in Q\(sqrt\(-1155\)\)"):
+            counting_bound(K1155, 17, 13)
+        with pytest.raises(ValueError, match="3 divides the class number 3"):
+            counting_bound(K23, 13, 3)

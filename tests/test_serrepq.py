@@ -427,6 +427,22 @@ class TestLocalCompat:
         assert not rep.compatible
         assert "differ by exactly ell" in rep.reason
 
+    def test_unipotent_against_tame_with_no_common_twist_value(self):
+        # equal inertial characters and values (1/11, 1/11 + L_7) differing
+        # by exactly ell, so only the twist value is left to find: mod 5 it
+        # is 0, mod 7 it carries 1/11, prime to 5 and 7 but outside the
+        # values w * pi(L_5 - L_7) that an algebraic value runs through
+        ell = 3
+        chi = GroupCharacter(unit_group(ell, 1), (QmodZ(1, 2),))
+        datum_p = UnipotentRamified(ell, 5, ModCharacter(chi, 5), frob(0, 1, 0))
+        datum_q = TamePrincipal(
+            ell, 7, (ModCharacter(chi, 7), ModCharacter(chi, 7)), (frob(1, 11, 0), frob(1, 11, 1))
+        )
+        for pair in ((datum_p, datum_q), (datum_q, datum_p)):
+            rep = local_compat(*pair)
+            assert not rep.compatible
+            assert rep.reason == "no algebraic twist value matches both sides"
+
     def test_tame_against_ratio_free_twist(self):
         # the pinned side carries an order-3 Frobenius value; the unramified
         # side pins only the ratio, and the common twist absorbs the value
