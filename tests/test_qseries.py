@@ -1,7 +1,11 @@
+import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from heckelift.qseries import (
     split_roots,
     sturm_congruence,
     _divisor_power_sums,
+    _eta_cubed,
     _kron,
     _pack,
     _slot_width,
@@ -131,6 +136,29 @@ def kron_operands(draw):
     return side(mx), side(my)
 
 
+@st.composite
+def low_energy_operands(draw):
+    """Two integer lists of one length in 1..150 whose energy sum x_i^2 lies
+    far below n*max|x|^2, so that the Cauchy-Schwarz slot is narrower than
+    one sized from n*max|x|*max|y|: one huge coefficient among +-1s,
+    coefficients growing like a power of the index as a series' do, or the
+    sparse eta^3 of Jacobi's identity."""
+    n = draw(st.integers(1, 150))
+
+    def side():
+        kind = draw(st.sampled_from(["spike", "growth", "eta3"]))
+        if kind == "eta3":
+            return _eta_cubed(n)
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        if kind == "spike":
+            signs[draw(st.integers(0, n - 1))] = draw(st.integers(-(2**70), 2**70))
+            return signs
+        e, c = draw(st.integers(1, 11)), draw(st.integers(1, 2**20))
+        return [s * c * (i + 1) ** e for i, s in enumerate(signs)]
+
+    return side(), side()
+
+
 class TestKroneckerSubstitution:
     """_kron against the schoolbook product, and the slot codecs alone."""
 
@@ -145,6 +173,32 @@ class TestKroneckerSubstitution:
     def test_squares(self, xy):
         x = xy[0]
         assert _kron(x, x) == schoolbook(x, list(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(low_energy_operands())
+    def test_low_energy_against_schoolbook(self, xy):
+        x, y = xy
+        assert _kron(x, y) == schoolbook(x, y)
+        assert _kron(x, x) == schoolbook(x, list(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(kron_operands(), low_energy_operands()))
+    def test_slot_is_sized_by_cauchy_schwarz(self, xy):
+        # sqrt(sum x^2 * sum y^2) for a product, sum x^2 for a square: never
+        # wider than the slot n*max|x|*max|y| would give
+        x, y = xy
+        ex, ey = sum(a * a for a in x), sum(b * b for b in y)
+        with mock.patch.object(qseries, "_pack", wraps=_pack) as pack:
+            _kron(x, y)
+            _kron(x, x)
+        wanted = []
+        if ex * ey:
+            wanted += [_slot_width(math.isqrt(ex * ey))] * 2
+            n, mx, my = len(x), max(map(abs, x)), max(map(abs, y))
+            assert wanted[0] <= _slot_width(n * mx * my)
+        if ex:
+            wanted.append(_slot_width(ex))
+        assert [call.args[1] for call in pack.call_args_list] == wanted
 
     @pytest.mark.parametrize("n", [1, 2, 70])
     def test_zero_operands(self, n):
@@ -199,7 +253,7 @@ class TestKroneckerProduct:
 
     def test_slot_width_at_the_bound(self):
         # all terms of one sign make the last coefficient n * m^2 exactly,
-        # the bound the slot width is sized from
+        # the Cauchy-Schwarz bound the slot width is sized from
         for m in (1, 127, 128, 255, 256, 2**63 - 1, 2**63):
             for n in (1, 2, 7, 8, 9):
                 for sx, sy in ((1, 1), (1, -1), (-1, -1)):
@@ -462,6 +516,13 @@ class TestReduceSeries:
             assert reduce_series(series, ideal.conjugate(), 11) == expect
             assert reduce_series(series, 7, 11) == expect
 
+    @pytest.mark.parametrize("modulus", [5.7, 4, -7, 0, True])
+    def test_refuses_a_modulus_that_is_not_a_prime(self, modulus):
+        # a float was truncated, 4 used as a prime, -7 gave negative
+        # residues and 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match=re.escape(f"modulus {modulus!r} is neither")):
+            reduce_series(delta(12), modulus, 10)
+
     def test_ell_divides_the_shared_denominator(self):
         # only the coefficients up to the bound need invertible denominators
         series = QExpansion([1, Fraction(1, 5)])
@@ -503,6 +564,12 @@ class TestSturmCongruence:
         d = delta(8)
         with pytest.raises(ValueError):
             sturm_congruence(d, d, 5, 20)
+
+    def test_refuses_a_fractional_modulus(self):
+        # read as 2, the weights 12 and 4 agreed modulo 1 and the report said
+        # "congruence mod 2.5"
+        with pytest.raises(ValueError, match=r"modulus 2\.5 is neither"):
+            sturm_congruence(delta(12), eisenstein(4, 12), 2.5, 5)
 
 
 class TestHasseInvariant:
@@ -697,20 +764,33 @@ class TestWeight24Example:
         with pytest.raises(ValueError):
             weight24_example(8)
 
-    def test_reduces_each_pair_once(self, monkeypatch):
-        reduced = []
-        original = qseries.reduce_series
+    def test_takes_its_products_mod_35_in_narrow_slots(self, monkeypatch):
+        products = count_products(monkeypatch)
+        widths = []
+        pack, kron = qseries._pack, qseries._kron
 
-        def counted(series, ideal, bound):
-            # the series itself is kept, so that its id is not reused
-            reduced.append((series, id(series), ideal))
-            return original(series, ideal, bound)
+        def recorded_pack(xs, width):
+            widths[-1].append(width)
+            return pack(xs, width)
 
-        monkeypatch.setattr(qseries, "reduce_series", counted)
-        for precision in (10, 64):
-            reduced.clear()
+        def recorded_kron(x, y):
+            widths.append([])
+            return kron(x, y)
+
+        monkeypatch.setattr(qseries, "_pack", recorded_pack)
+        monkeypatch.setattr(qseries, "_kron", recorded_kron)
+        for precision in (10, 64, PRECISION_BOUND):
+            widths.clear()
             weight24_example(precision)
-            pairs = [(key, ideal) for _, key, ideal in reduced]
-            assert len(set(pairs)) == len(pairs)
-            # Delta, Delta^2 and E4^3*Delta mod 5 and 7, and E4 mod 5
-            assert len(pairs) == 7
+            assert products[0] == 0
+            # three squarings to eta^24, then Delta^2, E4^2, E4^3, E4^3*Delta
+            assert len(widths) == 7
+            assert all(w and max(w) <= 4 for w in widths), (precision, widths)
+
+    def test_reports_match_their_digests(self):
+        # sha256 of repr(weight24_example(n)) as built from the series over Z
+        lines = (Path(__file__).parent / "golden" / "weight24_repr.sha256").read_text()
+        for line in lines.splitlines():
+            _, precision, digest = line.split()
+            got = repr(weight24_example(int(precision))).encode()
+            assert hashlib.sha256(got).hexdigest() == digest, precision
