@@ -3,10 +3,8 @@
 A group is presented as a direct product of cyclic factors Z/d_1 x ... x
 Z/d_r, optionally labelled (unit groups carry a label recording the prime
 power and the canonical generator).  A character is stored as integers
-k_i mod d_i: generator i goes to k_i/d_i in Q/Z.  Its ell-primary part is
-k_i * e(d_i, ell), where the CRT idempotent e(d, ell) is 1 modulo the
-ell-part of d and 0 modulo the rest, and its prime-to-ell part is
-k_i * (1 - e(d_i, ell)).
+k_i mod d_i: generator i goes to k_i/d_i in Q/Z.  exactnum's _prime_to
+gives the prime-to-ell part of each k_i/d_i.
 
 A mod-ell character is stored through its canonical complex
 representative: the unique representative whose order is prime to ell.
@@ -41,7 +39,7 @@ from typing import Iterator
 from .exactnum import (
     QmodZ,
     Record,
-    _crt_idempotent,
+    _prime_to,
     glue_pq,
     is_prime,
     primitive_root,
@@ -162,11 +160,8 @@ class GroupCharacter(Record):
         )
 
     def part_prime_to(self, ell: int) -> "GroupCharacter":
-        orders = self.group.orders
-        return self._make(
-            self.group,
-            tuple([k * (1 - _crt_idempotent(d, ell)) % d for k, d in zip(self.exps, orders)]),
-        )
+        exps = tuple([_prime_to(k, d, ell) for k, d in zip(self.exps, self.group.orders)])
+        return self._make(self.group, exps)
 
 
 class ModCharacter(Record):

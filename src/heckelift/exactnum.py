@@ -5,9 +5,16 @@ classes, one solver of a*w = b mod m under crt_pair, discrete_log and
 unit_dlog, the common weight of two weight classes, and the number theory
 helpers the rest of the library leans on.  Unit groups (Z/ell^a)^* are
 known by their odd prime ell: `primitive_root` and `unit_dlog`, every
-discrete log in (Z/ell)^*, share one factorisation of ell - 1.  `Record`
-is the base of the package's immutable records.  Everything is immutable
-after construction and safe to share between threads.
+discrete log in (Z/ell)^*, share one factorisation of ell - 1.
+
+This module alone splits Z/d into its ell-primary part and the rest.
+Reducing a root of unity x/d mod ell keeps its prime-to-ell part,
+_prime_to(x, d, ell) = x*(1 - e) mod d for the CRT idempotent e that is 1
+modulo the ell-part of d and 0 modulo the rest, and every reduction mod
+ell in the package goes through _prime_to.
+
+`Record` is the base of the package's immutable records.  Everything is
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -307,12 +314,19 @@ def prime_to_part(n: int, ell: int) -> int:
 
 
 @lru_cache(maxsize=1 << 12)
-def _crt_idempotent(d: int, ell: int) -> int:
-    """The e in [0, d) with e = 1 modulo the ell-part of d and e = 0 modulo
-    the rest of d.  Multiplying by e projects Z/d onto its ell-primary
-    component, and by 1 - e onto the prime-to-ell component."""
-    rest = prime_to_part(d, ell)
-    return rest * pow(rest, -1, d // rest)  # the inverse mod 1 is 0
+def _prime_to_projector(d: int, ell: int) -> int:
+    """1 - e mod d for the CRT idempotent e that is 1 modulo the ell-part of
+    d and 0 modulo the rest: it projects Z/d onto its prime-to-ell part."""
+    at = d // prime_to_part(d, ell)
+    return at * pow(at, -1, d // at)  # the inverse mod 1 is 0
+
+
+def _prime_to(x: int, d: int, p: int, q: int | None = None) -> int:
+    """The component of x/d in Q/Z prime to p, or to p and q, as a residue
+    mod d: with q omitted, the reduction mod p, x/d less its part of p-power
+    order; with q, the part away from p and q."""
+    x = x * _prime_to_projector(d, p) % d
+    return x if q is None else x * _prime_to_projector(d, q) % d
 
 
 class QmodZ(Record):
@@ -360,12 +374,9 @@ class QmodZ(Record):
 
     __rmul__ = __mul__
 
-    def part_at(self, ell: int) -> "QmodZ":
-        """The ell-primary component (the unique part of ell-power order)."""
-        return QmodZ(self.num * _crt_idempotent(self.den, ell), self.den)
-
     def part_prime_to(self, ell: int) -> "QmodZ":
-        return QmodZ(self.num * (1 - _crt_idempotent(self.den, ell)), self.den)
+        """The reduction mod ell: self less its ell-primary part."""
+        return QmodZ(_prime_to(self.num, self.den, ell), self.den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -380,19 +391,18 @@ def glue_pq(x, p: int, y, q: int, d: int | None = None):
     x/d, y/d and z/d in Q/Z; with d omitted they are QmodZ values, carried
     onto the lcm of their denominators.
 
-    x must have no p-part and y no q-part.  With e_p and e_q the CRT
-    idempotents of p and q mod d, z exists exactly when x and y agree away
-    from p and q, (1 - e_p - e_q)(x - y) = 0, and it is unique: the p-part
-    of y plus the prime-to-p part of x, e_p*y + (1 - e_p)*x.
+    x must have no p-part and y no q-part.  z exists exactly when x and y
+    agree away from p and q, and it is unique: the p-part of y plus the
+    prime-to-p part of x, that is y plus the prime-to-p part of x - y.
     """
     if d is None:
         d = math.lcm(x.den, y.den)
         z = glue_pq(x.num * (d // x.den), p, y.num * (d // y.den), q, d)
         return None if z is None else QmodZ(z, d)
-    e_p = _crt_idempotent(d, p)
-    if (1 - e_p - _crt_idempotent(d, q)) * (x - y) % d:
+    away_from_p = _prime_to(x - y, d, p)
+    if _prime_to(away_from_p, d, q):
         return None
-    return (e_p * y + (1 - e_p) * x) % d
+    return (y + away_from_p) % d
 
 
 def _solve_linear(a: int, b: int, m: int) -> int | None:

@@ -47,7 +47,7 @@ from .exactnum import (
     Congruence,
     QmodZ,
     Record,
-    _crt_idempotent,
+    _prime_to,
     crt_pair,
     factorize,
     glue_pq,
@@ -282,9 +282,9 @@ class LocalInvariantsQ(Record):
         if self.b_q.modulus != self.B_q:
             raise AssertionError(f"b_q is taken modulo {self.b_q.modulus}, not B_q")
         for ell, psi in ((self.p, self.psi_prime_p), (self.q, self.psi_q)):
-            order = psi.order()
-            if order != ell ** valuation(order, ell):
-                raise AssertionError(f"wild part at {ell} has order {order}")
+            # a wild part reduces to 1 mod ell; read on exponents, building no record
+            if any([_prime_to(k, d, ell) for k, d in zip(psi.exps, psi.group.orders)]):
+                raise AssertionError(f"wild part at {ell} has order {psi.order()}")
 
 
 def _require_pair(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> tuple[int, int]:
@@ -315,13 +315,14 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
         # k = t/e mod ell-1.  own at its prime is tame
         level = max(1, own.prime_exponent(ell))
         k = _over_level_one_log(ell, own._at_level(ell, level) // ell ** (level - 1))
-        # the other character at ell: the ell-primary component is the wild
-        # part, the rest is theta^j of order prime to other, so j is mod A
+        # the other character at ell: its reduction mod ell is theta^j, of
+        # order prime to other, so j is mod A; the rest is the wild part
         level = max(1, other_char.prime_exponent(ell))
         d = _phi(ell, level)
         y = other_char._at_level(ell, level)
-        wild = y * _crt_idempotent(d, ell) % d
-        j = _over_level_one_log(ell, (y - wild) // ell ** (level - 1))
+        tame = _prime_to(y, d, ell)
+        wild = (y - tame) % d
+        j = _over_level_one_log(ell, tame // ell ** (level - 1))
         A = prime_to_part(ell - 1, other)
         if j % ((ell - 1) // A):
             raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")
@@ -381,7 +382,7 @@ def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult
         if lifted:
             d = _phi(ell, level)
             for name, r, chi in (("rho", p, rho), ("rho'", q, rho_prime)):
-                if lifted * (1 - _crt_idempotent(d, r)) % d != chi._at_level(ell, level):
+                if _prime_to(lifted, d, r) != chi._at_level(ell, level):
                     raise AssertionError(f"twist at {ell} does not reduce to {name} mod {r}")
             eps_parts[ell] = _character_on_g(ell, level, lifted)
 
@@ -424,10 +425,7 @@ def hecke_reductions(
     x, y = _exponent_on_g(eps, p), _exponent_on_g(eps_prime, q)
 
     def reduction(r: int, at_p: int, at_q: int) -> GlobalCharQ:
-        exps = {
-            p: at_p * (1 - _crt_idempotent(d_p, r)) % d_p,
-            q: at_q * (1 - _crt_idempotent(d_q, r)) % d_q,
-        }
+        exps = {p: _prime_to(at_p, d_p, r), q: _prime_to(at_q, d_q, r)}
         return GlobalCharQ._make(r, {p: alpha, q: beta}, exps)
 
     return (

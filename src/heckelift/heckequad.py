@@ -205,8 +205,7 @@ def _validate_local(
                 raise ValueError(
                     f"tame exponent {entry.a} out of range mod {place.modulus} at {place.name}"
                 )
-            order = entry.psi.order() if entry.psi is not None else 1
-            if order != data.prime ** valuation(order, data.prime):
+            if entry.psi is not None and not entry.psi.part_prime_to(data.prime).is_trivial():
                 raise ValueError(
                     f"wild character at {place.name} must have {data.prime}-power order"
                 )

@@ -404,12 +404,12 @@ def _ell(modulus) -> int:
 def reduce_series(series: QExpansion, ideal, bound: int) -> tuple[int, ...]:
     """Coefficients 0..bound reduced modulo a rational prime ell, or through
     a SplitPrimeIdeal above ell, which on rational coefficients is the same."""
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative")
     if bound >= series.precision:
-        raise ValueError(
-            f"series precision {series.precision} is below the bound {bound}"
-        )
+        raise ValueError(f"series precision {series.precision} is below the bound {bound}")
     ell = _ell(ideal)
-    nums = series._a[: max(bound + 1, 0)]
+    nums = series._a[: bound + 1]
     den = series._den
     if den % ell:
         inv = pow(den, -1, ell)

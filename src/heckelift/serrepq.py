@@ -37,7 +37,7 @@ from .abchar import (
 from .exactnum import (
     QmodZ,
     Record,
-    _crt_idempotent,
+    _prime_to,
     _solve_linear,
     glue_pq,
     is_prime,
@@ -87,7 +87,7 @@ class AlgebraicFrobValue(Record):
         multiplicative group in Q/Z coordinates."""
         zeta, L = self.zeta, residue_address(ell, target)
         m = math.lcm(zeta.den, L.den)
-        x = zeta.num * (m // zeta.den) * (1 - _crt_idempotent(m, target))
+        x = _prime_to(zeta.num * (m // zeta.den), m, target)
         return QmodZ(x + self.weight * L.num * (m // L.den), m)
 
     def __str__(self) -> str:
@@ -236,21 +236,19 @@ def _simultaneous_value(
 
     Write L_r for residue_address(ell, r).  A target_p with a p-part, or a
     target_q with a q-part, is hit by no reduction.  Otherwise take the
-    targets and L_p, L_q as residues mod one common denominator m, and pi
-    for multiplication by 1 - e_p - e_q, the projection onto the
-    prime-to-pq part, with e_r the CRT idempotents mod m.  zeta exists at w
-    exactly when target_p - w*L_p and target_q - w*L_q agree away from p
-    and q, that is when w * pi(L_p - L_q) = pi(target_p - target_q) mod m,
-    and _solve_linear gives the least such w, below lcm(p-1, q-1).  zeta
-    glues the two.
+    targets and L_p, L_q as residues mod one common denominator m.  zeta
+    exists at w exactly when target_p - w*L_p and target_q - w*L_q agree
+    away from p and q, glue_pq's condition: with pi the part away from p and
+    q (exactnum's _prime_to), w * pi(L_p - L_q) = pi(target_p - target_q)
+    mod m, and _solve_linear gives the least such w, below lcm(p-1, q-1).
+    zeta glues the two.
     """
     if target_p.den % p == 0 or target_q.den % q == 0:
         return None
     L_p, L_q = residue_address(ell, p), residue_address(ell, q)
     m = math.lcm(target_p.den, target_q.den, L_p.den, L_q.den)
     t_p, t_q, l_p, l_q = (x.num * (m // x.den) for x in (target_p, target_q, L_p, L_q))
-    pi = 1 - _crt_idempotent(m, p) - _crt_idempotent(m, q)
-    w = _solve_linear(pi * (l_p - l_q), pi * (t_p - t_q), m)
+    w = _solve_linear(_prime_to(l_p - l_q, m, p, q), _prime_to(t_p - t_q, m, p, q), m)
     if w is None:
         return None
     zeta = glue_pq((t_p - w * l_p) % m, p, (t_q - w * l_q) % m, q, m)

@@ -183,7 +183,7 @@ class TestReduceMod:
                     continue
                 for ell in (3, 5):
                     red = reduce_mod(eps, ell)
-                    killed = math.lcm(1, *(x.part_at(ell).den for x in eps.images))
+                    killed = math.lcm(1, *((x - x.part_prime_to(ell)).den for x in eps.images))
                     assert red.order() * killed == eps.order()
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 import pkgutil
@@ -5,6 +6,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from heckelift.exactnum import (
     _MR_BOUNDS,
     PRIME_TEST_BOUND,
     _BABY_STEPS,
+    _prime_to,
     _solve_linear,
     _unit_order_factors,
     Congruence,
@@ -88,20 +91,18 @@ class TestQmodZ:
     def test_primary_split(self):
         # 1/15 = 2/5 + 2/3 in Q/Z
         x = QmodZ(1, 15)
-        assert x.part_at(5) == QmodZ(2, 5)
+        assert x - x.part_prime_to(5) == QmodZ(2, 5)
         assert x.part_prime_to(5) == QmodZ(2, 3)
-        assert x.part_at(5) + x.part_prime_to(5) == x
 
     @given(qmodz, st.sampled_from([2, 3, 5, 7]))
     def test_primary_split_properties(self, x, ell):
-        a = x.part_at(ell)
         b = x.part_prime_to(ell)
-        assert a + b == x
+        a = x - b
         assert a.den == ell ** (a.den and self_val(a.den, ell))
         assert b.den % ell != 0
 
     @given(qmodz, st.sampled_from([2, 3, 5, 7, 11]))
-    def test_part_at_matches_the_xgcd_split(self, x, ell):
+    def test_primary_parts_match_the_xgcd_split(self, x, ell):
         # the ell-primary part by the Bezout split of the denominator into
         # its ell-part m and the rest: num/den = num*(u*m + w*rest)/den
         m, rest = 1, x.den
@@ -109,12 +110,40 @@ class TestQmodZ:
             rest //= ell
             m *= ell
         _, _, w = xgcd(m, rest)
-        assert x.part_at(ell) == QmodZ(x.num * w, m)
-        assert x.part_prime_to(ell) == x - QmodZ(x.num * w, m)
+        assert x - x.part_prime_to(ell) == QmodZ(x.num * w, m)
 
     def test_scalar_multiple(self):
         assert 3 * QmodZ(1, 12) == QmodZ(1, 4)
         assert -1 * QmodZ(1, 5) == QmodZ(4, 5)
+
+
+class TestPrimeTo:
+    ELLS = (2, 3, 5, 7, 11)
+
+    def test_against_brute_force(self):
+        # every x mod d splits uniquely as z + w with z of order prime to ell
+        # and w of ell-power order; enumerate both kinds of residue by their
+        # orders and check that _prime_to(x, d, ell) is the z of each x
+        for d in range(1, 121):
+            orders = [d // math.gcd(r, d) for r in range(d)]
+            for ell in self.ELLS:
+                prime_to = [z for z in range(d) if orders[z] % ell]
+                powers = [w for w in range(d) if orders[w] == ell ** self_val(orders[w], ell)]
+                split = {}
+                for z in prime_to:
+                    for w in powers:
+                        split.setdefault((z + w) % d, []).append(z)
+                assert {x: [_prime_to(x, d, ell)] for x in range(d)} == split, (d, ell)
+
+    def test_two_primes_reduce_in_either_order(self):
+        for d in range(1, 121):
+            for p in self.ELLS:
+                for q in self.ELLS:
+                    if p != q:
+                        for x in range(d):
+                            both = _prime_to(x, d, p, q)
+                            assert both == _prime_to(_prime_to(x, d, p), d, q), (x, d, p, q)
+                            assert both == _prime_to(_prime_to(x, d, q), d, p), (x, d, p, q)
 
 
 class TestGluePq:
@@ -694,6 +723,19 @@ class TestUnitDlog:
             unit_dlog(generator, target, ell)
 
 
+def test_only_exactnum_names_the_crt_idempotent():
+    # exactnum alone splits Z/d into its ell-primary part and the rest; every
+    # other module reduces mod ell through exactnum._prime_to
+    idempotent = {exactnum._prime_to_projector.__name__, "_crt_idempotent"}
+    for path in sorted(Path(heckelift.__file__).parent.glob("*.py")):
+        if path.name != "exactnum.py":
+            nodes = list(ast.walk(ast.parse(path.read_text())))
+            names = {node.id for node in nodes if isinstance(node, ast.Name)}
+            names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            names |= {node.name for node in nodes if isinstance(node, ast.alias)}
+            assert not names & idempotent, path.name
+
+
 def test_every_memo_in_the_package_is_bounded():
     # _bernoulli_even is the one unbounded memo: bernoulli caps its argument
     # at BERNOULLI_BOUND // 2, so it holds at most 51 entries.  Every other
@@ -710,7 +752,7 @@ def test_every_memo_in_the_package_is_bounded():
     assert bounds.pop("heckelift.exactnum._bernoulli_even") is None
     assert bounds.pop("heckelift.heckequad._class_group") == 8
     assert set(bounds.values()) == {1 << 12}
-    assert "heckelift.exactnum._crt_idempotent" in bounds
+    assert "heckelift.exactnum._prime_to_projector" in bounds
     bernoulli(BERNOULLI_BOUND)
     cached = memos["heckelift.exactnum._bernoulli_even"].cache_info().currsize
     assert cached == BERNOULLI_BOUND // 2 + 1 == 51

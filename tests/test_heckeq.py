@@ -472,7 +472,8 @@ def qmodz_extract_invariants(rho, rho_prime):
         A = prime_to_part(ell - 1, other)
         if j % ((ell - 1) // A):
             raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")
-        wild = unit_character(ell, max(1, other_char.prime_exponent(ell)), y.part_at(ell))
+        level = max(1, other_char.prime_exponent(ell))
+        wild = unit_character(ell, level, y - y.part_prime_to(ell))
         return Congruence(k, ell - 1), Congruence(j, A), A, wild
 
     return LocalInvariantsQ(p, q, *at(p, rho, rho_prime, q), *at(q, rho_prime, rho, p))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -297,6 +298,30 @@ class TestQExpansionArithmetic:
         assert (e4**3).weight == 12
         assert (e4**3)[1] == 720
 
+    def test_sum_undoes_difference(self):
+        e4, e6 = eisenstein(4, 12), eisenstein(6, 12)
+        assert (e4**3 - e6**2) + e6**2 == e4**3
+        # over the lcm of the denominators, to the shorter precision
+        halves = QExpansion([Fraction(1, 2), Fraction(1, 3)]) + QExpansion([Fraction(1, 2), 1, 5])
+        assert halves.coeffs == (1, Fraction(4, 3))
+
+    def test_sum_and_difference_weight_tags(self):
+        # equal weights are kept, a missing one defers to the other and a
+        # mismatch leaves the result untagged
+        tagged, untagged = QExpansion([1, 2], weight=4), QExpansion([3, 4])
+        for op in (operator.add, operator.sub):
+            assert op(tagged, QExpansion([0, 1], weight=4)).weight == 4
+            assert op(tagged, untagged).weight == 4
+            assert op(untagged, tagged).weight == 4
+            assert op(untagged, untagged).weight is None
+            assert op(tagged, QExpansion([0, 1], weight=6)).weight is None
+
+    def test_slice(self):
+        d = delta(8)
+        assert d[1:4] == (1, -24, 252)
+        assert d[1:4] == d.coeffs[1:4]
+        assert all(isinstance(c, Fraction) for c in d[1:4])
+
     def test_domain_mismatch_rejected(self):
         # coefficients and scalars are rational; quadratic numbers are only
         # ever reduced through a prime
@@ -564,6 +589,15 @@ class TestSturmCongruence:
         d = delta(8)
         with pytest.raises(ValueError):
             sturm_congruence(d, d, 5, 20)
+
+    def test_refuses_a_negative_bound(self):
+        # reduce_series read no coefficient below bound 0, so the two empty
+        # reductions agreed and the report said "congruence mod 5 to q^-3: pass"
+        with pytest.raises(ValueError, match="bound -3 is negative"):
+            sturm_congruence(delta(12), eisenstein(12, 12), 5, -3)
+        with pytest.raises(ValueError, match="bound -1 is negative"):
+            reduce_series(delta(12), 5, -1)
+        assert reduce_series(delta(12), 5, 0) == (0,)
 
     def test_refuses_a_fractional_modulus(self):
         # read as 2, the weights 12 and 4 agreed modulo 1 and the report said

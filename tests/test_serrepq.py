@@ -152,13 +152,13 @@ def qmodz_value_mod(value, ell, target):
 def qmodz_simultaneous_value(ell, target_p, p, target_q, q):
     """_simultaneous_value in Q/Z arithmetic, the weight a discrete_log, as
     it was computed before it moved to residues mod one denominator."""
-    if not target_p.part_at(p).is_zero() or not target_q.part_at(q).is_zero():
+    if target_p.part_prime_to(p) != target_p or target_q.part_prime_to(q) != target_q:
         return None
     L_p = residue_address(ell, p)
     L_q = residue_address(ell, q)
 
     def pi(x: QmodZ) -> QmodZ:
-        return x - x.part_at(p) - x.part_at(q)
+        return x - (x - x.part_prime_to(p)) - (x - x.part_prime_to(q))
 
     w = discrete_log(pi(target_p - target_q), pi(L_p - L_q))
     if w is None:
@@ -490,7 +490,8 @@ def parameters(draw, ell, p, q):
     def quasi():
         chi = draw(unit_chars(ell))
         p_part, q_part = (
-            GroupCharacter(chi.group, tuple(x.part_at(r) for x in chi.images)) for r in (p, q)
+            GroupCharacter(chi.group, tuple(x - x.part_prime_to(r) for x in chi.images))
+            for r in (p, q)
         )
         part = draw(st.sampled_from([chi, p_part, q_part]))
         return QuasiChar(part, draw(frob_values))
