@@ -18,12 +18,12 @@ Images are given on the least primitive root mod ell^c.  That root is g
 except at level 1 where the least root g_1 mod ell fails mod ell^2, below
 2*10^6 only at ell = 40487: there g = 10 = 5^17305, and a level-1 image x
 is the value 17305*x.  _level_one_log gives that e = log_{g_1}(g) mod
-ell - 1, and _over_level_one_log divides a value on g by it.
+ell - 1.  _glue_levels alone lifts a pair of values across two levels.
 
-The cyclotomic character mod p is the identity character of (Z/p)^*,
+The cyclotomic character theta mod p is the identity character of (Z/p)^*,
 sending g_1 to 1/(p-1), pulled back to (Z/p^a)^*.  Its value on g is
 e/(p-1): 1/(p-1) where g_1 = g, 17305/40486 at p = 40487; at level a that
-is e*p^(a-1) mod phi(p^a), which _cyclotomic gives.
+is e*p^(a-1) mod phi(p^a): _cyclotomic gives it, _cyclotomic_log inverts it.
 
 A HeckeCertificate, the witness of a lift over Q or over an imaginary
 quadratic field, is a record of such characters, one per place.
@@ -89,8 +89,8 @@ class FinAbGroup(Record):
     __slots__ = ("orders", "labels")
 
     def __init__(self, orders: tuple[int, ...], labels: tuple[object, ...] = ()):
-        if any(d < 2 for d in orders):
-            raise ValueError("cyclic factor orders must be >= 2")
+        if any(type(d) is not int or d < 2 for d in orders):
+            raise ValueError("cyclic factor orders must be ints >= 2")
         if labels and len(labels) != len(orders):
             raise ValueError("one label per generator required")
         object.__setattr__(self, "orders", orders)
@@ -234,6 +234,23 @@ def simultaneous_artin_lift(
     return GroupCharacter._make(group, tuple(exps))
 
 
+def _glue_levels(ell: int, x: int, a: int, p: int, y: int, b: int, q: int) -> tuple[int, int | None]:
+    """(A, z) for A = max(a, b, 1) and z the value on g mod phi(ell^A) that
+    reduces mod p to x, at level a, and mod q to y, at level b, or None."""
+    A = max(a, b, 1)
+    return A, glue_pq(x * ell ** (A - a), p, y * ell ** (A - b), q, _phi(ell, A))
+
+
+def _unit_lift(ell: int, chi: ModCharacter, chi_prime: ModCharacter) -> GroupCharacter | None:
+    """The character of (Z/ell^A)^* reducing to the characters chi and
+    chi_prime of unit groups at ell, A the higher of their levels and at
+    least 1; None when there is none."""
+    x, y = _exponent_on_g(chi.base, ell), _exponent_on_g(chi_prime.base, ell)
+    a, b = _level(chi.group), _level(chi_prime.group)
+    A, z = _glue_levels(ell, x, a, chi.residue_char, y, b, chi_prime.residue_char)
+    return None if z is None else _character_on_g(ell, A, z)
+
+
 def character_conductor(eps: GroupCharacter) -> int:
     """Least prime power ell^c such that eps factors through (Z/ell^c)^*.
 
@@ -265,18 +282,19 @@ def enumerate_characters(group: FinAbGroup) -> Iterator[GroupCharacter]:
 # Unit-group presentations
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 12, typed=True)
 def unit_group(ell: int, exponent: int) -> FinAbGroup:
     """(Z/ell^exponent)^* for an odd prime ell, as a cyclic group labelled
     with its canonical generator, primitive_root(ell, exponent).
 
     exponent 0 gives the trivial group (used for unramified restrictions).
-    A level whose ell^exponent surely exceeds UNIT_GROUP_BOUND raises
-    ValueError before any power is formed.
+    A bool, a float or a negative exponent raises ValueError, as does a
+    level whose ell^exponent surely exceeds UNIT_GROUP_BOUND, before any
+    power is formed; the memo is typed, so no bool or float meets an int's entry.
     """
     require_odd_primes(ell)
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
+    if type(exponent) is not int or exponent < 0:
+        raise ValueError(f"exponent {exponent!r} must be an int >= 0")
     if exponent == 0:
         return FinAbGroup(())
     if (ell.bit_length() - 1) * exponent >= UNIT_GROUP_BOUND.bit_length():
@@ -300,20 +318,20 @@ def _level_one_log(ell: int) -> int:
     """e with g = g_1^e mod ell, g = primitive_root(ell, 2) and g_1 =
     primitive_root(ell): 1 where they agree, else a unit_dlog (17305 at 40487)."""
     g1, g = primitive_root(ell), primitive_root(ell, 2)
-    return 1 if g1 == g else unit_dlog(g1, g, ell)
-
-
-def _over_level_one_log(ell: int, x: int) -> int:
-    """x/e mod ell - 1 for e = _level_one_log(ell): the character of
-    (Z/ell)^* with value x/(ell-1) on g sends g_1 to that over ell - 1."""
-    e = _level_one_log(ell)
-    return (x if e == 1 else x * pow(e, -1, ell - 1)) % (ell - 1)
+    return 1 if g1 == g else unit_dlog(g, ell)
 
 
 def _cyclotomic(ell: int, level: int) -> int:
     """The value on g of the cyclotomic character mod ell, e/(ell-1), as a
     residue mod phi(ell^level)."""
     return _level_one_log(ell) * ell ** (level - 1)
+
+
+def _cyclotomic_log(ell: int, level: int, x: int) -> int:
+    """The k mod ell - 1 with x = k * _cyclotomic(ell, level) mod
+    phi(ell^level), for x of order prime to ell, a multiple of ell^(level-1)."""
+    e, x = _level_one_log(ell), x // ell ** (level - 1)
+    return (x if e == 1 else x * pow(e, -1, ell - 1)) % (ell - 1)
 
 
 def _exponent_on_g(eps: GroupCharacter, ell: int) -> int:
@@ -339,7 +357,7 @@ def _character_on_g(ell: int, exponent: int, x: int) -> GroupCharacter:
     if not exponent:
         return GroupCharacter.trivial(group)
     if exponent == 1:
-        x = _over_level_one_log(ell, x)
+        x = _cyclotomic_log(ell, 1, x)
     return GroupCharacter._make(group, (x % group.orders[0],))
 
 

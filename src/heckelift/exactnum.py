@@ -4,8 +4,8 @@ Residues in Q/Z (additive stand-ins for roots of unity), congruence
 classes, one solver of a*w = b mod m under crt_pair, discrete_log and
 unit_dlog, the common weight of two weight classes, and the number theory
 helpers the rest of the library leans on.  Unit groups (Z/ell^a)^* are
-known by their odd prime ell: `primitive_root` and `unit_dlog`, every
-discrete log in (Z/ell)^*, share one factorisation of ell - 1.
+known by their odd prime ell: `primitive_root` and `unit_dlog`, which logs
+to the least root in (Z/ell)^*, share one factorisation of ell - 1.
 
 This module alone splits Z/d into its ell-primary part and the rest.
 Reducing a root of unity x/d mod ell keeps its prime-to-ell part,
@@ -516,16 +516,17 @@ def _unit_order_factors(ell: int) -> tuple[tuple[int, int], ...]:
     return tuple(factorize(ell - 1).items())
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 12, typed=True)
 def primitive_root(ell: int, exponent: int = 1) -> int:
     """Least primitive root modulo ell^exponent, for an odd prime ell.
 
     Only ell - 1 is factored.  For exponent >= 2, g generates (Z/ell^a)^*
     exactly when it generates (Z/ell)^* and g^(ell-1) != 1 mod ell^2
     (Ireland & Rosen, GTM 84, ch. 4), so the least root is one g at every
-    level a >= 2."""
-    if ell == 2 or exponent < 1 or not is_prime(ell):
-        raise ValueError(f"needs an odd prime and an exponent >= 1, not {ell}^{exponent}")
+    level a >= 2.  The memo is typed, as is_prime's, and a bool or float
+    exponent raises ValueError."""
+    if ell == 2 or type(exponent) is not int or exponent < 1 or not is_prime(ell):
+        raise ValueError(f"needs an odd prime and an int exponent >= 1, not {ell}^{exponent}")
     prime_divs = [r for r, _ in _unit_order_factors(ell)]
     # g and g + ell cannot both fail the ell^2 test, so a root lies below 2*ell
     for g in range(2, 2 * ell):
@@ -539,13 +540,13 @@ _BABY_STEPS = 1 << 18  # sqrt(f) baby steps at f near 10^16 would take gigabytes
 _GIANT_STEPS = 1 << 21  # about 0.3 s of giant steps; f past 2^39 is refused
 
 
-def unit_dlog(generator: int, target: int, ell: int) -> int:
-    """The least e >= 0 with generator^e = target mod the prime ell, for a primitive
-    root generator; a target that is no power of it, 0 among them, raises ValueError.
+def unit_dlog(target: int, ell: int) -> int:
+    """The least e >= 0 with g^e = target mod the prime ell, g = primitive_root(ell) the
+    least primitive root; a target divisible by ell, no power of g, raises ValueError.
     Pohlig-Hellman (IEEE Trans. Inf. Theory 24, 1978) over the prime powers f of
     ell - 1, each by baby-step giant-step (Shanks, 1971), its table capped at _BABY_STEPS.
     A prime power f that would need more than _GIANT_STEPS giant steps raises ValueError."""
-    e, done = 0, 1
+    generator, e, done = primitive_root(ell), 0, 1
     for r, k in _unit_order_factors(ell):
         f = r**k
         h, t = pow(generator, (ell - 1) // f, ell), pow(target, (ell - 1) // f, ell)

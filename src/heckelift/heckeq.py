@@ -11,10 +11,9 @@ value at a level A >= a is ell^(A-a) * x: a product or a comparison of two
 characters scales the lower level up, and the pipeline's arithmetic stays
 on these integers.  QmodZ appears only at the edges: from_images,
 value_at, values and images.  abchar.unit_value and abchar.unit_character
-translate there, where images are given on the least primitive root mod
-ell^a.  abchar's docstring holds the one prime below 2*10^6 where that
-root is not g at level 1, and the value e/(p-1) on g of the cyclotomic
-character mod p, with e = log_{g_1}(g).
+translate there; abchar's docstring says where images on the least
+primitive root g_1 differ from values on g, and gives the cyclotomic
+character's value on g.
 
 The pipeline: extract the local exponents of a pair (rho mod p, rho' mod q),
 solve one congruence system, and assemble the witness character
@@ -33,9 +32,10 @@ from .abchar import (
     ModCharacter,
     _character_on_g,
     _cyclotomic,
+    _cyclotomic_log,
     _exponent_on_g,
+    _glue_levels,
     _level,
-    _over_level_one_log,
     _phi,
     character_conductor,
     enumerate_characters,
@@ -50,7 +50,6 @@ from .exactnum import (
     _prime_to,
     crt_pair,
     factorize,
-    glue_pq,
     is_prime,
     prime_to_part,
     valuation,
@@ -310,11 +309,9 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
     p, q = _require_support_pq(rho, rho_prime)
 
     def at(ell: int, own: GlobalCharQ, other_char: GlobalCharQ, other: int):
-        # a tame value at level a is t*ell^(a-1) mod phi(ell^a), standing for
-        # t/(ell-1); it is theta^k for the cyclotomic theta = e/(ell-1), with
-        # k = t/e mod ell-1.  own at its prime is tame
+        # own at its prime is tame, a power theta^k of the cyclotomic theta
         level = max(1, own.prime_exponent(ell))
-        k = _over_level_one_log(ell, own._at_level(ell, level) // ell ** (level - 1))
+        k = _cyclotomic_log(ell, level, own._at_level(ell, level))
         # the other character at ell: its reduction mod ell is theta^j, of
         # order prime to other, so j is mod A; the rest is the wild part
         level = max(1, other_char.prime_exponent(ell))
@@ -322,7 +319,7 @@ def extract_invariants(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> LocalInvaria
         y = other_char._at_level(ell, level)
         tame = _prime_to(y, d, ell)
         wild = (y - tame) % d
-        j = _over_level_one_log(ell, tame // ell ** (level - 1))
+        j = _cyclotomic_log(ell, level, tame)
         A = prime_to_part(ell - 1, other)
         if j % ((ell - 1) // A):
             raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")
@@ -348,9 +345,9 @@ def _outside_lifts(
     two inertia restrictions, None when there is none."""
     for ell in sorted(rho.factors.keys() | rho_prime.factors.keys()):
         if ell not in (p, q):
-            a = max(rho.prime_exponent(ell), rho_prime.prime_exponent(ell))
-            x, y = rho._at_level(ell, a), rho_prime._at_level(ell, a)
-            yield ell, a, glue_pq(x, p, y, q, _phi(ell, a))
+            x, a = rho.exps.get(ell, 0), rho.prime_exponent(ell)
+            y, b = rho_prime.exps.get(ell, 0), rho_prime.prime_exponent(ell)
+            yield ell, *_glue_levels(ell, x, a, p, y, b, q)
 
 
 def check_necessary(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> NecessityReport:

@@ -59,6 +59,8 @@ PRECISION_BOUND = 4096
 
 
 def _check_precision(precision: int, least: int) -> None:
+    if type(precision) is not int:
+        raise ValueError(f"precision {precision!r} is not an int")
     if precision < least:
         raise ValueError(f"precision must be at least {least}")
     if precision > PRECISION_BOUND:
@@ -403,7 +405,10 @@ def _ell(modulus) -> int:
 
 def reduce_series(series: QExpansion, ideal, bound: int) -> tuple[int, ...]:
     """Coefficients 0..bound reduced modulo a rational prime ell, or through
-    a SplitPrimeIdeal above ell, which on rational coefficients is the same."""
+    a SplitPrimeIdeal above ell, which on rational coefficients is the same.
+    A bound that is not an int, a bool among them, raises ValueError."""
+    if type(bound) is not int:
+        raise ValueError(f"bound {bound!r} is not an int")
     if bound < 0:
         raise ValueError(f"bound {bound} is negative")
     if bound >= series.precision:
@@ -514,6 +519,8 @@ def hasse_invariant_check(
     if weight is None:
         weight = lcm
     _check_precision(precision, 2)
+    if type(weight) is not int:
+        raise ValueError(f"the weight {weight!r} is not an int")
     if weight % 2 or weight < 2:
         raise ValueError("the weight must be even and at least 2")
     ok = weight % lcm == 0

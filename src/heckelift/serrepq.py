@@ -26,10 +26,7 @@ from functools import lru_cache
 from .abchar import (
     GroupCharacter,
     ModCharacter,
-    _character_on_g,
-    _exponent_on_g,
-    _level,
-    _phi,
+    _unit_lift,
     reduce_mod,
     unit_group,
     unit_value,
@@ -41,7 +38,6 @@ from .exactnum import (
     _solve_linear,
     glue_pq,
     is_prime,
-    primitive_root,
     require_odd_primes,
     unit_dlog,
 )
@@ -71,7 +67,7 @@ __all__ = [
 def residue_address(u: int, r: int) -> QmodZ:
     """The image of the unit u in the fixed Q/Z coordinates of F_r^*, where
     the least primitive root is 1/(r-1): its unit_dlog over r - 1."""
-    return QmodZ(unit_dlog(primitive_root(r), u, r), r - 1)
+    return QmodZ(unit_dlog(u, r), r - 1)
 
 
 class AlgebraicFrobValue(Record):
@@ -268,18 +264,6 @@ def _first_value(ell: int, p: int, q: int, targets) -> AlgebraicFrobValue | None
     return None
 
 
-def _lift(ell: int, chi: ModCharacter, chi_prime: ModCharacter) -> GroupCharacter | None:
-    """The character of (Z/ell^a)^* reducing to chi and to chi_prime, a the
-    higher of their levels and at least 1; None when there is none.  The
-    values on g are glued mod phi(ell^a), the lower level's scaled by a power
-    of ell."""
-    levels = [_level(c.group) for c in (chi, chi_prime)]
-    a = max(levels)
-    x, y = (_exponent_on_g(c.base, ell) * ell ** (a - b) for c, b in zip((chi, chi_prime), levels))
-    z = glue_pq(x, chi.residue_char, y, chi_prime.residue_char, _phi(ell, a))
-    return None if z is None else _character_on_g(ell, a, z)
-
-
 def _ratio_is_ell(datum: UnramifiedSemisimple) -> bool:
     """Whether the ratio is ell up to inversion, as in monodromy's rescaled model."""
     return residue_address(datum.ell, datum.residue_char) in datum.ratio_values()
@@ -288,7 +272,7 @@ def _ratio_is_ell(datum: UnramifiedSemisimple) -> bool:
 def _steinberg_unipotent(uni: UnipotentRamified, other: UnipotentRamified) -> CompatReport:
     # the generic model on both sides
     ell, p, q = uni.ell, uni.residue_char, other.residue_char
-    inert = _lift(ell, uni.frob_char_inertial, other.frob_char_inertial)
+    inert = _unit_lift(ell, uni.frob_char_inertial, other.frob_char_inertial)
     if inert is None:
         return _report(None, "twist characters do not lift simultaneously")
     t_p = uni.frob_char_value.value_mod(ell, p)
@@ -308,7 +292,7 @@ def _steinberg_tame(uni: UnipotentRamified, other: TamePrincipal) -> CompatRepor
         return _report(
             None, "nonzero monodromy reduces with equal diagonal inertial characters"
         )
-    inert = _lift(ell, uni.frob_char_inertial, other.inertials[0])
+    inert = _unit_lift(ell, uni.frob_char_inertial, other.inertials[0])
     if inert is None:
         return _report(None, "twist characters do not lift simultaneously")
     v0, v1 = (f.value_mod(ell, q) for f in other.frobs)
@@ -327,7 +311,7 @@ def _steinberg_ratio(uni: UnipotentRamified, other: UnramifiedSemisimple) -> Com
     # the unramified side forces the rescaled model: the twist character
     # must die mod q, and the eigenvalue ratio must reduce from ell^(+-1)
     ell, p, q = uni.ell, uni.residue_char, other.residue_char
-    inert = _lift(ell, uni.frob_char_inertial, _trivial_mod_char(ell, q))
+    inert = _unit_lift(ell, uni.frob_char_inertial, _trivial_mod_char(ell, q))
     if inert is None:
         return _report(None, "twist character is not trivialisable mod the unramified side")
     if not _ratio_is_ell(other):
@@ -349,7 +333,7 @@ def _match_principal(a: TamePrincipal, b: TamePrincipal) -> CompatReport:
     for perm in ((0, 1), (1, 0)):
         chars = []
         for i in range(2):
-            inert = _lift(ell, a.inertials[i], b.inertials[perm[i]])
+            inert = _unit_lift(ell, a.inertials[i], b.inertials[perm[i]])
             if inert is None:
                 reasons.append(f"inertial characters clash under matching {perm}")
                 break
@@ -373,7 +357,7 @@ def _match_tame_against_ratio(
     that side is free)."""
     ell, cp, cq = tame.ell, tame.residue_char, unram.residue_char
     trivial = _trivial_mod_char(ell, cq)
-    inerts = [_lift(ell, chi, trivial) for chi in tame.inertials]
+    inerts = [_unit_lift(ell, chi, trivial) for chi in tame.inertials]
     if None in inerts:
         return _report(
             None, "a pinned inertial character does not vanish under the other reduction"

@@ -1,9 +1,11 @@
 import math
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckelift import abchar
 from heckelift.abchar import (
     FinAbGroup,
     GroupCharacter,
@@ -17,6 +19,9 @@ from heckelift.abchar import (
     unit_character,
     unit_group,
     unit_value,
+    _cyclotomic,
+    _cyclotomic_log,
+    _glue_levels,
     _level_one_log,
 )
 from heckelift.exactnum import QmodZ, primitive_root, unit_dlog
@@ -287,10 +292,8 @@ class TestUnitGroups:
 
     def test_unit_dlog(self):
         assert walk_dlog(2, 8, 25) == 3
-        assert unit_dlog(3, 1, 7) == 0
-        assert unit_dlog(3, 5, 7) == 5
-        with pytest.raises(ValueError):
-            unit_dlog(4, 3, 5)  # 4 has order 2 mod 5
+        assert unit_dlog(1, 7) == 0
+        assert unit_dlog(5, 7) == 5  # to the least root 3
 
     def test_raise_unit_level(self):
         small = unit_group(5, 1)
@@ -370,6 +373,26 @@ class TestAtUnitLevel:
         if ell < 10**5:
             assert walk_dlog(g1, g, ell) == e
 
+    @pytest.mark.parametrize("ell", [3, 5, 7, 40487, 6692367337])
+    def test_cyclotomic_log_inverts_cyclotomic(self, ell):
+        rng = random.Random(ell)
+        for level in (1, 2, 3):
+            d = (ell - 1) * ell ** (level - 1)
+            for k in (0, 1, ell - 2, *(rng.randrange(-(10**6), 10**6) for _ in range(20))):
+                x = k * _cyclotomic(ell, level) % d
+                assert _cyclotomic_log(ell, level, x) == k % (ell - 1)
+
+    def test_no_log_where_the_least_root_serves_every_level(self, monkeypatch):
+        # ell - 1 = 2 * 50000000002541, prime: any log to the least root
+        # needs more than _GIANT_STEPS giant steps, so the level-one log
+        # answers from g_1 = g alone
+        ell = 100000000005083
+        with pytest.raises(ValueError, match="_GIANT_STEPS"):
+            unit_dlog(primitive_root(ell), ell)
+        monkeypatch.setattr(abchar, "unit_dlog", lambda *args: pytest.fail("took a log"))
+        _level_one_log.cache_clear()
+        assert _level_one_log(ell) == 1
+
     @given(unit_characters(), st.integers(0, 2))
     def test_raise_then_lower_round_trip(self, drawn, extra):
         ell, c, eps = drawn
@@ -444,3 +467,48 @@ class TestAtUnitLevel:
         assert moved(a.base, 5, 2) == a.base
         assert moved(b.base, 5, 2) == GroupCharacter.trivial(unit_group(5, 2))
         assert moved(b.base, 5, 1).group == unit_group(5, 1)
+
+
+def is_power_of(n: int, r: int) -> bool:
+    while n % r == 0:
+        n //= r
+    return n == 1
+
+
+def reduces_to(z: int, x: int, d: int, r: int) -> bool:
+    """Whether x/d, of order prime to r, is the reduction mod r of z/d: the
+    two differ by a root of unity of r-power order."""
+    return (d // math.gcd(x, d)) % r != 0 and is_power_of(d // math.gcd(z - x, d), r)
+
+
+def reduction_by_search(t: int, d: int, r: int) -> int:
+    return next(u for u in range(d) if reduces_to(t, u, d, r))
+
+
+def test_glue_levels_against_search():
+    # x at level a reduced mod p and y at level b reduced mod q, against
+    # every value mod phi(ell^A): drawn at random, which mostly admits no
+    # lift, or as the reductions of one value at the lower level
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        ell = rng.choice([3, 5, 7, 11])
+        p, q = rng.sample([r for r in (3, 5, 7, 11, 13) if r != ell], 2)
+        a, b = rng.randrange(4), rng.randrange(4)
+        A = max(a, b, 1)
+        d, low = (ell - 1) * ell ** (A - 1), min(a, b)
+        def at_level(level):
+            # a value at the level, carried to level A
+            return rng.randrange(d // ell ** (A - level)) * ell ** (A - level) if level else 0
+
+        t = at_level(low) if rng.random() < 0.5 else None
+        x, y = (
+            reduction_by_search(at_level(level) if t is None else t, d, r) // ell ** (A - level)
+            for r, level in ((p, a), (q, b))
+        )
+        X, Y = x * ell ** (A - a), y * ell ** (A - b)
+        found = [z for z in range(d) if reduces_to(z, X, d, p) and reduces_to(z, Y, d, q)]
+        assert len(found) <= 1
+        assert _glue_levels(ell, x, a, p, y, b, q) == (A, found[0] if found else None)
+        seen.add(bool(found))
+    assert seen == {False, True}

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import math
 import pkgutil
 import random
@@ -603,7 +604,7 @@ class TestUnitDlog:
     @given(st.sampled_from(ODD_PRIMES_BELOW_3000), st.integers(0, 10**6))
     def test_unit_dlog_inverts_pow(self, ell, e):
         g = primitive_root(ell)
-        assert unit_dlog(g, pow(g, e, ell), ell) == e % (ell - 1)
+        assert unit_dlog(pow(g, e, ell), ell) == e % (ell - 1)
 
     def test_agrees_with_the_walk_below_3000(self):
         # the least root of every odd prime below 3000, at 1, g, -1 and
@@ -612,7 +613,7 @@ class TestUnitDlog:
         for ell in ODD_PRIMES_BELOW_3000:
             g = primitive_root(ell)
             for t in (1, g, ell - 1, *(rng.randrange(1, ell) for _ in range(4))):
-                assert unit_dlog(g, t, ell) == walk_dlog(g, t, ell)
+                assert unit_dlog(t, ell) == walk_dlog(g, t, ell)
 
     @pytest.mark.parametrize(
         "ell, factors",
@@ -627,11 +628,11 @@ class TestUnitDlog:
         assert factorize(ell - 1) == factors
         g = primitive_root(ell)
         for e in (0, 1, 2, 3, 1000):
-            assert unit_dlog(g, pow(g, e, ell), ell) == e
+            assert unit_dlog(pow(g, e, ell), ell) == e
         if ell < 10**12:
             rng = random.Random(ell)
             for t in (ell - 1, *(rng.randrange(1, ell) for _ in range(3))):
-                e = unit_dlog(g, t, ell)
+                e = unit_dlog(t, ell)
                 assert 0 <= e < ell - 1 and pow(g, e, ell) == t
 
     def test_small_log_above_the_cap_is_fast(self):
@@ -639,11 +640,11 @@ class TestUnitDlog:
         assert math.isqrt(500000000273) + 1 > _BABY_STEPS
         g = primitive_root(ell)
         start = time.perf_counter()
-        assert unit_dlog(g, g, ell) == 1
+        assert unit_dlog(g, ell) == 1
         assert time.perf_counter() - start < 1.0
         # a log past the first table costs giant steps, about 381,000 here
         e = 10**11 + 7
-        assert unit_dlog(g, pow(g, e, ell), ell) == e
+        assert unit_dlog(pow(g, e, ell), ell) == e
 
     def test_capped_table_agrees_with_the_walk(self, monkeypatch):
         # with at most 4 baby steps, a log in a subgroup of order f takes up
@@ -653,10 +654,13 @@ class TestUnitDlog:
         for ell in ODD_PRIMES_BELOW_3000[::5]:
             g = primitive_root(ell)
             for t in (1, g, ell - 1, rng.randrange(1, ell), rng.randrange(1, ell)):
-                assert unit_dlog(g, t, ell) == walk_dlog(g, t, ell)
-        # 163 - 1 = 2 * 3^4, and 2 is no power of 2^3 in the subgroup of order 81
-        with pytest.raises(ValueError, match="2 is not a power of 8 modulo 163"):
-            unit_dlog(8, 2, 163)
+                assert unit_dlog(t, ell) == walk_dlog(g, t, ell)
+        # 163 - 1 = 2 * 3^4: a multiple of 163 is no power of 2, and with one
+        # baby step its search runs through both giant steps of the subgroup
+        # of order 2
+        monkeypatch.setattr(exactnum, "_BABY_STEPS", 1)
+        with pytest.raises(ValueError, match="0 is not a power of 2 modulo 163"):
+            unit_dlog(2 * 163, 163)
 
     def test_giant_steps_past_the_cap_refused(self):
         # ell - 1 = 2 * 50000000002541, prime: a log in that subgroup would
@@ -665,7 +669,7 @@ class TestUnitDlog:
         start = time.perf_counter()
         assert factorize(ell - 1) == {2: 1, 50000000002541: 1}
         with pytest.raises(ValueError, match=r"order 50000000002541 .* _GIANT_STEPS = 2097152"):
-            unit_dlog(primitive_root(ell), 3, ell)
+            unit_dlog(3, ell)
         assert time.perf_counter() - start < 2.0
 
     def test_giant_step_cap_is_exact(self, monkeypatch):
@@ -675,10 +679,10 @@ class TestUnitDlog:
         monkeypatch.setattr(exactnum, "_GIANT_STEPS", 21)
         g = primitive_root(163)
         for t in range(1, 163):
-            assert unit_dlog(g, t, 163) == walk_dlog(g, t, 163)
+            assert unit_dlog(t, 163) == walk_dlog(g, t, 163)
         monkeypatch.setattr(exactnum, "_GIANT_STEPS", 20)
         with pytest.raises(ValueError, match=r"modulo 163 in its subgroup of order 81 .* = 20 "):
-            unit_dlog(g, 1, 163)
+            unit_dlog(1, 163)
 
     def test_table_stays_within_the_cap(self, monkeypatch):
         # 10^9 + 7 - 1 = 2 * 500000003: sqrt(f) is 22361 entries, some 3 MB,
@@ -688,7 +692,7 @@ class TestUnitDlog:
         g = primitive_root(ell)
         tracemalloc.start()
         try:
-            assert unit_dlog(g, g, ell) == 1
+            assert unit_dlog(g, ell) == 1
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -705,22 +709,24 @@ class TestUnitDlog:
         g = primitive_root(ell)
         assert primitive_root(ell, 2) == g
         for t in (2, 3, ell - 1):
-            assert pow(g, unit_dlog(g, t, ell), ell) == t
+            assert pow(g, unit_dlog(t, ell), ell) == t
         assert calls == [ell - 1]
 
     @pytest.mark.parametrize(
-        "generator, target, ell",
-        [
-            (4, 3, 5),  # 4 has order 2 mod 5
-            (3, 0, 7),
-            (3, 14, 7),
-            (25, 5, 10**9 + 7),  # 5 is a primitive root, 25 only a square
-            (2, 0, 1000000000547),
-        ],
+        "root, target, ell", [(3, 0, 7), (3, 14, 7), (2, 0, 1000000000547)]
     )
-    def test_non_powers_and_zero_raise(self, generator, target, ell):
-        with pytest.raises(ValueError, match=f"{target % ell} is not a power of {generator}"):
-            unit_dlog(generator, target, ell)
+    def test_non_powers_and_zero_raise(self, root, target, ell):
+        # only a multiple of ell is no power of the least primitive root
+        with pytest.raises(ValueError, match=f"{target % ell} is not a power of {root} modulo"):
+            unit_dlog(target, ell)
+
+
+def names_in(path: Path) -> set[str]:
+    """Every name, attribute and imported name in a module's source."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    return names | {node.name for node in nodes if isinstance(node, ast.alias)}
 
 
 def test_only_exactnum_names_the_crt_idempotent():
@@ -729,11 +735,17 @@ def test_only_exactnum_names_the_crt_idempotent():
     idempotent = {exactnum._prime_to_projector.__name__, "_crt_idempotent"}
     for path in sorted(Path(heckelift.__file__).parent.glob("*.py")):
         if path.name != "exactnum.py":
-            nodes = list(ast.walk(ast.parse(path.read_text())))
-            names = {node.id for node in nodes if isinstance(node, ast.Name)}
-            names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-            names |= {node.name for node in nodes if isinstance(node, ast.alias)}
-            assert not names & idempotent, path.name
+            assert not names_in(path) & idempotent, path.name
+
+
+def test_abchar_owns_the_unit_group_at_one_prime():
+    # the lift across levels, theta's inverse and the level-one log live in
+    # abchar, and unit_dlog logs to the least primitive root only
+    package = Path(heckelift.__file__).parent
+    private = {"_character_on_g", "_exponent_on_g", "_level", "_phi", "primitive_root"}
+    assert not names_in(package / "serrepq.py") & private
+    assert not names_in(package / "heckeq.py") & {"_over_level_one_log", "glue_pq"}
+    assert list(inspect.signature(unit_dlog).parameters) == ["target", "ell"]
 
 
 def test_every_memo_in_the_package_is_bounded():

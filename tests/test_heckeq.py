@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckelift import heckeq
+from heckelift import abchar, heckeq
 from heckelift.abchar import (
     GroupCharacter,
     character_conductor,
@@ -297,8 +297,8 @@ class TestTwistToUnramified:
 
     def test_a_wrong_glue_fails_the_reduction_check(self, monkeypatch):
         # the check raises, so it holds under python -O as well
-        glue = heckeq.glue_pq
-        monkeypatch.setattr(heckeq, "glue_pq", lambda x, p, y, q, d: (glue(x, p, y, q, d) + d // 2) % d)
+        glue = abchar.glue_pq
+        monkeypatch.setattr(abchar, "glue_pq", lambda x, p, y, q, d: (glue(x, p, y, q, d) + d // 2) % d)
         rho = gchar(5, 13, **{"13": "1/12"})
         rho_prime = gchar(7, 13, **{"13": "1/12"})
         with pytest.raises(AssertionError, match="twist at 13 does not reduce to rho mod 5"):

@@ -599,6 +599,15 @@ class TestSturmCongruence:
             reduce_series(delta(12), 5, -1)
         assert reduce_series(delta(12), 5, 0) == (0,)
 
+    def test_refuses_a_bound_that_is_not_an_int(self):
+        # True was read as 1 and reported "congruence mod 5 to q^True: pass",
+        # False was read as 0, and 2.0 raised TypeError from the slice
+        with pytest.raises(ValueError, match="bound True is not an int"):
+            sturm_congruence(delta(12), delta(12), 5, True)
+        for bound in (False, 2.0):
+            with pytest.raises(ValueError, match=f"bound {bound} is not an int"):
+                reduce_series(delta(12), 5, bound)
+
     def test_refuses_a_fractional_modulus(self):
         # read as 2, the weights 12 and 4 agreed modulo 1 and the report said
         # "congruence mod 2.5"

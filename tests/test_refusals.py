@@ -1,0 +1,193 @@
+"""Every refusal the library states, called in process.
+
+Each case feeds one public function or constructor an input that its code
+refuses, and checks the exception type and a fragment of the message.  The
+CLI's schema keeps these inputs from the library, so only direct callers,
+such as the demos and the benchmark, can meet them.
+"""
+
+import re
+
+import pytest
+
+from heckelift.abchar import (
+    FinAbGroup,
+    GroupCharacter,
+    ModCharacter,
+    reduce_mod,
+    simultaneous_artin_lift,
+    unit_group,
+)
+from heckelift.exactnum import (
+    Congruence,
+    QmodZ,
+    factorize,
+    prime_to_part,
+    primitive_root,
+    valuation,
+)
+from heckelift.heckeq import (
+    GlobalCharQ,
+    LocalInvariantsQ,
+    brute_force_oracle_q,
+    extract_invariants,
+    theta_power,
+)
+from heckelift.heckequad import ImagQuadField, PlaceLocal, QuadLocalData, criterion_decide
+from heckelift.qseries import (
+    QExpansion,
+    QuadElem,
+    SplitPrimeIdeal,
+    delta,
+    eisenstein,
+    hasse_invariant_check,
+    sturm_congruence,
+    weight24_example,
+)
+from heckelift.serrepq import AlgebraicFrobValue, QuasiChar, Steinberg, wd_reduce
+
+
+def order_five_mod_five():
+    return ModCharacter(GroupCharacter(FinAbGroup((5,)), (QmodZ(1, 5),)), 5)
+
+
+def one_residue_characteristic():
+    trivial = GroupCharacter.trivial(FinAbGroup((6,)))
+    return simultaneous_artin_lift(ModCharacter(trivial, 5), ModCharacter(trivial, 5))
+
+
+def invariants(**wrong):
+    """The invariants of (theta mod 5, theta mod 7) with fields replaced."""
+    inv = extract_invariants(theta_power(5, 1), theta_power(7, 1))
+    return LocalInvariantsQ(**{**{f: getattr(inv, f) for f in inv.__slots__}, **wrong})
+
+
+def tame_exponent_out_of_range():
+    # the places above 17 in Q(sqrt(-1155)) split, with tame moduli 16
+    above_p = (PlaceLocal(0, 16), PlaceLocal(0, 0))
+    local = QuadLocalData(above_p, (PlaceLocal(0, 0),) * 2)
+    return criterion_decide(ImagQuadField(-1155), 17, 19, local, (0, 0))
+
+
+def steinberg_at_3():
+    trivial = GroupCharacter.trivial(unit_group(3, 1))
+    return Steinberg(QuasiChar(trivial, AlgebraicFrobValue(QmodZ(0, 1), 0)))
+
+
+REFUSALS = [
+    # abchar
+    (lambda: FinAbGroup((1,)), ValueError, "cyclic factor orders must be ints >= 2"),
+    (lambda: FinAbGroup((2,), ("a", "b")), ValueError, "one label per generator"),
+    (lambda: GroupCharacter(FinAbGroup((2,)), ()), ValueError, "one image per generator"),
+    (
+        lambda: GroupCharacter.trivial(FinAbGroup((2,))) * GroupCharacter.trivial(FinAbGroup((3,))),
+        ValueError,
+        "characters live on different groups",
+    ),
+    (lambda: ModCharacter(GroupCharacter.trivial(FinAbGroup((2,))), 4), ValueError, "4 is not prime"),
+    (order_five_mod_five, ValueError, "must have order prime to 5"),
+    (lambda: reduce_mod(GroupCharacter.trivial(FinAbGroup((2,))), 4), ValueError, "4 is not prime"),
+    (one_residue_characteristic, ValueError, "the two residue characteristics must differ"),
+    (lambda: unit_group(5, -1), ValueError, "exponent -1 must be an int >= 0"),
+    # exactnum
+    (lambda: factorize(0), ValueError, "can only factor positive integers"),
+    (lambda: valuation(0, 3), ValueError, "valuation of 0 is undefined"),
+    (lambda: prime_to_part(0, 3), ValueError, "n must be a positive integer"),
+    (lambda: Congruence(1, 0), ValueError, "modulus must be positive"),
+    # heckeq
+    (lambda: GlobalCharQ.trivial(5, 0), ValueError, "modulus must be positive"),
+    (
+        lambda: GlobalCharQ.from_images(5, 7, {7: QmodZ(1, 4)}),
+        ValueError,
+        "image at 7 is not killed by the unit group order",
+    ),
+    (
+        lambda: GlobalCharQ.trivial(5) * GlobalCharQ.trivial(7),
+        ValueError,
+        "mismatched residue characteristics",
+    ),
+    (
+        lambda: brute_force_oracle_q(theta_power(5, 1), theta_power(7, 1), 0, 1, range(1)),
+        ValueError,
+        "search exponents must be >= 1",
+    ),
+    (lambda: invariants(A_p=2), AssertionError, "A_p = 2 is not the prime-to-q part of p - 1"),
+    (lambda: invariants(B_q=3), AssertionError, "B_q = 3 is not the prime-to-p part of q - 1"),
+    (lambda: invariants(a_p=Congruence(0, 2)), AssertionError, "a_p is taken modulo 2, not A_p"),
+    (
+        lambda: invariants(psi_q=GroupCharacter(unit_group(7, 1), (QmodZ(1, 2),))),
+        AssertionError,
+        "wild part at 7 has order 2",
+    ),
+    # heckequad
+    (tame_exponent_out_of_range, ValueError, "tame exponent 16 out of range mod 16 at v1@17"),
+    # qseries
+    (lambda: QuadElem(1, 1, 4), ValueError, "disc must be a positive nonsquare integer"),
+    (lambda: delta(8) ** -1, ValueError, "negative powers are not supported"),
+    (lambda: SplitPrimeIdeal(4, 1, 5), ValueError, "4 is not prime"),
+    (lambda: SplitPrimeIdeal(5, 7, 1), ValueError, "root must be reduced modulo ell"),
+    (lambda: SplitPrimeIdeal(5, 1, 3), ValueError, "1^2 is not 3 modulo 5"),
+    (
+        lambda: SplitPrimeIdeal(5, 1, 6).reduce(QuadElem(1, 1, 11)),
+        ValueError,
+        "element from a different field",
+    ),
+    # serrepq
+    (lambda: wd_reduce(steinberg_at_3(), 4, 5), ValueError, "both arguments must be prime"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", REFUSALS)
+def test_every_stated_refusal(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_sturm_congruence_without_weight_tags_has_no_proof_bound():
+    series = QExpansion([1, 2, 3])
+    report = sturm_congruence(series, series, 5, 2)
+    assert report.congruent and report.theoretical_bound is None
+    assert str(report) == "congruence mod 5 to q^2: pass"
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: hasse_invariant_check(5, 7, 10.0), "precision 10.0 is not an int"),
+        (lambda: hasse_invariant_check(5, 7, 10, 12.0), "the weight 12.0 is not an int"),
+        (lambda: hasse_invariant_check(5, 7, 10, True), "the weight True is not an int"),
+        (lambda: eisenstein(4, True), "precision True is not an int"),
+        (lambda: delta(8.0), "precision 8.0 is not an int"),
+        (lambda: weight24_example(12.0), "precision 12.0 is not an int"),
+        (lambda: FinAbGroup((2.0,)), "cyclic factor orders must be ints >= 2"),
+        (lambda: FinAbGroup((True, 2)), "cyclic factor orders must be ints >= 2"),
+    ],
+)
+def test_a_bool_or_float_where_an_int_is_meant(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)) as refused:
+        call()
+    assert len(str(refused.value)) < 200
+
+
+@pytest.mark.parametrize("int_first", [True, False])
+@pytest.mark.parametrize(
+    "memo, ell, exponent, bad",
+    [
+        (unit_group, 7, 1, True),
+        (unit_group, 11, 2, 2.0),
+        (primitive_root, 7, 1, True),
+        (primitive_root, 11, 2, 2.0),
+    ],
+)
+def test_a_bool_or_float_never_shares_an_int_memo_entry(memo, ell, exponent, bad, int_first):
+    # an untyped memo served unit_group(7, 1) the entry of unit_group(7, True),
+    # labelled "(Z/7^True)* gen 3", and refused nothing once the int was in
+    memo.cache_clear()
+    expected = memo.__wrapped__(ell, exponent)
+    if int_first:
+        assert memo(ell, exponent) == expected
+    with pytest.raises(ValueError, match=re.escape(f"{bad}")) as refused:
+        memo(ell, bad)
+    assert "an int" in str(refused.value) and len(str(refused.value)) < 200
+    got = memo(ell, exponent)
+    assert got == expected and str(got) == str(expected)
