@@ -295,6 +295,9 @@ def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
 
 
 def valuation(n: int, p: int) -> int:
+    """The exponent of p in n != 0, for an int p >= 2."""
+    if type(n) is not int or type(p) is not int or p < 2:
+        raise ValueError(f"valuation needs ints n and p >= 2, not n={n!r}, p={p!r}")
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0
@@ -306,11 +309,15 @@ def valuation(n: int, p: int) -> int:
 
 def prime_to_part(n: int, ell: int) -> int:
     """Strip every factor of the prime ell from n >= 1."""
+    if type(n) is not int or type(ell) is not int:
+        raise ValueError(f"n={n!r} and ell={ell!r} must be ints")
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    return n // ell ** valuation(n, ell)
+    while n % ell == 0:
+        n //= ell
+    return n
 
 
 @lru_cache(maxsize=1 << 12)
@@ -423,9 +430,12 @@ class Congruence:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 1:
+        residue, modulus = self.residue, self.modulus
+        if type(residue) is not int or type(modulus) is not int:
+            raise ValueError(f"residue {residue!r}, modulus {modulus!r}: not ints")
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        object.__setattr__(self, "residue", residue % modulus)
 
     def contains(self, k: int) -> bool:
         return k % self.modulus == self.residue

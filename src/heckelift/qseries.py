@@ -7,7 +7,10 @@ O(n^2) work.  The slot is sized by Cauchy-Schwarz: no product coefficient
 exceeds sqrt(sum x_i^2 * sum y_j^2).  A slot of up to 8 bytes is rounded
 up to a machine word and packed and unpacked by one array conversion, with
 no Python work per coefficient; wider slots take the byte path,
-int.to_bytes and int.from_bytes per coefficient.  Ring operations truncate
+int.to_bytes and int.from_bytes per coefficient.  From 1 KB of packed
+operand the product is two-point (Harvey, J. Symb. Comp. 44, 2009): two
+multiplies on integers half as long, at 2^b and -2^b; below that, a second
+pack and unpack cost more than they save.  Ring operations truncate
 to the shorter precision and weight tags add under multiplication.  Delta
 is q times the eighth power of eta^3, which Jacobi's identity writes as a
 sparse series (Hardy & Wright, Thm. 357).
@@ -53,8 +56,8 @@ __all__ = [
 DEFAULT_PRECISION = 64
 
 # largest precision the series constructors and checks accept: at the bound
-# weight24_example takes 0.021 s and delta 0.016 s, and weight24_example
-# 0.055 s at 8192 and 0.15 s at 16384 (Intel Xeon, Python 3.11.7)
+# weight24_example takes 0.014 s and delta 0.012 s, and weight24_example
+# 0.037 s at 8192 and 0.10 s at 16384 (Intel Xeon, Python 3.11.7)
 PRECISION_BOUND = 4096
 
 
@@ -86,19 +89,22 @@ class QuadElem(Record):
         return f"{self.a} + {self.b}*sqrt({self.disc})"
 
 
-# signed array typecodes by item size: the machine slots, 1, 2, 4 and 8 bytes
+# signed array typecodes by item size: the machine slots, 1, 2, 4 and 8
+# bytes; and the machine slot _slot_width gives each bit length below 64
 _MACHINE = {array(code).itemsize: code for code in "bhilq"}
+_MACHINE_WIDTH = tuple(min(m for m in _MACHINE if m >= (b + 8) // 8) for b in range(64))
 # 1 for the top byte of a negative slot (0x80 and above), 0 otherwise
 _SIGN = bytes(b >> 7 for b in range(256))
 # array items are in native byte order; slots are little-endian
 _SWAP = sys.byteorder == "big"
+_KS2_BYTES = 1024  # packed bytes n * width from which _kron is two-point
 
 
 def _slot_width(bound: int) -> int:
     """Bytes per slot for coefficients of absolute value at most bound: one
     bit more than its bit length, rounded up to a machine slot if one holds it."""
-    width = (bound.bit_length() + 8) // 8
-    return min((m for m in _MACHINE if m >= width), default=width)
+    bits = bound.bit_length()
+    return _MACHINE_WIDTH[bits] if bits < 64 else (bits + 8) // 8
 
 
 def _pack(xs, width: int) -> int:
@@ -155,7 +161,12 @@ def _kron(x, y) -> tuple[int, ...]:
     square; that bound is tight when all terms are equal and never above
     n*max|x|*max|y|.  A slot one bit wider than its bit length holds every
     coefficient with its sign; up to 8 bytes the slot is a machine word, so
-    packing and unpacking do no Python work per coefficient."""
+    packing and unpacking do no Python work per coefficient.  From
+    _KS2_BYTES packed bytes on, the operands are evaluated at 2^b and -2^b,
+    b = 4*width bits, from their even- and odd-indexed halves packed apart,
+    and the products A and B give the even coefficients in (A + B)/2 and the
+    odd ones in (A - B)/2^(b+1) (Harvey, J. Symb. Comp. 44, 2009); below
+    that, the second pack and unpack cost more than the halved lengths save."""
     n = len(x)
     # sum(map(mul)) rather than math.sumprod, which needs Python 3.12
     energy = sum(map(operator.mul, x, x))
@@ -163,9 +174,24 @@ def _kron(x, y) -> tuple[int, ...]:
     if not bound:
         return (0,) * n
     width = _slot_width(bound)
-    px = _pack(x, width)
-    py = px if y is x else _pack(y, width)
-    return _unpack(px * py, n, width)
+    if n * width < _KS2_BYTES:
+        px = _pack(x, width)
+        py = px if y is x else _pack(y, width)
+        return _unpack(px * py, n, width)
+    b = 4 * width
+
+    def at_two_points(z):
+        even, odd = _pack(z[::2], width), _pack(z[1::2], width) << b
+        return even + odd, even - odd
+
+    x_plus, x_minus = at_two_points(x)
+    # the same objects for a square, which CPython multiplies faster
+    y_plus, y_minus = (x_plus, x_minus) if y is x else at_two_points(y)
+    plus, minus = x_plus * y_plus, x_minus * y_minus
+    out = [0] * n
+    out[::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width)
+    out[1::2] = _unpack((plus - minus) >> b + 1, n // 2, width)
+    return tuple(out)
 
 
 class QExpansion:
@@ -182,6 +208,8 @@ class QExpansion:
     __slots__ = ("_a", "_den", "weight")
 
     def __init__(self, coeffs, weight: int | None = None):
+        if weight is not None and type(weight) is not int:
+            raise ValueError(f"the weight {weight!r} is neither None nor an int")
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least one coefficient")
@@ -254,11 +282,7 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return self.scale(other)
         n = min(self.precision, other.precision)
-        w = (
-            self.weight + other.weight
-            if self.weight is not None and other.weight is not None
-            else None
-        )
+        w = None if None in (self.weight, other.weight) else self.weight + other.weight
         a1 = self._a[:n]
         a2 = a1 if other is self else other._a[:n]
         return self._make(_kron(a1, a2), self._den * other._den, w)
@@ -369,7 +393,10 @@ class SplitPrimeIdeal(Record):
         if isinstance(value, QuadElem):
             if value.disc != self.disc:
                 raise ValueError("element from a different field")
-            value = value.a + value.b * self.root
+            a, b, ell = value.a, value.b, self.ell
+            if a.denominator % ell and b.denominator % ell:
+                return (_residue(a, ell) + _residue(b, ell) * self.root) % ell
+            value = a + b * self.root
         elif not isinstance(value, (int, Fraction)):
             raise TypeError(f"unsupported value type {type(value)!r}")
         return _residue(Fraction(value), self.ell)
@@ -432,11 +459,8 @@ class SturmReport(Record):
 
     def __str__(self) -> str:
         status = "pass" if self.congruent else f"fail at q^{self.first_mismatch}"
-        extra = (
-            f"; level-1 proof bound {self.theoretical_bound}"
-            if self.theoretical_bound is not None
-            else ""
-        )
+        proof = self.theoretical_bound
+        extra = "" if proof is None else f"; level-1 proof bound {proof}"
         return f"congruence mod {self.modulus} to q^{self.bound}: {status}{extra}"
 
 
@@ -468,7 +492,7 @@ def _theoretical_bound(wf: int | None, wg: int | None, ideal) -> int | None:
 def _sturm_report(rf, rg, ideal, bound: int, theoretical: int | None) -> SturmReport:
     """The report on two series whose reductions through ideal to q^bound
     are rf and rg."""
-    mismatch = next((n for n, (x, y) in enumerate(zip(rf, rg)) if x != y), None)
+    mismatch = None if rf == rg else next(n for n, (x, y) in enumerate(zip(rf, rg)) if x != y)
     return SturmReport(
         congruent=mismatch is None,
         first_mismatch=mismatch,
@@ -544,6 +568,7 @@ class Weight24Report(Record):
 
 
 WEIGHT24_DISC = 144169
+_RESIDUE = {ell: bytes(b % ell for b in range(256)) for ell in (5, 7)}  # bytes mod ell
 
 
 def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
@@ -553,7 +578,7 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
     in Q(sqrt(144169)), but through a prime P above ell = 5 or 7, f reduces
     to 24*(alpha mod P)*(Delta^2 mod ell) + (E4^3*Delta mod ell).  So Delta,
     Delta^2 and E4^3*Delta are made mod 35 = 5*7, each product reduced as it
-    is taken, and split into rows mod 5 and mod 7; only alpha is reduced
+    is taken, and cut into byte rows mod 5 and 7; only alpha is reduced
     through P.  Fixes the prime above 7 with the smaller root, labels f by
     the congruence Delta = f at that prime, and verifies the congruence
     suite at both primes above 5 and 7.  The prime above 5 written p5 is the
@@ -576,16 +601,19 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
     # E4 = 1 + 240 * sum sigma_3(n) q^n has integer coefficients, over 1
     e4 = tuple(x % 35 for x in eisenstein(4, precision)._a)
     d2, base = mul(dlt, dlt), mul(mul(mul(e4, e4), e4), dlt)
-    dlt_mod, d2_mod, base_mod = (
-        {ell: tuple(x % ell for x in series) for ell in (5, 7)}
-        for series in (dlt, d2, base)
+    # rows mod 5 and mod 7 as bytes, one residue per byte
+    dlt_mod, d2_mod, base_mod, e4_mod = (
+        {ell: bytes(series).translate(_RESIDUE[ell]) for ell in (5, 7)}
+        for series in (dlt, d2, base, e4)
     )
 
-    def reduced(alpha: QuadElem, ideal: SplitPrimeIdeal) -> tuple[int, ...]:
-        """24*alpha*Delta^2 + E4^3*Delta reduced through ideal to q^bound."""
+    def reduced(alpha: QuadElem, ideal: SplitPrimeIdeal) -> bytes:
+        """24*alpha*Delta^2 + E4^3*Delta reduced through ideal to q^bound: one
+        multiply-add over byte slots, each at most 6*6 + 6, so none carries."""
         ell = ideal.ell
-        c = 24 * ideal.reduce(alpha)
-        return tuple((c * x + y) % ell for x, y in zip(d2_mod[ell], base_mod[ell]))
+        c = 24 * ideal.reduce(alpha) % ell
+        row = c * int.from_bytes(d2_mod[ell], "little") + int.from_bytes(base_mod[ell], "little")
+        return row.to_bytes(precision, "little").translate(_RESIDUE[ell])
 
     half = Fraction(1, 2)
     alpha_plus = QuadElem(-13 * half, half, D)
@@ -645,7 +673,7 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
         ),
     )
 
-    q_is_one = all(c % 5 == 0 for c in e4[1:]) and e4[0] % 5 == 1
+    q_is_one = e4_mod[5] == b"\x01" + bytes(bound)
 
     alpha_product = alpha.a * alpha.a - alpha.b * alpha.b * D
 
@@ -661,7 +689,7 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
         q_is_one_mod_5=q_is_one,
         alpha_product=alpha_product,
         # precision >= 10, so each row is the first ten residues
-        residues=tuple((label, row[:10]) for label, row in rows.items()),
+        residues=tuple((label, tuple(row[:10])) for label, row in rows.items()),
     )
     if not report.ok:
         broken = [name for name, r in congruences if not r.congruent]

@@ -160,6 +160,31 @@ def low_energy_operands(draw):
     return side(), side()
 
 
+@st.composite
+def gate_operands(draw):
+    """Two integer lists of one length n in 1..600 sized for a slot of 1 to
+    24 bytes, so that the packed size n * width falls on either side of
+    _kron's two-point gate; or n = 1 or 2 with a coefficient of 9000 bits."""
+    kind = draw(st.sampled_from(["below", "above", "huge"]))
+    if kind != "huge":
+        # one-byte slots reach the gate only past n = 600
+        width = draw(st.integers(1 if kind == "below" else 2, 24))
+        top = 1 << (8 * width - 2)
+        gate = qseries._KS2_BYTES // _slot_width(top)
+        low, high = (1, min(gate - 1, 600)) if kind == "below" else (gate, max(gate, 600))
+        n = draw(st.integers(low, high))
+        m = max(1, math.isqrt(top // n))
+    else:
+        n, m = draw(st.integers(1, 2)), 1 << 9000
+
+    def side():
+        xs = draw(st.lists(st.integers(-m, m), min_size=n, max_size=n))
+        xs[draw(st.integers(0, n - 1))] = draw(st.sampled_from([m, -m]))
+        return xs
+
+    return side(), side()
+
+
 class TestKroneckerSubstitution:
     """_kron against the schoolbook product, and the slot codecs alone."""
 
@@ -183,23 +208,42 @@ class TestKroneckerSubstitution:
         assert _kron(x, x) == schoolbook(x, list(x))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(kron_operands(), low_energy_operands()))
+    @given(st.one_of(kron_operands(), low_energy_operands(), gate_operands()))
     def test_slot_is_sized_by_cauchy_schwarz(self, xy):
         # sqrt(sum x^2 * sum y^2) for a product, sum x^2 for a square: never
-        # wider than the slot n*max|x|*max|y| would give
+        # wider than the slot n*max|x|*max|y| would give.  Every pack of one
+        # product is at that width: one per operand below the two-point
+        # gate, and from it on two, its even- and odd-indexed halves
         x, y = xy
+        n = len(x)
         ex, ey = sum(a * a for a in x), sum(b * b for b in y)
         with mock.patch.object(qseries, "_pack", wraps=_pack) as pack:
             _kron(x, y)
             _kron(x, x)
+
+        def per_operand(width):
+            return [width] * (1 if n * width < qseries._KS2_BYTES else 2)
+
         wanted = []
         if ex * ey:
-            wanted += [_slot_width(math.isqrt(ex * ey))] * 2
-            n, mx, my = len(x), max(map(abs, x)), max(map(abs, y))
-            assert wanted[0] <= _slot_width(n * mx * my)
+            width = _slot_width(math.isqrt(ex * ey))
+            wanted += per_operand(width) * 2
+            mx, my = max(map(abs, x)), max(map(abs, y))
+            assert width <= _slot_width(n * mx * my)
         if ex:
-            wanted.append(_slot_width(ex))
+            wanted += per_operand(_slot_width(ex))
         assert [call.args[1] for call in pack.call_args_list] == wanted
+
+    @settings(max_examples=60, deadline=None)
+    @given(gate_operands())
+    def test_both_sides_of_the_two_point_gate(self, xy):
+        # products, squares, and equal lists that are distinct objects, with
+        # n * width on either side of the gate; n = 1 or 2 with one huge
+        # coefficient leaves the odd half empty or alone
+        x, y = xy
+        assert _kron(x, y) == schoolbook(x, y)
+        assert _kron(x, x) == schoolbook(x, list(x))
+        assert _kron(x, list(x)) == schoolbook(x, list(x))
 
     @pytest.mark.parametrize("n", [1, 2, 70])
     def test_zero_operands(self, n):
@@ -457,6 +501,24 @@ class TestDelta:
                     assert tau[m * k] == tau[m] * tau[k]
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             assert tau[p * p] == tau[p] ** 2 - p**11
+
+    def test_numerators_match_their_digests(self):
+        # sha256 of the comma-joined numerators, recorded from the one-point
+        # Kronecker product: delta on both sides of the two-point gate, and
+        # E4^2*E4 and E6*E6 in slots wider than a machine word
+        def series(name, n):
+            if name == "delta":
+                return delta(n)
+            e4, e6 = eisenstein(4, n), eisenstein(6, n)
+            return e4 * e4 * e4 if name == "E4^2*E4" else e6 * e6
+
+        lines = (Path(__file__).parent / "golden" / "delta_digests.sha256").read_text()
+        for line in lines.splitlines():
+            name, n, digest = line.split()
+            got = series(name, int(n))
+            assert got._den == 1
+            text = ",".join(map(str, got._a)).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, (name, n)
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,14 @@
 Each case feeds one public function or constructor an input that its code
 refuses, and checks the exception type and a fragment of the message.  The
 CLI's schema keeps these inputs from the library, so only direct callers,
-such as the demos and the benchmark, can meet them.
+such as the demos and the benchmark, can meet them.  A refusal whose
+input once sent the code into an endless loop runs in a fresh process
+under a timeout.
 """
 
 import re
+import subprocess
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +29,7 @@ from heckelift.exactnum import (
     prime_to_part,
     primitive_root,
     valuation,
+    weight_crt,
 )
 from heckelift.heckeq import (
     GlobalCharQ,
@@ -45,6 +50,7 @@ from heckelift.qseries import (
     weight24_example,
 )
 from heckelift.serrepq import AlgebraicFrobValue, QuasiChar, Steinberg, wd_reduce
+from conftest import run_python
 
 
 def order_five_mod_five():
@@ -191,3 +197,54 @@ def test_a_bool_or_float_never_shares_an_int_memo_entry(memo, ell, exponent, bad
     assert "an int" in str(refused.value) and len(str(refused.value)) < 200
     got = memo(ell, exponent)
     assert got == expected and str(got) == str(expected)
+
+
+@pytest.mark.parametrize("p", [1, -1])
+def test_valuation_refuses_a_unit_base_without_hanging(p):
+    # n % p == 0 always holds for p = 1 or -1, and the loop dividing it out
+    # never ended
+    script = (
+        "from heckelift.exactnum import valuation\n"
+        f"try:\n    valuation(12, {p})\nexcept ValueError as e:\n    print(e)"
+    )
+    try:
+        done = run_python("-c", script, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"valuation(12, {p}) did not return")
+    assert done.returncode == 0, done.stderr
+    assert f"p={p}" in done.stdout
+
+
+@pytest.mark.parametrize("n, p", [(12, 0), (12, -3), (12, True), (12, 2.0), (12.0, 3), (True, 2)])
+def test_valuation_refuses_a_base_below_two_or_a_non_int(n, p):
+    with pytest.raises(ValueError, match=re.escape(f"p={p!r}")):
+        valuation(n, p)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: Congruence(1, 2.5), "modulus 2.5"),
+        (lambda: Congruence(1.0, 4), "residue 1.0"),
+        (lambda: Congruence(True, 4), "residue True"),
+        (lambda: Congruence(1, True), "modulus True"),
+        (lambda: weight_crt(Congruence(1.5, 4), Congruence(1, 6)), "residue 1.5"),
+        (lambda: prime_to_part(12.0, 3), "n=12.0"),
+        (lambda: prime_to_part(True, 3), "n=True"),
+        (lambda: prime_to_part(12, 3.0), "ell=3.0"),
+    ],
+)
+def test_congruence_and_prime_to_part_refuse_a_bool_or_non_int(call, fragment):
+    # a float residue printed as "1.0 (mod 2.5)", and one in weight_crt read
+    # as a clash of weight classes
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
+
+
+@pytest.mark.parametrize("weight", [12.0, True, "12", Fraction(12)])
+def test_qexpansion_refuses_a_weight_that_is_not_none_or_an_int(weight):
+    # a float tag made sturm_congruence report the proof bound 1.0
+    with pytest.raises(ValueError, match=re.escape(f"the weight {weight!r}")):
+        QExpansion([1, 2, 3], weight)
+    assert QExpansion([1, 2, 3], 12).weight == 12
+    assert QExpansion([1, 2, 3]).weight is None
