@@ -491,6 +491,31 @@ def kronecker_symbol(D: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo the odd prime p, for a with kronecker_symbol
+    (a, p) = 1, by Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1): with p - 1 =
+    2^e * q, q odd, x = a^((q+1)/2) is a root up to b = x^2/a, which lies in
+    the 2-Sylow subgroup generated by y = n^q for a nonresidue n, and each
+    pass lowers the order of b."""
+    e = valuation(p - 1, 2)
+    q = (p - 1) >> e
+    n = 2
+    while pow(n, (p - 1) >> 1, p) != p - 1:
+        n += 1
+    y, r = pow(n, q, p), e
+    x = pow(a, (q - 1) >> 1, p)
+    b = a * x * x % p
+    x = a * x % p
+    while b != 1:
+        m, b2 = 1, b * b % p
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % p
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
+
+
 # largest index bernoulli accepts: Eisenstein series are built up to weight 100
 BERNOULLI_BOUND = 100
 

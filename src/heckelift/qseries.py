@@ -7,7 +7,8 @@ O(n^2) work.  The slot is sized by Cauchy-Schwarz: no product coefficient
 exceeds sqrt(sum x_i^2 * sum y_j^2).  A slot of up to 8 bytes is rounded
 up to a machine word and packed and unpacked by one array conversion, with
 no Python work per coefficient; wider slots take the byte path,
-int.to_bytes and int.from_bytes per coefficient.  From 1 KB of packed
+int.to_bytes and int.from_bytes per coefficient.  Pack and unpack share one
+bias that makes every signed slot nonnegative.  From 1 KB of packed
 operand the product is two-point (Harvey, J. Symb. Comp. 44, 2009): two
 multiplies on integers half as long, at 2^b and -2^b; below that, a second
 pack and unpack cost more than they save.  Ring operations truncate
@@ -18,12 +19,13 @@ sparse series (Hardy & Wright, Thm. 357).
 The congruence layer reduces series modulo a rational prime ell and checks
 coefficientwise agreement up to a stated bound, recording the theoretical
 bound (weight/12 at level one) that would make the truncated check a proof.
-Quadratic numbers a + b*sqrt(D) (QuadElem, with a fixed positive nonsquare
-D) appear only as scalars: a chosen prime P above a split ell (the root r
-with r^2 = D picks it) maps one to a + b*r mod ell, and on rational series
-reduction through P is reduction mod ell.  So the weight-24 eigenforms
-over Q(sqrt(144169)) are reduced from series taken mod 35 = 5*7 and their
-coefficient alpha mod P.
+One primitive, _residue, reduces every rational modulo ell and refuses one
+that is not ell-integral.  Quadratic numbers a + b*sqrt(D) (QuadElem, with
+a fixed positive nonsquare D) appear only as scalars: a chosen prime P
+above a split odd ell (the root r with r^2 = D picks it) maps one to the
+fraction a + b*r mod ell, and on rational series reduction through P is
+reduction mod ell.  So the weight-24 eigenforms over Q(sqrt(144169)) are
+reduced from series taken mod 35 = 5*7 and their coefficient alpha mod P.
 """
 
 from __future__ import annotations
@@ -35,7 +37,15 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Record, bernoulli, is_prime, require_odd_primes
+from .exactnum import (
+    Record,
+    _sqrt_mod,
+    bernoulli,
+    is_prime,
+    kronecker_symbol,
+    prime_to_part,
+    require_odd_primes,
+)
 
 __all__ = [
     "QuadElem",
@@ -72,6 +82,11 @@ def _check_precision(precision: int, least: int) -> None:
         )
 
 
+def _check_disc(disc: int) -> None:
+    if type(disc) is not int or disc <= 0 or math.isqrt(disc) ** 2 == disc:
+        raise ValueError("disc must be a positive nonsquare integer")
+
+
 class QuadElem(Record):
     """a + b*sqrt(disc) with exact rational a, b and fixed positive nonsquare
     disc: a value that a SplitPrimeIdeal reduces, with no arithmetic."""
@@ -79,8 +94,10 @@ class QuadElem(Record):
     __slots__ = ("a", "b", "disc")
 
     def __init__(self, a: Fraction, b: Fraction, disc: int):
-        if disc <= 0 or math.isqrt(disc) ** 2 == disc:
-            raise ValueError("disc must be a positive nonsquare integer")
+        _check_disc(disc)
+        for x in (a, b):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"unsupported coefficient type {type(x)!r}")
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "disc", disc)
@@ -93,8 +110,6 @@ class QuadElem(Record):
 # bytes; and the machine slot _slot_width gives each bit length below 64
 _MACHINE = {array(code).itemsize: code for code in "bhilq"}
 _MACHINE_WIDTH = tuple(min(m for m in _MACHINE if m >= (b + 8) // 8) for b in range(64))
-# 1 for the top byte of a negative slot (0x80 and above), 0 otherwise
-_SIGN = bytes(b >> 7 for b in range(256))
 # array items are in native byte order; slots are little-endian
 _SWAP = sys.byteorder == "big"
 _KS2_BYTES = 1024  # packed bytes n * width from which _kron is two-point
@@ -107,14 +122,18 @@ def _slot_width(bound: int) -> int:
     return _MACHINE_WIDTH[bits] if bits < 64 else (bits + 8) // 8
 
 
+def _bias(n: int, width: int) -> int:
+    """h = 2^(8*width - 1) in each of n slots, which _pack and _unpack share."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
 def _pack(xs, width: int) -> int:
     """sum xs[i] * 2^(8*width*i) for signed ints xs, in linear time.
 
     Each slot is written in two's complement: in a machine slot by one array
     conversion, in a wider one by int.to_bytes per coefficient (the byte
-    path).  A negative slot then reads as xs[i] + 2^(8*width); the borrows
-    it owes the slots above are read off the top bytes and taken back in
-    one subtraction.
+    path).  XOR with the bias h flips each top bit, which makes slot i read
+    as xs[i] + h >= 0, and one subtraction takes every h back.
     """
     code = _MACHINE.get(width)
     if code is None:
@@ -124,9 +143,8 @@ def _pack(xs, width: int) -> int:
         if _SWAP:
             slots.byteswap()
         raw = slots.tobytes()
-    borrows = bytearray(len(raw))
-    borrows[::width] = raw[width - 1 :: width].translate(_SIGN)
-    return int.from_bytes(raw, "little") - (int.from_bytes(borrows, "little") << 8 * width)
+    bias = _bias(len(raw) // width, width)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 def _unpack(value: int, n: int, width: int) -> tuple[int, ...]:
@@ -139,7 +157,7 @@ def _unpack(value: int, n: int, width: int) -> tuple[int, ...]:
     int.from_bytes per coefficient from wider ones (the byte path).
     """
     size = n * width
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    bias = _bias(n, width)
     raw = (((value + bias) & ((1 << 8 * size) - 1)) ^ bias).to_bytes(size, "little")
     code = _MACHINE.get(width)
     if code is None:
@@ -368,8 +386,10 @@ def delta(precision: int = DEFAULT_PRECISION) -> QExpansion:
 
 
 class SplitPrimeIdeal(Record):
-    """One of the two primes above ell in Q(sqrt(disc)): the root r with
-    r^2 = disc mod ell selects the reduction sqrt(disc) -> r."""
+    """One of the two primes above an odd ell split in Q(sqrt(disc)): the
+    root r with r^2 = disc mod ell selects the reduction sqrt(disc) -> r.
+    A root that is not an int, a disc that is not a positive nonsquare int,
+    ell = 2 and an ell dividing disc raise ValueError."""
 
     __slots__ = ("ell", "root", "disc")
 
@@ -380,6 +400,13 @@ class SplitPrimeIdeal(Record):
             raise ValueError("root must be reduced modulo ell")
         if (root * root - disc) % ell:
             raise ValueError(f"{root}^2 is not {disc} modulo {ell}")
+        if type(root) is not int:
+            raise ValueError(f"root {root!r} is not an int")
+        _check_disc(disc)
+        if ell == 2:
+            raise ValueError("ell must be an odd prime")
+        if disc % ell == 0:
+            raise ValueError(f"{ell} is ramified in Q(sqrt({disc}))")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "disc", disc)
@@ -389,35 +416,40 @@ class SplitPrimeIdeal(Record):
 
     def reduce(self, value) -> int:
         """An int, Fraction or QuadElem through this prime: a + b*sqrt(disc)
-        goes to a + b*root modulo ell."""
+        goes to a + b*root modulo ell, taken as one fraction of ints."""
         if isinstance(value, QuadElem):
             if value.disc != self.disc:
                 raise ValueError("element from a different field")
-            a, b, ell = value.a, value.b, self.ell
-            if a.denominator % ell and b.denominator % ell:
-                return (_residue(a, ell) + _residue(b, ell) * self.root) % ell
-            value = a + b * self.root
-        elif not isinstance(value, (int, Fraction)):
+            a, b = value.a, value.b
+        elif isinstance(value, (int, Fraction)):
+            a, b = value, 0
+        else:
             raise TypeError(f"unsupported value type {type(value)!r}")
-        return _residue(Fraction(value), self.ell)
+        num = a.numerator * b.denominator + b.numerator * self.root * a.denominator
+        return _residue(num, a.denominator * b.denominator, self.ell)
 
     def __str__(self) -> str:
         return f"({self.ell}, sqrt({self.disc}) - {self.root})"
 
 
 def split_roots(disc: int, ell: int) -> tuple[int, int]:
-    """The two square roots of disc modulo a split odd prime ell, ascending."""
-    roots = sorted(r for r in range(ell) if (r * r - disc) % ell == 0)
-    if len(roots) != 2:
+    """The two square roots of disc modulo a split odd prime ell, ascending:
+    ell splits when disc is a nonzero square mod ell (Euler's criterion), and
+    a root is found by Tonelli-Shanks.  An ell that is not an odd prime
+    raises ValueError."""
+    if kronecker_symbol(disc, ell) != 1:
         raise ValueError(f"{ell} is not split in Q(sqrt({disc}))")
-    return roots[0], roots[1]
+    root = _sqrt_mod(disc, ell)
+    return min(root, ell - root), max(root, ell - root)
 
 
-def _residue(x: Fraction, ell: int) -> int:
-    """x modulo ell, for x with denominator prime to ell."""
-    if x.denominator % ell == 0:
+def _residue(num: int, den: int, ell: int) -> int:
+    """num/den modulo the prime ell, for ints num and den > 0: the ell-part
+    q of den must divide num, and (num/q) / (den/q) is reduced."""
+    q = den // prime_to_part(den, ell)
+    if num % q:
         raise ValueError(f"denominator not invertible modulo {ell}")
-    return x.numerator * pow(x.denominator, -1, ell) % ell
+    return num // q * pow(den // q, -1, ell) % ell
 
 
 def _ell(modulus) -> int:
@@ -443,11 +475,10 @@ def reduce_series(series: QExpansion, ideal, bound: int) -> tuple[int, ...]:
     ell = _ell(ideal)
     nums = series._a[: bound + 1]
     den = series._den
-    if den % ell:
-        inv = pow(den, -1, ell)
-        return tuple(x * inv % ell for x in nums)
-    # ell divides the shared denominator, not necessarily each coefficient's
-    return tuple(_residue(Fraction(x, den), ell) for x in nums)
+    # g/den is ell-integral exactly when every x/den is, and x/den = (x/g) * (g/den)
+    g = math.gcd(den, *nums)
+    unit = _residue(g, den, ell)
+    return tuple(x // g * unit % ell for x in nums)
 
 
 class SturmReport(Record):
@@ -489,16 +520,16 @@ def _theoretical_bound(wf: int | None, wg: int | None, ideal) -> int | None:
     return max(wf, wg) // 12
 
 
-def _sturm_report(rf, rg, ideal, bound: int, theoretical: int | None) -> SturmReport:
-    """The report on two series whose reductions through ideal to q^bound
-    are rf and rg."""
+def _sturm_report(rf, rg, modulus, bound: int, theoretical: int | None) -> SturmReport:
+    """The report on two series whose reductions through a modulus, an ideal
+    or its text, to q^bound are rf and rg."""
     mismatch = None if rf == rg else next(n for n, (x, y) in enumerate(zip(rf, rg)) if x != y)
     return SturmReport(
         congruent=mismatch is None,
         first_mismatch=mismatch,
         bound=bound,
         theoretical_bound=theoretical,
-        modulus=str(ideal),
+        modulus=str(modulus),
     )
 
 
@@ -620,32 +651,33 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
     alpha_minus = QuadElem(-13 * half, -half, D)
     p7 = SplitPrimeIdeal(7, split_roots(D, 7)[0], D)
 
-    plus_matches = reduced(alpha_plus, p7) == dlt_mod[7]
-    minus_matches = reduced(alpha_minus, p7) == dlt_mod[7]
+    plus_row, minus_row = reduced(alpha_plus, p7), reduced(alpha_minus, p7)
+    plus_matches, minus_matches = plus_row == dlt_mod[7], minus_row == dlt_mod[7]
     if plus_matches == minus_matches:
         raise AssertionError("exactly one weight-24 form must match Delta mod p7")
     if plus_matches:
-        alpha, alpha_prime = alpha_plus, alpha_minus
+        alpha, alpha_prime, f7 = alpha_plus, alpha_minus, plus_row
         labelling = "f carries alpha = (-13 + sqrt(144169))/2"
     else:
-        alpha, alpha_prime = alpha_minus, alpha_plus
+        alpha, alpha_prime, f7 = alpha_minus, alpha_plus, minus_row
         labelling = "f carries alpha = (-13 - sqrt(144169))/2"
     p7_conj = p7.conjugate()
 
     candidates = [SplitPrimeIdeal(5, r, D) for r in split_roots(D, 5)]
-    matching = [ideal for ideal in candidates if reduced(alpha, ideal) == dlt_mod[5]]
+    f5_rows = [(ideal, reduced(alpha, ideal)) for ideal in candidates]
+    matching = [(ideal, row) for ideal, row in f5_rows if row == dlt_mod[5]]
     if len(matching) != 1:
         raise AssertionError("exactly one prime above 5 must satisfy Delta = f")
-    p5 = matching[0]
+    ((p5, f5),) = matching
     p5_conj = p5.conjugate()
 
     # Delta's row is the same through both primes above ell
     rows = {
         "Delta mod p5": dlt_mod[5],
-        "f mod p5": reduced(alpha, p5),
+        "f mod p5": f5,
         "f' mod p5'": reduced(alpha_prime, p5_conj),
         "Delta mod p7": dlt_mod[7],
-        "f mod p7": reduced(alpha, p7),
+        "f mod p7": f7,
         "f' mod p7'": reduced(alpha_prime, p7_conj),
     }
 
@@ -663,13 +695,7 @@ def weight24_example(precision: int = DEFAULT_PRECISION) -> Weight24Report:
             # f and f' are congruent mod 5 through the matched conjugate pair
             # of primes: both reduce to Delta
             "f mod p5 = f' mod p5'",
-            SturmReport(
-                congruent=rows["f mod p5"] == rows["f' mod p5'"],
-                first_mismatch=None,
-                bound=bound,
-                theoretical_bound=2,
-                modulus=f"{p5} paired with {p5_conj}",
-            ),
+            _sturm_report(f5, rows["f' mod p5'"], f"{p5} paired with {p5_conj}", bound, 2),
         ),
     )
 

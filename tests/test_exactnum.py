@@ -22,6 +22,7 @@ from heckelift.exactnum import (
     _BABY_STEPS,
     _prime_to,
     _solve_linear,
+    _sqrt_mod,
     _unit_order_factors,
     Congruence,
     QmodZ,
@@ -289,6 +290,16 @@ class TestKronecker:
         for D in range(-30, 31):
             expect = 0 if D % p == 0 else (1 if D % p in squares else -1)
             assert kronecker_symbol(D, p) == expect
+
+    @pytest.mark.parametrize("p", [3, 17, 257, 65537, 7340033, 998244353, 10**9 + 7])
+    def test_square_roots_by_tonelli_shanks(self, p):
+        # p - 1 from 2 * odd to 2^23 * 119, where the 2-Sylow search takes
+        # up to 23 passes; a residue given as a negative representative too
+        rng = random.Random(p)
+        for _ in range(200):
+            a = pow(rng.randrange(1, p), 2, p)
+            for rep in (a, a - p):
+                assert pow(_sqrt_mod(rep, p), 2, p) == a
 
 
 class TestBernoulli:

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import math
 import operator
 import random
 import re
+import time
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -33,6 +35,7 @@ from heckelift.qseries import (
     _unpack,
     weight24_example,
 )
+from conftest import primes_below
 
 
 def naive_delta(precision):
@@ -553,6 +556,30 @@ class TestSplitPrimeIdeal:
         with pytest.raises(ValueError):
             split_roots(5, 7)  # 5 is not a square mod 7
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(primes_below(3000)[1:]), st.integers(-(10**6), 10**6))
+    def test_roots_against_the_scan(self, ell, disc):
+        # Euler's criterion and Tonelli-Shanks against the scan of every
+        # residue that split_roots once made
+        roots = sorted(r for r in range(ell) if (r * r - disc) % ell == 0)
+        if len(roots) == 2:
+            assert split_roots(disc, ell) == tuple(roots)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{ell} is not split in Q(sqrt({disc}))")):
+                split_roots(disc, ell)
+
+    @pytest.mark.parametrize("ell, roots", [(1000003, (247387, 752616)), (10000019, None)])
+    def test_roots_at_a_large_prime_answer_fast(self, ell, roots):
+        # the scan over range(ell) took 1.27 s to refuse the inert 10000019
+        start = time.perf_counter()
+        if roots is None:
+            with pytest.raises(ValueError, match=f"{ell} is not split"):
+                split_roots(144169, ell)
+        else:
+            assert split_roots(144169, ell) == roots
+            assert all((r * r - 144169) % ell == 0 for r in roots)
+        assert time.perf_counter() - start < 0.1
+
     def test_reduction_map(self):
         ideal = SplitPrimeIdeal(5, 2, 144169)
         x = QuadElem(Fraction(1, 2), Fraction(3), 144169)
@@ -620,6 +647,93 @@ class TestReduceSeries:
             reduce_series(series, 5, 1)
         with pytest.raises(ValueError):
             reduce_series(series, ideal, 1)
+
+
+# reduce_series and SplitPrimeIdeal.reduce as they were before one residue
+# primitive took num and den as ints: the references the new paths must
+# agree with, refusals included
+
+
+def reference_residue(x: Fraction, ell: int) -> int:
+    """x modulo ell, for x with denominator prime to ell."""
+    if x.denominator % ell == 0:
+        raise ValueError(f"denominator not invertible modulo {ell}")
+    return x.numerator * pow(x.denominator, -1, ell) % ell
+
+
+def reference_reduce_series(series, ideal, bound):
+    """Coefficients 0..bound modulo ell: by one inverse of the shared
+    denominator when ell does not divide it, else coefficient by coefficient
+    in Fractions."""
+    ell = qseries._ell(ideal)
+    nums = series._a[: bound + 1]
+    den = series._den
+    if den % ell:
+        inv = pow(den, -1, ell)
+        return tuple(x * inv % ell for x in nums)
+    # ell divides the shared denominator, not necessarily each coefficient's
+    return tuple(reference_residue(Fraction(x, den), ell) for x in nums)
+
+
+def reference_reduce(ideal, value):
+    """An int, Fraction or QuadElem through ideal, in two cases: part by part
+    when a and b are both ell-integral, else as the Fraction a + b*root."""
+    if isinstance(value, QuadElem):
+        if value.disc != ideal.disc:
+            raise ValueError("element from a different field")
+        a, b, ell = value.a, value.b, ideal.ell
+        if a.denominator % ell and b.denominator % ell:
+            return (reference_residue(a, ell) + reference_residue(b, ell) * ideal.root) % ell
+        value = a + b * ideal.root
+    elif not isinstance(value, (int, Fraction)):
+        raise TypeError(f"unsupported value type {type(value)!r}")
+    return reference_residue(Fraction(value), ideal.ell)
+
+
+def outcome(call, *args):
+    """What call(*args) returns, or the message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as refused:
+        return f"ValueError: {refused}"
+
+
+@st.composite
+def ell_rationals(draw, ell: int, top: int):
+    """A Fraction over ell^k * u for k in 0..top and u prime to ell, whose
+    numerator is a multiple of 1, ell or ell^2: ell-integral or not."""
+    num = draw(st.integers(-60, 60)) * draw(st.sampled_from([1, ell, ell * ell]))
+    return Fraction(num, ell ** draw(st.integers(0, top)) * draw(st.sampled_from([1, 2, 4, 11])))
+
+
+class TestOneResiduePrimitive:
+    """reduce_series and SplitPrimeIdeal.reduce against the references they
+    replaced, at the primes above 3, 5 and 7 in Q(sqrt(144169))."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reduce_series_matches_the_fraction_reference(self, data):
+        ell = data.draw(st.sampled_from([3, 5, 7]))
+        top = data.draw(st.integers(0, 2))
+        series = QExpansion(data.draw(st.lists(ell_rationals(ell, top), min_size=1, max_size=12)))
+        disc = qseries.WEIGHT24_DISC
+        ideals = [SplitPrimeIdeal(ell, r, disc) for r in split_roots(disc, ell)]
+        modulus = data.draw(st.sampled_from([ell, *ideals]))
+        # every bound, so both sides of the first coefficient that is not
+        # ell-integral
+        for bound in range(series.precision):
+            got = outcome(reduce_series, series, modulus, bound)
+            assert got == outcome(reference_reduce_series, series, modulus, bound)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_reduce_matches_the_two_case_reference(self, data):
+        ell = data.draw(st.sampled_from([3, 5, 7]))
+        disc = qseries.WEIGHT24_DISC
+        ideal = SplitPrimeIdeal(ell, data.draw(st.sampled_from(split_roots(disc, ell))), disc)
+        a, b = data.draw(ell_rationals(ell, 2)), data.draw(ell_rationals(ell, 2))
+        for value in (QuadElem(a, b, disc), a, a.numerator):
+            assert outcome(ideal.reduce, value) == outcome(reference_reduce, ideal, value)
 
 
 class TestSturmCongruence:
@@ -892,6 +1006,14 @@ class TestWeight24Example:
             assert len(widths) == 7
             assert all(w and max(w) <= 4 for w in widths), (precision, widths)
 
+    def test_reduces_alpha_six_times(self):
+        # the p7 labelling and the p5 search give the rows of f; f' is
+        # reduced once through each conjugate prime
+        reduce = SplitPrimeIdeal.reduce
+        with mock.patch.object(SplitPrimeIdeal, "reduce", autospec=True, side_effect=reduce) as calls:
+            weight24_example(48)
+        assert calls.call_count == 6
+
     def test_reports_match_their_digests(self):
         # sha256 of repr(weight24_example(n)) as built from the series over Z
         lines = (Path(__file__).parent / "golden" / "weight24_repr.sha256").read_text()
@@ -899,3 +1021,38 @@ class TestWeight24Example:
             _, precision, digest = line.split()
             got = repr(weight24_example(int(precision))).encode()
             assert hashlib.sha256(got).hexdigest() == digest, precision
+
+
+def owners_of_calls(source: str, wanted) -> list:
+    """The innermost function around each call in source that wanted
+    accepts, in source order; None for a call outside every function."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and wanted(child):
+                owners.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(source), None)
+    return owners
+
+
+def test_qseries_has_one_residue_one_bias_and_one_report_builder():
+    # _residue alone inverts modulo ell, pack and unpack share one bias, and
+    # _sturm_report alone builds a SturmReport
+    source = Path(qseries.__file__).read_text()
+
+    def calls_to(name):
+        return owners_of_calls(source, lambda call: ast.unparse(call.func) == name)
+
+    def modular_inverse(call):
+        named = ast.unparse(call.func) == "pow" and len(call.args) == 3
+        return named and ast.unparse(call.args[1]) == "-1"
+
+    assert owners_of_calls(source, modular_inverse) == ["_residue"]
+    assert calls_to("SturmReport") == ["_sturm_report"]
+    assert calls_to("_bias") == ["_pack", "_unpack"]
+    nodes = list(ast.walk(ast.parse(source)))
+    assert "_SIGN" not in {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert "_SIGN" not in {node.attr for node in nodes if isinstance(node, ast.Attribute)}

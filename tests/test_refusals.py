@@ -46,6 +46,7 @@ from heckelift.qseries import (
     delta,
     eisenstein,
     hasse_invariant_check,
+    split_roots,
     sturm_congruence,
     weight24_example,
 )
@@ -138,6 +139,19 @@ REFUSALS = [
         ValueError,
         "element from a different field",
     ),
+    # a float root reduced alpha to 5.0 and was printed in a passing report
+    (lambda: SplitPrimeIdeal(7, 2.0, 144169), ValueError, "root 2.0 is not an int"),
+    (lambda: SplitPrimeIdeal(5, True, 6), ValueError, "root True is not an int"),
+    (lambda: SplitPrimeIdeal(5, 1, 6.0), ValueError, "disc must be a positive nonsquare integer"),
+    (lambda: SplitPrimeIdeal(5, 1, 1), ValueError, "disc must be a positive nonsquare integer"),
+    (lambda: SplitPrimeIdeal(2, 1, 5), ValueError, "ell must be an odd prime"),
+    # conjugate() returned the ideal itself
+    (lambda: SplitPrimeIdeal(3, 0, 3), ValueError, "3 is ramified in Q(sqrt(3))"),
+    # 1.5 was stored as 3/2
+    (lambda: QuadElem(1.5, 1, 5), TypeError, "unsupported coefficient type <class 'float'>"),
+    (lambda: QuadElem(1, 0.5, 5), TypeError, "unsupported coefficient type <class 'float'>"),
+    # the scan returned (4, 5) for the composite 9
+    (lambda: split_roots(144169, 9), ValueError, "9 must be an odd prime"),
     # serrepq
     (lambda: wd_reduce(steinberg_at_3(), 4, 5), ValueError, "both arguments must be prime"),
 ]
