@@ -19,14 +19,18 @@ odd-order wild characters vanish on it.
 Class groups of imaginary quadratic fields are computed through reduced
 binary quadratic forms, enumerated by their middle coefficient and
 composed by Shanks' algorithm, whose Bezout coefficients are modular
-inverses.  Each class's order is read from the walk f, f^2, ... of one
-cyclic subgroup that contains it, which stops once a power's inverse is a
-power already reached; the inverse of a reduced (a, b, c) is itself when
-b = 0, b = a or a = c, and the reduced (a, -b, c) otherwise.  The orders
-fix the group structure, which feeds the counting bound that exhibits
-non-liftable unramified pairs.  The last few fields' groups are kept, so
-the counting bound of a field whose group was just computed does not
-compute it again.
+inverses.  The group is taken one Sylow subgroup at a time.  A part of
+prime order needs no composition.  Any other part is the image of the
+power map x -> x^m, m the part of h prime to ell, and it is cyclic when
+its first image other than the identity has full order.  Only the other
+parts are walked: each class's order is read from the walk f, f^2, ... of
+one cyclic subgroup that contains it, which stops once a power's inverse
+is a power already reached; the inverse of a reduced (a, b, c) is itself
+when b = 0, b = a or a = c, and the reduced (a, -b, c) otherwise.  The
+orders in each part fix its invariant factors, and the group structure
+feeds the counting bound that exhibits non-liftable unramified pairs.
+The last few fields' groups are kept, so the counting bound of a field
+whose group was just computed does not compute it again.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ __all__ = [
 ]
 
 # largest |D| class_group accepts; the slowest fields below it take about
-# 0.04 s (measurements in class_group's docstring)
+# 0.036 s, nearly all of it enumerating forms (measurements in class_group's
+# docstring)
 CLASS_GROUP_BOUND = 10**7
 
 # largest |D| ImagQuadField accepts: its fundamental-discriminant test
@@ -442,13 +447,17 @@ def class_group(D: int) -> IdealClassGroup:
     """Ideal class group of the fundamental discriminant D < 0: reduced forms,
     class number, exponent and invariant factors.
 
-    The forms are enumerated by their middle coefficient and the orders come
-    from the walks of _orders, at most 1.17 compositions per class for
-    every |D| <= 10^4.  Measured up to CLASS_GROUP_BOUND (Intel Xeon, Python
-    3.11.7, 12 fields with 0.9 <= |D|/N <= 1 each, best of 3): a median of
-    0.0003 s at N = 10^5, 0.002 s at 10^6 and 0.016 s at 10^7; the fields of
-    largest h found there (h = 533 at D = -95471, 1868 at -960671 and 6216
-    at -9559679) take 0.0007 s, 0.005 s and 0.04 s.
+    The forms are enumerated by their middle coefficient.  The invariant
+    factors come one Sylow subgroup at a time (see _sylow_orders), and only
+    a non-cyclic part is walked by _orders: 0.38 compositions per class
+    over every |D| <= 10^4, and at most 1.75 (h = 12 at D = -5128), where
+    walking every class took 0.66 and at most 1.17.  Enumerating the forms
+    is then most of the cost: 58% over the 64 fields of the class-groups
+    benchmark, 10^3 <= |D| < 3*10^5.  Measured up to CLASS_GROUP_BOUND (Intel Xeon,
+    Python 3.11.7, 12 fields with 0.9 <= |D|/N <= 1 each, best of 5): a
+    median of 0.0004 s at N = 10^5, 0.0025 s at 10^6 and 0.018 s at 10^7;
+    the fields of largest h found there (h = 533 at D = -95471, 1868 at
+    -960671 and 6216 at -9559679) take 0.0005 s, 0.004 s and 0.036 s.
 
     The last eight groups computed are kept, so asking again for one of
     those fields returns the same object without recomputing it.
@@ -467,14 +476,13 @@ def class_group(D: int) -> IdealClassGroup:
 def _class_group(D: int) -> IdealClassGroup:
     forms = _reduced_forms(D)
     h = len(forms)
-    histogram = Counter(_orders(forms, D).values())  # order -> forms of that order
-    exponent = math.lcm(*histogram)
 
     # per prime ell | h: r_k = log_ell |G[ell^k]| / |G[ell^(k-1)]| counts the
     # ell-primary cyclic factors of order >= ell^k, so the i-th largest
     # invariant factor has ell-exponent #{k : r_k >= i}
     largest_first: list[int] = []
     for ell, e in factorize(h).items():
+        histogram = _sylow_orders(forms, D, ell, e)  # order -> forms of that order
         ranks, count = [], 1
         for k in range(1, e + 1):
             torsion = sum(count for n, count in histogram.items() if ell**k % n == 0)
@@ -488,8 +496,63 @@ def _class_group(D: int) -> IdealClassGroup:
     factors = tuple(reversed(largest_first))
     if math.prod(factors) != h:
         raise AssertionError(f"invariant factors {factors} do not multiply to h = {h}")
+    exponent = largest_first[0] if largest_first else 1
 
     return IdealClassGroup(D, tuple(forms), h, exponent, factors)
+
+
+def _power(f: tuple[int, int, int], n: int, D: int) -> tuple[int, int, int]:
+    """f^n for n >= 1, by binary powering from the leading bit down."""
+    g = f
+    for bit in bin(n)[3:]:
+        g = _compose(g, g, D)
+        if bit == "1":
+            g = _compose(g, f, D)
+    return g
+
+
+def _sylow_orders(
+    forms: list[tuple[int, int, int]], D: int, ell: int, e: int
+) -> dict[int, int]:
+    """Order -> number of elements of that order in the ell-Sylow subgroup
+    of the class group, for ell^e || h = len(forms).
+
+    A subgroup of prime order ell is cyclic and needs no composition.  When
+    h = ell^e the whole group is walked by _orders.  Otherwise the subgroup
+    is the image of x -> x^m, m = h / ell^e: if the first image s other than
+    the identity has s^(ell^(e-1)) != 1, the subgroup is cyclic of order
+    ell^e; if not, the images of the sorted forms generate it, coset by
+    coset, and _orders walks it alone.
+    """
+    order = ell**e
+    if e > 1 and order == len(forms):
+        return Counter(_orders(forms, D).values())
+    cyclic = {1: 1} | {ell**k: ell**k - ell ** (k - 1) for k in range(1, e + 1)}
+    if e == 1:
+        return cyclic
+    identity = _principal_form(D)
+    subgroup, members = [identity], {identity}
+    m = len(forms) // order
+    for f in forms:
+        # a form in the subgroup has its image there too
+        if f in members:
+            continue
+        g = _power(f, m, D)
+        if g in members:
+            continue
+        if len(subgroup) == 1 and _power(g, order // ell, D) != identity:
+            return cyclic
+        # add the cosets g^j * subgroup, j = 1, 2, ..., until g^j is in it;
+        # subgroup[0] is the identity, so coset[0] is g^j
+        grown, coset = list(subgroup), subgroup
+        while (first := _compose(coset[0], g, D)) not in members:
+            coset = [first] + [_compose(x, g, D) for x in coset[1:]]
+            grown += coset
+        subgroup = grown
+        members.update(subgroup)
+        if len(subgroup) == order:
+            break
+    return Counter(_orders(subgroup, D).values())
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,8 @@ class QExpansion:
         return self._make(_kron(a1, a2), self._den * other._den, w)
 
     def scale(self, c) -> "QExpansion":
+        if isinstance(c, bool):
+            raise ValueError(f"scalar {c!r} is a bool, not an int")
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"unsupported scalar type {type(c)!r}")
         c = Fraction(c)
@@ -315,6 +317,8 @@ class QExpansion:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QExpansion":
+        if type(e) is not int:
+            raise ValueError(f"exponent {e!r} is not an int")
         if e < 0:
             raise ValueError("negative powers are not supported")
         if e == 0:

@@ -1,14 +1,17 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelift import heckequad
-from heckelift.abchar import FinAbGroup, GroupCharacter
-from heckelift.exactnum import QmodZ, factorize
+from heckelift.abchar import FinAbGroup, GroupCharacter, HeckeCertificate
+from heckelift.exactnum import QmodZ, factorize, valuation
 from heckelift.heckequad import (
     SIGMA,
     SIGMA_BAR,
+    IdealClassGroup,
     ImagQuadField,
     PlaceLocal,
     QuadLocalData,
@@ -138,6 +141,37 @@ def _orders_full_walk(forms, D):
     return orders
 
 
+def _class_group_by_histogram(D):
+    """The class group from the orders of all h forms, walked by _orders:
+    the reference for class_group, which walks only inside its non-cyclic
+    Sylow subgroups."""
+    forms = _reduced_forms(D)
+    h = len(forms)
+    histogram = Counter(_orders(forms, D).values())  # order -> forms of that order
+    exponent = math.lcm(*histogram)
+
+    # per prime ell | h: r_k = log_ell |G[ell^k]| / |G[ell^(k-1)]| counts the
+    # ell-primary cyclic factors of order >= ell^k, so the i-th largest
+    # invariant factor has ell-exponent #{k : r_k >= i}
+    largest_first = []
+    for ell, e in factorize(h).items():
+        ranks, count = [], 1
+        for k in range(1, e + 1):
+            torsion = sum(count for n, count in histogram.items() if ell**k % n == 0)
+            ranks.append(valuation(torsion // count, ell))
+            count = torsion
+            if count == ell**e:
+                break
+        largest_first += [1] * (ranks[0] - len(largest_first))
+        for i in range(1, ranks[0] + 1):
+            largest_first[i - 1] *= ell ** sum(1 for r in ranks if r >= i)
+    factors = tuple(reversed(largest_first))
+    if math.prod(factors) != h:
+        raise AssertionError(f"invariant factors {factors} do not multiply to h = {h}")
+
+    return IdealClassGroup(D, tuple(forms), h, exponent, factors)
+
+
 @pytest.fixture
 def fresh_memo():
     """An empty class-group memo, emptied again afterwards, so that no group
@@ -155,6 +189,18 @@ def compositions(monkeypatch, fresh_memo):
     real = heckequad._compose
     monkeypatch.setattr(heckequad, "_compose", lambda f1, f2, D: calls.append(D) or real(f1, f2, D))
     return calls
+
+
+@pytest.fixture
+def walks(monkeypatch, fresh_memo):
+    """The number of forms handed to each heckequad._orders call, one entry
+    per call."""
+    sizes = []
+    real = heckequad._orders
+    monkeypatch.setattr(
+        heckequad, "_orders", lambda forms, D: sizes.append(len(forms)) or real(forms, D)
+    )
+    return sizes
 
 
 def _power(f, n, D):
@@ -389,6 +435,76 @@ class TestCriterionDecide:
                 assert check.modulus == 16
                 assert check.ok == ((k0 - (k_p - a_p)) % 16 == 0)
 
+    # Three accepted cases written out by hand: the conditions, the
+    # condition-(2) triple (parity sum mod 2, n_sigma + n_sigmabar mod 2, ok)
+    # and the certificate.  Each sets k = xi + a, so conditions (1) and (1')
+    # hold, the parity sum is the sum of the a, and the tame power at a place
+    # is its a.
+
+    def test_odd_infinity_type_with_one_tame_power(self):
+        # type (1, 0): xi = -1 at v1@17 and v1@19 and 0 at v2; a = 1 at v1@17
+        local = QuadLocalData(
+            (PlaceLocal(0, 1), PlaceLocal(0, 0)),
+            (PlaceLocal(-1, 0), PlaceLocal(0, 0)),
+        )
+        rep = criterion_decide(K1155, 17, 19, local, (1, 0))
+        assert [(c.lhs, c.rhs, c.ok) for c in rep.condition_1 + rep.condition_1_prime] == [
+            (-1, -1, True), (0, 0, True), (-1, -1, True), (0, 0, True)
+        ]
+        assert rep.condition_2 == (1, 1, True)
+        tame = FinAbGroup((16,), ("k(v1@17)^* tame",))
+        assert rep.certificate == HeckeCertificate(
+            infinity_type=((SIGMA, 1), (SIGMA_BAR, 0)),
+            local_chars=(("v1@17", GroupCharacter(tame, (QmodZ(1, 16),))),),
+            conductor=17,
+        )
+
+    def test_even_infinity_type_with_a_tame_power_of_two(self):
+        # type (1, 1): xi = -1 at all four places; a = 2 at v1@17, so the
+        # parity sum 2 and n_sigma + n_sigmabar = 2 are both even
+        local = QuadLocalData(
+            (PlaceLocal(1, 2), PlaceLocal(-1, 0)),
+            (PlaceLocal(-1, 0), PlaceLocal(-1, 0)),
+        )
+        rep = criterion_decide(K1155, 17, 19, local, (1, 1))
+        assert all(c.ok for c in rep.condition_1 + rep.condition_1_prime)
+        assert rep.condition_2 == (0, 0, True)
+        tame = FinAbGroup((16,), ("k(v1@17)^* tame",))
+        assert rep.certificate == HeckeCertificate(
+            infinity_type=((SIGMA, 1), (SIGMA_BAR, 1)),
+            local_chars=(("v1@17", GroupCharacter(tame, (QmodZ(1, 8),))),),
+            conductor=17,
+        )
+
+    def test_unequal_infinity_type_with_inert_tame_and_split_wild_parts(self):
+        # 13 is inert and 17 split in Q(sqrt(-1155)); type (2, 0) gives
+        # xi = -(2 + 0*13) = -2 at v1@13 (modulus 168) and (-2, 0) above 17
+        # (modulus 16); a = 5 at v1@13 and 3 at v2@17, which also carries a
+        # wild part of order 17: parity sum 8, n_sigma + n_sigmabar = 2
+        local = QuadLocalData(
+            (PlaceLocal(3, 5),),
+            (PlaceLocal(-2, 0), PlaceLocal(3, 3, _wild(17))),
+        )
+        rep = criterion_decide(K1155, 13, 17, local, (2, 0))
+        assert [(c.place, c.lhs, c.rhs, c.modulus) for c in rep.condition_1] == [
+            ("v1@13", -2, -2, 168)
+        ]
+        assert [(c.place, c.lhs, c.rhs, c.modulus) for c in rep.condition_1_prime] == [
+            ("v1@17", -2, -2, 16), ("v2@17", 0, 0, 16)
+        ]
+        assert rep.condition_2 == (0, 0, True)
+        inert = FinAbGroup((168,), ("k(v1@13)^* tame",))
+        split = FinAbGroup((16, 17), ("k(v2@17)^* tame", "v2@17 wild 0"))
+        assert rep.certificate == HeckeCertificate(
+            infinity_type=((SIGMA, 2), (SIGMA_BAR, 0)),
+            local_chars=(
+                ("v1@13", GroupCharacter(inert, (QmodZ(5, 168),))),
+                ("v2@17", GroupCharacter(split, (QmodZ(3, 16), QmodZ(1, 17)))),
+            ),
+            # residue size 13^2 at the inert place, 17^(1 + 1) at the wild one
+            conductor=13**2 * 17**2,
+        )
+
     def test_wild_data_validation(self):
         local = QuadLocalData(
             (PlaceLocal(0, 0, _wild(19)), PlaceLocal(0, 0)),
@@ -594,6 +710,67 @@ class TestClassGroup:
         assert _compose((12, 11, 3), _principal_form(-23), -23) == _reduce_form(
             12, 11, 3
         )
+
+
+class TestSylowParts:
+    """class_group takes the class group one Sylow subgroup at a time: a part
+    of prime order needs no composition, a cyclic part one element of full
+    order, and only a non-cyclic part is walked by _orders."""
+
+    def test_matches_the_histogram_path_on_small_fields(self):
+        for D in _fundamental_discriminants(4999):
+            assert class_group(D) == _class_group_by_histogram(D), D
+
+    def test_matches_the_histogram_path_on_a_seeded_sample(self):
+        rng = random.Random(37)
+        fields = []
+        while len(fields) < 200:
+            D = -rng.randrange(5, 10**6 + 1)
+            if _is_fundamental(D):
+                fields.append(D)
+        for D in fields:
+            assert class_group(D) == _class_group_by_histogram(D), D
+
+    def test_trivial_group(self, compositions, walks):
+        assert class_group(-7) == _class_group_by_histogram(-7)
+        assert compositions == [] and walks == []
+
+    def test_prime_order_parts_need_no_composition(self, compositions, walks):
+        # h = 533 = 13 * 41: two parts of prime order
+        grp = class_group(-95471)
+        assert grp.invariant_factors == (533,) and grp.exponent == 533
+        assert compositions == [] and walks == []
+        assert grp == _class_group_by_histogram(-95471)
+
+    def test_cyclic_parts_from_one_element_each(self, walks):
+        # h = 36 = 4 * 9: the first image other than the identity has full
+        # order in both the 2-part and the 3-part
+        grp = class_group(-959)
+        assert grp.invariant_factors == (36,)
+        assert walks == []
+        assert grp == _class_group_by_histogram(-959)
+
+    def test_cyclic_part_generated_from_an_image_of_lower_order(self, walks):
+        # h = 1868 = 4 * 467: (2, -1, c) has order 934, so the first image in
+        # the 2-part has order 2; the part is generated and walked, 4 forms
+        grp = class_group(-960671)
+        assert grp.invariant_factors == (1868,)
+        assert walks == [4]
+        assert grp == _class_group_by_histogram(-960671)
+
+    def test_non_cyclic_part_walked_alone(self, walks):
+        # h = 448 = 64 * 7: the 2-part has rank 6, and only its 64 forms
+        # are walked
+        grp = class_group(-2042040)
+        assert grp.invariant_factors == (2, 2, 2, 2, 2, 14) and grp.exponent == 14
+        assert walks == [64]
+        assert grp == _class_group_by_histogram(-2042040)
+
+    def test_two_group_walked_whole(self, walks):
+        grp = class_group(-27924)
+        assert grp.invariant_factors == (2, 2, 16) and grp.exponent == 16
+        assert walks == [grp.h] == [64]
+        assert grp == _class_group_by_histogram(-27924)
 
 
 @pytest.mark.usefixtures("fresh_memo")

@@ -131,6 +131,14 @@ REFUSALS = [
     # qseries
     (lambda: QuadElem(1, 1, 4), ValueError, "disc must be a positive nonsquare integer"),
     (lambda: delta(8) ** -1, ValueError, "negative powers are not supported"),
+    # True gave the series itself, False the series 1, and 2.0 a bare
+    # TypeError from bin
+    (lambda: delta(12) ** True, ValueError, "exponent True is not an int"),
+    (lambda: delta(12) ** False, ValueError, "exponent False is not an int"),
+    (lambda: delta(12) ** 2.0, ValueError, "exponent 2.0 is not an int"),
+    # True scaled by 1
+    (lambda: QExpansion([1, 2]).scale(True), ValueError, "scalar True is a bool"),
+    (lambda: QExpansion([1, 2]) * False, ValueError, "scalar False is a bool"),
     (lambda: SplitPrimeIdeal(4, 1, 5), ValueError, "4 is not prime"),
     (lambda: SplitPrimeIdeal(5, 7, 1), ValueError, "root must be reduced modulo ell"),
     (lambda: SplitPrimeIdeal(5, 1, 3), ValueError, "1^2 is not 3 modulo 5"),
