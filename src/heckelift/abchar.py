@@ -177,6 +177,15 @@ class ModCharacter(Record):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "residue_char", residue_char)
 
+    @classmethod
+    def _make(cls, base: GroupCharacter, residue_char: int) -> "ModCharacter":
+        """The mod-residue_char character of base, a prime already tested and
+        a character of order already prime to it."""
+        tau = object.__new__(cls)
+        object.__setattr__(tau, "base", base)
+        object.__setattr__(tau, "residue_char", residue_char)
+        return tau
+
     @property
     def group(self) -> FinAbGroup:
         return self.base.group
@@ -204,7 +213,8 @@ def reduce_mod(eps: GroupCharacter, ell: int) -> ModCharacter:
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    return ModCharacter(eps.part_prime_to(ell), ell)
+    # the prime-to-ell part has order prime to ell by construction
+    return ModCharacter._make(eps.part_prime_to(ell), ell)
 
 
 def simultaneous_artin_lift(

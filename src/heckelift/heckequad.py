@@ -21,14 +21,15 @@ binary quadratic forms, enumerated by their middle coefficient and
 composed by Shanks' algorithm, whose Bezout coefficients are modular
 inverses.  The group is taken one Sylow subgroup at a time.  A part of
 prime order needs no composition.  Any other part is the image of the
-power map x -> x^m, m the part of h prime to ell, and it is cyclic when
-its first image other than the identity has full order.  Only the other
-parts are walked: each class's order is read from the walk f, f^2, ... of
-one cyclic subgroup that contains it, which stops once a power's inverse
-is a power already reached; the inverse of a reduced (a, b, c) is itself
-when b = 0, b = a or a = c, and the reduced (a, -b, c) otherwise.  The
-orders in each part fix its invariant factors, and the group structure
-feeds the counting bound that exhibits non-liftable unramified pairs.
+power map x -> x^m, m the part of h prime to ell (the forms themselves
+when m = 1), and it is cyclic as soon as an image has full order.  Only
+a part with no such image is walked: each class's order is read from the
+walk f, f^2, ... of one cyclic subgroup that contains it, which stops
+once a power's inverse is a power already reached, itself included; the
+inverse of a reduced (a, b, c) is itself when b = 0, b = a or a = c, and
+the reduced (a, -b, c) otherwise.  The orders in a walked part fix its
+invariant factors, and the group structure feeds the counting bound that
+exhibits non-liftable unramified pairs.
 The last few fields' groups are kept, so the counting bound of a field
 whose group was just computed does not compute it again.
 """
@@ -40,6 +41,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .abchar import FinAbGroup, GroupCharacter, HeckeCertificate
 from .exactnum import (
@@ -384,10 +386,11 @@ def _orders(
 ) -> dict[tuple[int, int, int], int]:
     """The order of every reduced form: for each form f not yet reached,
     compose f, f^2, ... until the inverse of f^k, which the reduced form
-    gives without a composition, is an earlier power f^i, i < k.  Then
-    n = ord(f) = k + i, the powers after f^k are the inverses of those
-    before f^i, and ord(f^j) = ord(f^-j) = n / gcd(j, n).  So a walk makes
-    ceil((n - 1)/2) compositions where walking to the identity made n - 1."""
+    gives without a composition, is a power f^i, i <= k, already reached.
+    Then n = ord(f) = k + i, the powers after f^k are the inverses of those
+    before f^i, and ord(f^j) = ord(f^-j) = n / gcd(j, n).  A self-inverse
+    f^k ends its walk with i = k, so a walk makes floor((n - 1)/2)
+    compositions where walking to the identity made n - 1."""
     identity = _principal_form(D)
     orders = {identity: 1}
     for f in forms:
@@ -399,8 +402,8 @@ def _orders(
         while True:
             a, b, c = g
             inverse = g if b == 0 or b == a or a == c else (a, -b, c)
-            i = exponent.get(inverse)
             exponent[g] = len(walk)
+            i = exponent.get(inverse)
             walk.append((g, inverse))
             if i is not None:
                 break
@@ -448,16 +451,17 @@ def class_group(D: int) -> IdealClassGroup:
     class number, exponent and invariant factors.
 
     The forms are enumerated by their middle coefficient.  The invariant
-    factors come one Sylow subgroup at a time (see _sylow_orders), and only
-    a non-cyclic part is walked by _orders: 0.38 compositions per class
-    over every |D| <= 10^4, and at most 1.75 (h = 12 at D = -5128), where
-    walking every class took 0.66 and at most 1.17.  Enumerating the forms
-    is then most of the cost: 58% over the 64 fields of the class-groups
-    benchmark, 10^3 <= |D| < 3*10^5.  Measured up to CLASS_GROUP_BOUND (Intel Xeon,
-    Python 3.11.7, 12 fields with 0.9 <= |D|/N <= 1 each, best of 5): a
-    median of 0.0004 s at N = 10^5, 0.0025 s at 10^6 and 0.018 s at 10^7;
-    the fields of largest h found there (h = 533 at D = -95471, 1868 at
-    -960671 and 6216 at -9559679) take 0.0005 s, 0.004 s and 0.036 s.
+    factors come one Sylow subgroup at a time (see _sylow_factors), and
+    only a non-cyclic part is walked by _orders: 0.31 compositions per
+    class over every |D| <= 10^4, and at most 1.42 (h = 24 at D = -5828),
+    where walking every class takes 0.57 and at most 0.98.  Enumerating the
+    forms is most of the cost: about 63% over the 64 fields of the
+    class-groups benchmark, 10^3 <= |D| < 3*10^5.  Measured up to
+    CLASS_GROUP_BOUND (Intel Xeon, Python 3.11.7, 12 fields with
+    0.9 <= |D|/N <= 1 each, best of 5): a median of 0.0004 s at N = 10^5,
+    0.0025 s at 10^6 and 0.018 s at 10^7; the fields of largest h found
+    there (h = 533 at D = -95471, 1868 at -960671 and 6216 at -9559679)
+    take 0.0005 s, 0.004 s and 0.036 s.
 
     The last eight groups computed are kept, so asking again for one of
     those fields returns the same object without recomputing it.
@@ -476,23 +480,12 @@ def class_group(D: int) -> IdealClassGroup:
 def _class_group(D: int) -> IdealClassGroup:
     forms = _reduced_forms(D)
     h = len(forms)
-
-    # per prime ell | h: r_k = log_ell |G[ell^k]| / |G[ell^(k-1)]| counts the
-    # ell-primary cyclic factors of order >= ell^k, so the i-th largest
-    # invariant factor has ell-exponent #{k : r_k >= i}
+    # the i-th largest invariant factor is the product of the i-th largest
+    # invariant factors of the Sylow subgroups
     largest_first: list[int] = []
     for ell, e in factorize(h).items():
-        histogram = _sylow_orders(forms, D, ell, e)  # order -> forms of that order
-        ranks, count = [], 1
-        for k in range(1, e + 1):
-            torsion = sum(count for n, count in histogram.items() if ell**k % n == 0)
-            ranks.append(valuation(torsion // count, ell))
-            count = torsion
-            if count == ell**e:
-                break
-        largest_first += [1] * (ranks[0] - len(largest_first))
-        for i in range(1, ranks[0] + 1):
-            largest_first[i - 1] *= ell ** sum(1 for r in ranks if r >= i)
+        part = _sylow_factors(forms, D, ell, e)
+        largest_first = [x * y for x, y in zip_longest(largest_first, part, fillvalue=1)]
     factors = tuple(reversed(largest_first))
     if math.prod(factors) != h:
         raise AssertionError(f"invariant factors {factors} do not multiply to h = {h}")
@@ -511,25 +504,23 @@ def _power(f: tuple[int, int, int], n: int, D: int) -> tuple[int, int, int]:
     return g
 
 
-def _sylow_orders(
+def _sylow_factors(
     forms: list[tuple[int, int, int]], D: int, ell: int, e: int
-) -> dict[int, int]:
-    """Order -> number of elements of that order in the ell-Sylow subgroup
-    of the class group, for ell^e || h = len(forms).
+) -> list[int]:
+    """The invariant factors, largest first, of the ell-Sylow subgroup of
+    the class group, for ell^e || h = len(forms).
 
-    A subgroup of prime order ell is cyclic and needs no composition.  When
-    h = ell^e the whole group is walked by _orders.  Otherwise the subgroup
-    is the image of x -> x^m, m = h / ell^e: if the first image s other than
-    the identity has s^(ell^(e-1)) != 1, the subgroup is cyclic of order
-    ell^e; if not, the images of the sorted forms generate it, coset by
-    coset, and _orders walks it alone.
+    A subgroup of prime order ell needs no composition.  Any other is the
+    image of x -> x^m, m = h / ell^e, and it is cyclic as soon as an image
+    s has s^(ell^(e-1)) != 1.  The images of the sorted forms are tested in
+    turn, each one outside the subgroup that the cosets of the earlier ones
+    generate; when m = 1 the forms are the subgroup, and only the first is
+    tested.  A subgroup with no image of full order is walked alone by
+    _orders.
     """
     order = ell**e
-    if e > 1 and order == len(forms):
-        return Counter(_orders(forms, D).values())
-    cyclic = {1: 1} | {ell**k: ell**k - ell ** (k - 1) for k in range(1, e + 1)}
     if e == 1:
-        return cyclic
+        return [ell]
     identity = _principal_form(D)
     subgroup, members = [identity], {identity}
     m = len(forms) // order
@@ -540,8 +531,11 @@ def _sylow_orders(
         g = _power(f, m, D)
         if g in members:
             continue
-        if len(subgroup) == 1 and _power(g, order // ell, D) != identity:
-            return cyclic
+        if _power(g, order // ell, D) != identity:
+            return [order]
+        if m == 1:
+            subgroup = forms
+            break
         # add the cosets g^j * subgroup, j = 1, 2, ..., until g^j is in it;
         # subgroup[0] is the identity, so coset[0] is g^j
         grown, coset = list(subgroup), subgroup
@@ -552,7 +546,12 @@ def _sylow_orders(
         members.update(subgroup)
         if len(subgroup) == order:
             break
-    return Counter(_orders(subgroup, D).values())
+    # r_k = log_ell |G[ell^k]| / |G[ell^(k-1)]| counts the cyclic factors of
+    # order >= ell^k, so the i-th largest has ell-exponent #{k : r_k >= i}
+    histogram = Counter(_orders(subgroup, D).values())  # order -> forms of that order
+    torsion = [sum(c for n, c in histogram.items() if ell**k % n == 0) for k in range(e + 1)]
+    ranks = [valuation(t // s, ell) for s, t in zip(torsion, torsion[1:])]
+    return [ell ** sum(1 for r in ranks if r >= i) for i in range(1, ranks[0] + 1)]
 
 
 @dataclass(frozen=True)

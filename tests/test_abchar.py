@@ -191,6 +191,14 @@ class TestReduceMod:
                     killed = math.lcm(1, *((x - x.part_prime_to(ell)).den for x in eps.images))
                     assert red.order() * killed == eps.order()
 
+    @given(groups_with_images(), st.sampled_from([2, 3, 5, 7, 11, 13]))
+    def test_equals_the_checked_constructor(self, drawn, ell):
+        # reduce_mod builds its result without ModCharacter's checks, which
+        # that result passes
+        g, imgs = drawn
+        eps = GroupCharacter(g, imgs)
+        assert reduce_mod(eps, ell) == ModCharacter(eps.part_prime_to(ell), ell)
+
 
 class TestSimultaneousArtinLift:
     def test_trivial(self):

@@ -759,6 +759,15 @@ def test_abchar_owns_the_unit_group_at_one_prime():
     assert list(inspect.signature(unit_dlog).parameters) == ["target", "ell"]
 
 
+def test_python_O_changes_nothing_in_the_package():
+    # -O drops every assert statement and reads __debug__ as False, so the
+    # package uses neither: each of its checks raises
+    for path in sorted(Path(heckelift.__file__).parent.rglob("*.py")):
+        assert "__debug__" not in names_in(path), path.name
+        nodes = ast.walk(ast.parse(path.read_text()))
+        assert [node.lineno for node in nodes if isinstance(node, ast.Assert)] == [], path.name
+
+
 def test_every_memo_in_the_package_is_bounded():
     # _bernoulli_even is the one unbounded memo: bernoulli caps its argument
     # at BERNOULLI_BOUND // 2, so it holds at most 51 entries.  Every other

@@ -625,8 +625,9 @@ class TestClassGroup:
             assert _orders(forms, D) == _orders_full_walk(forms, D), D
 
     def test_walk_stops_halfway(self, compositions):
-        # a walk for an element of order n makes ceil((n - 1)/2) compositions,
-        # and a field's walks start at the forms no earlier walk reached
+        # a walk for an element of order n makes floor((n - 1)/2)
+        # compositions, none for an element of order 2, and a field's walks
+        # start at the forms no earlier walk reached
         for D in (-1155, -3299, -4027, -255255, -999983):
             forms = class_group(D).forms
             ref = _orders_step_by_step(forms, D) if -D < 3000 else _orders_full_walk(forms, D)
@@ -636,8 +637,8 @@ class TestClassGroup:
                     continue
                 compositions.clear()
                 reached |= _orders([f], D).keys()
-                assert len(compositions) == ref[f] // 2, (D, f)
-                expected += ref[f] // 2
+                assert len(compositions) == (ref[f] - 1) // 2, (D, f)
+                expected += (ref[f] - 1) // 2
             compositions.clear()
             _orders(forms, D)
             assert len(compositions) == expected, D
@@ -714,8 +715,9 @@ class TestClassGroup:
 
 class TestSylowParts:
     """class_group takes the class group one Sylow subgroup at a time: a part
-    of prime order needs no composition, a cyclic part one element of full
-    order, and only a non-cyclic part is walked by _orders."""
+    of prime order needs no composition, a cyclic part one image of full
+    order, the whole group too when h is a prime power, and only a
+    non-cyclic part is walked by _orders."""
 
     def test_matches_the_histogram_path_on_small_fields(self):
         for D in _fundamental_discriminants(4999):
@@ -752,11 +754,40 @@ class TestSylowParts:
 
     def test_cyclic_part_generated_from_an_image_of_lower_order(self, walks):
         # h = 1868 = 4 * 467: (2, -1, c) has order 934, so the first image in
-        # the 2-part has order 2; the part is generated and walked, 4 forms
+        # the 2-part has order 2; an image outside the subgroup it generates
+        # has order 4, and nothing is walked
         grp = class_group(-960671)
         assert grp.invariant_factors == (1868,)
-        assert walks == [4]
+        assert walks == []
         assert grp == _class_group_by_histogram(-960671)
+
+    def test_cyclic_part_past_an_image_of_lower_order_costs_no_walk(self, compositions, walks):
+        # h = 578 = 2 * 17^2: the first image in the 17-part has order 17;
+        # walking all 578 forms takes 296 compositions
+        grp = class_group(-267239)
+        assert grp.invariant_factors == (578,)
+        assert walks == [] and len(compositions) <= 297
+        assert grp == _class_group_by_histogram(-267239)
+
+    def test_cyclic_whole_group_tested_not_walked(self, walks):
+        # h = 8: the forms are the 2-part, and the first has order 8
+        grp = class_group(-95)
+        assert grp.invariant_factors == (8,)
+        assert walks == []
+        assert grp == _class_group_by_histogram(-95)
+
+    def test_non_cyclic_whole_group_walked_after_one_test(self, compositions, walks):
+        # h = 243 = 3^5: the forms are the 3-part, the first form f other
+        # than the identity has f^81 = 1, and the forms are walked without
+        # generating them
+        grp = class_group(-29399)
+        assert grp.invariant_factors == (3, 81) and grp.exponent == 81
+        assert walks == [243]
+        total = len(compositions)
+        compositions.clear()
+        _orders(grp.forms, -29399)
+        # f^81 by binary powering: six squarings and two multiplications
+        assert total == len(compositions) + 8
 
     def test_non_cyclic_part_walked_alone(self, walks):
         # h = 448 = 64 * 7: the 2-part has rank 6, and only its 64 forms

@@ -93,6 +93,12 @@ REFUSALS = [
     ),
     (lambda: ModCharacter(GroupCharacter.trivial(FinAbGroup((2,))), 4), ValueError, "4 is not prime"),
     (order_five_mod_five, ValueError, "must have order prime to 5"),
+    # an ell-part beside a prime-to-ell part, which reduce_mod would strip
+    (
+        lambda: ModCharacter(GroupCharacter(FinAbGroup((15,)), (QmodZ(1, 15),)), 5),
+        ValueError,
+        "must have order prime to 5",
+    ),
     (lambda: reduce_mod(GroupCharacter.trivial(FinAbGroup((2,))), 4), ValueError, "4 is not prime"),
     (one_residue_characteristic, ValueError, "the two residue characteristics must differ"),
     (lambda: unit_group(5, -1), ValueError, "exponent -1 must be an int >= 0"),
