@@ -89,12 +89,12 @@ class FinAbGroup(Record):
     __slots__ = ("orders", "labels")
 
     def __init__(self, orders: tuple[int, ...], labels: tuple[object, ...] = ()):
+        orders, labels = tuple(orders), tuple(labels)
         if any(type(d) is not int or d < 2 for d in orders):
             raise ValueError("cyclic factor orders must be ints >= 2")
         if labels and len(labels) != len(orders):
             raise ValueError("one label per generator required")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "labels", labels or (None,) * len(orders))
+        self._store(orders, labels or (None,) * len(orders))
 
     @property
     def rank(self) -> int:
@@ -114,7 +114,9 @@ class GroupCharacter(Record):
     generator of order d_i goes to exps[i]/d_i, with 0 <= exps[i] < d_i.
 
     The constructor takes the generator images as QmodZ values and the
-    images property gives them back; the operations work on the exponents.
+    images property gives them back; the operations work on the exponents
+    and build through _make(group, exps), which trusts each exps[i] already
+    reduced mod d_i.
     """
 
     __slots__ = ("group", "exps")
@@ -123,19 +125,12 @@ class GroupCharacter(Record):
         if len(images) != group.rank:
             raise ValueError("one image per generator required")
         for d, x in zip(group.orders, images):
+            if not isinstance(x, QmodZ):
+                raise TypeError(f"image {x!r} has type {type(x).__name__}, not QmodZ")
             if d % x.den:
                 raise ValueError(f"image {x} is not killed by generator order {d}")
         exps = tuple(x.num * (d // x.den) for d, x in zip(group.orders, images))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "exps", exps)
-
-    @classmethod
-    def _make(cls, group: FinAbGroup, exps: tuple[int, ...]) -> "GroupCharacter":
-        """The character with exponents exps, each already reduced mod d_i."""
-        eps = object.__new__(cls)
-        object.__setattr__(eps, "group", group)
-        object.__setattr__(eps, "exps", exps)
-        return eps
+        self._store(group, exps)
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "GroupCharacter":
@@ -165,7 +160,9 @@ class GroupCharacter(Record):
 
 
 class ModCharacter(Record):
-    """A mod-ell character via its canonical prime-to-ell representative."""
+    """A mod-ell character via its canonical prime-to-ell representative.
+    _make(base, residue_char) trusts a prime residue_char and a base of
+    order prime to it."""
 
     __slots__ = ("base", "residue_char")
 
@@ -174,17 +171,7 @@ class ModCharacter(Record):
             raise ValueError(f"{residue_char} is not prime")
         if base.order() % residue_char == 0:
             raise ValueError(f"canonical representative must have order prime to {residue_char}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "residue_char", residue_char)
-
-    @classmethod
-    def _make(cls, base: GroupCharacter, residue_char: int) -> "ModCharacter":
-        """The mod-residue_char character of base, a prime already tested and
-        a character of order already prime to it."""
-        tau = object.__new__(cls)
-        object.__setattr__(tau, "base", base)
-        object.__setattr__(tau, "residue_char", residue_char)
-        return tau
+        self._store(base, residue_char)
 
     @property
     def group(self) -> FinAbGroup:

@@ -53,12 +53,16 @@ __all__ = [
 class Record:
     """Base of the package's immutable records, cheaper to define than a
     frozen dataclass and alike in use.  A subclass lists its fields in
-    __slots__, and Record writes its constructor: one parameter per field,
-    in __slots__ order, each value stored as given.  A subclass that checks
-    or defaults its input defines __init__ instead and stores the fields
-    with object.__setattr__.  A record equals only a record of its own class
-    with equal fields, hashes as the tuple of its fields, prints as
-    ClassName(field=value, ...) and refuses assignment."""
+    __slots__, and Record compiles two functions from them: _store(self,
+    *fields), which stores each field past the refusal of assignment, and
+    the trusted constructor _make(cls, *fields), which builds a record with
+    its fields as given.  _store is the constructor of a subclass that
+    defines no __init__; one that checks or defaults its input defines
+    __init__ and ends it in self._store(...).  A type that normalises its
+    parts names that build apart and ends it in _make, as
+    GlobalCharQ._of_parts and QExpansion._lowest do.  A record equals only
+    a record of its own class with equal fields, hashes as the tuple of its
+    fields, prints as ClassName(field=value, ...) and refuses assignment."""
 
     __slots__ = ()
 
@@ -69,8 +73,13 @@ class Record:
         if len(cls.__slots__) == 1:
             get = lambda record, field=get: (field(record),)
         cls._values = staticmethod(get)
+        store, make = _storing_functions(cls)
+        cls._store = store
+        cls._make = classmethod(make)
         if "__init__" not in vars(cls):
-            cls.__init__ = _storing_init(cls)
+            store.__name__ = "__init__"
+            store.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = store
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -91,18 +100,25 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _storing_init(cls):
-    """cls's constructor, compiled once as namedtuple and dataclasses do:
-    __slots__ holds only identifiers, so the source names nothing else.  It
-    stores through each slot's own descriptor, past Record.__setattr__."""
+def _storing_functions(cls):
+    """cls's _store and _make, compiled in one exec as namedtuple and
+    dataclasses do: __slots__ holds only identifiers, so the source names
+    nothing else.  Both store through each slot's own descriptor, past
+    Record.__setattr__."""
     fields = cls.__slots__
-    setters = {f"__set_{name}": vars(cls)[name].__set__ for name in fields}
+    scope = {f"__set_{name}": vars(cls)[name].__set__ for name in fields}
+    scope["__new"] = object.__new__
+    params = ", ".join(fields)
     body = "".join(f"\n    __set_{name}(self, {name})" for name in fields)
-    exec(f"def __init__(self, {', '.join(fields)}):{body}", setters)
-    init = setters["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    return init
+    exec(
+        f"def _store(self, {params}):{body}\n"
+        f"def _make(cls, {params}):\n    self = __new(cls){body}\n    return self",
+        scope,
+    )
+    for function in (scope["_store"], scope["_make"]):
+        function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
+        function.__module__ = cls.__module__
+    return scope["_store"], scope["_make"]
 
 
 # (bound, k): the first k primes as Miller-Rabin bases decide every n below
@@ -351,8 +367,7 @@ class QmodZ(Record):
             raise ValueError("denominator must be positive")
         num %= den
         g = math.gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        self._store(num // g, den // g)
 
     @classmethod
     def from_str(cls, text: str) -> "QmodZ":

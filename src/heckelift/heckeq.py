@@ -93,7 +93,7 @@ def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
     return fac
 
 
-class GlobalCharQ:
+class GlobalCharQ(Record):
     """A mod-ell character of G_Q with ramification support dividing modulus.
 
     factors is the factorisation {prime: exponent} of the modulus; exps
@@ -104,26 +104,26 @@ class GlobalCharQ:
     those values in Q/Z, and inertia and images present them on
     unit_group(ell, a) and its least primitive root mod ell^a.  from_images
     and trivial check their input; operations build from checked parts
-    through _make.  There is no public constructor, and the attributes are
-    read-only.
+    through _of_parts.  There is no public constructor, and the attributes
+    are read-only.  Equality and hashing are level-invariant, as the values
+    are.
     """
 
     __slots__ = ("residue_char", "modulus", "factors", "exps")
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("GlobalCharQ has no public constructor; use from_images or trivial")
+
     @classmethod
-    def _make(cls, residue_char: int, factors: dict, exps: dict) -> "GlobalCharQ":
+    def _of_parts(cls, residue_char: int, factors: dict, exps: dict) -> "GlobalCharQ":
         """The character with these parts, already checked and each x reduced
         mod phi(ell^a); zero values are dropped."""
-        chi = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(chi, "residue_char", residue_char)
-        setattr_(chi, "modulus", math.prod(ell**a for ell, a in factors.items()))
-        setattr_(chi, "factors", dict(sorted(factors.items())))
-        setattr_(chi, "exps", {ell: x for ell, x in sorted(exps.items()) if x})
-        return chi
-
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
+        return cls._make(
+            residue_char,
+            math.prod(ell**a for ell, a in factors.items()),
+            dict(sorted(factors.items())),
+            {ell: x for ell, x in sorted(exps.items()) if x},
+        )
 
     def __repr__(self) -> str:
         # factors, which the modulus determines, is left out
@@ -154,7 +154,7 @@ class GlobalCharQ:
                     "a mod-ell character takes values of prime-to-ell order"
                 )
             exps[ell] = _exponent_on_g(GroupCharacter(grp, (img,)), ell)
-        return cls._make(residue_char, factors, exps)
+        return cls._of_parts(residue_char, factors, exps)
 
     @classmethod
     def trivial(cls, residue_char: int, modulus: int = 1) -> "GlobalCharQ":
@@ -207,7 +207,7 @@ class GlobalCharQ:
             if x * ell**b % ell**a:
                 unit_character(ell, b, self.value_at(ell))  # refuses below the conductor
             exps[ell] = x * ell**b // ell**a
-        return GlobalCharQ._make(self.residue_char, factors, exps)
+        return GlobalCharQ._of_parts(self.residue_char, factors, exps)
 
     def __mul__(self, other: "GlobalCharQ") -> "GlobalCharQ":
         if other.residue_char != self.residue_char:
@@ -220,7 +220,7 @@ class GlobalCharQ:
             ell: (self._at_level(ell, a) + other._at_level(ell, a)) % _phi(ell, a)
             for ell, a in factors.items()
         }
-        return GlobalCharQ._make(self.residue_char, factors, exps)
+        return GlobalCharQ._of_parts(self.residue_char, factors, exps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GlobalCharQ):
@@ -235,7 +235,6 @@ class GlobalCharQ:
         return True
 
     def __hash__(self):
-        # level-invariant, as the values are
         return hash((self.residue_char, tuple(self.values.items())))
 
 
@@ -269,9 +268,7 @@ class LocalInvariantsQ(Record):
         B_q: int,
         psi_q: GroupCharacter,
     ):
-        values = (p, q, k_p, a_p, A_p, psi_prime_p, k_q, b_q, B_q, psi_q)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._store(p, q, k_p, a_p, A_p, psi_prime_p, k_q, b_q, B_q, psi_q)
         if self.A_p != prime_to_part(self.p - 1, self.q):
             raise AssertionError(f"A_p = {self.A_p} is not the prime-to-q part of p - 1")
         if self.B_q != prime_to_part(self.q - 1, self.p):
@@ -387,7 +384,7 @@ def twist_to_unramified(rho: GlobalCharQ, rho_prime: GlobalCharQ) -> TwistResult
         # the components at p and q alone, on the p- and q-parts of the modulus
         factors = {ell: a for ell, a in chi.factors.items() if ell in (p, q)}
         exps = {ell: x for ell, x in chi.exps.items() if ell in factors}
-        return GlobalCharQ._make(chi.residue_char, factors, exps)
+        return GlobalCharQ._of_parts(chi.residue_char, factors, exps)
 
     return TwistResult(tuple(sorted(eps_parts.items())), strip(rho), strip(rho_prime))
 
@@ -423,7 +420,7 @@ def hecke_reductions(
 
     def reduction(r: int, at_p: int, at_q: int) -> GlobalCharQ:
         exps = {p: _prime_to(at_p, d_p, r), q: _prime_to(at_q, d_q, r)}
-        return GlobalCharQ._make(r, {p: alpha, q: beta}, exps)
+        return GlobalCharQ._of_parts(r, {p: alpha, q: beta}, exps)
 
     return (
         reduction(p, x + k * _cyclotomic(p, alpha), y),

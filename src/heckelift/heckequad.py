@@ -116,7 +116,7 @@ class ImagQuadField(Record):
                 raise ValueError(f"{D} is not a fundamental discriminant")
         else:
             raise ValueError(f"{D} is not a discriminant (must be 0 or 1 mod 4)")
-        object.__setattr__(self, "D", D)
+        self._store(D)
 
     def __str__(self) -> str:
         return f"Q(sqrt({self.D}))"
@@ -189,9 +189,7 @@ class PlaceLocal(Record):
     __slots__ = ("k", "a", "psi")
 
     def __init__(self, k: int, a: int, psi: GroupCharacter | None = None):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "psi", psi)
+        self._store(k, a, psi)
 
 
 class QuadLocalData(Record):

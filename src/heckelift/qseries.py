@@ -87,6 +87,13 @@ def _check_disc(disc: int) -> None:
         raise ValueError("disc must be a positive nonsquare integer")
 
 
+def _check_coefficient(c) -> None:
+    if isinstance(c, bool):
+        raise ValueError(f"coefficient {c!r} is a bool, not an int")
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"unsupported coefficient type {type(c)!r}")
+
+
 class QuadElem(Record):
     """a + b*sqrt(disc) with exact rational a, b and fixed positive nonsquare
     disc: a value that a SplitPrimeIdeal reduces, with no arithmetic."""
@@ -95,12 +102,9 @@ class QuadElem(Record):
 
     def __init__(self, a: Fraction, b: Fraction, disc: int):
         _check_disc(disc)
-        for x in (a, b):
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"unsupported coefficient type {type(x)!r}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "disc", disc)
+        _check_coefficient(a)
+        _check_coefficient(b)
+        self._store(Fraction(a), Fraction(b), disc)
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt({self.disc})"
@@ -212,15 +216,17 @@ def _kron(x, y) -> tuple[int, ...]:
     return tuple(out)
 
 
-class QExpansion:
+class QExpansion(Record):
     """Truncated power series in q with exact rational coefficients and a
     weight tag.
 
     The q^n coefficient is _a[n] / _den: integer numerators over one
     positive denominator, in lowest terms (the gcd of _den and every
-    numerator is 1), so equal series are stored alike.  coeffs and
-    series[n] give the coefficients as Fraction objects; precision is the
-    number of known coefficients.
+    numerator is 1), so equal series are stored alike and compare as
+    records.  coeffs and series[n] give the coefficients as Fraction
+    objects; precision is the number of known coefficients.  The
+    operations build through _lowest, which brings numerators over a
+    positive denominator to lowest terms.
     """
 
     __slots__ = ("_a", "_den", "weight")
@@ -232,27 +238,20 @@ class QExpansion:
         if not coeffs:
             raise ValueError("a series needs at least one coefficient")
         for c in coeffs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"unsupported coefficient type {type(c)!r}")
+            _check_coefficient(c)
         den = math.lcm(*(x.denominator for x in coeffs))
-        self._set([x.numerator * (den // x.denominator) for x in coeffs], den, weight)
+        series = self._lowest([x.numerator * (den // x.denominator) for x in coeffs], den, weight)
+        self._store(series._a, series._den, weight)
 
-    def _set(self, a, den: int, weight: int | None) -> None:
+    @classmethod
+    def _lowest(cls, a, den: int, weight: int | None) -> "QExpansion":
+        """The series with numerators a over den > 0, in lowest terms."""
         if den != 1:
             g = math.gcd(den, *a)
             if g != 1:
                 den //= g
                 a = [x // g for x in a]
-        self._a = tuple(a)
-        self._den = den
-        self.weight = weight
-
-    @classmethod
-    def _make(cls, a, den: int, weight: int | None) -> "QExpansion":
-        """The series with numerators a over den > 0."""
-        series = object.__new__(cls)
-        series._set(a, den, weight)
-        return series
+        return cls._make(tuple(a), den, weight)
 
     @property
     def precision(self) -> int:
@@ -284,7 +283,7 @@ class QExpansion:
         to the shorter precision."""
         den = math.lcm(self._den, other._den)
         s, t = den // self._den, den // other._den
-        return self._make(
+        return self._lowest(
             [op(u * s, v * t) for u, v in zip(self._a, other._a)],
             den,
             self._merge_add_weight(self.weight, other.weight),
@@ -303,7 +302,7 @@ class QExpansion:
         w = None if None in (self.weight, other.weight) else self.weight + other.weight
         a1 = self._a[:n]
         a2 = a1 if other is self else other._a[:n]
-        return self._make(_kron(a1, a2), self._den * other._den, w)
+        return self._lowest(_kron(a1, a2), self._den * other._den, w)
 
     def scale(self, c) -> "QExpansion":
         if isinstance(c, bool):
@@ -312,7 +311,7 @@ class QExpansion:
             raise TypeError(f"unsupported scalar type {type(c)!r}")
         c = Fraction(c)
         num = c.numerator
-        return self._make([num * x for x in self._a], self._den * c.denominator, self.weight)
+        return self._lowest([num * x for x in self._a], self._den * c.denominator, self.weight)
 
     __rmul__ = __mul__
 
@@ -323,7 +322,7 @@ class QExpansion:
             raise ValueError("negative powers are not supported")
         if e == 0:
             n, w = self.precision, None if self.weight is None else 0
-            return self._make((1,) + (0,) * (n - 1), 1, w)
+            return self._lowest((1,) + (0,) * (n - 1), 1, w)
         # from the leading bit down, so that the series 1 is never a factor
         out = self
         for bit in bin(e)[3:]:
@@ -331,11 +330,6 @@ class QExpansion:
             if bit == "1":
                 out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QExpansion) and (
-            self._a, self._den, self.weight
-        ) == (other._a, other._den, other.weight)
 
     def __repr__(self) -> str:
         head = ", ".join(str(self[n]) for n in range(min(4, self.precision)))
@@ -368,7 +362,7 @@ def eisenstein(k: int, precision: int = DEFAULT_PRECISION) -> QExpansion:
     factor = Fraction(-2 * k) / bernoulli(k)
     num, den = factor.numerator, factor.denominator
     sums = _divisor_power_sums(k - 1, precision)
-    return QExpansion._make([den] + [num * s for s in sums[1:]], den, k)
+    return QExpansion._lowest([den] + [num * s for s in sums[1:]], den, k)
 
 
 def _eta_cubed(precision: int) -> list[int]:
@@ -385,8 +379,8 @@ def delta(precision: int = DEFAULT_PRECISION) -> QExpansion:
     """The discriminant cusp form q * prod (1 - q^n)^24 (weight 12): q times
     eta^3 to the eighth power, three squarings."""
     _check_precision(precision, 1)
-    eta24 = QExpansion._make(_eta_cubed(precision), 1, None) ** 8
-    return QExpansion._make((0,) + eta24._a[: precision - 1], eta24._den, 12)
+    eta24 = QExpansion._lowest(_eta_cubed(precision), 1, None) ** 8
+    return QExpansion._lowest((0,) + eta24._a[: precision - 1], eta24._den, 12)
 
 
 class SplitPrimeIdeal(Record):
@@ -400,20 +394,18 @@ class SplitPrimeIdeal(Record):
     def __init__(self, ell: int, root: int, disc: int):
         if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")
-        if not 0 <= root < ell:
-            raise ValueError("root must be reduced modulo ell")
-        if (root * root - disc) % ell:
-            raise ValueError(f"{root}^2 is not {disc} modulo {ell}")
         if type(root) is not int:
             raise ValueError(f"root {root!r} is not an int")
+        if not 0 <= root < ell:
+            raise ValueError("root must be reduced modulo ell")
         _check_disc(disc)
+        if (root * root - disc) % ell:
+            raise ValueError(f"{root}^2 is not {disc} modulo {ell}")
         if ell == 2:
             raise ValueError("ell must be an odd prime")
         if disc % ell == 0:
             raise ValueError(f"{ell} is ramified in Q(sqrt({disc}))")
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "disc", disc)
+        self._store(ell, root, disc)
 
     def conjugate(self) -> "SplitPrimeIdeal":
         return SplitPrimeIdeal(self.ell, (-self.root) % self.ell, self.disc)

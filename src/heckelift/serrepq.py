@@ -208,11 +208,7 @@ class CompatReport(Record):
         reason: str | None,
         alternatives: tuple[str, ...] = (),
     ):
-        object.__setattr__(self, "compatible", compatible)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "witness_kind", witness_kind)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "alternatives", alternatives)
+        self._store(compatible, witness, witness_kind, reason, alternatives)
 
 
 def _report(

@@ -768,6 +768,22 @@ def test_python_O_changes_nothing_in_the_package():
         assert [node.lineno for node in nodes if isinstance(node, ast.Assert)] == [], path.name
 
 
+def test_only_exactnum_stores_past_a_records_refusal():
+    # a record stores its fields through the _store and _make that Record
+    # compiles; no other module builds or writes one by hand
+    for path in sorted(Path(heckelift.__file__).parent.rglob("*.py")):
+        if path.name != "exactnum.py":
+            by_hand = [
+                node.lineno
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("__setattr__", "__new__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ]
+            assert by_hand == [], path.name
+
+
 def test_every_memo_in_the_package_is_bounded():
     # _bernoulli_even is the one unbounded memo: bernoulli caps its argument
     # at BERNOULLI_BOUND // 2, so it holds at most 51 entries.  Every other

@@ -182,9 +182,7 @@ def test_record_keeps_its_constructor_equality_and_hash(cls, fields, args):
         assert cls(**dict(zip(fields, values))) == record
     # unequal to a record of another class with the same fields and values,
     # and to the tuple of those values, as a dataclass is
-    twin = object.__new__(type("Twin", (Record,), {"__slots__": fields}))
-    for name, value in zip(fields, values):
-        object.__setattr__(twin, name, value)
+    twin = type("Twin", (Record,), {"__slots__": fields})._make(*values)
     assert record != twin and not record == twin
     assert record != values
 
@@ -214,6 +212,85 @@ def test_global_char_keeps_its_repr_equality_and_hash():
         rho.modulus = 7
     with pytest.raises(TypeError):
         heckeq.GlobalCharQ(5, 5, {}, {})
+
+
+@pytest.mark.parametrize(
+    "record",
+    [rho, qseries.delta(12), qseries.QExpansion([1, 2])],
+    ids=["GlobalCharQ", "delta", "series"],
+)
+def test_global_char_and_series_refuse_assignment(record):
+    # a series once took series.weight = 5 and series._a = (9,)
+    for name in record.__slots__:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, before)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is before
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_a_series_is_a_record_of_its_lowest_terms():
+    series = qseries.QExpansion([Fraction(1, 2), 1, Fraction(3, 2)], 4)
+    assert (series._a, series._den, series.weight) == ((1, 2, 3), 2, 4)
+    assert series == qseries.QExpansion._lowest([2, 4, 6], 4, 4)
+    assert hash(series) == hash(((1, 2, 3), 2, 4))
+    assert series != qseries.QExpansion._make((2, 4, 6), 4, 4)
+    assert series != qseries.QExpansion([Fraction(1, 2), 1, Fraction(3, 2)])
+
+
+# every record with the fields its _make takes; the checked ones first
+MADE = [(cls, fields) for cls, fields, _ in RECORDS] + [
+    (exactnum.QmodZ, ("num", "den")),
+    (heckeq.GlobalCharQ, ("residue_char", "modulus", "factors", "exps")),
+    (qseries.QExpansion, ("_a", "_den", "weight")),
+]
+
+
+@pytest.mark.parametrize("cls, fields", MADE, ids=[cls.__name__ for cls, _ in MADE])
+def test_make_stores_the_fields_as_given(cls, fields):
+    # _make checks and normalises nothing: each field is the object passed
+    values = [object() for _ in fields]
+    record = cls._make(*values)
+    assert type(record) is cls
+    assert all(getattr(record, name) is value for name, value in zip(fields, values))
+    assert list(inspect.signature(cls._make).parameters) == list(fields)
+    assert list(inspect.signature(cls._store).parameters) == ["self", *fields]
+    assert cls._make.__qualname__ == f"{cls.__name__}._make"
+    with pytest.raises(TypeError):
+        cls._make(*values[:-1])
+
+
+def test_checked_constructors_keep_their_signatures():
+    signatures = {
+        exactnum.QmodZ: "(num: 'int', den: 'int' = 1)",
+        abchar.FinAbGroup: "(orders: 'tuple[int, ...]', labels: 'tuple[object, ...]' = ())",
+        abchar.GroupCharacter: "(group: 'FinAbGroup', images: 'tuple[QmodZ, ...]')",
+        heckequad.PlaceLocal: "(k: 'int', a: 'int', psi: 'GroupCharacter | None' = None)",
+        qseries.QExpansion: "(coeffs, weight: 'int | None' = None)",
+    }
+    for cls, signature in signatures.items():
+        assert str(inspect.signature(cls)) == signature, cls.__name__
+    for cls, _, _ in RECORDS:
+        if cls.__name__ in OWN_CONSTRUCTORS:
+            assert cls.__init__ is not cls._store
+            assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        else:
+            assert cls.__init__ is cls._store
+
+
+def test_a_group_stores_its_orders_and_labels_as_tuples():
+    # a list was kept as given: the record was mutable through it, unhashable
+    # with every character on it, and unequal to the tuple form
+    listed = abchar.FinAbGroup([2, 6], ["a", "b"])
+    assert listed == abchar.FinAbGroup((2, 6), ("a", "b"))
+    assert hash(listed) == hash(abchar.FinAbGroup((2, 6), ("a", "b")))
+    assert listed.orders == (2, 6) and listed.labels == ("a", "b")
+    chi = abchar.GroupCharacter(listed, (QmodZ(1, 2), QmodZ(1, 3)))
+    tupled = abchar.FinAbGroup((2, 6), ("a", "b"))
+    assert hash(chi) == hash(abchar.GroupCharacter(tupled, chi.images))
 
 
 def test_record_writes_every_constructor_that_only_stores():
@@ -252,8 +329,7 @@ def test_a_record_that_defines_its_constructor_keeps_it():
         def __init__(self, n, label="none"):
             if n < 0:
                 raise ValueError("n must be nonnegative")
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "label", label)
+            self._store(n, label)
 
     assert (Checked(2).n, Checked(2).label) == (2, "none")
     with pytest.raises(ValueError):

@@ -86,6 +86,8 @@ REFUSALS = [
     (lambda: FinAbGroup((1,)), ValueError, "cyclic factor orders must be ints >= 2"),
     (lambda: FinAbGroup((2,), ("a", "b")), ValueError, "one label per generator"),
     (lambda: GroupCharacter(FinAbGroup((2,)), ()), ValueError, "one image per generator"),
+    # an int image raised AttributeError: 'int' object has no attribute 'den'
+    (lambda: GroupCharacter(FinAbGroup((4,)), (1,)), TypeError, "image 1 has type int, not QmodZ"),
     (
         lambda: GroupCharacter.trivial(FinAbGroup((2,))) * GroupCharacter.trivial(FinAbGroup((3,))),
         ValueError,
@@ -158,6 +160,8 @@ REFUSALS = [
     (lambda: SplitPrimeIdeal(5, True, 6), ValueError, "root True is not an int"),
     (lambda: SplitPrimeIdeal(5, 1, 6.0), ValueError, "disc must be a positive nonsquare integer"),
     (lambda: SplitPrimeIdeal(5, 1, 1), ValueError, "disc must be a positive nonsquare integer"),
+    # a str disc raised TypeError: unsupported operand, from the congruence
+    (lambda: SplitPrimeIdeal(7, 2, "x"), ValueError, "disc must be a positive nonsquare integer"),
     (lambda: SplitPrimeIdeal(2, 1, 5), ValueError, "ell must be an odd prime"),
     # conjugate() returned the ideal itself
     (lambda: SplitPrimeIdeal(3, 0, 3), ValueError, "3 is ramified in Q(sqrt(3))"),
@@ -195,6 +199,11 @@ def test_sturm_congruence_without_weight_tags_has_no_proof_bound():
         (lambda: weight24_example(12.0), "precision 12.0 is not an int"),
         (lambda: FinAbGroup((2.0,)), "cyclic factor orders must be ints >= 2"),
         (lambda: FinAbGroup((True, 2)), "cyclic factor orders must be ints >= 2"),
+        # True was stored as the coefficient 1
+        (lambda: QExpansion([True, 2]), "coefficient True is a bool, not an int"),
+        (lambda: QExpansion([1, Fraction(1, 2), False]), "coefficient False is a bool"),
+        (lambda: QuadElem(True, 0, 5), "coefficient True is a bool, not an int"),
+        (lambda: QuadElem(1, False, 5), "coefficient False is a bool, not an int"),
     ],
 )
 def test_a_bool_or_float_where_an_int_is_meant(call, fragment):
