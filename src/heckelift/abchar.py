@@ -167,6 +167,8 @@ class ModCharacter(Record):
     __slots__ = ("base", "residue_char")
 
     def __init__(self, base: GroupCharacter, residue_char: int):
+        if not isinstance(base, GroupCharacter):
+            raise TypeError(f"base {base!r} has type {type(base).__name__}, not GroupCharacter")
         if not is_prime(residue_char):
             raise ValueError(f"{residue_char} is not prime")
         if base.order() % residue_char == 0:

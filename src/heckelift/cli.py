@@ -29,7 +29,7 @@ from .schema import ValidationError, validate
 if TYPE_CHECKING:
     from .abchar import GroupCharacter, HeckeCertificate
     from .heckeq import GlobalCharQ
-    from .serrepq import AlgebraicFrobValue
+    from .serrepq import AlgebraicFrobValue, CompatReport
 
 BASE_CONVENTIONS = {
     "unit_group_generator": "least primitive root modulo ell^a",
@@ -86,15 +86,15 @@ def _frob_json(value: AlgebraicFrobValue) -> dict:
     return {"zeta": str(value.zeta), "weight": value.weight}
 
 
-def _witness_json(param) -> dict:
-    from .serrepq import Steinberg
-
-    steinberg = isinstance(param, Steinberg)
+def _witness_json(rep: CompatReport) -> dict:
+    param = rep.witness
     return {
-        "shape": "steinberg" if steinberg else "principal-series",
+        "shape": rep.witness_kind,
         "characters": [
             {"inertial": _char_json(eps.inertial), "frobenius": _frob_json(eps.frob)}
-            for eps in ((param.eps,) if steinberg else (param.eps1, param.eps2))
+            for eps in (
+                (param.eps,) if rep.witness_kind == "steinberg" else (param.eps1, param.eps2)
+            )
         ],
     }
 
@@ -164,6 +164,7 @@ class CommandOutcome:
 
 def _run_lift_q(problem: dict, args) -> CommandOutcome:
     from .abchar import HeckeCertificate, character_conductor
+    from .exactnum import Congruence
     from .heckeq import (
         brute_force_oracle_q,
         check_necessary,
@@ -213,16 +214,14 @@ def _run_lift_q(problem: dict, args) -> CommandOutcome:
             _diag(
                 "congruence system",
                 f"congruence insoluble mod {g}: "
-                f"{(inv.k_p.residue - inv.a_p.residue) % inv.A_p} (mod {inv.A_p}) against "
-                f"{(inv.k_q.residue - inv.b_q.residue) % inv.B_q} (mod {inv.B_q})",
+                f"{Congruence(inv.k_p.residue - inv.a_p.residue, inv.A_p)} against "
+                f"{Congruence(inv.k_q.residue - inv.b_q.residue, inv.B_q)}",
                 False,
             )
         )
         return CommandOutcome(False, LIFTABLE, None, diagnostics)
 
-    diagnostics.append(
-        _diag("exponent class", f"k = {result.k_class.residue} (mod {result.k_class.modulus})", True)
-    )
+    diagnostics.append(_diag("exponent class", f"k = {result.k_class}", True))
     local = dict(result.certificate.local_chars)
     conductor = result.certificate.conductor
     for ell, eps in twist.eps:
@@ -449,10 +448,7 @@ def _run_weight_crt(problem: dict, args) -> CommandOutcome:
             False, verdicts, None, [_diag("weight congruence", f"classes clash mod {g}", False)]
         )
     k_class = res.k_class
-    detail = (
-        f"k = {k_class.residue} (mod {k_class.modulus}), "
-        f"least representative >= 2 is {res.representative}"
-    )
+    detail = f"k = {k_class}, least representative >= 2 is {res.representative}"
     return CommandOutcome(
         True,
         verdicts,
@@ -473,7 +469,7 @@ def _run_local_compat(problem: dict, args) -> CommandOutcome:
         return CommandOutcome(False, verdicts, None, [_diag("obstruction", rep.reason, False)])
     diagnostics = [_diag("witness", rep.witness_kind, True)]
     diagnostics += (_diag("alternative witness", alt) for alt in rep.alternatives)
-    return CommandOutcome(True, verdicts, _witness_json(rep.witness), diagnostics)
+    return CommandOutcome(True, verdicts, _witness_json(rep), diagnostics)
 
 
 def _run_remark2(problem: dict, args) -> CommandOutcome:

@@ -363,6 +363,8 @@ class QmodZ(Record):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
+        if type(num) is not int or type(den) is not int:
+            raise ValueError(f"numerator {num!r}, denominator {den!r}: not ints")
         if den <= 0:
             raise ValueError("denominator must be positive")
         num %= den

@@ -145,6 +145,8 @@ class GlobalCharQ(Record):
                 raise ValueError(f"image key {ell} is not a prime")
             if ell not in factors:
                 raise ValueError(f"prime {ell} does not divide the modulus")
+            if not isinstance(img, QmodZ):
+                raise TypeError(f"image {img!r} at {ell} has type {type(img).__name__}, not QmodZ")
             grp = unit_group(ell, factors[ell])
             if grp.orders[0] % img.den:
                 raise ValueError(f"image at {ell} is not killed by the unit group order")

@@ -1,13 +1,16 @@
 """Helpers shared by the test modules: the abelian groups of small order
 and the exhaustive check of simultaneous Artin lifting against
-enumeration, offered as fixtures; three references that the modules import
-for their own module-level references: walk_dlog, the discrete log by
-walking, xgcd, the extended Euclidean algorithm, and primes_below, the
-sieve of Eratosthenes; and run_python, the one way a test starts a fresh
+enumeration, offered as fixtures; oracles, the module perfbench/oracles.py
+loaded by its file path, which is the tests' one source of independent
+arithmetic (primes, factorisations, Kronecker symbols, fundamental
+discriminants, Bernoulli numbers and divisor sums) and imports only the
+standard library; two references that oracles.py has no counterpart for,
+walk_dlog, the discrete log by walking, and xgcd, the extended Euclidean
+algorithm; and run_python, the one way a test starts a fresh
 interpreter."""
 
+import importlib.util
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -22,7 +25,7 @@ from heckelift.abchar import (
     enumerate_characters,
     simultaneous_artin_lift,
 )
-from heckelift.exactnum import QmodZ, factorize, prime_to_part
+from heckelift.exactnum import QmodZ, prime_to_part
 
 
 def walk_dlog(generator: int, target: int, modulus: int) -> int:
@@ -51,17 +54,12 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def primes_below(n: int) -> list[int]:
-    """Reference list of the primes below n, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * n
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
-    return [m for m in range(n) if sieve[m]]
-
-
 ROOT = Path(__file__).resolve().parent.parent
+
+
+_spec = importlib.util.spec_from_file_location("oracles", ROOT / "perfbench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 def run_python(*args: str, timeout: float = 120, text: bool = True, env=None, input=None):
@@ -94,7 +92,7 @@ def _abelian_groups(max_order):
     for n in range(2, max_order + 1):
         per_prime = [
             [tuple(prime**k for k in part) for part in _partitions(e)]
-            for prime, e in sorted(factorize(n).items())
+            for prime, e in sorted(oracles.prime_factors(n).items())
         ]
         for combo in itertools.product(*per_prime):
             yield tuple(sorted(itertools.chain.from_iterable(combo)))

@@ -39,7 +39,7 @@ from heckelift.exactnum import (
     weight_crt,
 )
 
-from conftest import primes_below, walk_dlog, xgcd
+from conftest import oracles, walk_dlog, xgcd
 
 qmodz = st.builds(QmodZ, st.integers(-400, 400), st.integers(1, 120))
 
@@ -320,13 +320,19 @@ class TestBernoulli:
         # B_k + sum over primes p with (p-1) | k of 1/p is an integer
         for k in range(2, 62, 2):
             s = bernoulli(k)
-            for p in range(2, k + 2):
-                if is_prime(p) and k % (p - 1) == 0:
+            for p in oracles.small_primes(k + 2):
+                if k % (p - 1) == 0:
                     s += Fraction(1, p)
             assert s.denominator == 1
 
     def test_denominator_matches_von_staudt(self):
         assert bernoulli(12).denominator == 2730  # product of p with (p-1) | 12
+
+    def test_agrees_with_akiyama_tanigawa_up_to_the_bound(self):
+        # the oracle's Akiyama-Tanigawa table, against the library's
+        # recurrence over binomial sums
+        for k in range(2, BERNOULLI_BOUND + 1, 2):
+            assert bernoulli(k) == oracles.bernoulli(k), k
 
 
 def is_strong_probable_prime(n, a):
@@ -341,7 +347,7 @@ def is_strong_probable_prime(n, a):
 class TestIsPrime:
     def test_agrees_with_sieve(self):
         n = 300_000
-        assert [m for m in range(n) if is_prime(m)] == primes_below(n)
+        assert [m for m in range(n) if is_prime(m)] == oracles.small_primes(n)
 
     @pytest.mark.parametrize(
         "n",
@@ -401,7 +407,7 @@ class TestIsPrimeMemo:
 
     def test_agrees_with_sieve_cold_and_warm(self):
         n = 10**5
-        expected = primes_below(n)
+        expected = oracles.small_primes(n)
         is_prime.cache_clear()
         assert [m for m in range(n) if is_prime(m)] == expected
         # sweeping back down, the first 1 << 12 verdicts come from the memo
@@ -428,7 +434,7 @@ class TestHelpers:
         mid = [math.prod(rng.sample(primes, rng.choice((2, 3)))) for _ in range(300)]
         mid += [rng.randrange(10**6, 10**10) for _ in range(40)]
         for n in small + mid:
-            assert factorize(n) == trial_division(n)
+            assert factorize(n) == oracles.prime_factors(n)
 
     @pytest.mark.parametrize(
         "n",
@@ -442,7 +448,7 @@ class TestHelpers:
     )
     def test_factorize_past_the_test_bound_with_small_factors(self, n):
         assert n >= PRIME_TEST_BOUND
-        assert factorize(n) == trial_division(n)
+        assert factorize(n) == oracles.prime_factors(n)
 
     @pytest.mark.parametrize(
         "n, factors",
@@ -486,7 +492,7 @@ class TestHelpers:
         for _ in range(200):
             n = math.prod(rng.choices(primes, k=rng.choice((2, 3, 4))))
             got = factorize(n)
-            assert got == trial_division(n) and list(got) == sorted(got), n
+            assert got == oracles.prime_factors(n) and list(got) == sorted(got), n
 
     def test_rho_budget_is_named(self, monkeypatch):
         monkeypatch.setattr(exactnum, "_RHO_STEPS", 1 << 10)
@@ -505,7 +511,7 @@ class TestHelpers:
             n = math.prod(rng.choices(primes, k=rng.randrange(8, 12)))
             assert n >= PRIME_TEST_BOUND
             got = factorize(n)
-            assert got == trial_division(n) and list(got) == sorted(got), n
+            assert got == oracles.prime_factors(n) and list(got) == sorted(got), n
 
     def test_rho_splits_primes_below_the_bound_out_of_a_cofactor_above_it(self):
         rng = random.Random(47)
@@ -567,19 +573,6 @@ class TestHelpers:
                 primitive_root(bad)
 
 
-def trial_division(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def element_order(g: int, m: int) -> int:
     x, k = g % m, 1
     while x != 1:
@@ -594,7 +587,7 @@ def least_root_by_order(ell: int, exponent: int) -> int:
     return next(g for g in range(2, m) if g % ell and element_order(g, m) == phi)
 
 
-ODD_PRIMES_BELOW_3000 = [n for n in range(3, 3000, 2) if is_prime(n)]
+ODD_PRIMES_BELOW_3000 = oracles.small_primes(3000)[1:]
 
 
 class TestPrimitiveRoot:

@@ -30,23 +30,15 @@ from heckelift.heckequad import (
     _reduced_forms,
 )
 
-from conftest import primes_below, xgcd
+from conftest import oracles, xgcd
 
 
 K1155 = ImagQuadField(-1155)
 
 
-def _is_fundamental(D):
-    try:
-        ImagQuadField(D)
-    except ValueError:
-        return False
-    return True
-
-
 def _fundamental_discriminants(bound):
     """Every fundamental D with -bound <= D < -4."""
-    return [D for D in range(-5, -bound - 1, -1) if _is_fundamental(D)]
+    return [D for D in range(-5, -bound - 1, -1) if oracles.is_fundamental(D)]
 
 
 def _wild(order):
@@ -154,7 +146,7 @@ def _class_group_by_histogram(D):
     # ell-primary cyclic factors of order >= ell^k, so the i-th largest
     # invariant factor has ell-exponent #{k : r_k >= i}
     largest_first = []
-    for ell, e in factorize(h).items():
+    for ell, e in oracles.prime_factors(h).items():
         ranks, count = [], 1
         for k in range(1, e + 1):
             torsion = sum(count for n, count in histogram.items() if ell**k % n == 0)
@@ -216,15 +208,6 @@ def _power(f, n, D):
     return result
 
 
-def _kronecker_prime(D, p):
-    """(D|p) for a prime p: Euler's criterion, and D mod 8 at p = 2."""
-    if D % p == 0:
-        return 0
-    if p == 2:
-        return 1 if D % 8 in (1, 7) else -1
-    return 1 if pow(D, (p - 1) // 2, p) == 1 else -1
-
-
 _SWAP_SIGN = bytes.maketrans(b"\x01\x02", b"\x02\x01")
 
 
@@ -233,16 +216,17 @@ def _class_number_formula(D, primes):
     fundamental D < -4.
 
     (D|a) is completely multiplicative in a, so it is built on [0, n] from
-    its values at the primes, held as bytes (1 for +1, 2 for -1): a prime
-    with (D|p) = -1 swaps the sign on the multiples of each power of p, one
-    with (D|p) = 0 zeroes its multiples.  The slices run in C, where a
-    symbol per a would be a Python loop over every a."""
+    its values oracles.kronecker(D, p) at the primes, held as bytes (1 for
+    +1, 2 for -1): a prime with (D|p) = -1 swaps the sign on the multiples
+    of each power of p, one with (D|p) = 0 zeroes its multiples.  The
+    slices run in C, where a symbol per a, as in
+    oracles.analytic_class_number, would be a Python loop over every a."""
     n = (-D - 1) // 2
     chi = bytearray([0]) + bytearray([1]) * n
     for p in primes:
         if p > n:
             break
-        s = _kronecker_prime(D, p)
+        s = oracles.kronecker(D, p)
         if s == 0:
             chi[p::p] = bytes(len(range(p, n + 1, p)))
         elif s == -1:
@@ -250,7 +234,7 @@ def _class_number_formula(D, primes):
             while pk <= n:
                 chi[pk::pk] = chi[pk::pk].translate(_SWAP_SIGN)
                 pk *= p
-    total, denominator = chi.count(1) - chi.count(2), 2 - _kronecker_prime(D, 2)
+    total, denominator = chi.count(1) - chi.count(2), 2 - oracles.kronecker(D, 2)
     assert total % denominator == 0
     return total // denominator
 
@@ -261,7 +245,7 @@ def _form_triples(draw):
     the time the second's leading coefficient shares a factor with the
     first's, so that pairs with gcd(a1, a2) > 1 are drawn often."""
     D = -draw(st.integers(5, 10**5))
-    while not _is_fundamental(D):
+    while not oracles.is_fundamental(D):
         D -= 1
     forms = class_group(D).forms
     f1 = draw(st.sampled_from(forms))
@@ -288,6 +272,17 @@ class TestImagQuadField:
         for D in [5, -3, -4]:
             with pytest.raises(ValueError):
                 ImagQuadField(D)
+
+    def test_accepts_exactly_the_fundamental_discriminants(self):
+        accepted = []
+        for D in range(-20000, -4):
+            try:
+                ImagQuadField(D)
+            except ValueError:
+                continue
+            accepted.append(D)
+        assert accepted == [D for D in range(-20000, -4) if oracles.is_fundamental(D)]
+        assert len(accepted) == 6077
 
 
 class TestSplittingData:
@@ -618,7 +613,7 @@ class TestClassGroup:
     def test_orders_match_full_walks(self):
         # every fundamental -20000 < D < -4, and a band near -10^6
         fields = _fundamental_discriminants(19999) + [
-            D for D in range(-1000000, -1000200, -1) if _is_fundamental(D)
+            D for D in range(-1000000, -1000200, -1) if oracles.is_fundamental(D)
         ]
         for D in fields:
             forms = _reduced_forms(D)
@@ -648,7 +643,7 @@ class TestClassGroup:
         grp = class_group(D)
         assert grp.h == 6216 == len(grp.forms) == math.prod(grp.invariant_factors)
         two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
-        assert two_rank == len(factorize(-D)) - 1
+        assert two_rank == len(oracles.prime_factors(-D)) - 1
 
     def test_invariant_factors_against_torsion_counts(self):
         # the number of f with f^m = 1, found by binary powering without the
@@ -665,14 +660,14 @@ class TestClassGroup:
     def test_class_number_formula_and_genus_theory(self):
         # independent of forms: Dirichlet's class number formula, and the
         # 2-rank omega(D) - 1 of genus theory
-        primes = primes_below(5001)
+        primes = oracles.small_primes(5001)
         fields = _fundamental_discriminants(10**4)
         assert len(fields) == 3041
         for D in fields:
             grp = class_group(D)
             assert grp.h == _class_number_formula(D, primes), D
             two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
-            assert two_rank == len(factorize(-D)) - 1, D
+            assert two_rank == len(oracles.prime_factors(-D)) - 1, D
 
     def test_high_two_rank(self):
         # D = -3*5*7*11*13*17: six ramified primes give 2-rank 5, where the
@@ -682,9 +677,9 @@ class TestClassGroup:
         assert grp.h == 256
         assert grp.invariant_factors == (2, 2, 2, 2, 16)
         assert grp.exponent == 16
-        assert grp.h == _class_number_formula(D, primes_below(-D // 2 + 1))
+        assert grp.h == _class_number_formula(D, oracles.small_primes(-D // 2 + 1))
         two_rank = sum(1 for d in grp.invariant_factors if d % 2 == 0)
-        assert two_rank == len(factorize(-D)) - 1
+        assert two_rank == len(oracles.prime_factors(-D)) - 1
 
     @pytest.mark.parametrize(
         "D",
@@ -728,7 +723,7 @@ class TestSylowParts:
         fields = []
         while len(fields) < 200:
             D = -rng.randrange(5, 10**6 + 1)
-            if _is_fundamental(D):
+            if oracles.is_fundamental(D):
                 fields.append(D)
         for D in fields:
             assert class_group(D) == _class_group_by_histogram(D), D

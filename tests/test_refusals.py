@@ -94,6 +94,10 @@ REFUSALS = [
         "characters live on different groups",
     ),
     (lambda: ModCharacter(GroupCharacter.trivial(FinAbGroup((2,))), 4), ValueError, "4 is not prime"),
+    # an int or a Q/Z value as the base raised AttributeError: 'int' object
+    # has no attribute 'order'
+    (lambda: ModCharacter(5, 7), TypeError, "base 5 has type int, not GroupCharacter"),
+    (lambda: ModCharacter(QmodZ(1, 2), 7), TypeError, "has type QmodZ, not GroupCharacter"),
     (order_five_mod_five, ValueError, "must have order prime to 5"),
     # an ell-part beside a prime-to-ell part, which reduce_mod would strip
     (
@@ -111,6 +115,13 @@ REFUSALS = [
     (lambda: Congruence(1, 0), ValueError, "modulus must be positive"),
     # heckeq
     (lambda: GlobalCharQ.trivial(5, 0), ValueError, "modulus must be positive"),
+    # an int image raised AttributeError: 'int' object has no attribute 'den'
+    (lambda: GlobalCharQ.from_images(5, 5, {5: 3}), TypeError, "image 3 at 5 has type int, not QmodZ"),
+    (
+        lambda: GlobalCharQ.from_images(5, 7, {7: "1/2"}),
+        TypeError,
+        "image '1/2' at 7 has type str, not QmodZ",
+    ),
     (
         lambda: GlobalCharQ.from_images(5, 7, {7: QmodZ(1, 4)}),
         ValueError,
@@ -204,6 +215,11 @@ def test_sturm_congruence_without_weight_tags_has_no_proof_bound():
         (lambda: QExpansion([1, Fraction(1, 2), False]), "coefficient False is a bool"),
         (lambda: QuadElem(True, 0, 5), "coefficient True is a bool, not an int"),
         (lambda: QuadElem(1, False, 5), "coefficient False is a bool, not an int"),
+        # True was read as 1, and a float raised a bare TypeError from math.gcd
+        (lambda: QmodZ(True, 2), "numerator True, denominator 2: not ints"),
+        (lambda: QmodZ(1, True), "numerator 1, denominator True: not ints"),
+        (lambda: QmodZ(1.5, 2), "numerator 1.5, denominator 2: not ints"),
+        (lambda: QmodZ(1, 2.0), "numerator 1, denominator 2.0: not ints"),
     ],
 )
 def test_a_bool_or_float_where_an_int_is_meant(call, fragment):
