@@ -392,7 +392,7 @@ class QmodZ(Record):
         return QmodZ(-self.num, self.den)
 
     def __mul__(self, k: int) -> "QmodZ":
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
         return QmodZ(self.num * k, self.den)
 

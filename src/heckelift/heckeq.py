@@ -79,6 +79,8 @@ _ZERO = QmodZ(0, 1)
 def _factor_modulus(modulus: int, known: list[int]) -> dict[int, int]:
     """factorize(modulus) for a positive odd modulus, dividing out the primes
     among known first so that factorize sees only the rest."""
+    if type(modulus) is not int:
+        raise ValueError(f"modulus {modulus!r} is not an int")
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if modulus % 2 == 0:
@@ -138,6 +140,9 @@ class GlobalCharQ(Record):
     ) -> "GlobalCharQ":
         if not is_prime(residue_char) or residue_char == 2:
             raise ValueError("residue characteristic must be an odd prime")
+        for ell in images:
+            if type(ell) is not int:
+                raise ValueError(f"image key {ell!r} is not an int")
         factors = _factor_modulus(modulus, [residue_char, *images])
         exps = {}
         for ell, img in sorted(images.items()):
@@ -480,7 +485,10 @@ def brute_force_oracle_q(
     """Exhaustive search for (eps, eps', k) whose reductions equal the pair.
 
     A test-support oracle: dumb enumeration over the stated region, first
-    witness in enumeration order, None if the region contains none.
+    witness in enumeration order, None if the region contains none.  It
+    keeps QmodZ arithmetic on purpose: decide_prop_q works on integers mod
+    phi(ell^a), so the oracle reaches its values by another representation
+    and does not repeat the decision's residue arithmetic.
     """
     p, q = _require_support_pq(rho, rho_prime)
     if alpha_max < 1 or beta_max < 1:

@@ -5,8 +5,9 @@ series (two tame characters plus Frobenius data) and the twist-of-special
 shape (nonzero monodromy, forcing eigenvalue ratio ell up to inversion).
 Frobenius eigenvalue data is kept algebraic: a root of unity times an
 integer power of ell, written (zeta, w) for zeta * ell^w.  Reduction keeps
-the prime-to-p part of zeta and folds nothing: equality of reduced values
-is tested by evaluating ell's residue in the fixed Q/Z coordinates.
+the prime-to-p part of zeta and folds nothing.  local_compat compares reduced
+values as residues x mod one m (x/m in Q/Z), the lcm of p - 1, q - 1 and the
+data's zeta denominators; it builds QmodZ only for witnesses and one reason.
 
 A parameter with nonzero monodromy admits two integral-model reductions:
 the generic one with nontrivial unipotent inertia, and a rescaled one,
@@ -78,16 +79,20 @@ class AlgebraicFrobValue(Record):
     def reduce(self, target: int) -> "AlgebraicFrobValue":
         return AlgebraicFrobValue(self.zeta.part_prime_to(target), self.weight)
 
-    def value_mod(self, ell: int, target: int) -> QmodZ:
+    def value_mod(self, ell: int, target: int, m: int) -> int:
         """The reduction modulo target, as an element of the residue field's
-        multiplicative group in Q/Z coordinates."""
-        zeta, L = self.zeta, residue_address(ell, target)
-        m = math.lcm(zeta.den, L.den)
-        x = _prime_to(zeta.num * (m // zeta.den), m, target)
-        return QmodZ(x + self.weight * L.num * (m // L.den), m)
+        multiplicative group in Q/Z coordinates: a residue mod m, for m a
+        multiple of target - 1 and of zeta's denominator."""
+        L = residue_address(ell, target)
+        x = _prime_to(self.zeta.num * (m // self.zeta.den), m, target)
+        return (x + self.weight * L.num * (m // L.den)) % m
 
     def __str__(self) -> str:
         return f"zeta({self.zeta}) * ell^{self.weight}"
+
+
+_ONE = AlgebraicFrobValue(QmodZ(0, 1), 0)
+_ELL = AlgebraicFrobValue(QmodZ(0, 1), 1)  # its value_mod is residue_address mod m
 
 
 class QuasiChar(Record):
@@ -124,9 +129,9 @@ class UnramifiedSemisimple(Record):
 
     __slots__ = ("ell", "residue_char", "ratio")
 
-    def ratio_values(self) -> frozenset[QmodZ]:
-        v = self.ratio.value_mod(self.ell, self.residue_char)
-        return frozenset((v, -v))
+    def ratio_values(self, m: int) -> frozenset[int]:
+        v = self.ratio.value_mod(self.ell, self.residue_char, m)
+        return frozenset((v, -v % m))
 
 
 class TamePrincipal(Record):
@@ -221,64 +226,54 @@ def _report(
 
 
 def _simultaneous_value(
-    ell: int, target_p: QmodZ, p: int, target_q: QmodZ, q: int
+    ell: int, p: int, q: int, m: int, targets
 ) -> AlgebraicFrobValue | None:
-    """The algebraic value zeta * ell^w of least weight w >= 0 whose
-    reductions mod p and mod q hit the two targets, if one exists.
+    """The algebraic value zeta * ell^w of least weight w >= 0 whose reductions
+    mod p and mod q hit the first pair (t_p, t_q) in targets that one hits.
 
-    Write L_r for residue_address(ell, r).  A target_p with a p-part, or a
-    target_q with a q-part, is hit by no reduction.  Otherwise take the
-    targets and L_p, L_q as residues mod one common denominator m.  zeta
-    exists at w exactly when target_p - w*L_p and target_q - w*L_q agree
-    away from p and q, glue_pq's condition: with pi the part away from p and
-    q (exactnum's _prime_to), w * pi(L_p - L_q) = pi(target_p - target_q)
-    mod m, and _solve_linear gives the least such w, below lcm(p-1, q-1).
-    zeta glues the two.
+    Targets and l_r = residue_address(ell, r) are residues mod m, a multiple
+    of p - 1 and q - 1.  A t_p with a p-part, or a t_q with a q-part, is hit
+    by no reduction.  zeta exists at w exactly when t_p - w*l_p and t_q -
+    w*l_q agree away from p and q (glue_pq), that is when w * pi(l_p - l_q) =
+    pi(t_p - t_q) mod m for pi = exactnum's _prime_to away from p and q.
+    _solve_linear gives the least such w, below lcm(p-1, q-1); zeta glues.
     """
-    if target_p.den % p == 0 or target_q.den % q == 0:
-        return None
-    L_p, L_q = residue_address(ell, p), residue_address(ell, q)
-    m = math.lcm(target_p.den, target_q.den, L_p.den, L_q.den)
-    t_p, t_q, l_p, l_q = (x.num * (m // x.den) for x in (target_p, target_q, L_p, L_q))
-    w = _solve_linear(_prime_to(l_p - l_q, m, p, q), _prime_to(t_p - t_q, m, p, q), m)
-    if w is None:
-        return None
-    zeta = glue_pq((t_p - w * l_p) % m, p, (t_q - w * l_q) % m, q, m)
-    if zeta is not None:
-        value = AlgebraicFrobValue(QmodZ(zeta, m), w)
-        if value.value_mod(ell, p) == target_p and value.value_mod(ell, q) == target_q:
-            return value
-    raise AssertionError(f"weight {w} does not reduce to both targets at {ell}")
-
-
-def _first_value(ell: int, p: int, q: int, targets) -> AlgebraicFrobValue | None:
-    """_simultaneous_value at the first (target_p, target_q) in targets that has one."""
-    for target_p, target_q in targets:
-        value = _simultaneous_value(ell, target_p, p, target_q, q)
-        if value is not None:
-            return value
+    l_p, l_q = _ELL.value_mod(ell, p, m), _ELL.value_mod(ell, q, m)
+    step = _prime_to(l_p - l_q, m, p, q)
+    for t_p, t_q in targets:
+        if _prime_to(t_p, m, p) != t_p or _prime_to(t_q, m, q) != t_q:
+            continue
+        w = _solve_linear(step, _prime_to(t_p - t_q, m, p, q), m)
+        if w is None:
+            continue
+        zeta = glue_pq((t_p - w * l_p) % m, p, (t_q - w * l_q) % m, q, m)
+        if zeta is not None:
+            value = AlgebraicFrobValue(QmodZ(zeta, m), w)
+            if value.value_mod(ell, p, m) == t_p and value.value_mod(ell, q, m) == t_q:
+                return value
+        raise AssertionError(f"weight {w} does not reduce to both targets at {ell}")
     return None
 
 
-def _ratio_is_ell(datum: UnramifiedSemisimple) -> bool:
+def _ratio_is_ell(datum: UnramifiedSemisimple, m: int) -> bool:
     """Whether the ratio is ell up to inversion, as in monodromy's rescaled model."""
-    return residue_address(datum.ell, datum.residue_char) in datum.ratio_values()
+    return _ELL.value_mod(datum.ell, datum.residue_char, m) in datum.ratio_values(m)
 
 
-def _steinberg_unipotent(uni: UnipotentRamified, other: UnipotentRamified) -> CompatReport:
+def _steinberg_unipotent(uni: UnipotentRamified, other: UnipotentRamified, m: int) -> CompatReport:
     # the generic model on both sides
     ell, p, q = uni.ell, uni.residue_char, other.residue_char
     inert = _unit_lift(ell, uni.frob_char_inertial, other.frob_char_inertial)
     if inert is None:
         return _report(None, "twist characters do not lift simultaneously")
-    t_p = uni.frob_char_value.value_mod(ell, p)
-    value = _simultaneous_value(ell, t_p, p, other.frob_char_value.value_mod(ell, q), q)
+    t_p, t_q = uni.frob_char_value.value_mod(ell, p, m), other.frob_char_value.value_mod(ell, q, m)
+    value = _simultaneous_value(ell, p, q, m, [(t_p, t_q)])
     if value is None:
         return _report(None, "Frobenius values of the twists admit no common algebraic value")
     return _report(Steinberg(QuasiChar(inert, value)))
 
 
-def _steinberg_tame(uni: UnipotentRamified, other: TamePrincipal) -> CompatReport:
+def _steinberg_tame(uni: UnipotentRamified, other: TamePrincipal, m: int) -> CompatReport:
     # the rescaled model on the tame side is epsilon + epsilon*norm, so the
     # pinned inertial characters must coincide and the pinned values must
     # differ by exactly ell
@@ -291,39 +286,39 @@ def _steinberg_tame(uni: UnipotentRamified, other: TamePrincipal) -> CompatRepor
     inert = _unit_lift(ell, uni.frob_char_inertial, other.inertials[0])
     if inert is None:
         return _report(None, "twist characters do not lift simultaneously")
-    v0, v1 = (f.value_mod(ell, q) for f in other.frobs)
-    L_q = residue_address(ell, q)
-    targets = [low for low, high in ((v1, v0), (v0, v1)) if high == low + L_q]
+    v0, v1 = (f.value_mod(ell, q, m) for f in other.frobs)
+    l_q = _ELL.value_mod(ell, q, m)
+    targets = [low for low, high in ((v1, v0), (v0, v1)) if high == (low + l_q) % m]
     if not targets:
         return _report(None, "pinned eigenvalues do not differ by exactly ell")
-    t_p = uni.frob_char_value.value_mod(ell, p)
-    value = _first_value(ell, p, q, ((t_p, target_q) for target_q in targets))
+    t_p = uni.frob_char_value.value_mod(ell, p, m)
+    value = _simultaneous_value(ell, p, q, m, [(t_p, t_q) for t_q in targets])
     if value is None:
         return _report(None, "no algebraic twist value matches both sides")
     return _report(Steinberg(QuasiChar(inert, value)))
 
 
-def _steinberg_ratio(uni: UnipotentRamified, other: UnramifiedSemisimple) -> CompatReport:
+def _steinberg_ratio(uni: UnipotentRamified, other: UnramifiedSemisimple, m: int) -> CompatReport:
     # the unramified side forces the rescaled model: the twist character
     # must die mod q, and the eigenvalue ratio must reduce from ell^(+-1)
     ell, p, q = uni.ell, uni.residue_char, other.residue_char
     inert = _unit_lift(ell, uni.frob_char_inertial, _trivial_mod_char(ell, q))
     if inert is None:
         return _report(None, "twist character is not trivialisable mod the unramified side")
-    if not _ratio_is_ell(other):
+    if not _ratio_is_ell(other, m):
         return _report(
             None,
             "nonzero monodromy forces eigenvalue ratio ell up to inversion, "
             f"but the unramified side has ratio set "
-            f"{sorted(str(v) for v in other.ratio_values())}",
+            f"{sorted(str(QmodZ(v, m)) for v in other.ratio_values(m))}",
         )
     # the unramified datum pins no Frobenius value, only the ratio: any
     # twist value reducing correctly mod p serves
-    t_p = uni.frob_char_value.value_mod(ell, p)
-    return _report(Steinberg(QuasiChar(inert, AlgebraicFrobValue(t_p, 0))))
+    t_p = uni.frob_char_value.value_mod(ell, p, m)
+    return _report(Steinberg(QuasiChar(inert, AlgebraicFrobValue(QmodZ(t_p, m), 0))))
 
 
-def _match_principal(a: TamePrincipal, b: TamePrincipal) -> CompatReport:
+def _match_principal(a: TamePrincipal, b: TamePrincipal, m: int) -> CompatReport:
     ell, p, q = a.ell, a.residue_char, b.residue_char
     reasons = []
     for perm in ((0, 1), (1, 0)):
@@ -333,9 +328,8 @@ def _match_principal(a: TamePrincipal, b: TamePrincipal) -> CompatReport:
             if inert is None:
                 reasons.append(f"inertial characters clash under matching {perm}")
                 break
-            value = _simultaneous_value(
-                ell, a.frobs[i].value_mod(ell, p), p, b.frobs[perm[i]].value_mod(ell, q), q
-            )
+            t_p, t_q = a.frobs[i].value_mod(ell, p, m), b.frobs[perm[i]].value_mod(ell, q, m)
+            value = _simultaneous_value(ell, p, q, m, [(t_p, t_q)])
             if value is None:
                 reasons.append(f"Frobenius values clash under matching {perm}")
                 break
@@ -346,7 +340,7 @@ def _match_principal(a: TamePrincipal, b: TamePrincipal) -> CompatReport:
 
 
 def _match_tame_against_ratio(
-    tame: TamePrincipal, unram: UnramifiedSemisimple
+    tame: TamePrincipal, unram: UnramifiedSemisimple, m: int
 ) -> CompatReport:
     """Principal-series match when one side pins characters and values and
     the other pins only the eigenvalue ratio (the common unramified twist on
@@ -358,31 +352,33 @@ def _match_tame_against_ratio(
         return _report(
             None, "a pinned inertial character does not vanish under the other reduction"
         )
-    t1, t2 = (f.value_mod(ell, cp) for f in tame.frobs)
-    value2 = AlgebraicFrobValue(t2, 0)
-    v2 = value2.value_mod(ell, cq)
-    r = unram.ratio.value_mod(ell, cq)
-    value1 = _first_value(ell, cp, cq, ((t1, v2 + r), (t1, v2 - r)))
+    t1, t2 = (f.value_mod(ell, cp, m) for f in tame.frobs)
+    value2 = AlgebraicFrobValue(QmodZ(t2, m), 0)
+    v2, r = value2.value_mod(ell, cq, m), unram.ratio.value_mod(ell, cq, m)
+    value1 = _simultaneous_value(ell, cp, cq, m, [(t1, (v2 + s * r) % m) for s in (1, -1)])
     if value1 is None:
         return _report(None, "pinned values cannot meet the eigenvalue ratio")
     return _report(Reducible(QuasiChar(inerts[0], value1), QuasiChar(inerts[1], value2)))
 
 
-def _unramified_pair(a: UnramifiedSemisimple, b: UnramifiedSemisimple) -> CompatReport:
+def _unramified_pair(a: UnramifiedSemisimple, b: UnramifiedSemisimple, m: int) -> CompatReport:
     ell, p, q = a.ell, a.residue_char, b.residue_char
-    ordered = [sorted(d.ratio_values(), key=lambda v: (v.num, v.den)) for d in (a, b)]
-    value = _first_value(ell, p, q, ((va, vb) for va in ordered[0] for vb in ordered[1]))
+    va, vb = (sorted(d.ratio_values(m)) for d in (a, b))
+    value = _simultaneous_value(ell, p, q, m, [(x, y) for x in va for y in vb])
     if value is None:
         return _report(None, "eigenvalue ratios admit no common algebraic value")
     triv = GroupCharacter.trivial(unit_group(ell, 1))
-    witness = Reducible(
-        QuasiChar(triv, value), QuasiChar(triv, AlgebraicFrobValue(QmodZ(0, 1), 0))
-    )
-    both_ell = _ratio_is_ell(a) and _ratio_is_ell(b)
+    witness = Reducible(QuasiChar(triv, value), QuasiChar(triv, _ONE))
+    both_ell = _ratio_is_ell(a, m) and _ratio_is_ell(b, m)
     return _report(witness, alternatives=("steinberg",) if both_ell else ())
 
 
-_SHAPES = (UnipotentRamified, TamePrincipal, UnramifiedSemisimple)
+# the shapes in matching order, each with the Frobenius values it pins
+_SHAPES = {
+    UnipotentRamified: lambda datum: (datum.frob_char_value,),
+    TamePrincipal: lambda datum: datum.frobs,
+    UnramifiedSemisimple: lambda datum: (datum.ratio,),
+}
 _MATCHERS = {
     (UnipotentRamified, UnipotentRamified): _steinberg_unipotent,
     (UnipotentRamified, TamePrincipal): _steinberg_tame,
@@ -413,8 +409,13 @@ def local_compat(
         raise ValueError("residue characteristics must differ")
     if ell in (p, q):
         raise ValueError("compatibility is checked away from p and q")
-    a, b = sorted((datum_p, datum_q), key=lambda datum: _SHAPES.index(type(datum)))
-    return _MATCHERS[type(a), type(b)](a, b)
+    a, b = sorted((datum_p, datum_q), key=lambda datum: list(_SHAPES).index(type(datum)))
+    frobs = [f for d in (a, b) for f in _SHAPES[type(d)](d)]
+    for f in frobs:
+        if type(f.zeta) is not QmodZ or type(f.weight) is not int:
+            raise ValueError(f"{f!r}: zeta must be a QmodZ and the weight an int")
+    m = math.lcm(p - 1, q - 1, *(f.zeta.den for f in frobs))
+    return _MATCHERS[type(a), type(b)](a, b, m)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +465,7 @@ def remark2_check(ell: int, p: int, q: int) -> Remark2Report:
     )
     hypotheses = all(ok for _, ok in detail)
 
-    datum_p = UnipotentRamified(
-        ell, p, _trivial_mod_char(ell, p), AlgebraicFrobValue(QmodZ(0, 1), 0)
-    )
+    datum_p = UnipotentRamified(ell, p, _trivial_mod_char(ell, p), _ONE)
     datum_q = UnramifiedSemisimple(ell, q, AlgebraicFrobValue(QmodZ(1, 2), 1))  # -ell
     compat = local_compat(datum_p, datum_q)
     return Remark2Report(ell, p, q, hypotheses, detail, compat, True)

@@ -335,6 +335,16 @@ class TestDecidePropQ:
         rho_prime = theta_power(7, 2)  # k_7 = 2, b_7 = 0
         assert decide_prop_q(rho, rho_prime) is None
 
+    def test_a_reduction_wrong_at_q_alone_fails_the_check(self, monkeypatch):
+        # the certificate reduces right mod 5, so only the comparison mod 7
+        # can catch the fault; the check raises, so it holds under python -O
+        right = heckeq.hecke_reductions
+        monkeypatch.setattr(
+            heckeq, "hecke_reductions", lambda *args: (right(*args)[0], GlobalCharQ.trivial(7))
+        )
+        with pytest.raises(AssertionError, match="certificate failed re-verification"):
+            decide_prop_q(theta_power(5, 3), theta_power(7, 3))
+
     def test_trivial_pair(self):
         res = decide_prop_q(GlobalCharQ.trivial(5), GlobalCharQ.trivial(7))
         assert res is not None and res.k_class == Congruence(0, 12)

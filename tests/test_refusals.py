@@ -50,7 +50,14 @@ from heckelift.qseries import (
     sturm_congruence,
     weight24_example,
 )
-from heckelift.serrepq import AlgebraicFrobValue, QuasiChar, Steinberg, wd_reduce
+from heckelift.serrepq import (
+    AlgebraicFrobValue,
+    QuasiChar,
+    Steinberg,
+    UnramifiedSemisimple,
+    local_compat,
+    wd_reduce,
+)
 from conftest import run_python
 
 
@@ -79,6 +86,14 @@ def tame_exponent_out_of_range():
 def steinberg_at_3():
     trivial = GroupCharacter.trivial(unit_group(3, 1))
     return Steinberg(QuasiChar(trivial, AlgebraicFrobValue(QmodZ(0, 1), 0)))
+
+
+ONE = AlgebraicFrobValue(QmodZ(0, 1), 0)
+
+
+def unramified_pair(ell, ratio=ONE):
+    """local_compat of unramified data at ell, mod 5 with this ratio and mod 7 with 1."""
+    return local_compat(UnramifiedSemisimple(ell, 5, ratio), UnramifiedSemisimple(ell, 7, ONE))
 
 
 REFUSALS = [
@@ -113,6 +128,9 @@ REFUSALS = [
     (lambda: valuation(0, 3), ValueError, "valuation of 0 is undefined"),
     (lambda: prime_to_part(0, 3), ValueError, "n must be a positive integer"),
     (lambda: Congruence(1, 0), ValueError, "modulus must be positive"),
+    # isinstance(k, int) took a bool: QmodZ(1, 4) * True was 1/4
+    (lambda: QmodZ(1, 4) * True, TypeError, "for *: 'QmodZ' and 'bool'"),
+    (lambda: True * QmodZ(1, 4), TypeError, "for *: 'bool' and 'QmodZ'"),
     # heckeq
     (lambda: GlobalCharQ.trivial(5, 0), ValueError, "modulus must be positive"),
     # an int image raised AttributeError: 'int' object has no attribute 'den'
@@ -183,6 +201,14 @@ REFUSALS = [
     (lambda: split_roots(144169, 9), ValueError, "9 must be an odd prime"),
     # serrepq
     (lambda: wd_reduce(steinberg_at_3(), 4, 5), ValueError, "both arguments must be prime"),
+    # an int zeta raised AttributeError: 'int' object has no attribute 'den'
+    (
+        lambda: unramified_pair(3, AlgebraicFrobValue(1, 0)),
+        ValueError,
+        "AlgebraicFrobValue(zeta=1, weight=0): zeta must be a QmodZ and the weight an int",
+    ),
+    # without the guard: "0 is not a power of 2 modulo 5", from the residue address of 5 mod 5
+    (lambda: unramified_pair(5), ValueError, "compatibility is checked away from p and q"),
 ]
 
 
@@ -220,6 +246,25 @@ def test_sturm_congruence_without_weight_tags_has_no_proof_bound():
         (lambda: QmodZ(1, True), "numerator 1, denominator True: not ints"),
         (lambda: QmodZ(1.5, 2), "numerator 1.5, denominator 2: not ints"),
         (lambda: QmodZ(1, 2.0), "numerator 1, denominator 2.0: not ints"),
+        # 1.5 was refused only by QmodZ ("numerator 4.5, denominator 4: not
+        # ints"), which the matcher no longer builds; True was taken as 1
+        (
+            lambda: unramified_pair(3, AlgebraicFrobValue(QmodZ(0, 1), 1.5)),
+            "weight=1.5): zeta must be a QmodZ and the weight an int",
+        ),
+        (
+            lambda: unramified_pair(3, AlgebraicFrobValue(QmodZ(1, 2), True)),
+            "weight=True): zeta must be a QmodZ and the weight an int",
+        ),
+        # True was the modulus 1, and a float key raised a bare TypeError from factorize
+        (lambda: GlobalCharQ.from_images(5, True, {}), "modulus True is not an int"),
+        (lambda: GlobalCharQ.trivial(5, 7.0), "modulus 7.0 is not an int"),
+        (lambda: GlobalCharQ.trivial(5).with_modulus(True), "modulus True is not an int"),
+        (lambda: GlobalCharQ.from_images(5, 7, {7.0: QmodZ(1, 2)}), "image key 7.0 is not an int"),
+        (
+            lambda: GlobalCharQ.from_images(5, 7, {True: QmodZ(1, 2)}),
+            "image key True is not an int",
+        ),
     ],
 )
 def test_a_bool_or_float_where_an_int_is_meant(call, fragment):

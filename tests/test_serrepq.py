@@ -1,11 +1,13 @@
+import contextlib
 import functools
+import json
 import math
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckelift import serrepq
+from heckelift import cli, serrepq
 from heckelift.abchar import (
     GroupCharacter,
     ModCharacter,
@@ -30,6 +32,8 @@ from heckelift.serrepq import (
     residue_address,
     wd_reduce,
 )
+
+from conftest import ROOT
 
 
 def frob(zeta_num, zeta_den, weight):
@@ -126,7 +130,10 @@ def scan_simultaneous_value(ell, target_p, p, target_q, q):
         if zeta is None:
             continue
         value = AlgebraicFrobValue(zeta, w)
-        if value.value_mod(ell, p) == target_p and value.value_mod(ell, q) == target_q:
+        if (
+            qmodz_value_mod(value, ell, p) == target_p
+            and qmodz_value_mod(value, ell, q) == target_q
+        ):
             return value
     return None
 
@@ -174,6 +181,18 @@ def qmodz_simultaneous_value(ell, target_p, p, target_q, q):
     raise AssertionError(f"weight {w} does not reduce to both targets at {ell}")
 
 
+def residue(x, m):
+    """The QmodZ x as a residue mod m, a multiple of its denominator."""
+    return x.num * (m // x.den)
+
+
+def simultaneous_value(ell, target_p, p, target_q, q):
+    """_simultaneous_value at one pair of QmodZ targets, carried onto the
+    least common denominator m of the targets, p - 1 and q - 1."""
+    m = math.lcm(p - 1, q - 1, target_p.den, target_q.den)
+    return _simultaneous_value(ell, p, q, m, [(residue(target_p, m), residue(target_q, m))])
+
+
 # 40487 among the primes: its least primitive root fails mod 40487^2
 primes_and_40487 = st.one_of(odd_primes, st.just(40487))
 
@@ -188,18 +207,19 @@ class TestSimultaneousValue:
     )
     def test_matches_the_qmodz_form(self, primes, kind, a, b):
         ell, p, q = primes
+        m = math.lcm(p - 1, q - 1, a.zeta.den, b.zeta.den)
         for value in (a, b):
             for r in (p, q):
-                assert value.value_mod(ell, r) == qmodz_value_mod(value, ell, r)
+                assert QmodZ(value.value_mod(ell, r, m), m) == qmodz_value_mod(value, ell, r)
         if kind == "stray part":
-            target_p = a.value_mod(ell, p) + QmodZ(b.weight % 2, p)
-            target_q = a.value_mod(ell, q) + QmodZ(b.weight // 2 % 2, q)
+            target_p = qmodz_value_mod(a, ell, p) + QmodZ(b.weight % 2, p)
+            target_q = qmodz_value_mod(a, ell, q) + QmodZ(b.weight // 2 % 2, q)
         elif kind == "arbitrary":
             target_p, target_q = a.zeta, b.zeta
         else:
-            target_p = a.value_mod(ell, p)
-            target_q = (a if kind == "one value" else b).value_mod(ell, q)
-        got = _simultaneous_value(ell, target_p, p, target_q, q)
+            target_p = qmodz_value_mod(a, ell, p)
+            target_q = qmodz_value_mod(a if kind == "one value" else b, ell, q)
+        got = simultaneous_value(ell, target_p, p, target_q, q)
         assert got == qmodz_simultaneous_value(ell, target_p, p, target_q, q)
 
     @settings(max_examples=200, deadline=None)
@@ -213,27 +233,28 @@ class TestSimultaneousValue:
         ell, p, q = primes
         if kind == "stray part":
             # a p-part mod p, or a q-part mod q, is no reduction's value
-            target_p = a.value_mod(ell, p) + QmodZ(b.weight % 2, p)
-            target_q = a.value_mod(ell, q) + QmodZ(b.weight // 2 % 2, q)
+            target_p = qmodz_value_mod(a, ell, p) + QmodZ(b.weight % 2, p)
+            target_q = qmodz_value_mod(a, ell, q) + QmodZ(b.weight // 2 % 2, q)
         elif kind == "arbitrary":
             target_p, target_q = a.zeta, b.zeta
         else:
-            target_p = a.value_mod(ell, p)
-            target_q = (a if kind == "one value" else b).value_mod(ell, q)
-        got = _simultaneous_value(ell, target_p, p, target_q, q)
+            target_p = qmodz_value_mod(a, ell, p)
+            target_q = qmodz_value_mod(a if kind == "one value" else b, ell, q)
+        got = simultaneous_value(ell, target_p, p, target_q, q)
         assert got == scan_simultaneous_value(ell, target_p, p, target_q, q)
         if kind == "one value":
             assert got is not None and got.weight <= a.weight % math.lcm(p - 1, q - 1)
 
     def test_large_primes(self):
         value = AlgebraicFrobValue(QmodZ(1, 15), 12345)
+        m = math.lcm(10006, 10008, 15)
         start = time.perf_counter()
         got = _simultaneous_value(
-            3, value.value_mod(3, 10007), 10007, value.value_mod(3, 10009), 10009
+            3, 10007, 10009, m, [(value.value_mod(3, 10007, m), value.value_mod(3, 10009, m))]
         )
         assert time.perf_counter() - start < 1.0
-        assert got.value_mod(3, 10007) == value.value_mod(3, 10007)
-        assert got.value_mod(3, 10009) == value.value_mod(3, 10009)
+        assert got.value_mod(3, 10007, m) == value.value_mod(3, 10007, m)
+        assert got.value_mod(3, 10009, m) == value.value_mod(3, 10009, m)
         assert got.weight < math.lcm(10006, 10008)
 
     def test_a_wrong_glue_fails_the_reduction_check(self, monkeypatch):
@@ -241,9 +262,27 @@ class TestSimultaneousValue:
         glue = serrepq.glue_pq
         monkeypatch.setattr(serrepq, "glue_pq", lambda x, p, y, q, d: (glue(x, p, y, q, d) + d // 2) % d)
         value = AlgebraicFrobValue(QmodZ(1, 15), 12345)
-        t_p, t_q = value.value_mod(3, 10007), value.value_mod(3, 10009)
+        m = math.lcm(10006, 10008, 15)
+        t_p, t_q = value.value_mod(3, 10007, m), value.value_mod(3, 10009, m)
         with pytest.raises(AssertionError, match="does not reduce to both targets at 3"):
-            _simultaneous_value(3, t_p, 10007, t_q, 10009)
+            _simultaneous_value(3, 10007, 10009, m, [(t_p, t_q)])
+
+    def test_a_reduction_wrong_at_q_alone_fails_the_check(self, monkeypatch):
+        # the glued value reduces right mod p, so only the check at q can
+        # catch the fault; ell's own residue stays right, so the weight and
+        # the glue are those of the sound code
+        value = AlgebraicFrobValue(QmodZ(1, 15), 12345)
+        m = math.lcm(10006, 10008, 15)
+        t_p, t_q = value.value_mod(3, 10007, m), value.value_mod(3, 10009, m)
+        right = AlgebraicFrobValue.value_mod
+
+        def wrong_at_q(self, ell, target, m):
+            shift = 1 if target == 10009 and self != serrepq._ELL else 0
+            return (right(self, ell, target, m) + shift) % m
+
+        monkeypatch.setattr(AlgebraicFrobValue, "value_mod", wrong_at_q)
+        with pytest.raises(AssertionError, match="does not reduce to both targets at 3"):
+            _simultaneous_value(3, 10007, 10009, m, [(t_p, t_q)])
 
     def test_incompatible_ratios_at_large_primes_fail_fast(self):
         # no weight below lcm(1008, 1012) = 255024 fits; trying each takes seconds
@@ -262,6 +301,20 @@ class TestLocalCompat:
         assert rep.compatible
         assert rep.witness_kind == "principal-series"
         assert rep.alternatives == ("steinberg",)
+
+    def test_ratio_ell_on_one_side_only_names_no_alternative(self):
+        # ratio ell mod 5 but -ell mod 7: monodromy fits neither side's
+        # unramified model mod 7, so "steinberg" is no alternative
+        rep = local_compat(unramified(3, 5, 0, 1, 1), unramified(3, 7, 1, 2, 1))
+        assert rep.compatible
+        assert rep.witness_kind == "principal-series"
+        assert rep.alternatives == ()
+
+    def test_unramified_pair_witness_lives_on_level_one(self):
+        # the least level (Z/ell)^* carries both trivial inertial characters
+        rep = local_compat(unramified(3, 5, 0, 1, 1), unramified(3, 7, 1, 2, 1))
+        for eps in (rep.witness.eps1, rep.witness.eps2):
+            assert eps.inertial.group == unit_group(3, 1)
 
     def test_remark2_shape_incompatible(self):
         # unipotent mod 5 against unramified ratio -3 mod 7
@@ -540,6 +593,12 @@ def random_data(draw, ell, r):
     return TamePrincipal(ell, r, chis, (draw(small_frobs), draw(small_frobs)))
 
 
+def ratio_set(datum):
+    """The reduced ratio of an unramified datum and its inverse, in Q/Z."""
+    v = qmodz_value_mod(datum.ratio, datum.ell, datum.residue_char)
+    return {v, -v}
+
+
 def reduces_to(witness, datum):
     """Whether witness reduces to datum: principal series and the unipotent
     side by the generic model, the other side of nonzero monodromy by the
@@ -550,7 +609,7 @@ def reduces_to(witness, datum):
         return unit_character(ell, 2, unit_value(chi, ell))
 
     def value(f):
-        return f.value_mod(ell, r)
+        return qmodz_value_mod(f, ell, r)
 
     def summands(datum):
         return [(char(c.base), value(f)) for c, f in zip(datum.inertials, datum.frobs)]
@@ -562,7 +621,7 @@ def reduces_to(witness, datum):
             red = wd_reduce(witness, ell, r)
             if not isinstance(red, UnramifiedSemisimple):
                 return False
-            return red.ratio_values() == datum.ratio_values()
+            return ratio_set(red) == ratio_set(datum)
         # summand by summand, in either order: wd_reduce keeps only the
         # ratio when both inertial characters die mod r
         got = [
@@ -581,7 +640,7 @@ def reduces_to(witness, datum):
     v = value(witness.eps.frob)
     L_r = residue_address(ell, r)
     if isinstance(datum, UnramifiedSemisimple):
-        return chi.is_trivial() and L_r in datum.ratio_values()
+        return chi.is_trivial() and L_r in ratio_set(datum)
     return summands(datum) in ([(chi, v), (chi, v + L_r)], [(chi, v + L_r), (chi, v)])
 
 
@@ -607,6 +666,50 @@ class TestLocalCompatOracle:
                 rep = local_compat(datum_p, datum_q)
                 assert rep.compatible, rep.reason
                 assert reduces_to(rep.witness, datum_p) and reduces_to(rep.witness, datum_q)
+
+
+@contextlib.contextmanager
+def no_qmodz_arithmetic():
+    """QmodZ's +, -, unary -, * and part_prime_to raise inside the block."""
+
+    def refuse(*args):
+        raise AssertionError("QmodZ arithmetic inside local_compat")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "part_prime_to"):
+            patch.setattr(QmodZ, name, refuse)
+        yield
+
+
+def sample_problem(name):
+    return json.loads((ROOT / "demos" / "problems" / name).read_text())
+
+
+class TestMatcherOnResidues:
+    def test_refuse_catches_qmodz_arithmetic(self):
+        with no_qmodz_arithmetic(), pytest.raises(AssertionError, match="QmodZ arithmetic"):
+            -QmodZ(1, 3)
+        assert -QmodZ(1, 3) == QmodZ(2, 3)
+
+    def test_samples_match_without_qmodz_arithmetic(self):
+        problem = sample_problem("local_compat_minus_ell.json")
+        ell, p, q = problem["ell"], problem["p"], problem["q"]
+        datum_p = cli._parse_datum(problem["datum"], ell, p)
+        datum_q = cli._parse_datum(problem["datum_prime"], ell, q)
+        remark2 = sample_problem("remark2_3_5_7.json")
+        with no_qmodz_arithmetic():
+            assert not local_compat(datum_p, datum_q).compatible
+            rep = remark2_check(remark2["ell"], remark2["p"], remark2["q"])
+        assert rep.counterexample_confirmed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_data_match_without_qmodz_arithmetic(self, data):
+        ell, p, q = data.draw(st.lists(odd_primes, min_size=3, max_size=3, unique=True))
+        datum_p = data.draw(random_data(ell, p))
+        datum_q = data.draw(random_data(ell, q))
+        with no_qmodz_arithmetic():
+            local_compat(datum_p, datum_q)
 
 
 class TestRemark2:
