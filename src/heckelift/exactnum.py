@@ -187,10 +187,12 @@ def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
 
 
 def require_odd_primes(*primes: int) -> None:
-    """Raise ValueError unless the arguments are distinct odd primes."""
+    """Raise ValueError unless the arguments are distinct odd primes, each
+    exactly an int: a bool or a float such as 7.0 is refused by name before
+    is_prime's typed memo could raise TypeError on it."""
     for ell in primes:
-        if ell == 2 or not is_prime(ell):
-            raise ValueError(f"{ell} must be an odd prime")
+        if type(ell) is not int or ell == 2 or not is_prime(ell):
+            raise ValueError(f"{ell!r} must be an odd prime")
     if len(set(primes)) < len(primes):
         raise ValueError("the primes must be distinct")
 

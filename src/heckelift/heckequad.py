@@ -20,16 +20,20 @@ Class groups of imaginary quadratic fields are computed through reduced
 binary quadratic forms, enumerated by their middle coefficient and
 composed by Shanks' algorithm, whose Bezout coefficients are modular
 inverses.  The group is taken one Sylow subgroup at a time.  A part of
-prime order needs no composition.  Any other part is the image of the
-power map x -> x^m, m the part of h prime to ell (the forms themselves
-when m = 1), and it is cyclic as soon as an image has full order.  Only
-a part with no such image is walked: each class's order is read from the
-walk f, f^2, ... of one cyclic subgroup that contains it, which stops
-once a power's inverse is a power already reached, itself included; the
-inverse of a reduced (a, b, c) is itself when b = 0, b = a or a = c, and
-the reduced (a, -b, c) otherwise.  The orders in a walked part fix its
-invariant factors, and the group structure feeds the counting bound that
-exhibits non-liftable unramified pairs.
+prime order needs no composition, and neither does a 2-part whose
+invariant factors genus theory (Gauss: its rank is omega(D) - 1) and
+Redei's 4-rank (J. reine angew. Math. 171, 1934: read from Kronecker
+symbols of the prime discriminants dividing D) force.  Any other part is
+the image of the power map x -> x^m, m the part of h prime to ell (the
+forms themselves when m = 1), and it is cyclic as soon as an image has
+full order.  Only a part with no such image is walked: each class's
+order is read from the walk f, f^2, ... of one cyclic subgroup that
+contains it, which stops once a power's inverse is a power already
+reached, itself included; the inverse of a reduced (a, b, c) is itself
+when b = 0, b = a or a = c, and the reduced (a, -b, c) otherwise.  The
+orders in a walked part fix its invariant factors, and the group
+structure feeds the counting bound that exhibits non-liftable unramified
+pairs.
 The last few fields' groups are kept, so the counting bound of a field
 whose group was just computed does not compute it again.
 """
@@ -72,7 +76,7 @@ __all__ = [
 ]
 
 # largest |D| class_group accepts; the slowest fields below it take about
-# 0.036 s, nearly all of it enumerating forms (measurements in class_group's
+# 0.031 s, nearly all of it enumerating forms (measurements in class_group's
 # docstring)
 CLASS_GROUP_BOUND = 10**7
 
@@ -449,17 +453,20 @@ def class_group(D: int) -> IdealClassGroup:
     class number, exponent and invariant factors.
 
     The forms are enumerated by their middle coefficient.  The invariant
-    factors come one Sylow subgroup at a time (see _sylow_factors), and
-    only a non-cyclic part is walked by _orders: 0.31 compositions per
-    class over every |D| <= 10^4, and at most 1.42 (h = 24 at D = -5828),
-    where walking every class takes 0.57 and at most 0.98.  Enumerating the
-    forms is most of the cost: about 63% over the 64 fields of the
-    class-groups benchmark, 10^3 <= |D| < 3*10^5.  Measured up to
+    factors come one Sylow subgroup at a time (see _sylow_factors): the
+    2-part from genus theory (Gauss) and Redei's 4-rank (J. reine angew.
+    Math. 171, 1934) wherever they force it (see _forced_two_part), and
+    only a non-cyclic part left open is walked by _orders.  That takes
+    0.026 compositions per class over every |D| <= 10^4, and at most 1.22
+    (h = 18 at D = -9748), where walking every class takes 0.57 and at
+    most 0.98.  Enumerating the forms is most of the cost: about 79% over
+    the 64 fields of the class-groups benchmark, 10^3 <= |D| < 3*10^5
+    (per-field minima of 40 interleaved repetitions).  Measured up to
     CLASS_GROUP_BOUND (Intel Xeon, Python 3.11.7, 12 fields with
-    0.9 <= |D|/N <= 1 each, best of 5): a median of 0.0004 s at N = 10^5,
-    0.0025 s at 10^6 and 0.018 s at 10^7; the fields of largest h found
+    0.9 <= |D|/N <= 1 each, best of 5): a median of 0.0002 s at N = 10^5,
+    0.002 s at 10^6 and 0.021 s at 10^7; the fields of largest h found
     there (h = 533 at D = -95471, 1868 at -960671 and 6216 at -9559679)
-    take 0.0005 s, 0.004 s and 0.036 s.
+    take 0.0004 s, 0.0034 s and 0.031 s.
 
     The last eight groups computed are kept, so asking again for one of
     those fields returns the same object without recomputing it.
@@ -482,7 +489,9 @@ def _class_group(D: int) -> IdealClassGroup:
     # invariant factors of the Sylow subgroups
     largest_first: list[int] = []
     for ell, e in factorize(h).items():
-        part = _sylow_factors(forms, D, ell, e)
+        part = _forced_two_part(D, e) if ell == 2 else None
+        if part is None:
+            part = _sylow_factors(forms, D, ell, e)
         largest_first = [x * y for x, y in zip_longest(largest_first, part, fillvalue=1)]
     factors = tuple(reversed(largest_first))
     if math.prod(factors) != h:
@@ -490,6 +499,56 @@ def _class_group(D: int) -> IdealClassGroup:
     exponent = largest_first[0] if largest_first else 1
 
     return IdealClassGroup(D, tuple(forms), h, exponent, factors)
+
+
+def _forced_two_part(D: int, e: int) -> list[int] | None:
+    """The invariant factors, largest first, of the 2-Sylow subgroup of the
+    class group, for 2^e || h, when genus theory and Redei's 4-rank force
+    them; None when they leave it open.
+
+    By genus theory (Gauss) the subgroup has r2 = omega(D) - 1 cyclic
+    factors 2^a, so what is left to place is the excess e - r2, the sum of
+    a - 1 over them.  One factor takes all of it when r2 = 1 or the excess
+    is at most 1.  Otherwise the 4-rank r4 counts the factors past 2, and
+    they share the excess - r4 left past 4: one of them takes all of that
+    when r4 = 1 or excess - r4 <= 1, and any other case is open.
+    """
+    primes = factorize(-D)
+    r2 = len(primes) - 1
+    excess = e - r2
+    if r2 == 1 or excess <= 1:
+        return [2 ** (excess + 1)] + [2] * (r2 - 1)
+    r4 = _redei_4_rank(D, primes)
+    if r4 == 1 or excess - r4 <= 1:
+        return [2 ** (excess - r4 + 2)] + [4] * (r4 - 1) + [2] * (r2 - r4)
+    return None
+
+
+def _redei_4_rank(D: int, primes: Iterable[int]) -> int:
+    """The 4-rank of the class group of the fundamental discriminant D, whose
+    prime factors are primes (Redei, J. reine angew. Math. 171, 1934).
+
+    D is the product of t prime discriminants d_i: p* = (-1)^((p-1)/2) * p
+    for an odd p | D, and D over their product, -4, 8 or -8, for p = 2.
+    The Redei matrix R over F_2 has R_ij = 1, for i != j, when the Kronecker
+    symbol (d_j / p_i) is -1, read from d_j mod 8 when p_i = 2; its diagonal
+    makes each row sum to 0.  The 4-rank is t - 1 - rank R.
+    """
+    discs = {p: p if p % 4 == 1 else -p for p in primes if p != 2}
+    if D % 2 == 0:
+        discs[2] = D // math.prod(discs.values())
+    # rows reduced against the earlier ones, each with a leading bit of its own
+    basis: list[int] = []
+    for i, p in enumerate(discs):
+        row = 0
+        for j, d in enumerate(discs.values()):
+            if j != i and (d % 8 == 5 if p == 2 else kronecker_symbol(d, p) == -1):
+                row ^= 1 << j | 1 << i
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(discs) - 1 - len(basis)
 
 
 def _power(f: tuple[int, int, int], n: int, D: int) -> tuple[int, int, int]:
@@ -508,13 +567,15 @@ def _sylow_factors(
     """The invariant factors, largest first, of the ell-Sylow subgroup of
     the class group, for ell^e || h = len(forms).
 
-    A subgroup of prime order ell needs no composition.  Any other is the
-    image of x -> x^m, m = h / ell^e, and it is cyclic as soon as an image
-    s has s^(ell^(e-1)) != 1.  The images of the sorted forms are tested in
-    turn, each one outside the subgroup that the cosets of the earlier ones
-    generate; when m = 1 the forms are the subgroup, and only the first is
-    tested.  A subgroup with no image of full order is walked alone by
-    _orders.
+    The 2-part comes here only when genus theory (Gauss) and Redei's
+    4-rank (J. reine angew. Math. 171, 1934) leave it open; see
+    _forced_two_part.  A subgroup of prime order ell needs no composition.
+    Any other is the image of x -> x^m, m = h / ell^e, and it is cyclic as
+    soon as an image s has s^(ell^(e-1)) != 1.  The images of the sorted
+    forms are tested in turn, each one outside the subgroup that the cosets
+    of the earlier ones generate; when m = 1 the forms are the subgroup,
+    and only the first is tested.  A subgroup with no image of full order
+    is walked alone by _orders.
     """
     order = ell**e
     if e == 1:

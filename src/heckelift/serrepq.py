@@ -409,6 +409,7 @@ def local_compat(
         raise ValueError("residue characteristics must differ")
     if ell in (p, q):
         raise ValueError("compatibility is checked away from p and q")
+    require_odd_primes(ell, p, q)
     a, b = sorted((datum_p, datum_q), key=lambda datum: list(_SHAPES).index(type(datum)))
     frobs = [f for d in (a, b) for f in _SHAPES[type(d)](d)]
     for f in frobs:

@@ -651,10 +651,10 @@ class TestExitCodes:
         ],
     )
     def test_class_group_checks_survive_optimize(self, tmp_path, name, broken):
-        # h(-260) = 8 as at -1155, but there every class is its own inverse,
-        # so no walk composes; here the walks through the classes of order 4 do
+        # h(-3896) = 36: genus theory gives the 2-part, Z/4, with no
+        # composition, but the 3-part (3, 3) is generated and walked
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps({"version": 1, "D": -260}))
+        path.write_text(json.dumps({"version": 1, "D": -3896}))
         script = (
             "import sys\n"
             "from heckelift import cli, heckequad\n"
@@ -665,7 +665,7 @@ class TestExitCodes:
         assert done.returncode == 3, done.stderr
         error = json.loads(done.stdout)["error"]
         assert error["type"] == "internal"
-        check = {"pow": "composition left discriminant -260", "valuation": "do not multiply to h = 8"}
+        check = {"pow": "composition left discriminant -3896", "valuation": "do not multiply to h = 36"}
         assert check[name] in error["message"]
 
     def test_certificate_check_survives_optimize(self, tmp_path):

@@ -584,6 +584,33 @@ class TestLevels:
             with pytest.raises(ValueError, match="does not factor through"):
                 rho.with_modulus(conductor // ell)
 
+    def test_certificate_character_at_level_one(self):
+        # eps on (Z/5)^* with image 1/4 against the trivial character mod 7:
+        # neither modulus has 25 in it, so eps stays on (Z/5)^*, not (Z/25)^*
+        eps = GroupCharacter(unit_group(5, 1), (QmodZ(1, 4),))
+        trivial = GroupCharacter.trivial(unit_group(7, 1))
+        res = decide_prop_q(*hecke_reductions(eps, trivial, 0, 5, 7))
+        got = [(label, chi.group.orders, chi.exps) for label, chi in res.certificate.local_chars]
+        assert got == [("5", (4,), (1,))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs_supported_on_pq(), st.integers(0, 10**6), st.booleans())
+    def test_certificate_characters_sit_at_the_level_of_the_other_modulus(self, pair, k, liftable):
+        # the character at r lives on (Z/r^a)^*, a the exponent of r in the
+        # modulus of the character mod the other prime, and at least 1
+        rho, rho_prime = pair
+        p, q = rho.residue_char, rho_prime.residue_char
+        if liftable:
+            rho, rho_prime = hecke_reductions(*characters_at_pq(*pair)[:2], k, p, q)
+        res = decide_prop_q(rho, rho_prime)
+        if res is None:
+            assert not liftable
+            return
+        other = {p: rho_prime, q: rho}
+        for label, chi in res.certificate.local_chars:
+            r = int(label)
+            assert chi.group == unit_group(r, max(1, other[r].prime_exponent(r)))
+
     def test_below_the_conductor_is_refused_by_name(self):
         chi = gchar(3, 25 * 7, **{"5": "1/20", "7": "1/2"})
         for modulus, level in ((5 * 7, 1), (7, 0)):

@@ -24,9 +24,11 @@ from heckelift.heckequad import (
 from heckelift.heckequad import (
     _class_group,
     _compose,
+    _forced_two_part,
     _orders,
     _principal_form,
     _reduce_form,
+    _redei_4_rank,
     _reduced_forms,
 )
 
@@ -710,9 +712,10 @@ class TestClassGroup:
 
 class TestSylowParts:
     """class_group takes the class group one Sylow subgroup at a time: a part
-    of prime order needs no composition, a cyclic part one image of full
-    order, the whole group too when h is a prime power, and only a
-    non-cyclic part is walked by _orders."""
+    of prime order needs no composition, a 2-part that genus theory and
+    Redei's 4-rank force none either, any other cyclic part one image of
+    full order, the whole group too when h is a prime power, and only a
+    non-cyclic part left open is walked by _orders."""
 
     def test_matches_the_histogram_path_on_small_fields(self):
         for D in _fundamental_discriminants(4999):
@@ -740,21 +743,20 @@ class TestSylowParts:
         assert grp == _class_group_by_histogram(-95471)
 
     def test_cyclic_parts_from_one_element_each(self, walks):
-        # h = 36 = 4 * 9: the first image other than the identity has full
-        # order in both the 2-part and the 3-part
-        grp = class_group(-959)
-        assert grp.invariant_factors == (36,)
+        # h = 225 = 9 * 25: the first image other than the identity has full
+        # order in both the 3-part and the 5-part
+        grp = class_group(-51839)
+        assert grp.invariant_factors == (225,)
         assert walks == []
-        assert grp == _class_group_by_histogram(-959)
+        assert grp == _class_group_by_histogram(-51839)
 
     def test_cyclic_part_generated_from_an_image_of_lower_order(self, walks):
-        # h = 1868 = 4 * 467: (2, -1, c) has order 934, so the first image in
-        # the 2-part has order 2; an image outside the subgroup it generates
-        # has order 4, and nothing is walked
-        grp = class_group(-960671)
-        assert grp.invariant_factors == (1868,)
+        # h = 36 = 4 * 9: the first image in the 3-part has order 3; an image
+        # outside the subgroup it generates has order 9, and nothing is walked
+        grp = class_group(-1055)
+        assert grp.invariant_factors == (36,)
         assert walks == []
-        assert grp == _class_group_by_histogram(-960671)
+        assert grp == _class_group_by_histogram(-1055)
 
     def test_cyclic_part_past_an_image_of_lower_order_costs_no_walk(self, compositions, walks):
         # h = 578 = 2 * 17^2: the first image in the 17-part has order 17;
@@ -765,11 +767,11 @@ class TestSylowParts:
         assert grp == _class_group_by_histogram(-267239)
 
     def test_cyclic_whole_group_tested_not_walked(self, walks):
-        # h = 8: the forms are the 2-part, and the first has order 8
-        grp = class_group(-95)
-        assert grp.invariant_factors == (8,)
+        # h = 9: the forms are the 3-part, and the first has order 9
+        grp = class_group(-199)
+        assert grp.invariant_factors == (9,)
         assert walks == []
-        assert grp == _class_group_by_histogram(-95)
+        assert grp == _class_group_by_histogram(-199)
 
     def test_non_cyclic_whole_group_walked_after_one_test(self, compositions, walks):
         # h = 243 = 3^5: the forms are the 3-part, the first form f other
@@ -785,18 +787,61 @@ class TestSylowParts:
         assert total == len(compositions) + 8
 
     def test_non_cyclic_part_walked_alone(self, walks):
-        # h = 448 = 64 * 7: the 2-part has rank 6, and only its 64 forms
-        # are walked
-        grp = class_group(-2042040)
-        assert grp.invariant_factors == (2, 2, 2, 2, 2, 14) and grp.exponent == 14
-        assert walks == [64]
-        assert grp == _class_group_by_histogram(-2042040)
+        # h = 36 = 4 * 9: the 3-part is (3, 3), and only its 9 forms are
+        # walked; genus theory makes the 2-part cyclic
+        grp = class_group(-3896)
+        assert grp.invariant_factors == (3, 12) and grp.exponent == 12
+        assert walks == [9]
+        assert grp == _class_group_by_histogram(-3896)
 
     def test_two_group_walked_whole(self, walks):
-        grp = class_group(-27924)
-        assert grp.invariant_factors == (2, 2, 16) and grp.exponent == 16
+        # 4895 = 5 * 11 * 89: 2-rank 2 and h = 2^6 leave an excess of 4,
+        # but the 4-rank is 2, so (4, 16) and (8, 8) stay open
+        grp = class_group(-4895)
+        assert grp.invariant_factors == (4, 16) and grp.exponent == 16
         assert walks == [grp.h] == [64]
-        assert grp == _class_group_by_histogram(-27924)
+        assert grp == _class_group_by_histogram(-4895)
+
+    @pytest.mark.parametrize(
+        "D, two_part, factors",
+        [
+            # 2-rank 1: the 2-part is cyclic (h = 1868 = 4 * 467)
+            pytest.param(-960671, [4], (1868,), id="r2=1"),
+            # e = 2-rank: the 2-part is elementary (h = 448 = 2^6 * 7)
+            pytest.param(-2042040, [2] * 6, (2, 2, 2, 2, 2, 14), id="e=r2"),
+            # 4-rank 1: one factor takes the excess e - r2 = 3 (h = 64)
+            pytest.param(-27924, [16, 2, 2], (2, 2, 16), id="r4=1"),
+            # 4-rank 2 = e - r2: each factor past 2 is 4 (h = 16)
+            pytest.param(-2379, [4, 4], (4, 4), id="r4=e-r2"),
+            # 4-rank 2 = e - r2 - 1: one factor past 4, which is 8 (h = 32)
+            pytest.param(-5795, [8, 4], (4, 8), id="r4=e-r2-1"),
+            # 4-rank 2 = e - r2 - 2: (16, 4) or (8, 8), here (8, 8) (h = 64)
+            pytest.param(-25988, None, (8, 8), id="open"),
+        ],
+    )
+    def test_two_part_from_genus_theory_and_redei(self, D, two_part, factors, compositions):
+        e = valuation(len(_reduced_forms(D)), 2)
+        assert _forced_two_part(D, e) == two_part
+        grp = class_group(D)
+        assert grp.invariant_factors == factors
+        # every odd part here has prime order
+        assert (compositions == []) == (two_part is not None)
+        assert grp == _class_group_by_histogram(D)
+
+    def test_redei_4_rank_matches_the_walked_two_part(self):
+        for D in _fundamental_discriminants(4999):
+            factors = _class_group_by_histogram(D).invariant_factors
+            r4 = sum(1 for d in factors if d % 4 == 0)
+            assert _redei_4_rank(D, oracles.prime_factors(-D)) == r4, D
+
+    def test_compositions_over_small_fields_stay_at_the_measured_count(self, compositions):
+        # every fundamental D with 10^3 <= |D| < 5000: 734 compositions, where
+        # walking each 2-part instead of taking it from genus theory and the
+        # 4-rank made 9,718; the count is exact, whatever the host
+        for D in _fundamental_discriminants(4999):
+            if D <= -1000:
+                class_group(D)
+        assert len(compositions) <= 734
 
 
 @pytest.mark.usefixtures("fresh_memo")

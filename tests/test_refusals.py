@@ -26,6 +26,7 @@ from heckelift.exactnum import (
     Congruence,
     QmodZ,
     factorize,
+    kronecker_symbol,
     prime_to_part,
     primitive_root,
     valuation,
@@ -56,6 +57,7 @@ from heckelift.serrepq import (
     Steinberg,
     UnramifiedSemisimple,
     local_compat,
+    remark2_check,
     wd_reduce,
 )
 from conftest import run_python
@@ -255,6 +257,18 @@ def test_sturm_congruence_without_weight_tags_has_no_proof_bound():
         (
             lambda: unramified_pair(3, AlgebraicFrobValue(QmodZ(1, 2), True)),
             "weight=True): zeta must be a QmodZ and the weight an int",
+        ),
+        # a float reached is_prime's typed memo, which raised a bare TypeError,
+        # or, as a place of local_compat, pow
+        (lambda: remark2_check(3, 5, 7.0), "7.0 must be an odd prime"),
+        (lambda: kronecker_symbol(5, 7.0), "7.0 must be an odd prime"),
+        (
+            lambda: local_compat(UnramifiedSemisimple(7.0, 3, ONE), UnramifiedSemisimple(7.0, 5, ONE)),
+            "7.0 must be an odd prime",
+        ),
+        (
+            lambda: local_compat(UnramifiedSemisimple(3, 5, ONE), UnramifiedSemisimple(3, 7.0, ONE)),
+            "7.0 must be an odd prime",
         ),
         # True was the modulus 1, and a float key raised a bare TypeError from factorize
         (lambda: GlobalCharQ.from_images(5, True, {}), "modulus True is not an int"),
