@@ -17,7 +17,6 @@ _MODULE_EXPORTS = {
         "QmodZ",
         "bernoulli",
         "crt_pair",
-        "discrete_log",
         "kronecker_symbol",
         "prime_to_part",
         "weight_crt",

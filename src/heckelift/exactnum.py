@@ -1,9 +1,9 @@
 """Exact arithmetic substrate.
 
 Residues in Q/Z (additive stand-ins for roots of unity), congruence
-classes, one solver of a*w = b mod m under crt_pair, discrete_log and
-unit_dlog, the common weight of two weight classes, and the number theory
-helpers the rest of the library leans on.  Unit groups (Z/ell^a)^* are
+classes, one solver of a*w = b mod m under crt_pair and unit_dlog, the
+common weight of two weight classes, and the number theory helpers the
+rest of the library leans on.  Unit groups (Z/ell^a)^* are
 known by their odd prime ell: `primitive_root` and `unit_dlog`, which logs
 to the least root in (Z/ell)^*, share one factorisation of ell - 1.
 
@@ -36,7 +36,6 @@ __all__ = [
     "weight_crt",
     "glue_pq",
     "prime_to_part",
-    "discrete_log",
     "kronecker_symbol",
     "bernoulli",
     "BERNOULLI_BOUND",
@@ -225,7 +224,7 @@ def factorize(n: int) -> dict[int, int]:
     to some base is composite; one that passes all of them cannot be proved
     prime, and factorize raises ValueError naming PRIME_TEST_BOUND.  Work
     past the _RHO_STEPS budget raises ValueError naming _RHO_STEPS."""
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise TypeError(f"{n!r} is not an integer")
     if n < 1:
         raise ValueError("can only factor positive integers")
@@ -411,20 +410,15 @@ class QmodZ(Record):
         return f"QmodZ({self.num}, {self.den})"
 
 
-def glue_pq(x, p: int, y, q: int, d: int | None = None):
+def glue_pq(x: int, p: int, y: int, q: int, d: int) -> int | None:
     """The z whose prime-to-p part is x and whose prime-to-q part is y, or
     None when there is none.  x, y and z are residues mod d standing for
-    x/d, y/d and z/d in Q/Z; with d omitted they are QmodZ values, carried
-    onto the lcm of their denominators.
+    x/d, y/d and z/d in Q/Z.
 
     x must have no p-part and y no q-part.  z exists exactly when x and y
     agree away from p and q, and it is unique: the p-part of y plus the
     prime-to-p part of x, that is y plus the prime-to-p part of x - y.
     """
-    if d is None:
-        d = math.lcm(x.den, y.den)
-        z = glue_pq(x.num * (d // x.den), p, y.num * (d // y.den), q, d)
-        return None if z is None else QmodZ(z, d)
     away_from_p = _prime_to(x - y, d, p)
     if _prime_to(away_from_p, d, q):
         return None
@@ -493,12 +487,6 @@ def weight_crt(
     while rep < 2:
         rep += got.modulus
     return WeightCrtResult(got, rep)
-
-
-def discrete_log(target: QmodZ, base: QmodZ) -> int | None:
-    """Least e >= 0 with e*base = target in Q/Z, or None if target is not
-    in the cyclic subgroup generated by base."""
-    return _solve_linear(base.num * target.den, target.num * base.den, base.den * target.den)
 
 
 def kronecker_symbol(D: int, p: int) -> int:
@@ -594,12 +582,14 @@ _BABY_STEPS = 1 << 18  # sqrt(f) baby steps at f near 10^16 would take gigabytes
 _GIANT_STEPS = 1 << 21  # about 0.3 s of giant steps; f past 2^39 is refused
 
 
+@lru_cache(maxsize=1 << 12, typed=True)
 def unit_dlog(target: int, ell: int) -> int:
     """The least e >= 0 with g^e = target mod the prime ell, g = primitive_root(ell) the
     least primitive root; a target divisible by ell, no power of g, raises ValueError.
     Pohlig-Hellman (IEEE Trans. Inf. Theory 24, 1978) over the prime powers f of
     ell - 1, each by baby-step giant-step (Shanks, 1971), its table capped at _BABY_STEPS.
-    A prime power f that would need more than _GIANT_STEPS giant steps raises ValueError."""
+    A prime power f that would need more than _GIANT_STEPS giant steps raises ValueError.
+    The 1 << 12 most recent logs are memoised, typed as is_prime's: 5.0 never meets 5."""
     generator, e, done = primitive_root(ell), 0, 1
     for r, k in _unit_order_factors(ell):
         f = r**k

@@ -58,7 +58,6 @@ from .exactnum import (
 __all__ = [
     "GlobalCharQ",
     "LocalInvariantsQ",
-    "HeckeCertificate",
     "NecessityReport",
     "TwistResult",
     "PropQResult",

@@ -100,34 +100,35 @@ class ImagQuadField(Record):
     __slots__ = ("D",)
 
     def __init__(self, D: int):
-        if not isinstance(D, int):
-            raise TypeError(f"discriminant {D!r} is not an integer")
-        if D >= 0:
-            raise ValueError("discriminant must be negative")
-        if D >= -4:
-            raise ValueError("fields with extra roots of unity are not supported")
-        if -D > DISCRIMINANT_BOUND:
-            raise ValueError(
-                f"|D| = {-D} exceeds the discriminant bound {DISCRIMINANT_BOUND}"
-            )
-        r = D % 4
-        if r == 1:
-            if not _is_squarefree(D):
-                raise ValueError(f"{D} is not a fundamental discriminant")
-        elif r == 0:
-            m = D // 4
-            if m % 4 in (0, 1) or not _is_squarefree(m):
-                raise ValueError(f"{D} is not a fundamental discriminant")
-        else:
-            raise ValueError(f"{D} is not a discriminant (must be 0 or 1 mod 4)")
+        _fundamental_primes(D)
         self._store(D)
 
     def __str__(self) -> str:
         return f"Q(sqrt({self.D}))"
 
 
-def _is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize(abs(n)).values())
+def _fundamental_primes(D: int) -> tuple[int, ...]:
+    """D's primes, increasing, once ImagQuadField's checks pass: -4 > D >=
+    -DISCRIMINANT_BOUND, and D = 1 mod 4 or D = 4m with m = 2 or 3 mod 4,
+    squarefree but for that 4."""
+    if not isinstance(D, int):
+        raise TypeError(f"discriminant {D!r} is not an integer")
+    if D >= 0:
+        raise ValueError("discriminant must be negative")
+    if D >= -4:
+        raise ValueError("fields with extra roots of unity are not supported")
+    if -D > DISCRIMINANT_BOUND:
+        raise ValueError(
+            f"|D| = {-D} exceeds the discriminant bound {DISCRIMINANT_BOUND}"
+        )
+    if D % 4 > 1:
+        raise ValueError(f"{D} is not a discriminant (must be 0 or 1 mod 4)")
+    if D % 4 == 0 and D // 4 % 4 < 2:
+        raise ValueError(f"{D} is not a fundamental discriminant")
+    factors = factorize(-D)
+    if any(e > 1 for p, e in factors.items() if p != 2):
+        raise ValueError(f"{D} is not a fundamental discriminant")
+    return tuple(factors)
 
 
 class Place(Record):
@@ -468,28 +469,31 @@ def class_group(D: int) -> IdealClassGroup:
     there (h = 533 at D = -95471, 1868 at -960671 and 6216 at -9559679)
     take 0.0004 s, 0.0034 s and 0.031 s.
 
-    The last eight groups computed are kept, so asking again for one of
-    those fields returns the same object without recomputing it.
+    D is refused as ImagQuadField refuses it, and the factorisation of
+    |D| that proves it fundamental is the one genus theory reads.  The last
+    eight groups computed are kept, so asking again for one of those fields
+    returns the same object without recomputing it.
     """
     check_class_group_bound(D)
-    ImagQuadField(D)  # validates fundamental and D < -4
     return _class_group(D)
 
 
 # callers ask for a field's group and then for its counting bound: eight
 # entries serve that and hold at most about 6 MB (the group of D = -9559679,
 # h = 6216, the largest h found below CLASS_GROUP_BOUND, holds 0.75 MB by
-# tracemalloc).  ImagQuadField refuses a float such as -1155.0 first, so
-# every key is an int.
-@functools.lru_cache(maxsize=8)
+# tracemalloc).  The key is typed, so a float such as -1155.0 never meets
+# the entry for -1155 and _fundamental_primes refuses it; a refusal is
+# never memoised.
+@functools.lru_cache(maxsize=8, typed=True)
 def _class_group(D: int) -> IdealClassGroup:
+    primes = _fundamental_primes(D)
     forms = _reduced_forms(D)
     h = len(forms)
     # the i-th largest invariant factor is the product of the i-th largest
     # invariant factors of the Sylow subgroups
     largest_first: list[int] = []
     for ell, e in factorize(h).items():
-        part = _forced_two_part(D, e) if ell == 2 else None
+        part = _forced_two_part(D, primes, e) if ell == 2 else None
         if part is None:
             part = _sylow_factors(forms, D, ell, e)
         largest_first = [x * y for x, y in zip_longest(largest_first, part, fillvalue=1)]
@@ -501,10 +505,11 @@ def _class_group(D: int) -> IdealClassGroup:
     return IdealClassGroup(D, tuple(forms), h, exponent, factors)
 
 
-def _forced_two_part(D: int, e: int) -> list[int] | None:
+def _forced_two_part(D: int, primes: tuple[int, ...], e: int) -> list[int] | None:
     """The invariant factors, largest first, of the 2-Sylow subgroup of the
-    class group, for 2^e || h, when genus theory and Redei's 4-rank force
-    them; None when they leave it open.
+    class group of D, whose prime factors are primes, for 2^e || h, when
+    genus theory and Redei's 4-rank force them; None when they leave it
+    open.
 
     By genus theory (Gauss) the subgroup has r2 = omega(D) - 1 cyclic
     factors 2^a, so what is left to place is the excess e - r2, the sum of
@@ -513,7 +518,6 @@ def _forced_two_part(D: int, e: int) -> list[int] | None:
     they share the excess - r4 left past 4: one of them takes all of that
     when r4 = 1 or excess - r4 <= 1, and any other case is open.
     """
-    primes = factorize(-D)
     r2 = len(primes) - 1
     excess = e - r2
     if r2 == 1 or excess <= 1:

@@ -5,9 +5,10 @@ series (two tame characters plus Frobenius data) and the twist-of-special
 shape (nonzero monodromy, forcing eigenvalue ratio ell up to inversion).
 Frobenius eigenvalue data is kept algebraic: a root of unity times an
 integer power of ell, written (zeta, w) for zeta * ell^w.  Reduction keeps
-the prime-to-p part of zeta and folds nothing.  local_compat compares reduced
-values as residues x mod one m (x/m in Q/Z), the lcm of p - 1, q - 1 and the
-data's zeta denominators; it builds QmodZ only for witnesses and one reason.
+the prime-to-p part of zeta and folds nothing, and ell reduces mod r to its
+unit_dlog over r - 1.  local_compat compares reduced values as residues x
+mod one m (x/m in Q/Z), the lcm of p - 1, q - 1 and the data's zeta
+denominators; it builds QmodZ only for witnesses and one reason.
 
 A parameter with nonzero monodromy admits two integral-model reductions:
 the generic one with nontrivial unipotent inertia, and a rescaled one,
@@ -22,7 +23,6 @@ gone after the unramified quadratic base change since (-ell)^2 = ell^2.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .abchar import (
     GroupCharacter,
@@ -56,7 +56,6 @@ __all__ = [
     "wd_reduce",
     "local_compat",
     "remark2_check",
-    "residue_address",
 ]
 
 
@@ -64,35 +63,37 @@ __all__ = [
 # Algebraic Frobenius data
 
 
-@lru_cache(maxsize=1 << 12)
-def residue_address(u: int, r: int) -> QmodZ:
-    """The image of the unit u in the fixed Q/Z coordinates of F_r^*, where
-    the least primitive root is 1/(r-1): its unit_dlog over r - 1."""
-    return QmodZ(unit_dlog(u, r), r - 1)
-
-
 class AlgebraicFrobValue(Record):
-    """zeta * ell^w with zeta a root of unity written additively in Q/Z."""
+    """zeta * ell^w with zeta a root of unity written additively in Q/Z and
+    the weight w an int."""
 
     __slots__ = ("zeta", "weight")
 
+    def __init__(self, zeta: QmodZ, weight: int):
+        if type(zeta) is not QmodZ or type(weight) is not int:
+            raise ValueError(
+                f"AlgebraicFrobValue(zeta={zeta!r}, weight={weight!r}): "
+                "zeta must be a QmodZ and the weight an int"
+            )
+        self._store(zeta, weight)
+
     def reduce(self, target: int) -> "AlgebraicFrobValue":
-        return AlgebraicFrobValue(self.zeta.part_prime_to(target), self.weight)
+        return AlgebraicFrobValue._make(self.zeta.part_prime_to(target), self.weight)
 
     def value_mod(self, ell: int, target: int, m: int) -> int:
         """The reduction modulo target, as an element of the residue field's
-        multiplicative group in Q/Z coordinates: a residue mod m, for m a
-        multiple of target - 1 and of zeta's denominator."""
-        L = residue_address(ell, target)
+        multiplicative group in Q/Z coordinates, where the least primitive
+        root is 1/(target - 1): a residue mod m, for m a multiple of
+        target - 1 and of zeta's denominator."""
         x = _prime_to(self.zeta.num * (m // self.zeta.den), m, target)
-        return (x + self.weight * L.num * (m // L.den)) % m
+        return (x + self.weight * unit_dlog(ell, target) * (m // (target - 1))) % m
 
     def __str__(self) -> str:
         return f"zeta({self.zeta}) * ell^{self.weight}"
 
 
 _ONE = AlgebraicFrobValue(QmodZ(0, 1), 0)
-_ELL = AlgebraicFrobValue(QmodZ(0, 1), 1)  # its value_mod is residue_address mod m
+_ELL = AlgebraicFrobValue(QmodZ(0, 1), 1)  # its value_mod is ell's unit_dlog over r - 1
 
 
 class QuasiChar(Record):
@@ -163,6 +164,8 @@ def wd_reduce(param: WDParam, ell: int, target: int) -> LocalGaloisDatum:
     reduces, in the generic integral model, to order-target unipotent
     inertia with the reduced Frobenius character.
     """
+    if type(ell) is not int or type(target) is not int:
+        raise ValueError(f"ell = {ell!r} and target = {target!r} must be ints")
     if ell == target:
         raise ValueError("reduction is only defined away from ell")
     if not is_prime(ell) or not is_prime(target):
@@ -179,18 +182,18 @@ def wd_reduce(param: WDParam, ell: int, target: int) -> LocalGaloisDatum:
     f1 = param.eps1.frob.reduce(target)
     f2 = param.eps2.frob.reduce(target)
     if red1.is_trivial() and red2.is_trivial():
-        ratio = AlgebraicFrobValue(f1.zeta - f2.zeta, f1.weight - f2.weight)
+        ratio = AlgebraicFrobValue._make(f1.zeta - f2.zeta, f1.weight - f2.weight)
         return UnramifiedSemisimple(ell, target, _normalise_ratio(ratio))
     return TamePrincipal(ell, target, (red1, red2), (f1, f2))
 
 
 def _normalise_ratio(ratio: AlgebraicFrobValue) -> AlgebraicFrobValue:
     if ratio.weight < 0:
-        ratio = AlgebraicFrobValue(-ratio.zeta, -ratio.weight)
+        ratio = AlgebraicFrobValue._make(-ratio.zeta, -ratio.weight)
     if ratio.weight == 0:
         alt = -ratio.zeta
         if (alt.num, alt.den) < (ratio.zeta.num, ratio.zeta.den):
-            ratio = AlgebraicFrobValue(alt, 0)
+            ratio = AlgebraicFrobValue._make(alt, 0)
     return ratio
 
 
@@ -231,12 +234,13 @@ def _simultaneous_value(
     """The algebraic value zeta * ell^w of least weight w >= 0 whose reductions
     mod p and mod q hit the first pair (t_p, t_q) in targets that one hits.
 
-    Targets and l_r = residue_address(ell, r) are residues mod m, a multiple
-    of p - 1 and q - 1.  A t_p with a p-part, or a t_q with a q-part, is hit
-    by no reduction.  zeta exists at w exactly when t_p - w*l_p and t_q -
-    w*l_q agree away from p and q (glue_pq), that is when w * pi(l_p - l_q) =
-    pi(t_p - t_q) mod m for pi = exactnum's _prime_to away from p and q.
-    _solve_linear gives the least such w, below lcm(p-1, q-1); zeta glues.
+    Targets and l_r = unit_dlog(ell, r) * (m // (r - 1)), ell's value mod r,
+    are residues mod m, a multiple of p - 1 and q - 1.  A t_p with a p-part,
+    or a t_q with a q-part, is hit by no reduction.  zeta exists at w
+    exactly when t_p - w*l_p and t_q - w*l_q agree away from p and q
+    (glue_pq), that is when w * pi(l_p - l_q) = pi(t_p - t_q) mod m for
+    pi = exactnum's _prime_to away from p and q.  _solve_linear gives the
+    least such w, below lcm(p-1, q-1); zeta glues.
     """
     l_p, l_q = _ELL.value_mod(ell, p, m), _ELL.value_mod(ell, q, m)
     step = _prime_to(l_p - l_q, m, p, q)
@@ -248,7 +252,7 @@ def _simultaneous_value(
             continue
         zeta = glue_pq((t_p - w * l_p) % m, p, (t_q - w * l_q) % m, q, m)
         if zeta is not None:
-            value = AlgebraicFrobValue(QmodZ(zeta, m), w)
+            value = AlgebraicFrobValue._make(QmodZ(zeta, m), w)
             if value.value_mod(ell, p, m) == t_p and value.value_mod(ell, q, m) == t_q:
                 return value
         raise AssertionError(f"weight {w} does not reduce to both targets at {ell}")
@@ -315,7 +319,7 @@ def _steinberg_ratio(uni: UnipotentRamified, other: UnramifiedSemisimple, m: int
     # the unramified datum pins no Frobenius value, only the ratio: any
     # twist value reducing correctly mod p serves
     t_p = uni.frob_char_value.value_mod(ell, p, m)
-    return _report(Steinberg(QuasiChar(inert, AlgebraicFrobValue(QmodZ(t_p, m), 0))))
+    return _report(Steinberg(QuasiChar(inert, AlgebraicFrobValue._make(QmodZ(t_p, m), 0))))
 
 
 def _match_principal(a: TamePrincipal, b: TamePrincipal, m: int) -> CompatReport:
@@ -353,7 +357,7 @@ def _match_tame_against_ratio(
             None, "a pinned inertial character does not vanish under the other reduction"
         )
     t1, t2 = (f.value_mod(ell, cp, m) for f in tame.frobs)
-    value2 = AlgebraicFrobValue(QmodZ(t2, m), 0)
+    value2 = AlgebraicFrobValue._make(QmodZ(t2, m), 0)
     v2, r = value2.value_mod(ell, cq, m), unram.ratio.value_mod(ell, cq, m)
     value1 = _simultaneous_value(ell, cp, cq, m, [(t1, (v2 + s * r) % m) for s in (1, -1)])
     if value1 is None:
@@ -412,9 +416,6 @@ def local_compat(
     require_odd_primes(ell, p, q)
     a, b = sorted((datum_p, datum_q), key=lambda datum: list(_SHAPES).index(type(datum)))
     frobs = [f for d in (a, b) for f in _SHAPES[type(d)](d)]
-    for f in frobs:
-        if type(f.zeta) is not QmodZ or type(f.weight) is not int:
-            raise ValueError(f"{f!r}: zeta must be a QmodZ and the weight an int")
     m = math.lcm(p - 1, q - 1, *(f.zeta.den for f in frobs))
     return _MATCHERS[type(a), type(b)](a, b, m)
 

@@ -4,10 +4,10 @@ enumeration, offered as fixtures; oracles, the module perfbench/oracles.py
 loaded by its file path, which is the tests' one source of independent
 arithmetic (primes, factorisations, Kronecker symbols, fundamental
 discriminants, Bernoulli numbers and divisor sums) and imports only the
-standard library; two references that oracles.py has no counterpart for,
-walk_dlog, the discrete log by walking, and xgcd, the extended Euclidean
-algorithm; and run_python, the one way a test starts a fresh
-interpreter."""
+standard library; three references that oracles.py has no counterpart
+for, walk_dlog and walk_qmodz_log, the discrete logs in (Z/n)^* and in Q/Z
+by walking, and xgcd, the extended Euclidean algorithm; and run_python,
+the one way a test starts a fresh interpreter."""
 
 import importlib.util
 import itertools
@@ -37,6 +37,20 @@ def walk_dlog(generator: int, target: int, modulus: int) -> int:
             return e
         x = x * generator % modulus
     raise ValueError(f"{target} is not a power of {generator} modulo {modulus}")
+
+
+def walk_qmodz_log(target: QmodZ, base: QmodZ) -> int | None:
+    """Reference discrete log in Q/Z: the least e >= 0 with e*base = target,
+    found by walking the multiples of base, or None when target is none of
+    them.  They are the residues over base.den, so the walk stops there."""
+    if base.den % target.den:
+        return None
+    x, goal = 0, target.num * (base.den // target.den)
+    for e in range(base.den):
+        if x == goal:
+            return e
+        x = (x + base.num) % base.den
+    return None
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

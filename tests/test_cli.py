@@ -1220,7 +1220,7 @@ def _fresh_python(script: str) -> str:
 
 # every name the package re-exported when it imported all of its modules
 PACKAGE_NAMES = [
-    "Congruence", "QmodZ", "bernoulli", "crt_pair", "discrete_log",
+    "Congruence", "QmodZ", "bernoulli", "crt_pair",
     "kronecker_symbol", "prime_to_part", "FinAbGroup", "GroupCharacter",
     "ModCharacter", "character_conductor",
     "enumerate_characters", "reduce_mod", "simultaneous_artin_lift",

@@ -15,7 +15,7 @@ from heckelift.abchar import (
     unit_group,
     unit_value,
 )
-from heckelift.exactnum import Congruence, QmodZ, discrete_log, prime_to_part
+from heckelift.exactnum import Congruence, QmodZ, prime_to_part
 from heckelift.heckeq import (
     GlobalCharQ,
     LocalInvariantsQ,
@@ -29,7 +29,7 @@ from heckelift.heckeq import (
     twist_to_unramified,
 )
 
-from conftest import oracles, walk_dlog
+from conftest import oracles, walk_dlog, walk_qmodz_log
 
 
 def gchar(residue, modulus, **prime_images):
@@ -470,15 +470,15 @@ def qmodz_cyclotomic(ell):
 
 
 def qmodz_extract_invariants(rho, rho_prime):
-    """extract_invariants on Q/Z values, each exponent a discrete_log
-    against the cyclotomic value theta, as the pipeline once computed it."""
+    """extract_invariants on Q/Z values, each exponent a log in Q/Z against
+    the cyclotomic value theta, as the pipeline once computed it."""
     p, q = rho.residue_char, rho_prime.residue_char
 
     def at(ell, own, other_char, other):
         theta = qmodz_cyclotomic(ell)
-        k = discrete_log(own.value_at(ell), theta)
+        k = walk_qmodz_log(own.value_at(ell), theta)
         y = other_char.value_at(ell)
-        j = discrete_log(y.part_prime_to(ell), theta)
+        j = walk_qmodz_log(y.part_prime_to(ell), theta)
         A = prime_to_part(ell - 1, other)
         if j % ((ell - 1) // A):
             raise AssertionError(f"tame exponent {j} at {ell} has order divisible by {other}")

@@ -821,7 +821,7 @@ class TestSylowParts:
     )
     def test_two_part_from_genus_theory_and_redei(self, D, two_part, factors, compositions):
         e = valuation(len(_reduced_forms(D)), 2)
-        assert _forced_two_part(D, e) == two_part
+        assert _forced_two_part(D, tuple(oracles.prime_factors(-D)), e) == two_part
         grp = class_group(D)
         assert grp.invariant_factors == factors
         # every odd part here has prime order
@@ -859,6 +859,14 @@ class TestClassGroupMemo:
         assert calls == [-1155]
         counting_bound(K1155, 17, 19)
         assert calls == [-1155]
+
+    def test_class_group_factorises_the_discriminant_once(self, monkeypatch):
+        # the primes that prove -1155 fundamental are the ones genus theory
+        # reads; the other factorisation is of h = 8
+        calls = []
+        monkeypatch.setattr(heckequad, "factorize", lambda n: calls.append(n) or factorize(n))
+        class_group(-1155)
+        assert calls == [1155, 8]
 
     def test_counting_bound_after_class_group_factorises_nothing(self, monkeypatch):
         # the field was validated when it was built, and the group is memoised

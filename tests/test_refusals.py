@@ -127,6 +127,8 @@ REFUSALS = [
     (lambda: unit_group(5, -1), ValueError, "exponent -1 must be an int >= 0"),
     # exactnum
     (lambda: factorize(0), ValueError, "can only factor positive integers"),
+    # isinstance(n, int) took a bool: factorize(True) was {}
+    (lambda: factorize(True), TypeError, "True is not an integer"),
     (lambda: valuation(0, 3), ValueError, "valuation of 0 is undefined"),
     (lambda: prime_to_part(0, 3), ValueError, "n must be a positive integer"),
     (lambda: Congruence(1, 0), ValueError, "modulus must be positive"),
@@ -258,6 +260,15 @@ def test_sturm_congruence_without_weight_tags_has_no_proof_bound():
             lambda: unramified_pair(3, AlgebraicFrobValue(QmodZ(1, 2), True)),
             "weight=True): zeta must be a QmodZ and the weight an int",
         ),
+        # wd_reduce carried the weight 1.5 into the records it built
+        (
+            lambda: AlgebraicFrobValue(QmodZ(1, 2), 1.5),
+            "AlgebraicFrobValue(zeta=QmodZ(1, 2), weight=1.5): zeta must be a QmodZ",
+        ),
+        # a float reached is_prime's typed memo, which raised a bare TypeError
+        (lambda: wd_reduce(steinberg_at_3(), 3, 7.0), "target = 7.0 must be ints"),
+        (lambda: wd_reduce(steinberg_at_3(), 3.0, 7), "ell = 3.0 and target = 7"),
+        (lambda: wd_reduce(steinberg_at_3(), 3, True), "target = True must be ints"),
         # a float reached is_prime's typed memo, which raised a bare TypeError,
         # or, as a place of local_compat, pow
         (lambda: remark2_check(3, 5, 7.0), "7.0 must be an odd prime"),

@@ -17,7 +17,7 @@ from heckelift.abchar import (
     unit_group,
     unit_value,
 )
-from heckelift.exactnum import QmodZ, discrete_log, glue_pq, is_prime
+from heckelift.exactnum import QmodZ, is_prime, unit_dlog
 from heckelift.serrepq import (
     _simultaneous_value,
     AlgebraicFrobValue,
@@ -29,11 +29,10 @@ from heckelift.serrepq import (
     UnramifiedSemisimple,
     local_compat,
     remark2_check,
-    residue_address,
     wd_reduce,
 )
 
-from conftest import ROOT
+from conftest import ROOT, oracles, walk_qmodz_log
 
 
 def frob(zeta_num, zeta_den, weight):
@@ -53,15 +52,9 @@ def unipotent(ell, target):
     )
 
 
-class TestResidueAddress:
-    def test_matches_powers_of_generator(self):
-        # 3 generates F_7^*: address of 3^k is k/6
-        for k in range(6):
-            assert residue_address(pow(3, k, 7), 7) == QmodZ(k, 6)
-
-    def test_minus_one_is_order_two(self):
-        for p in (5, 7, 11, 13):
-            assert residue_address(p - 1, p) == QmodZ(1, 2)
+def address(u, r):
+    """The unit u of F_r^* in Q/Z, where the least primitive root is 1/(r - 1)."""
+    return QmodZ(unit_dlog(u, r), r - 1)
 
 
 class TestWdReduce:
@@ -120,13 +113,28 @@ class TestWdReduce:
                         assert got.inertials[0].base == expected.base
 
 
+def search_glue(x, p, y, q):
+    """The z in Q/Z whose prime-to-p part is x and whose prime-to-q part is
+    y, or None, by a search over the residues of the common denominator n:
+    z - x is then p-primary, so only the residues x + k/p^a, for p^a the
+    p-part of n, are tried."""
+    n = math.lcm(x.den, y.den)
+    p_part = n // oracles.prime_to(n, p)
+    found = [
+        z
+        for z in (x + QmodZ(k, p_part) for k in range(p_part))
+        if z.part_prime_to(p) == x and z.part_prime_to(q) == y
+    ]
+    return found[0] if found else None
+
+
 def scan_simultaneous_value(ell, target_p, p, target_q, q):
     """The reference weight search: the first w < lcm(p-1, q-1) at which
     the two targets glue and both reductions hit them."""
-    L_p = residue_address(ell, p)
-    L_q = residue_address(ell, q)
+    L_p = address(ell, p)
+    L_q = address(ell, q)
     for w in range(math.lcm(p - 1, q - 1)):
-        zeta = glue_pq(target_p - w * L_p, p, target_q - w * L_q, q)
+        zeta = search_glue(target_p - w * L_p, p, target_q - w * L_q, q)
         if zeta is None:
             continue
         value = AlgebraicFrobValue(zeta, w)
@@ -153,24 +161,24 @@ frob_values = st.builds(
 
 def qmodz_value_mod(value, ell, target):
     """AlgebraicFrobValue.value_mod in Q/Z arithmetic."""
-    return value.zeta.part_prime_to(target) + value.weight * residue_address(ell, target)
+    return value.zeta.part_prime_to(target) + value.weight * address(ell, target)
 
 
 def qmodz_simultaneous_value(ell, target_p, p, target_q, q):
-    """_simultaneous_value in Q/Z arithmetic, the weight a discrete_log, as
-    it was computed before it moved to residues mod one denominator."""
+    """_simultaneous_value in Q/Z arithmetic, the weight a log in Q/Z, as it
+    was computed before it moved to residues mod one denominator."""
     if target_p.part_prime_to(p) != target_p or target_q.part_prime_to(q) != target_q:
         return None
-    L_p = residue_address(ell, p)
-    L_q = residue_address(ell, q)
+    L_p = address(ell, p)
+    L_q = address(ell, q)
 
     def pi(x: QmodZ) -> QmodZ:
         return x - (x - x.part_prime_to(p)) - (x - x.part_prime_to(q))
 
-    w = discrete_log(pi(target_p - target_q), pi(L_p - L_q))
+    w = walk_qmodz_log(pi(target_p - target_q), pi(L_p - L_q))
     if w is None:
         return None
-    zeta = glue_pq(target_p - w * L_p, p, target_q - w * L_q, q)
+    zeta = search_glue(target_p - w * L_p, p, target_q - w * L_q, q)
     if zeta is not None:
         value = AlgebraicFrobValue(zeta, w)
         if (
@@ -442,7 +450,7 @@ class TestLocalCompat:
         ell = 11
         grp = unit_group(ell, 1)
         order2 = next(c for c in enumerate_characters(grp) if c.order() == 2)
-        L7 = residue_address(ell, 7)
+        L7 = address(ell, 7)
         datum_p = UnipotentRamified(ell, 5, ModCharacter(order2, 5), frob(0, 1, 0))
         datum_q = TamePrincipal(
             ell, 7,
@@ -638,7 +646,7 @@ def reduces_to(witness, datum):
     # characters with values v and v + L_r
     chi = char(reduce_mod(witness.eps.inertial, r).base)
     v = value(witness.eps.frob)
-    L_r = residue_address(ell, r)
+    L_r = address(ell, r)
     if isinstance(datum, UnramifiedSemisimple):
         return chi.is_trivial() and L_r in ratio_set(datum)
     return summands(datum) in ([(chi, v), (chi, v + L_r)], [(chi, v + L_r), (chi, v)])
