@@ -17,23 +17,23 @@ Teichmueller representative (contributing the order-2 element of Q/Z) and
 odd-order wild characters vanish on it.
 
 Class groups of imaginary quadratic fields are computed through reduced
-binary quadratic forms, enumerated by their middle coefficient and
-composed by Shanks' algorithm, whose Bezout coefficients are modular
-inverses.  The group is taken one Sylow subgroup at a time.  A part of
-prime order needs no composition, and neither does a 2-part whose
-invariant factors genus theory (Gauss: its rank is omega(D) - 1) and
-Redei's 4-rank (J. reine angew. Math. 171, 1934: read from Kronecker
-symbols of the prime discriminants dividing D) force.  Any other part is
-the image of the power map x -> x^m, m the part of h prime to ell (the
-forms themselves when m = 1), and it is cyclic as soon as an image has
-full order.  Only a part with no such image is walked: each class's
-order is read from the walk f, f^2, ... of one cyclic subgroup that
-contains it, which stops once a power's inverse is a power already
-reached, itself included; the inverse of a reduced (a, b, c) is itself
-when b = 0, b = a or a = c, and the reduced (a, -b, c) otherwise.  The
-orders in a walked part fix its invariant factors, and the group
-structure feeds the counting bound that exhibits non-liftable unramified
-pairs.
+binary quadratic forms, enumerated by their middle coefficient, or by
+their first coefficient for a large |D|, and composed by Shanks'
+algorithm, whose Bezout coefficients are modular inverses.  The group is
+taken one Sylow subgroup at a time.  A part of prime order needs no
+composition, and neither does a 2-part whose invariant factors genus
+theory (Gauss: its rank is omega(D) - 1) and Redei's 4-rank (J. reine
+angew. Math. 171, 1934: read from Kronecker symbols of the prime
+discriminants dividing D) force.  Any other part is the image of the
+power map x -> x^m, m the part of h prime to ell (the forms themselves
+when m = 1), and it is cyclic as soon as an image has full order.  Only a
+part with no such image is walked: each class's order is read from the
+walk f, f^2, ... of one cyclic subgroup that contains it, which stops
+once a power's inverse is a power already reached, itself included; the
+inverse of a reduced (a, b, c) is itself when b = 0, b = a or a = c, and
+the reduced (a, -b, c) otherwise.  The orders in a walked part fix its
+invariant factors, and the group structure feeds the counting bound that
+exhibits non-liftable unramified pairs.
 The last few fields' groups are kept, so the counting bound of a field
 whose group was just computed does not compute it again.
 """
@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 from .abchar import FinAbGroup, GroupCharacter, HeckeCertificate
 from .exactnum import (
@@ -76,7 +77,7 @@ __all__ = [
 ]
 
 # largest |D| class_group accepts; the slowest fields below it take about
-# 0.031 s, nearly all of it enumerating forms (measurements in class_group's
+# 0.01 s, most of it enumerating forms (measurements in class_group's
 # docstring)
 CLASS_GROUP_BOUND = 10**7
 
@@ -107,6 +108,11 @@ class ImagQuadField(Record):
         return f"Q(sqrt({self.D}))"
 
 
+# ImagQuadField and _class_group each ask for D's primes, so building a
+# field and then asking for its group, as counting_bound's callers do,
+# factorises D once.  Typed like _class_group's memo; a refusal is never
+# memoised
+@functools.lru_cache(maxsize=1 << 12, typed=True)
 def _fundamental_primes(D: int) -> tuple[int, ...]:
     """D's primes, increasing, once ImagQuadField's checks pass: -4 > D >=
     -DISCRIMINANT_BOUND, and D = 1 mod 4 or D = 4m with m = 2 or 3 mod 4,
@@ -384,47 +390,68 @@ def _compose(
     return _reduce_form(A, B, C)
 
 
+def _walk(
+    f: tuple[int, int, int], D: int
+) -> tuple[list[tuple[tuple[int, int, int], tuple[int, int, int]]], int]:
+    """The pairs (f^j, f^-j), j = 0 .. k, and n = ord(f): compose f, f^2,
+    ... until the inverse of f^k, which the reduced form gives without a
+    composition, is a power f^i, i <= k, already reached.  Then n = k + i,
+    and the powers after f^k are the inverses of those before f^i.  A
+    self-inverse f^k ends its walk with i = k, so a walk makes
+    floor((n - 1)/2) compositions where walking to the identity made
+    n - 1."""
+    identity = _principal_form(D)
+    walk = [(identity, identity)]
+    exponent = {identity: 0}
+    g = f
+    while True:
+        a, b, c = g
+        inverse = g if b == 0 or b == a or a == c else (a, -b, c)
+        exponent[g] = len(walk)
+        i = exponent.get(inverse)
+        walk.append((g, inverse))
+        if i is not None:
+            return walk, len(walk) - 1 + i
+        g = _compose(g, f, D)
+
+
 def _orders(
     forms: Iterable[tuple[int, int, int]], D: int
 ) -> dict[tuple[int, int, int], int]:
-    """The order of every reduced form: for each form f not yet reached,
-    compose f, f^2, ... until the inverse of f^k, which the reduced form
-    gives without a composition, is a power f^i, i <= k, already reached.
-    Then n = ord(f) = k + i, the powers after f^k are the inverses of those
-    before f^i, and ord(f^j) = ord(f^-j) = n / gcd(j, n).  A self-inverse
-    f^k ends its walk with i = k, so a walk makes floor((n - 1)/2)
-    compositions where walking to the identity made n - 1."""
-    identity = _principal_form(D)
-    orders = {identity: 1}
+    """The order of every reduced form, from the walk (see _walk) of each
+    form not yet reached: ord(f^j) = ord(f^-j) = n / gcd(j, n) for
+    n = ord(f)."""
+    orders = {_principal_form(D): 1}
     for f in forms:
         if f in orders:
             continue
-        walk = [(identity, identity)]  # (f^j, f^-j) for j = 0, 1, ...
-        exponent = {identity: 0}
-        g = f
-        while True:
-            a, b, c = g
-            inverse = g if b == 0 or b == a or a == c else (a, -b, c)
-            exponent[g] = len(walk)
-            i = exponent.get(inverse)
-            walk.append((g, inverse))
-            if i is not None:
-                break
-            g = _compose(g, f, D)
-        n = len(walk) - 1 + i
+        walk, n = _walk(f, D)
         for j, (g, inverse) in enumerate(walk):
             orders[g] = orders[inverse] = n // math.gcd(j, n)
     return orders
 
 
+# |D| from which _reduced_forms enumerates by the first coefficient, where
+# that starts to win clearly.  The scan's time over the new path's, from
+# one first call on each of 100 consecutive fundamental fields from |D| = N
+# on (two runs; Intel Xeon, Python 3.11.7): 0.90-0.93 at N = 2*10^4,
+# 1.01-1.02 at 3*10^4, 0.96-1.08 at 4*10^4, 1.14 at 5*10^4, 1.19-1.20 at
+# 6*10^4, 1.17-1.26 at 7*10^4 and 1.35-1.40 at 10^5
+_BY_FIRST_COEFFICIENT = 5 * 10**4
+
+
 def _reduced_forms(D: int) -> list[tuple[int, int, int]]:
     """The primitive reduced forms of discriminant D < 0, sorted.
 
-    Enumerated by the middle coefficient: for 0 <= b <= sqrt(|D|/3) with
-    b = D mod 2, every a | m = (b^2 - D)/4 with max(b, 1) <= a <= c gives
-    (a, b, c), and (a, -b, c) too when 0 < b < a < c.  Only odd a are tried
-    when m is odd, always so for D = 5 mod 8.
+    Below |D| = _BY_FIRST_COEFFICIENT they are enumerated by the middle
+    coefficient: for 0 <= b <= sqrt(|D|/3) with b = D mod 2, every
+    a | m = (b^2 - D)/4 with max(b, 1) <= a <= c gives (a, b, c), and
+    (a, -b, c) too when 0 < b < a < c.  Only odd a are tried when m is odd,
+    always so for D = 5 mod 8.  From there on _forms_by_first_coefficient
+    enumerates them.
     """
+    if -D >= _BY_FIRST_COEFFICIENT:
+        return _forms_by_first_coefficient(D)
     forms = []
     for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
         m = (b * b - D) // 4
@@ -443,6 +470,85 @@ def _reduced_forms(D: int) -> list[tuple[int, int, int]]:
     return forms
 
 
+@functools.cache
+def _form_tables() -> tuple[list[int], list[int]]:
+    """The odd primes up to isqrt(CLASS_GROUP_BOUND // 3), the largest first
+    coefficient of a reduced form that class_group meets, and for each a up
+    to there its largest odd prime factor, 1 for a power of 2.  Built on
+    first use, since most callers never enumerate a large field."""
+    n = math.isqrt(CLASS_GROUP_BOUND // 3)
+    primes, largest = [], [1] * (n + 1)
+    for p in range(3, n + 1, 2):
+        if largest[p] == 1:
+            primes.append(p)
+            largest[p::p] = [p] * (n // p)
+    return primes, largest
+
+
+def _forms_by_first_coefficient(D: int) -> list[tuple[int, int, int]]:
+    """The primitive reduced forms of discriminant D < 0, sorted, for
+    |D| <= CLASS_GROUP_BOUND, enumerated by their first coefficient a.
+
+    With b_i = (D mod 2) + 2i, the m_i = (b_i^2 - D)/4 increase with i, so
+    b <= a <= c = m_i/a bounds i to [the least i with m_i >= a^2,
+    (a - b_0)/2], and each i there with a | m_i gives (a, b_i, c).  An a
+    with a prime factor p, (D|p) = -1, divides no m_i and is skipped, and
+    so is an even a when D = 5 mod 8, where every m_i is odd.  A prime
+    a = q <= sqrt(|D|/4) has exactly one i* <= (q - b_0)/2 with q | m_i*,
+    found by a scan from 0 that stops there; the i with q | m_i are then
+    those congruent to i* or to -b_0 - i* mod q.  A composite a has its
+    largest odd prime factor q <= a/2, so q was scanned before it, and
+    only the i in q's classes are tried; a larger prime a and a power of 2
+    scan their whole range.  Within one a the forms come in increasing b,
+    so putting each (a, -b, c) first, in reverse order, keeps the list
+    sorted.
+    """
+    b0 = D % 2
+    amax = math.isqrt(-D // 3)
+    ms = [(b * b - D) // 4 for b in range(b0, amax + 1, 2)]
+    primes, largest = _form_tables()
+    keep = bytearray(b"\1") * (amax + 1)
+    keep[0] = 0
+    for p in primes:
+        if p > amax:
+            break
+        if pow(D, p >> 1, p) == p - 1:  # Euler's criterion: (D|p) = -1
+            keep[p::p] = bytes(amax // p)
+    if D % 8 == 5:
+        keep[2::2] = bytes(amax // 2)
+    root = {}  # prime q -> its i*
+    forms = []
+    for a in compress(range(amax + 1), keep):
+        lo = 0 if a * a <= ms[0] else bisect_left(ms, a * a)
+        hi = (a - b0) // 2
+        q = largest[a]
+        if q == a and lo == 0:
+            for i in range(hi + 1):
+                if ms[i] % a == 0:
+                    break
+            root[a] = i
+            hits = [i]
+        elif q == a or q == 1:
+            hits = [i for i in range(lo, hi + 1) if ms[i] % a == 0]
+        else:
+            r, s = root[q], (-b0 - root[q]) % q
+            hits = [i for i in range(lo + (r - lo) % q, hi + 1, q) if ms[i] % a == 0]
+            if s != r:
+                hits += [i for i in range(lo + (s - lo) % q, hi + 1, q) if ms[i] % a == 0]
+                hits.sort()
+        start, negative = len(forms), []
+        for i in hits:
+            b, c = b0 + 2 * i, ms[i] // a
+            if math.gcd(a, b, c) == 1:
+                forms.append((a, b, c))
+                if 0 < b < a < c:
+                    negative.append((a, -b, c))
+        if negative:
+            negative.reverse()
+            forms[start:start] = negative
+    return forms
+
+
 def check_class_group_bound(D: int) -> None:
     """Refuse |D| > CLASS_GROUP_BOUND, before anything factorises D."""
     if -D > CLASS_GROUP_BOUND:
@@ -453,21 +559,27 @@ def class_group(D: int) -> IdealClassGroup:
     """Ideal class group of the fundamental discriminant D < 0: reduced forms,
     class number, exponent and invariant factors.
 
-    The forms are enumerated by their middle coefficient.  The invariant
-    factors come one Sylow subgroup at a time (see _sylow_factors): the
-    2-part from genus theory (Gauss) and Redei's 4-rank (J. reine angew.
-    Math. 171, 1934) wherever they force it (see _forced_two_part), and
-    only a non-cyclic part left open is walked by _orders.  That takes
-    0.026 compositions per class over every |D| <= 10^4, and at most 1.22
-    (h = 18 at D = -9748), where walking every class takes 0.57 and at
-    most 0.98.  Enumerating the forms is most of the cost: about 79% over
-    the 64 fields of the class-groups benchmark, 10^3 <= |D| < 3*10^5
-    (per-field minima of 40 interleaved repetitions).  Measured up to
-    CLASS_GROUP_BOUND (Intel Xeon, Python 3.11.7, 12 fields with
-    0.9 <= |D|/N <= 1 each, best of 5): a median of 0.0002 s at N = 10^5,
-    0.002 s at 10^6 and 0.021 s at 10^7; the fields of largest h found
-    there (h = 533 at D = -95471, 1868 at -960671 and 6216 at -9559679)
-    take 0.0004 s, 0.0034 s and 0.031 s.
+    The forms are enumerated by their middle coefficient below
+    |D| = 5*10^4, and from there on by their first coefficient, with the
+    primes inert in the field sieved out and each composite first
+    coefficient tried only where its largest odd prime factor divides (see
+    _reduced_forms).  The invariant factors come one Sylow subgroup at a
+    time (see _sylow_factors): the 2-part from genus theory (Gauss) and
+    Redei's 4-rank (J. reine angew. Math. 171, 1934) wherever they force
+    it (see _forced_two_part), and only a non-cyclic part left open is
+    walked by _orders.  That takes 0.025 compositions per class over every
+    |D| <= 10^4, and at most 1.22 (h = 9 at D = -4027), where walking every
+    class takes 0.57 and at most 0.98.  Enumerating the forms is most of
+    the cost: about 75% over the 64 fields of the class-groups benchmark,
+    10^3 <= |D| < 3*10^5 (per-field minima of 40 interleaved repetitions),
+    and 77% at D = -9559679.  Measured up to CLASS_GROUP_BOUND (Intel Xeon,
+    Python 3.11.7, 12 fields with 0.9 <= |D|/N <= 1 each, best of 5, 3 at
+    N = 10^7): a median of 0.0002 s at N = 10^5, 0.00075 s at 10^6 and
+    0.0041 s at 10^7, where enumerating by the middle coefficient alone
+    took 0.0003 s, 0.0024 s and 0.025 s in the same session; the fields of
+    largest h found there (h = 533 at D = -95471, 1868 at -960671 and 6216
+    at -9559679) take 0.0006 s, 0.0023 s and 0.010 s, against 0.0007 s,
+    0.0055 s and 0.051 s.
 
     D is refused as ImagQuadField refuses it, and the factorisation of
     |D| that proves it fundamental is the one genus theory reads.  The last
@@ -576,10 +688,14 @@ def _sylow_factors(
     _forced_two_part.  A subgroup of prime order ell needs no composition.
     Any other is the image of x -> x^m, m = h / ell^e, and it is cyclic as
     soon as an image s has s^(ell^(e-1)) != 1.  The images of the sorted
-    forms are tested in turn, each one outside the subgroup that the cosets
-    of the earlier ones generate; when m = 1 the forms are the subgroup,
-    and only the first is tested.  A subgroup with no image of full order
-    is walked alone by _orders.
+    forms are tested in turn, each one outside the subgroup H that the
+    earlier ones generate: the first one's walk (see _walk) gives H = <s>,
+    and each later one adds the cosets of H by its powers.  The subgroups
+    of a cyclic group form a chain, so there H would lie in <s>, and the
+    first power s^j in H would generate H.  When m = 1 the forms are the
+    subgroup, and an s^j that does not generate H proves it not cyclic:
+    its forms are then walked at once.  A subgroup with no image of full
+    order is walked alone by _orders.
     """
     order = ell**e
     if e == 1:
@@ -596,16 +712,22 @@ def _sylow_factors(
             continue
         if _power(g, order // ell, D) != identity:
             return [order]
-        if m == 1:
-            subgroup = forms
-            break
-        # add the cosets g^j * subgroup, j = 1, 2, ..., until g^j is in it;
-        # subgroup[0] is the identity, so coset[0] is g^j
-        grown, coset = list(subgroup), subgroup
-        while (first := _compose(coset[0], g, D)) not in members:
-            coset = [first] + [_compose(x, g, D) for x in coset[1:]]
-            grown += coset
-        subgroup = grown
+        if len(subgroup) == 1:
+            # <g> from its walk, in half the compositions of all its powers
+            subgroup = list(dict.fromkeys(x for pair in _walk(g, D)[0] for x in pair))
+        else:
+            powers = [g]  # g^j, j = 1, 2, ..., while outside the subgroup
+            while (last := _compose(powers[-1], g, D)) not in members:
+                powers.append(last)
+            if m == 1 and _power(last, len(subgroup) // ell, D) == identity:
+                # in a cyclic group the subgroup would lie in <g>, and g^j
+                # would generate it: the group is not cyclic
+                subgroup = forms
+                break
+            # add the cosets g^j * subgroup; subgroup[0] is the identity
+            subgroup = subgroup + [
+                x for p in powers for x in [p] + [_compose(y, p, D) for y in subgroup[1:]]
+            ]
         members.update(subgroup)
         if len(subgroup) == order:
             break

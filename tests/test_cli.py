@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import sys
@@ -1267,6 +1268,10 @@ OTHER_TARGET_SAMPLES = [
 ]
 
 
+# whether this Python has the built-in SHA-256 module the CLI prefers
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
 class TestColdStart:
     def _loaded(self, script: str) -> set:
         out = _fresh_python(script + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
@@ -1305,6 +1310,10 @@ class TestColdStart:
         loaded = {m for m in modules if m.split(".")[0] == "heckelift"}
         assert loaded == COLD_START_BASE | COLD_START_MODULES[command]
         assert "jsonschema" not in modules
+        # the input digest comes from CPython's built-in SHA-256 where there
+        # is one, not from OpenSSL through hashlib
+        if BUILTIN_SHA256:
+            assert "_hashlib" not in modules
 
     @pytest.mark.parametrize("stem", OTHER_TARGET_SAMPLES)
     def test_every_other_target_sample_runs_clean(self, stem):

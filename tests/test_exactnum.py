@@ -795,9 +795,10 @@ def test_only_exactnum_stores_past_a_records_refusal():
 
 
 def test_every_memo_in_the_package_is_bounded():
-    # _bernoulli_even is the one unbounded memo: bernoulli caps its argument
-    # at BERNOULLI_BOUND // 2, so it holds at most 51 entries.  Every other
-    # memo keeps the 1 << 12 most recent entries, except the class groups'
+    # _bernoulli_even is the one unbounded memo with an argument: bernoulli
+    # caps it at BERNOULLI_BOUND // 2, so it holds at most 51 entries;
+    # heckequad._form_tables takes none, so it holds one.  Every other memo
+    # keeps the 1 << 12 most recent entries, except the class groups'
     # eight, whose entries are up to 0.75 MB each
     memos = {}
     for info in pkgutil.iter_modules(heckelift.__path__):
@@ -808,6 +809,8 @@ def test_every_memo_in_the_package_is_bounded():
     assert {"heckelift.exactnum.is_prime", "heckelift.abchar._level_one_log"} <= memos.keys()
     bounds = {name: memo.cache_parameters()["maxsize"] for name, memo in memos.items()}
     assert bounds.pop("heckelift.exactnum._bernoulli_even") is None
+    assert bounds.pop("heckelift.heckequad._form_tables") is None
+    assert memos["heckelift.heckequad._form_tables"].__wrapped__.__code__.co_argcount == 0
     assert bounds.pop("heckelift.heckequad._class_group") == 8
     assert set(bounds.values()) == {1 << 12}
     assert "heckelift.exactnum._prime_to_projector" in bounds

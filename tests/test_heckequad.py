@@ -25,6 +25,8 @@ from heckelift.heckequad import (
     _class_group,
     _compose,
     _forced_two_part,
+    _forms_by_first_coefficient,
+    _fundamental_primes,
     _orders,
     _principal_form,
     _reduce_form,
@@ -32,7 +34,7 @@ from heckelift.heckequad import (
     _reduced_forms,
 )
 
-from conftest import oracles, xgcd
+from conftest import oracles, run_python, xgcd
 
 
 K1155 = ImagQuadField(-1155)
@@ -168,12 +170,14 @@ def _class_group_by_histogram(D):
 
 @pytest.fixture
 def fresh_memo():
-    """An empty class-group memo, emptied again afterwards, so that no group
-    kept by another test hides a computation and none computed under a
-    monkeypatch outlives it."""
+    """Empty class-group and discriminant-primes memos, emptied again
+    afterwards, so that nothing kept by another test hides a computation
+    and nothing computed under a monkeypatch outlives it."""
     _class_group.cache_clear()
+    _fundamental_primes.cache_clear()
     yield
     _class_group.cache_clear()
+    _fundamental_primes.cache_clear()
 
 
 @pytest.fixture
@@ -698,10 +702,53 @@ class TestClassGroup:
                 assert _compose(f1, f2, D) == _dirichlet_compose(f1, f2, D), (f1, f2)
 
     def test_reduced_forms_match_the_scan(self):
-        # every discriminant -20000 < D <= -5, fundamental or not
+        # every discriminant -20000 < D <= -5, fundamental or not, from
+        # _reduced_forms, which scans them all, and from the enumeration by
+        # the first coefficient
         for D in range(-5, -20000, -1):
             if D % 4 in (0, 1):
-                assert _reduced_forms(D) == _scanned_forms(D), D
+                forms = _scanned_forms(D)
+                assert _reduced_forms(D) == forms, D
+                assert _forms_by_first_coefficient(D) == forms, D
+
+    def test_forms_by_first_coefficient_match_the_scan_on_large_fields(self):
+        # 200 consecutive discriminants from -10^5 and from -10^6 down,
+        # fundamental or not, and the largest class number below the bound;
+        # test_reduced_forms_match_the_scan covers -20000 < D <= -5
+        fields = [D for n in (10**5, 10**6) for D in range(-n, -n - 400, -1) if D % 4 in (0, 1)]
+        assert len(fields) == 400
+        for D in fields + [-9559679]:
+            assert _forms_by_first_coefficient(D) == _scanned_forms(D), D
+
+    def test_reduced_forms_take_the_new_path_from_the_crossover(self, monkeypatch):
+        crossover = heckequad._BY_FIRST_COEFFICIENT
+        below = next(D for D in range(1 - crossover, 0) if D % 4 in (0, 1))
+        at = next(D for D in range(-crossover, -crossover - 4, -1) if D % 4 in (0, 1))
+        calls = []
+        real = heckequad._forms_by_first_coefficient
+        monkeypatch.setattr(
+            heckequad, "_forms_by_first_coefficient", lambda D: calls.append(D) or real(D)
+        )
+        assert _reduced_forms(below) == _scanned_forms(below)
+        assert calls == []
+        assert _reduced_forms(at) == _scanned_forms(at)
+        assert calls == [at]
+
+    def test_form_tables_are_built_on_first_use(self):
+        # a fresh process: importing heckequad and a field below the
+        # crossover build no table, a field past it does
+        script = (
+            "from heckelift import heckequad as h\n"
+            "sizes = [h._form_tables.cache_info().currsize]\n"
+            "h.class_group(-1155)\n"
+            "sizes.append(h._form_tables.cache_info().currsize)\n"
+            "h.class_group(-270363)\n"
+            "sizes.append(h._form_tables.cache_info().currsize)\n"
+            "print(sizes)\n"
+        )
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0, 0, 1]"
 
     def test_reduction_is_canonical(self):
         # disc(12, 11, 3) = -23: composing with the identity reduces in place
@@ -773,18 +820,31 @@ class TestSylowParts:
         assert walks == []
         assert grp == _class_group_by_histogram(-199)
 
-    def test_non_cyclic_whole_group_walked_after_one_test(self, compositions, walks):
+    def test_cyclic_whole_group_past_forms_of_lower_order_not_walked(self, compositions, walks):
+        # h = 625 = 5^4: the first form has order 125, and further forms are
+        # tested outside the subgroups built so far until one has order 625;
+        # walking the whole group took 385 compositions
+        grp = class_group(-234599)
+        assert grp.invariant_factors == (625,)
+        assert walks == [] and len(compositions) <= 84
+        assert grp == _class_group_by_histogram(-234599)
+
+    def test_non_cyclic_whole_group_walked_once_shown_not_cyclic(self, compositions, walks):
         # h = 243 = 3^5: the forms are the 3-part, the first form f other
-        # than the identity has f^81 = 1, and the forms are walked without
-        # generating them
+        # than the identity has f^81 = 1, and so has the first form g
+        # outside <f>; g^3 is the first power of g in <f> but does not
+        # generate it, so the group is not cyclic, and the forms are walked
+        # without generating them
         grp = class_group(-29399)
         assert grp.invariant_factors == (3, 81) and grp.exponent == 81
         assert walks == [243]
         total = len(compositions)
         compositions.clear()
         _orders(grp.forms, -29399)
-        # f^81 by binary powering: six squarings and two multiplications
-        assert total == len(compositions) + 8
+        # f^81 and g^81 by binary powering, six squarings and two
+        # multiplications each; the walk of f, of order 81, 40; g^2 and g^3,
+        # 2; and (g^3)^27, four squarings and three multiplications
+        assert total == len(compositions) + 8 + 40 + 8 + 2 + 7
 
     def test_non_cyclic_part_walked_alone(self, walks):
         # h = 36 = 4 * 9: the 3-part is (3, 3), and only its 9 forms are
@@ -866,6 +926,14 @@ class TestClassGroupMemo:
         calls = []
         monkeypatch.setattr(heckequad, "factorize", lambda n: calls.append(n) or factorize(n))
         class_group(-1155)
+        assert calls == [1155, 8]
+
+    def test_counting_bound_of_a_new_field_factorises_the_discriminant_once(self, monkeypatch):
+        # the primes that ImagQuadField finds are the ones genus theory
+        # reads; the other factorisation is of h = 8
+        calls = []
+        monkeypatch.setattr(heckequad, "factorize", lambda n: calls.append(n) or factorize(n))
+        counting_bound(ImagQuadField(-1155), 17, 19)
         assert calls == [1155, 8]
 
     def test_counting_bound_after_class_group_factorises_nothing(self, monkeypatch):
